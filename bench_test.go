@@ -284,7 +284,7 @@ func BenchmarkDFQCycleConsumerClass(b *testing.B) {
 // benchmark (allocs/op settles at 0, which CI gates absolutely).
 func benchDFQCycleTenants(b *testing.B, tenants int) {
 	b.ReportAllocs()
-	led := core.NewDFQLedger(core.IndexedLedger)
+	led := core.NewFlowIndex()
 	led.Grow(tenants)
 	ids := make([]core.FlowID, tenants)
 	for i := range ids {

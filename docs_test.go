@@ -113,7 +113,7 @@ func TestExperimentsDocCoversRegistry(t *testing.T) {
 }
 
 // TestDesignDocCoversEngineInternals pins DESIGN.md §11's anchor
-// terms: the queue seam, pool APIs, and differential tests it
+// terms: the reference engine, pool APIs, and differential tests it
 // documents must keep their names, or the section silently rots.
 func TestDesignDocCoversEngineInternals(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
@@ -122,9 +122,9 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 	}
 	doc := string(data)
 	for _, want := range []string{
-		"## 11.", "NextAfterNow", "LegacyHeapQueue", "NewEngineWithQueue",
-		"DefaultEventQueue", "TestDifferentialEventStorm",
-		"TestDifferentialQueueTables", "TestPropertyTimerStopRecycledGeneration",
+		"## 11.", "NextAfterNow", "refEngine", "differential_test.go",
+		"TestDifferentialEventStorm", "TestQuickGolden",
+		"TestPropertyTimerStopRecycledGeneration",
 		"Request.Release", "Request.Pin",
 	} {
 		if !strings.Contains(doc, want) {
@@ -134,8 +134,8 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 }
 
 // TestDesignDocCoversScaleIndex pins DESIGN.md §12's anchor terms: the
-// ledger seam, the index/board types, and every test the section cites
-// as evidence must keep their names.
+// linear reference, the index/board types, and every test the section
+// cites as evidence must keep their names.
 func TestDesignDocCoversScaleIndex(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -143,10 +143,9 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 	}
 	doc := string(data)
 	for _, want := range []string{
-		"## 12.", "core.FlowIndex", "core.FlowID", "core.DefaultDFQLedger",
-		"LinearLedger", "NewDisengagedFairQueueingWithLedger",
-		"fleet.NewBoardWith", "fleet.Config.BoardEpoch",
-		"TestDifferentialDFQIndex", "TestDifferentialLedgerTables",
+		"## 12.", "core.FlowIndex", "core.FlowID", "linearLedger",
+		"ledger_test.go", "fleet.NewBoardWith", "fleet.Config.BoardEpoch",
+		"TestDifferentialDFQIndex",
 		"FuzzDFQIndexOps", "TestFlowIndexStaleHandles",
 		"TestBoardShardCountInvariance", "TestBoardEpochLeadBound",
 		"TestBoardShardUnderflowPanic", "BenchmarkDFQCycleTenants",

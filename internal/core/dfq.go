@@ -117,7 +117,7 @@ const (
 // dfqTask is the per-task scheduler state. The task's virtual time —
 // its estimated cumulative usage in normalized work units divided by
 // its fair-share weight (probabilistically updated, per the paper) —
-// lives in the scheduler's DFQLedger, addressed by flow.
+// lives in the scheduler's FlowIndex, addressed by flow.
 type dfqTask struct {
 	// flow is the task's slot in the virtual-time ledger.
 	flow FlowID
@@ -164,7 +164,7 @@ type DisengagedFairQueueing struct {
 	mode      dfqMode
 	sampled   *neon.Task
 	st        map[*neon.Task]*dfqTask
-	ledger    DFQLedger
+	ledger    *FlowIndex
 	admitGate *sim.Gate
 	speed     float64 // device class speed factor, set at Start
 
@@ -191,15 +191,8 @@ type DisengagedFairQueueing struct {
 
 // NewDisengagedFairQueueing returns the scheduler with the given
 // configuration; zero fields are replaced by defaults. Virtual-time
-// state lives in a DFQLedger of the DefaultDFQLedger kind.
+// state lives in a FlowIndex.
 func NewDisengagedFairQueueing(cfg DFQConfig) *DisengagedFairQueueing {
-	return NewDisengagedFairQueueingWithLedger(cfg, DefaultDFQLedger)
-}
-
-// NewDisengagedFairQueueingWithLedger is the constructor seam the
-// differential tests use: the same scheduler on an explicit ledger
-// kind, so the indexed and linear ledgers can be compared end to end.
-func NewDisengagedFairQueueingWithLedger(cfg DFQConfig, kind DFQLedgerKind) *DisengagedFairQueueing {
 	def := DefaultDFQConfig()
 	if cfg.SamplePeriod <= 0 {
 		cfg.SamplePeriod = def.SamplePeriod
@@ -219,7 +212,7 @@ func NewDisengagedFairQueueingWithLedger(cfg DFQConfig, kind DFQLedgerKind) *Dis
 	return &DisengagedFairQueueing{
 		cfg:    cfg,
 		st:     make(map[*neon.Task]*dfqTask),
-		ledger: NewDFQLedger(kind),
+		ledger: NewFlowIndex(),
 	}
 }
 
@@ -228,9 +221,6 @@ func (d *DisengagedFairQueueing) Name() string { return "disengaged-fair-queuein
 
 // Config returns the active configuration.
 func (d *DisengagedFairQueueing) Config() DFQConfig { return d.cfg }
-
-// LedgerKind reports which virtual-time ledger the scheduler runs on.
-func (d *DisengagedFairQueueing) LedgerKind() DFQLedgerKind { return d.ledger.Kind() }
 
 // VirtualTime returns the task's current virtual time in normalized
 // work, for tests.
@@ -447,10 +437,9 @@ func (d *DisengagedFairQueueing) run(p *sim.Proc) {
 // waiting, not idle), so they neither forfeit nor accrue credit.
 //
 // The bookkeeping itself — where virtual times live, how the active
-// minimum is found, when idle flows catch up — is the ledger's: the
-// indexed ledger does each step in O(log active), the linear ledger in
-// one scan per cycle, and the differential tests pin that both produce
-// identical virtual times and denial decisions.
+// minimum is found, when idle flows catch up — is the FlowIndex's: each
+// step is O(log active), and TestDifferentialDFQIndex pins that it
+// produces the virtual times of the pre-index linear scan.
 func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duration) {
 	speed := d.chargeSpeed()
 	windowW := WorkFor(window, speed)
@@ -491,9 +480,9 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 
 	// Steps 1b and 2: the system virtual time advances to the oldest
 	// virtual time among active flows, and idle flows forfeit unused
-	// credit — eagerly on the linear ledger, lazily (at next read or
-	// activation, which is observably identical because the system
-	// virtual time is monotone) on the indexed one.
+	// credit — lazily, at next read or activation, which is observably
+	// identical to an eager catch-up because the system virtual time is
+	// monotone.
 	d.ledger.AdvanceSysVT()
 
 	// Instrumentation: after charging and system-virtual-time advance,

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// stormLedgers drives the indexed and linear ledgers through one
+// stormLedgers drives the FlowIndex and the linear reference through one
 // identical randomized engage/charge/disengage/idle storm and fails on
 // the first observable divergence. The op mix mirrors a DFQ cycle:
 // activate a working set, charge shares, advance the system virtual
@@ -17,8 +17,8 @@ import (
 func stormLedgers(t *testing.T, tenants, cycles int, seed int64) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
-	idx := NewDFQLedger(IndexedLedger)
-	lin := NewDFQLedger(LinearLedger)
+	idx := NewFlowIndex()
+	lin := &linearLedger{}
 	idx.Grow(tenants)
 
 	idxIDs := make([]FlowID, tenants)
@@ -83,7 +83,7 @@ func stormLedgers(t *testing.T, tenants, cycles int, seed int64) {
 	}
 }
 
-func compareFlow(t *testing.T, cycle, i int, idx DFQLedger, idxID FlowID, lin DFQLedger, linID FlowID) {
+func compareFlow(t *testing.T, cycle, i int, idx *FlowIndex, idxID FlowID, lin *linearLedger, linID FlowID) {
 	t.Helper()
 	if a, b := idx.VT(idxID), lin.VT(linID); a != b {
 		t.Fatalf("cycle %d flow %d: VT diverged: indexed %d, linear %d", cycle, i, a, b)
@@ -96,13 +96,15 @@ func compareFlow(t *testing.T, cycle, i int, idx DFQLedger, idxID FlowID, lin DF
 	}
 }
 
-// TestDifferentialDFQIndex pins that the indexed ledger (min-VT heap,
-// lazy idle catch-up) is observably identical to the linear ledger (the
+// TestDifferentialDFQIndex pins that the FlowIndex (min-VT heap, lazy
+// idle catch-up) is observably identical to the linear reference (the
 // pre-index scan restated) under randomized storms at 10^2..10^4
 // tenants: same virtual times, same leads, same system virtual time,
-// same active populations, cycle by cycle. The table-level half of this
-// pin lives in internal/exp's TestDifferentialLedgerTables.
+// same active populations, cycle by cycle. At table level the golden
+// (internal/exp/testdata/quick.golden) pins the same equivalence: its
+// DFQ rows predate the index.
 func TestDifferentialDFQIndex(t *testing.T) {
+	t.Parallel()
 	for _, tenants := range []int{100, 1000, 10000} {
 		cycles := 400
 		if tenants >= 10000 {
@@ -110,6 +112,7 @@ func TestDifferentialDFQIndex(t *testing.T) {
 		}
 		for rep := 0; rep < 3; rep++ {
 			t.Run(fmt.Sprintf("tenants%d/rep%d", tenants, rep), func(t *testing.T) {
+				t.Parallel()
 				stormLedgers(t, tenants, cycles, sim.StreamSeed(1, "dfq-index-diff", tenants+rep))
 			})
 		}

@@ -79,33 +79,55 @@ func RunPairs(opts Options, apps []string, sizes []float64, scheds []Sched) []Pa
 // 19us-1.7ms; four sizes keep the matrix readable).
 var fig67Sizes = []float64{19, 191, 425, 1700}
 
+// runFig67 runs the matrix Figures 6 and 7 render.
+func runFig67(opts Options) []PairResult {
+	return RunPairs(opts, fig6Pairs, fig67Sizes, AllScheds())
+}
+
 // Fig6 reproduces Figure 6: fairness of concurrent executions — per-pair
 // normalized runtimes under each scheduler.
-func Fig6(opts Options) *report.Table {
-	return fig6Table(RunPairs(opts, fig6Pairs, fig67Sizes, AllScheds()))
+func Fig6(opts Options) *report.Table { return fig6Table(runFig67(opts)) }
+
+// Fig7 reproduces Figure 7: concurrency efficiency for the same pairs.
+func Fig7(opts Options) *report.Table { return fig7Table(runFig67(opts)) }
+
+// pairRow is one (application, Throttle size) row of Figures 6 and 7.
+type pairRow struct {
+	label string
+	by    map[Sched]PairResult
+}
+
+// pairRows groups the matrix into rows in enumeration order.
+func pairRows(results []PairResult) []pairRow {
+	type key struct {
+		app string
+		usz float64
+	}
+	at := map[key]int{}
+	var rows []pairRow
+	for _, r := range results {
+		k := key{r.App, r.ThrottleUS}
+		i, ok := at[k]
+		if !ok {
+			i = len(rows)
+			at[k] = i
+			rows = append(rows, pairRow{
+				label: fmt.Sprintf("%s vs Thr(%.0fus)", r.App, r.ThrottleUS),
+				by:    map[Sched]PairResult{},
+			})
+		}
+		rows[i].by[r.Sched] = r
+	}
+	return rows
 }
 
 func fig6Table(results []PairResult) *report.Table {
 	t := report.New("Figure 6: pairwise fairness (slowdown vs running alone, app/Throttle)",
 		"Pair", "direct", "Timeslice", "Disengaged TS", "Disengaged FQ")
-	type key struct {
-		app string
-		usz float64
-	}
-	rows := map[key]map[Sched]PairResult{}
-	var order []key
-	for _, r := range results {
-		k := key{r.App, r.ThrottleUS}
-		if rows[k] == nil {
-			rows[k] = map[Sched]PairResult{}
-			order = append(order, k)
-		}
-		rows[k][r.Sched] = r
-	}
-	for _, k := range order {
-		row := []string{fmt.Sprintf("%s vs Thr(%.0fus)", k.app, k.usz)}
+	for _, pr := range pairRows(results) {
+		row := []string{pr.label}
 		for _, s := range AllScheds() {
-			r := rows[k][s]
+			r := pr.by[s]
 			row = append(row, fmt.Sprintf("%.2f/%.2f", r.AppSlowdown, r.ThrSlowdown))
 		}
 		t.AddRow(row...)
@@ -115,29 +137,13 @@ func fig6Table(results []PairResult) *report.Table {
 	return t
 }
 
-// Fig7 reproduces Figure 7: concurrency efficiency for the same pairs.
-func Fig7(opts Options) *report.Table {
-	results := RunPairs(opts, fig6Pairs, fig67Sizes, AllScheds())
+func fig7Table(results []PairResult) *report.Table {
 	t := report.New("Figure 7: concurrency efficiency (sum of resource shares)",
 		"Pair", "direct", "Timeslice", "Disengaged TS", "Disengaged FQ")
-	type key struct {
-		app string
-		usz float64
-	}
-	rows := map[key]map[Sched]PairResult{}
-	var order []key
-	for _, r := range results {
-		k := key{r.App, r.ThrottleUS}
-		if rows[k] == nil {
-			rows[k] = map[Sched]PairResult{}
-			order = append(order, k)
-		}
-		rows[k][r.Sched] = r
-	}
-	for _, k := range order {
-		row := []string{fmt.Sprintf("%s vs Thr(%.0fus)", k.app, k.usz)}
+	for _, pr := range pairRows(results) {
+		row := []string{pr.label}
 		for _, s := range AllScheds() {
-			row = append(row, report.F(rows[k][s].Efficiency, 2))
+			row = append(row, report.F(pr.by[s].Efficiency, 2))
 		}
 		t.AddRow(row...)
 	}

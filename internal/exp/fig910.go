@@ -63,18 +63,34 @@ func RunNonsat(opts Options, ratios []float64, scheds []Sched) []NonsatResult {
 	return out
 }
 
+// runFig910 runs the matrix Figures 9 and 10 render.
+func runFig910(opts Options) []NonsatResult {
+	return RunNonsat(opts, fig9Ratios, AllScheds())
+}
+
 // Fig9 reproduces Figure 9: fairness for DCT vs a nonsaturating Throttle.
-func Fig9(opts Options) *report.Table {
-	results := RunNonsat(opts, fig9Ratios, AllScheds())
+func Fig9(opts Options) *report.Table { return fig9Table(runFig910(opts)) }
+
+// Fig10 reproduces Figure 10: efficiency for the same scenarios, plus the
+// loss relative to direct access the paper quotes.
+func Fig10(opts Options) *report.Table { return fig10Table(runFig910(opts)) }
+
+// nonsatByRatio groups the matrix by off ratio, then scheduler.
+func nonsatByRatio(results []NonsatResult) map[float64]map[Sched]NonsatResult {
+	by := map[float64]map[Sched]NonsatResult{}
+	for _, r := range results {
+		if by[r.SleepRatio] == nil {
+			by[r.SleepRatio] = map[Sched]NonsatResult{}
+		}
+		by[r.SleepRatio][r.Sched] = r
+	}
+	return by
+}
+
+func fig9Table(results []NonsatResult) *report.Table {
 	t := report.New("Figure 9: nonsaturating workloads — fairness (DCT vs Throttle(425us) with off periods)",
 		"Off ratio", "direct", "Timeslice", "Disengaged TS", "Disengaged FQ")
-	byRatio := map[float64]map[Sched]NonsatResult{}
-	for _, r := range results {
-		if byRatio[r.SleepRatio] == nil {
-			byRatio[r.SleepRatio] = map[Sched]NonsatResult{}
-		}
-		byRatio[r.SleepRatio][r.Sched] = r
-	}
+	byRatio := nonsatByRatio(results)
 	for _, ratio := range fig9Ratios {
 		row := []string{fmt.Sprintf("%.0f%%", ratio*100)}
 		for _, s := range AllScheds() {
@@ -87,19 +103,10 @@ func Fig9(opts Options) *report.Table {
 	return t
 }
 
-// Fig10 reproduces Figure 10: efficiency for the same scenarios, plus the
-// loss relative to direct access the paper quotes.
-func Fig10(opts Options) *report.Table {
-	results := RunNonsat(opts, fig9Ratios, AllScheds())
+func fig10Table(results []NonsatResult) *report.Table {
 	t := report.New("Figure 10: nonsaturating workloads — efficiency",
 		"Off ratio", "direct", "Timeslice", "Disengaged TS", "Disengaged FQ", "TS loss", "DTS loss", "DFQ loss")
-	byRatio := map[float64]map[Sched]NonsatResult{}
-	for _, r := range results {
-		if byRatio[r.SleepRatio] == nil {
-			byRatio[r.SleepRatio] = map[Sched]NonsatResult{}
-		}
-		byRatio[r.SleepRatio][r.Sched] = r
-	}
+	byRatio := nonsatByRatio(results)
 	for _, ratio := range fig9Ratios {
 		m := byRatio[ratio]
 		row := []string{fmt.Sprintf("%.0f%%", ratio*100)}

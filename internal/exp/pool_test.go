@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,4 +172,78 @@ func TestPoolStats(t *testing.T) {
 	if jobs, _ := Stats(); jobs != 0 {
 		t.Fatalf("Stats jobs = %d after reset, want 0", jobs)
 	}
+}
+
+// One Registry runs each shared matrix once: Figure 7 renders Figure 6's
+// matrix and Figure 10 renders Figure 9's without running a job, and
+// each sibling run alone still renders the same table.
+func TestRegistrySharesSiblingMatrices(t *testing.T) {
+	opts := poolTestOpts()
+	opts.Parallel = 2
+	for _, pair := range [][2]string{{"fig6", "fig7"}, {"fig9", "fig10"}} {
+		reg := map[string]Experiment{}
+		for _, e := range Registry() {
+			reg[e.ID] = e
+		}
+		reg[pair[0]].Run(opts)
+		ResetStats()
+		shared := reg[pair[1]].Run(opts).String()
+		if jobs, _ := Stats(); jobs != 0 {
+			t.Errorf("%s after %s ran %d jobs, want 0", pair[1], pair[0], jobs)
+		}
+		alone, _ := ByID(pair[1])
+		ResetStats()
+		if got := alone.Run(opts).String(); got != shared {
+			t.Errorf("%s alone differs from %s after %s:\n%s\nvs\n%s", pair[1], pair[1], pair[0], got, shared)
+		}
+		if jobs, _ := Stats(); jobs == 0 {
+			t.Errorf("%s alone ran no jobs", pair[1])
+		}
+	}
+}
+
+// A handoff is keyed on the matrix inputs only, and is taken once.
+func TestHandoffKeyedOnMatrixInputs(t *testing.T) {
+	var h handoff[int]
+	runs := 0
+	run := func(Options) int { runs++; return 7 }
+	o := Quick()
+	h.give(o, 1)
+	other := o
+	other.Parallel = 8
+	other.Tenants = []int{5}
+	if got := h.take(other, run); got != 1 || runs != 0 {
+		t.Fatalf("take with only non-matrix fields changed = %d (%d runs), want the given 1", got, runs)
+	}
+	if got := h.take(o, run); got != 7 || runs != 1 {
+		t.Fatalf("second take = %d (%d runs), want a fresh run", got, runs)
+	}
+	h.give(o, 1)
+	reseeded := o
+	reseeded.Seed++
+	if got := h.take(reseeded, run); got != 7 || runs != 2 {
+		t.Fatalf("take with another seed = %d (%d runs), want a fresh run", got, runs)
+	}
+}
+
+// Experiments of one Registry may run on several goroutines at once; the
+// handoff they share must stay race-free (run under -race).
+func TestHandoffConcurrent(t *testing.T) {
+	var h handoff[int]
+	o := Quick()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				h.give(o, 1)
+				if got := h.take(o, func(Options) int { return 1 }); got != 1 {
+					t.Errorf("take = %d, want 1", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

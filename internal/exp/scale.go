@@ -1,23 +1,23 @@
 package exp
 
-// The scale experiment: indexed fair queueing at production tenant
-// counts. The paper's DFQ keeps per-tenant virtual-time state for a
-// handful of applications; the ROADMAP's north star is millions of
-// users, which the simulated GPU stack cannot host directly (a device
-// exposes 48 channels). So this experiment drives the scheduling
-// *state machinery* itself — a core.DFQLedger per device reconciling
-// through a sharded fleet.Board — with a synthetic open-loop engagement
-// cycle: each cycle a bounded working set of tenants is activated,
-// charged its estimated share of the engagement window, folded into the
-// fleet-wide system virtual time, and denied when its fleet lead
-// reaches the free-run horizon, exactly the per-cycle bookkeeping of
-// core.DisengagedFairQueueing. Tenant count sweeps 10²→10⁵ while the
-// per-cycle working set stays fixed, so any O(tenants) step in the
-// ledger or the board would surface as allocations (and wall time)
-// growing with the population; the table pins allocs/request flat and
-// the weighted lead bound holding at every scale. Wall-clock scaling is
-// benchmarked separately (BenchmarkDFQCycleTenants*, BENCH_7.json) —
-// the golden table only carries deterministic columns.
+// The scale experiment: indexed fair queueing at large tenant counts.
+// The paper's DFQ keeps per-tenant virtual-time state for a handful of
+// applications; 10^5 tenants is more than the simulated GPU stack can
+// host directly (a device exposes 48 channels). So this experiment
+// drives the scheduling *state machinery* itself — a core.FlowIndex per
+// device reconciling through a sharded fleet.Board — with a synthetic
+// open-loop engagement cycle: each cycle a bounded working set of
+// tenants is activated, charged its estimated share of the engagement
+// window, folded into the fleet-wide system virtual time, and denied
+// when its fleet lead reaches the free-run horizon, exactly the
+// per-cycle bookkeeping of core.DisengagedFairQueueing. Tenant count
+// sweeps 10²→10⁵ while the per-cycle working set stays fixed, so any
+// O(tenants) step in the ledger or the board would surface as
+// allocations (and wall time) growing with the population; the table
+// pins allocs/request flat and the weighted lead bound holding at every
+// scale. Wall-clock scaling is benchmarked separately
+// (BenchmarkDFQCycleTenants*, BENCH_7.json) — the golden table only
+// carries deterministic columns.
 
 import (
 	"fmt"
@@ -168,7 +168,7 @@ func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 
 	type device struct {
 		name       string
-		ledger     core.DFQLedger
+		ledger     *core.FlowIndex
 		ids        []core.FlowID
 		lastPicked []int32 // cycle a tenant was last engaged on this device
 		expire     [][]int // ring of past working sets, for idling out
@@ -177,7 +177,7 @@ func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 	for d := range devs {
 		dev := &device{
 			name:       fmt.Sprintf("dev%d", d),
-			ledger:     core.NewDFQLedger(core.DefaultDFQLedger),
+			ledger:     core.NewFlowIndex(),
 			ids:        make([]core.FlowID, tenants),
 			lastPicked: make([]int32, tenants),
 			expire:     make([][]int, scaleActiveCycles),
@@ -437,8 +437,8 @@ func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
 	return res
 }
 
-// The deep rows (Options.DeepScale / cmd/neonsim -deep): the ROADMAP's
-// 10^6-tenant ledger population through the synthetic harness, and a
+// The deep rows (Options.DeepScale / cmd/neonsim -deep): a 10^6-tenant
+// ledger population through the synthetic harness, and a
 // 10^5-tenant full-stack storm — another decade past each sweep's top.
 // They append after the standard grid, so the standard rows (and their
 // forked seeds) are byte-identical whether the deep rows run or not;

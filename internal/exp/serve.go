@@ -1,11 +1,10 @@
 package exp
 
-// The serve experiment: open-loop traffic against the fleet — the
-// regime the ROADMAP's "millions of users" north star actually lives
-// in. Closed-loop co-runners (the paper's evaluation) slow their
-// submission rate when the system slows down; open-loop users do not,
-// so only this experiment can show tail-latency percentiles, overload
-// behavior past load factor 1.0, and what admission control buys.
+// The serve experiment: open-loop traffic against the fleet. Closed-loop
+// co-runners (the paper's evaluation) slow their submission rate when
+// the system slows down; open-loop users do not, so only this experiment
+// can show tail-latency percentiles, overload behavior past load factor
+// 1.0, and what admission control buys.
 
 import (
 	"fmt"

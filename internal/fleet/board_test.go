@@ -18,13 +18,43 @@ const ms = time.Millisecond
 // wms is a board charge of n milliseconds of normalized work.
 func wms(n int) core.Work { return core.Work(n) * core.Work(ms) }
 
+// reconcile reports one device episode to b in map form: charges is the
+// normalized work charged to each principal, and active marks the
+// principals with work pending there (false clears the mark). It builds
+// the []core.EpisodeEntry batch, calls ReconcileEpisodeBatch, and
+// returns the reconciled lead of every principal in either argument.
+func reconcile(b *Board, device string, charges map[string]core.Work,
+	active map[string]bool) map[string]core.Work {
+	batch := make([]core.EpisodeEntry, 0, len(charges)+len(active))
+	idx := make(map[string]int, len(charges)+len(active))
+	for name, c := range charges {
+		idx[name] = len(batch)
+		batch = append(batch, core.EpisodeEntry{Principal: b.Principal(name), Charge: c})
+	}
+	for name, a := range active {
+		if j, ok := idx[name]; ok {
+			batch[j].Marked = true
+			batch[j].Active = a
+			continue
+		}
+		idx[name] = len(batch)
+		batch = append(batch, core.EpisodeEntry{Principal: b.Principal(name), Marked: true, Active: a})
+	}
+	b.ReconcileEpisodeBatch(device, batch)
+	leads := make(map[string]core.Work, len(batch))
+	for name, j := range idx {
+		leads[name] = batch[j].Lead
+	}
+	return leads
+}
+
 func TestBoardAccumulatesAcrossDevices(t *testing.T) {
 	b := NewBoard()
 
 	// A consumes on two devices in the same window; B on one.
-	b.ReconcileEpisode("dev0", map[string]core.Work{"A": wms(5), "B": wms(5)},
+	reconcile(b, "dev0", map[string]core.Work{"A": wms(5), "B": wms(5)},
 		map[string]bool{"A": true, "B": true})
-	leads := b.ReconcileEpisode("dev1", map[string]core.Work{"A": wms(5)},
+	leads := reconcile(b, "dev1", map[string]core.Work{"A": wms(5)},
 		map[string]bool{"A": true})
 
 	if got := b.VirtualTime("A"); got != wms(10) {
@@ -40,13 +70,13 @@ func TestBoardAccumulatesAcrossDevices(t *testing.T) {
 
 func TestBoardSystemVTFollowsOldestActive(t *testing.T) {
 	b := NewBoard()
-	b.ReconcileEpisode("dev0", map[string]core.Work{"A": wms(8), "B": wms(2)},
+	reconcile(b, "dev0", map[string]core.Work{"A": wms(8), "B": wms(2)},
 		map[string]bool{"A": true, "B": true})
 	if got := b.SystemVirtualTime(); got != wms(2) {
 		t.Fatalf("sysVT = %v, want 2ms (oldest active VT)", got)
 	}
 	// B goes idle: it forfeits unused credit up to the system VT.
-	b.ReconcileEpisode("dev0", map[string]core.Work{"A": wms(4)},
+	reconcile(b, "dev0", map[string]core.Work{"A": wms(4)},
 		map[string]bool{"A": true, "B": false})
 	if got, sys := b.VirtualTime("B"), b.SystemVirtualTime(); got != sys {
 		t.Fatalf("idle B vt = %v, want forfeited to sysVT %v", got, sys)
@@ -55,9 +85,9 @@ func TestBoardSystemVTFollowsOldestActive(t *testing.T) {
 
 func TestBoardLateJoinerStartsAtSystemVT(t *testing.T) {
 	b := NewBoard()
-	b.ReconcileEpisode("dev0", map[string]core.Work{"A": wms(8)},
+	reconcile(b, "dev0", map[string]core.Work{"A": wms(8)},
 		map[string]bool{"A": true})
-	leads := b.ReconcileEpisode("dev1", nil, map[string]bool{"C": true})
+	leads := reconcile(b, "dev1", nil, map[string]bool{"C": true})
 	if leads["C"] != 0 {
 		t.Fatalf("late joiner lead = %v, want 0 (starts at system VT)", leads["C"])
 	}
@@ -82,16 +112,16 @@ func TestBoardHeterogeneousCharges(t *testing.T) {
 	b := NewBoard()
 	// Register both principals before any charge so neither gets a
 	// late-joiner head start.
-	b.ReconcileEpisode("dev-slow", nil, map[string]bool{"A": true})
-	b.ReconcileEpisode("dev-fast", nil, map[string]bool{"B": true})
+	reconcile(b, "dev-slow", nil, map[string]bool{"A": true})
+	reconcile(b, "dev-fast", nil, map[string]bool{"B": true})
 	// A is served by the slow device, B by the fast one; both receive
 	// the same normalized work per episode, delivered as very different
 	// amounts of device time.
 	for i := 0; i < 4; i++ {
-		b.ReconcileEpisode("dev-slow",
+		reconcile(b, "dev-slow",
 			map[string]core.Work{"A": core.WorkFor(10*ms, slow.Speed)},
 			map[string]bool{"A": true})
-		b.ReconcileEpisode("dev-fast",
+		reconcile(b, "dev-fast",
 			map[string]core.Work{"B": core.WorkFor(2500*time.Microsecond, fast.Speed)},
 			map[string]bool{"B": true})
 	}
@@ -106,12 +136,12 @@ func TestBoardHeterogeneousCharges(t *testing.T) {
 	// ledger 4:1 — the distortion the RawCharges ablation reintroduces
 	// and the hetero experiment shows starving slow-device tenants.
 	raw := NewBoard()
-	raw.ReconcileEpisode("dev-slow", nil, map[string]bool{"A": true})
-	raw.ReconcileEpisode("dev-fast", nil, map[string]bool{"B": true})
+	reconcile(raw, "dev-slow", nil, map[string]bool{"A": true})
+	reconcile(raw, "dev-fast", nil, map[string]bool{"B": true})
 	for i := 0; i < 4; i++ {
-		raw.ReconcileEpisode("dev-slow", map[string]core.Work{"A": wms(10)},
+		reconcile(raw, "dev-slow", map[string]core.Work{"A": wms(10)},
 			map[string]bool{"A": true})
-		raw.ReconcileEpisode("dev-fast",
+		reconcile(raw, "dev-fast",
 			map[string]core.Work{"B": core.Work(2500 * time.Microsecond)},
 			map[string]bool{"B": true})
 	}
@@ -148,8 +178,8 @@ func TestBoardEpochLeadBound(t *testing.T) {
 		}
 		dev := "dev" + string(rune('0'+ep%2))
 		foldsBefore := be.Folds
-		l1 := b1.ReconcileEpisode(dev, charges, active)
-		le := be.ReconcileEpisode(dev, charges, active)
+		l1 := reconcile(b1, dev, charges, active)
+		le := reconcile(be, dev, charges, active)
 		if be.Folds > foldsBefore {
 			sinceFold = 0
 		} else {
@@ -198,7 +228,7 @@ func TestBoardShardCountInvariance(t *testing.T) {
 			for k := 0; k < 4; k++ {
 				active[names[rng.Intn(len(names))]] = false
 			}
-			all = append(all, b.ReconcileEpisode("dev"+string(rune('0'+ep%3)), charges, active))
+			all = append(all, reconcile(b, "dev"+string(rune('0'+ep%3)), charges, active))
 		}
 		return b, all
 	}
@@ -230,7 +260,7 @@ func TestBoardShardCountInvariance(t *testing.T) {
 // fairness ledger rot silently.
 func TestBoardShardUnderflowPanic(t *testing.T) {
 	b := NewBoard()
-	b.ReconcileEpisode("dev0", map[string]core.Work{"victim": wms(3)},
+	reconcile(b, "dev0", map[string]core.Work{"victim": wms(3)},
 		map[string]bool{"victim": true})
 	// Corrupt the slab: point the principal at a heap slot that does not
 	// exist, as a lost heap write would.
@@ -246,7 +276,7 @@ func TestBoardShardUnderflowPanic(t *testing.T) {
 			t.Fatalf("panic %v must name the tenant and the underflow", r)
 		}
 	}()
-	b.ReconcileEpisode("dev0", nil, map[string]bool{"victim": false})
+	reconcile(b, "dev0", nil, map[string]bool{"victim": false})
 }
 
 // TestFleetWideFairness pins the tentpole property: a principal drawing
@@ -319,7 +349,7 @@ func (e *eagerBoard) ensure(name string) {
 	}
 }
 
-// episode mirrors ReconcileEpisode's contract: all charges land first,
+// episode mirrors the exchange's contract: all charges land first,
 // then activity marks, then the fold, then the eager idle clamp, then
 // leads. Every step is commutative across principals, so map iteration
 // order cannot change the outcome.
@@ -369,7 +399,7 @@ func (e *eagerBoard) episode(device string, charges map[string]core.Work,
 	return leads
 }
 
-// TestBoardEagerClampDifferential pins ReconcileEpisode's same-episode
+// TestBoardEagerClampDifferential pins ReconcileEpisodeBatch's same-episode
 // ordering against the eager-clamp reference: a principal charged and
 // deactivated in the *same* episode must keep the charge, leave the
 // active set, and forfeit down to the system virtual time only when it
@@ -407,7 +437,7 @@ func TestBoardEagerClampDifferential(t *testing.T) {
 				active[names[rng.Intn(len(names))]] = false
 			}
 			dev := "dev" + string(rune('0'+ep%3))
-			got := b.ReconcileEpisode(dev, charges, active)
+			got := reconcile(b, dev, charges, active)
 			want := ref.episode(dev, charges, active)
 			if len(got) != len(want) {
 				t.Fatalf("shards %d, episode %d: %d leads reported, reference has %d",

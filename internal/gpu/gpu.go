@@ -321,11 +321,6 @@ type Device struct {
 	// draws from it, reusing the object and its done gate.
 	reqFree []*Request
 
-	// SubmitObserver, if set, is informed of every request that reaches
-	// the device (after any interception). NEON uses it only in tests;
-	// schedulers must not.
-	SubmitObserver func(*Request)
-
 	// CompletionObserver, if set, is informed after each request retires
 	// on either engine (completion delivered, next dispatch not yet
 	// chosen). The virtual-context mux uses it to hand freed hardware
@@ -475,9 +470,6 @@ func (d *Device) doorbell(ch *Channel, value uint64) {
 		r.Submitted = now
 		ch.ring = append(ch.ring, r)
 		ch.LastSubmittedRef = r.Ref
-		if d.SubmitObserver != nil {
-			d.SubmitObserver(r)
-		}
 		moved++
 	}
 	if moved == len(ch.staged) {

@@ -1,20 +1,124 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// stormTrace drives one randomized event storm on an engine of the
-// given queue kind and returns the full execution trace. The storm is
-// built to exercise every queue region: same-tick bursts (FIFO order),
-// near-horizon events (overflow heap), mid- and far-future events
-// (every wheel level), cancellations, nested rescheduling, and a
-// mid-run Reset followed by a second storm on the recycled slab.
-func stormTrace(kind EventQueueKind, seed int64) []string {
+// stormEngine is the engine surface stormTrace drives. The production
+// engine implements it through wheelEngine; refEngine is the reference.
+type stormEngine interface {
+	After(d Duration, fn func()) interface{ Stop() bool }
+	Run()
+	Reset()
+	Now() Time
+	Pending() int
+}
+
+// wheelEngine adapts the production engine (timing wheel plus 4-ary
+// heap) to stormEngine.
+type wheelEngine struct{ *Engine }
+
+func (w wheelEngine) After(d Duration, fn func()) interface{ Stop() bool } {
+	return w.Engine.After(d, fn)
+}
+
+// refEngine is the reference event queue the timing wheel must match:
+// the original container/heap binary heap ordered by (time, seq), with
+// cancellation as a flag checked at pop.
+type refEngine struct {
+	now     Time
+	seq     uint64
+	pending int
+	q       refHeap
+}
+
+// refEvent is one scheduled callback. done is set when it fires, is
+// stopped, or is dropped by Reset; a done event's timer is stale.
+type refEvent struct {
+	t    Time
+	seq  uint64
+	fn   func()
+	done bool
+}
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+type refTimer struct {
+	r  *refEngine
+	ev *refEvent
+}
+
+func (t refTimer) Stop() bool {
+	if t.ev.done {
+		return false
+	}
+	t.ev.done = true
+	t.r.pending--
+	return true
+}
+
+func (r *refEngine) After(d Duration, fn func()) interface{ Stop() bool } {
+	if d < 0 {
+		d = 0
+	}
+	ev := &refEvent{t: r.now.Add(d), seq: r.seq, fn: fn}
+	r.seq++
+	r.pending++
+	heap.Push(&r.q, ev)
+	return refTimer{r, ev}
+}
+
+func (r *refEngine) Run() {
+	for r.q.Len() > 0 {
+		ev := heap.Pop(&r.q).(*refEvent)
+		if ev.done {
+			continue
+		}
+		ev.done = true
+		r.pending--
+		r.now = ev.t
+		ev.fn()
+	}
+}
+
+func (r *refEngine) Reset() {
+	for _, ev := range r.q {
+		ev.done = true
+	}
+	r.q = r.q[:0]
+	r.now, r.seq, r.pending = 0, 0, 0
+}
+
+func (r *refEngine) Now() Time    { return r.now }
+func (r *refEngine) Pending() int { return r.pending }
+
+// stormTrace drives one randomized event storm on e and returns the
+// full execution trace. The storm is built to exercise every queue
+// region: same-tick bursts (FIFO order), near-horizon events (overflow
+// heap), mid- and far-future events (every wheel level), cancellations,
+// nested rescheduling, and a mid-run Reset followed by a second storm on
+// the recycled slab.
+func stormTrace(e stormEngine, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
-	e := NewEngineWithQueue(kind)
 	var trace []string
 	record := func(id int) func() {
 		return func() { trace = append(trace, fmt.Sprintf("%d@%d", id, e.Now())) }
@@ -36,7 +140,7 @@ func stormTrace(kind EventQueueKind, seed int64) []string {
 		}
 	}
 	storm := func(base, n int) {
-		var timers []Timer
+		var timers []interface{ Stop() bool }
 		for i := 0; i < n; i++ {
 			id := base + i
 			switch rng.Intn(4) {
@@ -52,8 +156,8 @@ func stormTrace(kind EventQueueKind, seed int64) []string {
 				timers = append(timers, e.After(delay(), record(id)))
 			}
 		}
-		// Cancel a random quarter; record which, so both kinds cancel the
-		// same logical events.
+		// Cancel a random quarter; record which, so both engines cancel
+		// the same logical events.
 		for _, idx := range rng.Perm(len(timers))[:len(timers)/4] {
 			stopped := timers[idx].Stop()
 			trace = append(trace, fmt.Sprintf("stop%d=%v", idx, stopped))
@@ -68,32 +172,26 @@ func stormTrace(kind EventQueueKind, seed int64) []string {
 	return trace
 }
 
-// TestDifferentialEventStorm runs randomized storms on the timing-wheel
-// queue and the retained legacy heap and requires identical execution
-// traces: same events, same times, same order within ties. This is the
-// bit-for-bit (time, seq) contract any future queue swap must preserve.
+// TestDifferentialEventStorm runs randomized storms on the production
+// timing-wheel queue and the binary-heap reference and requires
+// identical execution traces: same events, same times, same order within
+// ties. This is the bit-for-bit (time, seq) contract any future queue
+// swap must preserve.
 func TestDifferentialEventStorm(t *testing.T) {
+	t.Parallel()
 	for seed := int64(1); seed <= 8; seed++ {
-		wheel := stormTrace(WheelQueue, seed)
-		legacy := stormTrace(LegacyHeapQueue, seed)
-		if len(wheel) != len(legacy) {
-			t.Fatalf("seed %d: trace lengths differ: wheel %d vs legacy %d",
-				seed, len(wheel), len(legacy))
+		wheel := stormTrace(wheelEngine{NewEngine()}, seed)
+		ref := stormTrace(&refEngine{}, seed)
+		if len(wheel) != len(ref) {
+			t.Fatalf("seed %d: trace lengths differ: wheel %d vs reference %d",
+				seed, len(wheel), len(ref))
 		}
 		for i := range wheel {
-			if wheel[i] != legacy[i] {
-				t.Fatalf("seed %d: traces diverge at %d: wheel %q vs legacy %q",
-					seed, i, wheel[i], legacy[i])
+			if wheel[i] != ref[i] {
+				t.Fatalf("seed %d: traces diverge at %d: wheel %q vs reference %q",
+					seed, i, wheel[i], ref[i])
 			}
 		}
-	}
-}
-
-// TestDifferentialDefaultQueue pins that NewEngine uses the package
-// default kind, so the differential suite really covers what ships.
-func TestDifferentialDefaultQueue(t *testing.T) {
-	if DefaultEventQueue != WheelQueue {
-		t.Fatalf("DefaultEventQueue = %v, want WheelQueue", DefaultEventQueue)
 	}
 }
 

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -64,33 +63,15 @@ type event struct {
 // noSlot is the nil value for slab indices.
 const noSlot int32 = -1
 
-// EventQueueKind selects the engine's event-queue implementation.
-type EventQueueKind int
-
-const (
-	// WheelQueue is the production queue: a hierarchical timing wheel for
-	// far events feeding a 4-ary index-free heap that orders the near
-	// horizon (see DESIGN.md §11).
-	WheelQueue EventQueueKind = iota
-	// LegacyHeapQueue is the original container/heap binary heap, retained
-	// so differential tests can pin that both queues dispatch events in
-	// bit-for-bit identical (time, seq) order.
-	LegacyHeapQueue
-)
-
-// DefaultEventQueue is the queue kind NewEngine uses. It is a package
-// variable only so determinism tests can run whole experiments on the
-// legacy heap; production code must not change it.
-var DefaultEventQueue = WheelQueue
-
-// Timing-wheel geometry. The 4-ary heap orders everything within
-// nearSpan of the wheel base exactly by (time, seq); events farther out
-// sit unordered in wheel buckets — level lv spans slots of width
-// 1<<(nearBits+wheelBits*lv) ns — and are dumped or cascaded toward the
-// heap as the base advances. An event is eligible for level lv only if
-// it is within 63 slot-widths of the base, which guarantees a slot
-// index (taken from the absolute time bits) can never collide with a
-// slot one wheel revolution away. Events beyond the last level (~19h)
+// Event-queue geometry (see DESIGN.md §11): a hierarchical timing wheel
+// for far events feeds a 4-ary index-free heap that orders everything
+// within nearSpan of the wheel base exactly by (time, seq). Events
+// farther out sit unordered in wheel buckets — level lv spans slots of
+// width 1<<(nearBits+wheelBits*lv) ns — and are dumped or cascaded
+// toward the heap as the base advances. An event is eligible for level
+// lv only if it is within 63 slot-widths of the base, which guarantees a
+// slot index (taken from the absolute time bits) can never collide with
+// a slot one wheel revolution away. Events beyond the last level (~19h)
 // overflow into the heap, which stays correct at any horizon.
 const (
 	wheelLevels = 5
@@ -115,34 +96,6 @@ func hless(a, b hnode) bool {
 	return a.seq < b.seq
 }
 
-// legacyHeap is the original event queue: a binary heap (container/heap)
-// ordered by (time, seq), now over slab indices instead of boxed event
-// pointers. It is retained behind EventQueueKind for differential
-// determinism testing against the timing-wheel queue — any queue swap
-// must reproduce its dispatch order bit-for-bit.
-type legacyHeap struct {
-	e     *Engine
-	slots []int32
-}
-
-func (h *legacyHeap) Len() int { return len(h.slots) }
-func (h *legacyHeap) Less(i, j int) bool {
-	a, b := &h.e.slab[h.slots[i]], &h.e.slab[h.slots[j]]
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-func (h *legacyHeap) Swap(i, j int) { h.slots[i], h.slots[j] = h.slots[j], h.slots[i] }
-func (h *legacyHeap) Push(x any)    { h.slots = append(h.slots, x.(int32)) }
-func (h *legacyHeap) Pop() any {
-	old := h.slots
-	n := len(old)
-	idx := old[n-1]
-	h.slots = old[:n-1]
-	return idx
-}
-
 // Engine is a discrete-event simulator.
 //
 // The zero value is not usable; construct with NewEngine. Engine methods
@@ -160,22 +113,17 @@ type Engine struct {
 	slab []event
 	free int32
 
-	kind EventQueueKind
-
-	// Wheel-queue state (kind == WheelQueue). h4 is the 4-ary heap that
-	// totally orders the near horizon; the wheel holds far events in
-	// unordered slot chains linked through event.next. occupied has one
-	// bit per slot so the next occupied slot is a TrailingZeros away.
-	// base is the wheel origin: every event with t < base+nearSpan lives
-	// in the heap, and base only ever moves forward, never past an
-	// occupied slot's start time.
+	// Event queue. h4 is the 4-ary heap that totally orders the near
+	// horizon; the wheel holds far events in unordered slot chains linked
+	// through event.next. occupied has one bit per slot so the next
+	// occupied slot is a TrailingZeros away. base is the wheel origin:
+	// every event with t < base+nearSpan lives in the heap, and base only
+	// ever moves forward, never past an occupied slot's start time.
 	h4       []hnode
 	buckets  [wheelLevels][wheelSlots]int32
 	occupied [wheelLevels]uint64
 	occSum   uint8 // bit per level with any occupied slot; 0 = wheel empty
 	base     Time
-
-	lq *legacyHeap // kind == LegacyHeapQueue only
 
 	procs  int // live (unfinished) procs, for leak detection
 	inProc int // >0 while process code may be on the stack (Proc.activate)
@@ -189,20 +137,8 @@ type Engine struct {
 	hasPanic bool
 }
 
-// NewEngine returns an engine with the clock at zero and no events,
-// using the DefaultEventQueue implementation.
-func NewEngine() *Engine { return NewEngineWithQueue(DefaultEventQueue) }
-
-// NewEngineWithQueue returns an engine using the given event-queue
-// implementation. Both kinds dispatch events in identical (time, seq)
-// order; only determinism tests should ask for LegacyHeapQueue.
-func NewEngineWithQueue(kind EventQueueKind) *Engine {
-	e := &Engine{free: noSlot, kind: kind}
-	if kind == LegacyHeapQueue {
-		e.lq = &legacyHeap{e: e}
-	}
-	return e
-}
+// NewEngine returns an engine with the clock at zero and no events.
+func NewEngine() *Engine { return &Engine{free: noSlot} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -298,7 +234,7 @@ func (t Timer) When() Time { return t.when }
 
 // insert places an allocated slot into the event queue.
 //
-// Wheel mode: events within nearSpan of the base go straight into the
+// Events within nearSpan of the base go straight into the
 // 4-ary heap (as do events in the past region t < base, which exists
 // because the base can run ahead of the clock after a dump). Far events
 // go to the first wheel level whose coarse slot distance from the base
@@ -307,10 +243,6 @@ func (t Timer) When() Time { return t.when }
 // strictly ahead of the base's own slot and a cascade re-routing it can
 // never loop. Events beyond the top level (~19h) overflow into the heap.
 func (e *Engine) insert(idx int32, t Time) {
-	if e.kind == LegacyHeapQueue {
-		heap.Push(e.lq, idx)
-		return
-	}
 	if e.occSum == 0 {
 		// Wheel empty: nothing pins the base, so drag it up to the clock
 		// to keep near-future events on the heap fast path.
@@ -451,19 +383,12 @@ func (e *Engine) advanceWheel(start Time, lv int, slot uint64) {
 }
 
 // ready brings the global-minimum pending event to the queue front,
-// skipping and recycling cancelled events. In wheel mode that means
-// advancing the wheel until the minimum provably sits at the heap top:
+// skipping and recycling cancelled events. That means advancing the wheel until the minimum provably sits at the heap top:
 // the heap is authoritative only once its top is earlier than the start
 // of every occupied wheel slot (a slot's start lower-bounds everything
 // chained in it). Ties advance the wheel so (time, seq) order is decided
 // in the heap. ready reports false when no live events remain.
 func (e *Engine) ready() bool {
-	if e.kind == LegacyHeapQueue {
-		for len(e.lq.slots) > 0 && e.slab[e.lq.slots[0]].stopped {
-			e.recycle(heap.Pop(e.lq).(int32))
-		}
-		return len(e.lq.slots) > 0
-	}
 	for {
 		for len(e.h4) > 0 && e.slab[e.h4[0].slot].stopped {
 			e.recycle(e.hpop().slot)
@@ -485,9 +410,6 @@ func (e *Engine) pop() int32 {
 	if !e.ready() {
 		return noSlot
 	}
-	if e.kind == LegacyHeapQueue {
-		return heap.Pop(e.lq).(int32)
-	}
 	return e.hpop().slot
 }
 
@@ -496,9 +418,6 @@ func (e *Engine) pop() int32 {
 func (e *Engine) peek() (t Time, ok bool) {
 	if !e.ready() {
 		return 0, false
-	}
-	if e.kind == LegacyHeapQueue {
-		return e.slab[e.lq.slots[0]].t, true
 	}
 	return e.h4[0].t, true
 }
@@ -519,22 +438,10 @@ func (e *Engine) Step() bool {
 // the limit. Fusing the bound check into the pop keeps RunUntil at one
 // queue-front computation per event instead of a peek/pop pair.
 func (e *Engine) stepUpTo(limit Time) bool {
-	if !e.ready() {
+	if !e.ready() || e.h4[0].t > limit {
 		return false
 	}
-	var idx int32
-	if e.kind == LegacyHeapQueue {
-		if e.slab[e.lq.slots[0]].t > limit {
-			return false
-		}
-		idx = heap.Pop(e.lq).(int32)
-	} else {
-		if e.h4[0].t > limit {
-			return false
-		}
-		idx = e.hpop().slot
-	}
-	e.dispatch(idx)
+	e.dispatch(e.hpop().slot)
 	return true
 }
 
@@ -593,9 +500,6 @@ func (e *Engine) Reset() {
 	// Rebuild the free list over the whole slab, invalidating every
 	// outstanding handle generation, but keep the slab capacity: an engine
 	// reused across scenarios reaches steady state with zero allocations.
-	if e.lq != nil {
-		e.lq.slots = e.lq.slots[:0]
-	}
 	e.h4 = e.h4[:0]
 	e.occupied = [wheelLevels]uint64{}
 	e.occSum = 0

@@ -1,7 +1,7 @@
 // Package traffic is the open-loop request-driven serving layer: the
-// bridge from the paper's closed-loop co-runner evaluation to the
-// ROADMAP's serving regime — open-loop arrivals, tail-latency
-// percentiles, and explicit overload behavior.
+// bridge from the paper's closed-loop co-runner evaluation to a serving
+// regime — open-loop arrivals, tail-latency percentiles, and explicit
+// overload behavior.
 //
 // A Server owns a device fleet (internal/fleet) and a set of per-tenant
 // Streams. Each stream's arrival process (deterministic, Poisson, MMPP

@@ -116,6 +116,62 @@ func BenchmarkSimEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkProcHandoff prices one proc handoff: two procs alternate
+// through a pair of gates, and each op is one engine step, which
+// resumes one parked proc until it signals the other and parks again.
+// The steady state must stay at 0 allocs/op.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	ping, pong := eng.NewGate("ping"), eng.NewGate("pong")
+	a := eng.Spawn("pong", func(p *sim.Proc) {
+		for {
+			p.Wait(pong)
+			ping.Signal()
+		}
+	})
+	c := eng.Spawn("ping", func(p *sim.Proc) {
+		for {
+			pong.Signal()
+			p.Wait(ping)
+		}
+	})
+	for i := 0; i < 4; i++ { // both procs started and parked once
+		eng.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !eng.Step() {
+			b.Fatal("the handoff chain stopped")
+		}
+	}
+	b.StopTimer()
+	a.Kill()
+	c.Kill()
+	eng.Run()
+}
+
+// BenchmarkProcSpawn prices a proc's whole life on a warm coroutine
+// pool: spawn, park once on a gate, wake, finish. Its allocs/op (the
+// Proc and its activation closure) is the floor the pool leaves.
+func BenchmarkProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	g := eng.NewGate("g")
+	body := func(p *sim.Proc) { p.Wait(g) }
+	life := func() {
+		eng.Spawn("p", body)
+		eng.Run()
+		g.Signal()
+		eng.Run()
+	}
+	life() // builds the one coroutine every later life reuses
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		life()
+	}
+}
+
 // BenchmarkRequestPath measures the full submission path: stage, doorbell
 // store, device execution, reference-counter completion, user wakeup.
 func BenchmarkRequestPath(b *testing.B) {
@@ -152,7 +208,7 @@ func BenchmarkRequestPath(b *testing.B) {
 // continuation API (DESIGN.md §14): the client is a self-rescheduling
 // machine — stage, async doorbell, resubmit from the completion hook in
 // engine context — so no process parks or unparks per request. The
-// sync/async pair prices the per-request goroutine handoff; the async
+// sync/async pair prices the per-request proc handoff; the async
 // steady state must stay at 0 allocs/op (gated absolutely in CI once
 // recorded at zero).
 func BenchmarkRequestPathAsync(b *testing.B) {

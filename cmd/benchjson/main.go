@@ -1,10 +1,11 @@
 // Command benchjson records and checks the repository's benchmark
 // trajectory (PERFORMANCE.md).
 //
-// `benchjson run` executes `go test -bench` and renders the output as
-// one trajectory point: a JSON object carrying both the raw benchmark
-// lines (benchstat-consumable verbatim) and parsed per-benchmark
-// statistics (median/min/max ns/op, B/op, allocs/op, custom metrics).
+// `benchjson run` executes `go test -bench`, one process per benchmark,
+// and renders the output as one trajectory point: a JSON object
+// carrying both the raw benchmark lines (benchstat-consumable verbatim)
+// and parsed per-benchmark statistics (median/min/max ns/op, B/op,
+// allocs/op, custom metrics).
 // The committed BENCH_*.json files are produced this way; `-baseline`
 // embeds a previously recorded point as the "before" section so a perf
 // PR carries its own before/after evidence.
@@ -97,15 +98,34 @@ func cmdRun(args []string) {
 	baseline := fs.String("baseline", "", "embed this prior point as the before section")
 	fs.Parse(args)
 
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", *bench, "-benchtime", *benchtime,
-		"-count", strconv.Itoa(*count), *pkg)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
+	names, err := listBenchmarks(*bench, *pkg)
 	if err != nil {
-		fatalf("go test -bench: %v", err)
+		fatalf("go test -list: %v", err)
 	}
-	res := parse(string(out))
+	if len(names) == 0 {
+		fatalf("-bench %q matches no benchmark in %s", *bench, *pkg)
+	}
+	// One go test process per benchmark: the simulator never frees a
+	// finished stack while its procs stay parked, so a process that ran
+	// the whole suite would hold every benchmark's leftovers at once.
+	var out strings.Builder
+	for i, name := range names {
+		cmd := exec.Command("go", "test", "-run", "^$",
+			"-bench", "^"+regexp.QuoteMeta(name)+"$", "-benchtime", *benchtime,
+			"-count", strconv.Itoa(*count), *pkg)
+		cmd.Stderr = os.Stderr
+		b, err := cmd.Output()
+		if err != nil {
+			fatalf("go test -bench %s: %v", name, err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if i > 0 && benchHeader.MatchString(line) {
+				continue // keep one goos/goarch/pkg/cpu header in Raw
+			}
+			out.WriteString(line + "\n")
+		}
+	}
+	res := parse(out.String())
 	res.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	res.GoVersion = runtime.Version()
 	res.Bench, res.Benchtime, res.Count = *bench, *benchtime, *count
@@ -121,6 +141,26 @@ func cmdRun(args []string) {
 	if err := enc.Encode(res); err != nil {
 		fatalf("encode: %v", err)
 	}
+}
+
+var benchHeader = regexp.MustCompile(`^(goos|goarch|pkg|cpu): `)
+
+// listBenchmarks returns the names of pkg's benchmarks that the -bench
+// regexp selects, in source order.
+func listBenchmarks(bench, pkg string) ([]string, error) {
+	cmd := exec.Command("go", "test", "-list", bench, pkg)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "Benchmark") {
+			names = append(names, strings.TrimSpace(line))
+		}
+	}
+	return names, nil
 }
 
 func cmdCheck(args []string) {

@@ -80,9 +80,10 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkSimEngine", "BenchmarkRequestPath", "BenchmarkDFQCycle",
 		"BenchmarkDFQCycleTenants", "BenchmarkBoardReconcile",
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
-		"BenchmarkDispatcherDrain",
+		"BenchmarkDispatcherDrain", "BenchmarkProcHandoff", "BenchmarkProcSpawn",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
-		"BENCH_8.json", "BENCH_9.json", "DESIGN.md §11", "DESIGN.md §12",
+		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json",
+		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
 		if !strings.Contains(doc, want) {
@@ -126,6 +127,10 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 		"TestDifferentialEventStorm", "TestQuickGolden",
 		"TestPropertyTimerStopRecycledGeneration",
 		"Request.Release", "Request.Pin",
+		"### Process handoff", "iter.Pull", "Proc.activate", "Proc.run",
+		"BenchmarkProcHandoff", "BenchmarkProcSpawn",
+		"TestProcSpawnParkFinishAllocs", "TestSpawnFromOnFinish",
+		"TestPooledCoroutineSurvivesKillAndPanic",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

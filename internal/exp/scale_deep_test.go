@@ -22,6 +22,10 @@ func TestScaleDeepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 10^6-tenant ledger and 10^5-tenant storm (minutes)")
 	}
+	if raceEnabled {
+		t.Skip("the 10^6-tenant ledger and 10^5-tenant storm outgrow the race detector's memory; " +
+			"`go test ./internal/exp -run TestScaleDeepGolden` (without -race) pins scale_deep.golden")
+	}
 	o := Quick()
 	o.DeepScale = true
 	got := ScaleExp(o).String()

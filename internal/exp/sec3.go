@@ -81,7 +81,7 @@ func throughput(opts Options, size sim.Duration, trap, driverWork bool) float64 
 		}
 		// Direct access runs as a self-resubmitting continuation chain:
 		// each completion re-stages the next request from engine context,
-		// with zero goroutine handoffs per request.
+		// with zero proc handoffs per request.
 		eng := p.Engine()
 		slow := eng.NewGate("sec3-slow")
 		var submit func()

@@ -15,7 +15,7 @@ import "repro/internal/sim"
 // (a completion timer is in flight, current != nil), or completing (the
 // completion event for the current instant is already scheduled). The
 // hot path therefore costs two events per request (completion timer +
-// completion processing) and no goroutine handoffs.
+// completion processing) and no proc handoffs.
 //
 // Completion is deliberately two events, mirroring the retired process
 // version (completion timer opened a gate, whose broadcast scheduled the

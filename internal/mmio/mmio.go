@@ -111,7 +111,7 @@ func (pg *Page) StoreFaulting(p *sim.Proc, value uint64) {
 // StoreAsync performs a direct store without blocking the calling
 // process: the value reaches the sink after the same DirectWrite
 // propagation delay as Store, but as an engine event rather than a
-// process wakeup, saving the goroutine handoff. It reports false — and
+// process wakeup, saving the proc handoff. It reports false — and
 // does nothing — when the page is protected: faulting stores must run
 // the handler in process context, so the caller falls back to Store.
 //

@@ -2,8 +2,8 @@
 //
 // The engine owns a virtual clock and an event queue ordered by
 // (time, seq). Model code runs either as plain event
-// callbacks or as processes (Proc): goroutines that execute in strict
-// handoff with the engine, so exactly one goroutine is ever runnable and
+// callbacks or as processes (Proc): pooled coroutines that execute in
+// strict handoff with the engine, so exactly one of them ever runs and
 // every run of the same model is bit-for-bit identical.
 //
 // All of the NEON reproduction — the GPU device, the interposition kernel
@@ -125,14 +125,15 @@ type Engine struct {
 	occSum   uint8 // bit per level with any occupied slot; 0 = wheel empty
 	base     Time
 
-	procs  int // live (unfinished) procs, for leak detection
-	inProc int // >0 while process code may be on the stack (Proc.activate)
+	procs  int     // live (unfinished) procs, for leak detection
+	inProc int     // >0 while process code may be on the stack (Proc.activate)
+	idle   []*coro // finished procs' coroutines, reused by Spawn
 
 	// stepping guards against re-entrant Run calls.
 	running bool
 
-	// panicked carries a panic raised inside a Proc to the engine
-	// goroutine, where it is re-thrown.
+	// panicked carries a panic raised (and recovered) inside a Proc out
+	// to the engine, which re-throws it from Run.
 	panicked any
 	hasPanic bool
 }
@@ -487,9 +488,10 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 // from the previous run are dropped (their handles go stale: every slab
 // slot's generation is bumped, so Stop on an old Timer reports false and
 // can never cancel an event of the new run). Reset refuses to run while
-// procs are live — their goroutines are parked awaiting engine wakeups
+// procs are live — their coroutines are parked awaiting engine wakeups
 // and would be stranded forever — so models must finish (or Kill) every
-// proc before the engine can be reused.
+// proc before the engine can be reused. The idle coroutine pool
+// survives Reset.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("sim: Reset during Run")

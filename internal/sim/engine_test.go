@@ -189,7 +189,7 @@ func TestResetReturnsEngineToInitialState(t *testing.T) {
 	}
 }
 
-// Reset must refuse to strand parked proc goroutines: a live proc means
+// Reset must refuse to strand parked proc coroutines: a live proc means
 // the engine cannot be safely reused.
 func TestResetWithLiveProcsPanics(t *testing.T) {
 	e := NewEngine()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -288,6 +289,127 @@ func TestProcPanicPropagatesToEngine(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// Spawn reuses a finished proc's coroutine, so once the pool is warm a
+// proc's whole life (spawn, park on a gate, wake, finish) allocates only
+// the Proc and its activation closure.
+func TestProcSpawnParkFinishAllocs(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	body := func(p *Proc) { p.Wait(g) }
+	life := func() {
+		e.Spawn("p", body)
+		e.Run()
+		g.Signal()
+		e.Run()
+	}
+	life() // warm the pool, the gate's waiter list and the event slab
+	if a := testing.AllocsPerRun(100, life); a > 3 {
+		t.Fatalf("spawn/park/finish allocates %.0f objects, want <= 3", a)
+	}
+	if e.LiveProcs() != 0 || len(e.idle) != 1 {
+		t.Fatalf("LiveProcs = %d, idle coroutines = %d; want 0 and 1", e.LiveProcs(), len(e.idle))
+	}
+}
+
+// A coroutine whose proc ended abnormally goes back to the pool intact:
+// the next Spawn receives it, runs its body, and a panic on it still
+// surfaces from Run.
+func TestPooledCoroutineSurvivesKillAndPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(p *Proc)
+		end  func(t *testing.T, e *Engine, p *Proc) // drives p to its end
+	}{
+		{
+			name: "killed before first run",
+			body: func(p *Proc) { panic("killed-at-birth proc ran its body") },
+			end: func(t *testing.T, e *Engine, p *Proc) {
+				p.Kill()
+				e.Run()
+			},
+		},
+		{
+			name: "killed while parked",
+			body: func(p *Proc) { p.Wait(p.Engine().NewGate("never")) },
+			end: func(t *testing.T, e *Engine, p *Proc) {
+				e.Run()
+				p.Kill()
+				e.Run()
+			},
+		},
+		{
+			name: "panicked",
+			body: func(p *Proc) { panic("first") },
+			end: func(t *testing.T, e *Engine, p *Proc) {
+				if r := runRecover(e); r == nil {
+					t.Error("first panic did not surface from Run")
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			p := e.Spawn("first", tc.body)
+			co := p.co
+			tc.end(t, e, p)
+			if !p.Finished() || e.LiveProcs() != 0 {
+				t.Fatalf("first proc finished=%v, LiveProcs = %d", p.Finished(), e.LiveProcs())
+			}
+			ran := false
+			q := e.Spawn("second", func(p *Proc) {
+				p.Sleep(1)
+				ran = true
+				panic("second")
+			})
+			if q.co != co {
+				t.Fatal("second Spawn did not reuse the pooled coroutine")
+			}
+			r := runRecover(e)
+			if !ran {
+				t.Fatal("reused coroutine did not run the second body")
+			}
+			if s, _ := r.(string); !strings.Contains(s, `"second" panicked: second`) {
+				t.Fatalf("Run panicked with %v, want the second proc's panic", r)
+			}
+		})
+	}
+}
+
+// runRecover runs e and returns what Run panicked with, if anything.
+func runRecover(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+// OnFinish runs on the finishing proc's coroutine before that coroutine
+// rejoins the pool, so a proc spawned from it gets a different
+// coroutine and runs to completion.
+func TestSpawnFromOnFinish(t *testing.T) {
+	e := NewEngine()
+	p := e.Spawn("first", func(p *Proc) { p.Sleep(1) })
+	first := p.co
+	var second *coro
+	done := false
+	p.OnFinish(func(*Proc) {
+		q := e.Spawn("second", func(q *Proc) {
+			q.Sleep(1)
+			done = true
+		})
+		second = q.co
+	})
+	e.Run()
+	if second == nil || second == first {
+		t.Fatal("proc spawned from OnFinish was handed the finishing coroutine")
+	}
+	if !done || e.Now() != 2 {
+		t.Fatalf("second proc done=%v at %v, want done at 2", done, e.Now())
+	}
+	if e.LiveProcs() != 0 || len(e.idle) != 2 {
+		t.Fatalf("LiveProcs = %d, idle coroutines = %d; want 0 and 2", e.LiveProcs(), len(e.idle))
+	}
 }
 
 func TestRNGDeterminism(t *testing.T) {

@@ -5,21 +5,30 @@ import "math/rand"
 // RNG is a deterministic random source for model code. Every stochastic
 // component (workload jitter, sampling randomization) must draw from an
 // RNG seeded at construction so whole-simulation runs are reproducible.
+//
+// The math/rand source (about 5 KB) is built on the first draw, so a
+// stream that never draws costs one small object.
 type RNG struct {
 	seed int64
 	r    *rand.Rand
 }
 
 // NewRNG returns a deterministic generator for the given seed.
-func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
+
+// src returns the generator's source, seeding it on first use.
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed))
+	}
+	return g.r
 }
 
 // Fork derives an independent deterministic stream, keyed by id, from
 // this generator's seed sequence. Use one stream per task so adding a
 // task does not perturb the others' draws.
 func (g *RNG) Fork(id int64) *RNG {
-	return NewRNG(g.r.Int63() ^ id*0x6A09E667F3BCC909)
+	return NewRNG(g.src().Int63() ^ id*0x6A09E667F3BCC909)
 }
 
 // ForkNamed derives an independent stream keyed by (name, index) from
@@ -55,10 +64,10 @@ func StreamSeed(base int64, name string, index int) int64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Intn returns a uniform value in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
 // Jitter returns d scaled by a uniform factor in [1-frac, 1+frac].
 // frac must be in [0, 1].
@@ -66,6 +75,6 @@ func (g *RNG) Jitter(d Duration, frac float64) Duration {
 	if frac <= 0 {
 		return d
 	}
-	scale := 1 + frac*(2*g.r.Float64()-1)
+	scale := 1 + frac*(2*g.src().Float64()-1)
 	return Duration(float64(d) * scale)
 }

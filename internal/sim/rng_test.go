@@ -1,6 +1,47 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
+
+var rngSink *RNG
+
+// An RNG that never draws never builds its math/rand source: NewRNG
+// allocates the RNG alone.
+func TestNewRNGIsLazy(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { rngSink = NewRNG(7) }); a != 1 {
+		t.Fatalf("NewRNG allocates %.0f objects, want 1", a)
+	}
+	rngSink.ForkNamed("s", 1)
+	if rngSink.r != nil {
+		t.Fatal("ForkNamed built the parent's source")
+	}
+}
+
+// Building the source on the first draw changes no sequence: draws and
+// Fork match an eagerly seeded math/rand source.
+func TestLazyRNGMatchesEagerSource(t *testing.T) {
+	const seed = 42
+	g, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
+	for i := 0; i < 1000; i++ {
+		if i%2 == 0 {
+			if a, b := g.Float64(), ref.Float64(); a != b {
+				t.Fatalf("draw %d: Float64 %v, want %v", i, a, b)
+			}
+		} else if a, b := g.Intn(1000), ref.Intn(1000); a != b {
+			t.Fatalf("draw %d: Intn %d, want %d", i, a, b)
+		}
+	}
+	id := int64(3)
+	f := NewRNG(seed).Fork(id)
+	want := rand.New(rand.NewSource(rand.New(rand.NewSource(seed)).Int63() ^ id*0x6A09E667F3BCC909))
+	for i := 0; i < 100; i++ {
+		if a, b := f.Float64(), want.Float64(); a != b {
+			t.Fatalf("fork draw %d: %v, want %v", i, a, b)
+		}
+	}
+}
 
 func TestStreamSeedDeterministic(t *testing.T) {
 	a := StreamSeed(1, "fig6", 3)

@@ -121,6 +121,10 @@ type stream struct {
 	size  sim.Duration
 	kind  gpu.Kind
 	tier  workload.Tier
+
+	// arriveFn is the stream's arrival timer callback, bound once so
+	// re-arming the chain allocates nothing.
+	arriveFn func()
 }
 
 // Server drives open-loop request streams through a placed, admitted,
@@ -151,9 +155,9 @@ type doneRec struct {
 	lat sim.Duration
 }
 
-// New builds the fleet, registers one tenant per stream, and spawns the
-// arrival generators. The simulation (engine Run/RunFor) then serves
-// traffic until stopped.
+// New builds the fleet, registers one tenant per stream, and starts each
+// stream's arrival timer chain. The simulation (engine Run/RunFor) then
+// serves traffic until stopped.
 //
 // Stream tenant specs are validated here with a proper error (the
 // serving front door is where user-shaped configuration enters), so a
@@ -193,8 +197,15 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			kind: spec.Tenant.Mix[0].Kind,
 			tier: spec.Tenant.Tier.Normalize(),
 		}
+		st.arriveFn = func() {
+			s.arrive(st)
+			s.armArrival(st)
+		}
 		s.streams = append(s.streams, st)
-		eng.Spawn("arrivals/"+spec.Tenant.Name, s.generator(st))
+		// The chain starts from its own event at the current instant, not
+		// inline, so its first draw and timer come after everything
+		// queued before that event runs, in (time, seq) order.
+		eng.Schedule(eng.Now(), func() { s.armArrival(st) })
 	}
 	return s, nil
 }
@@ -231,21 +242,27 @@ func (s *Server) ResetStats() {
 	}
 }
 
-// generator returns the stream's open-loop arrival loop: sleep the
-// process gap, admit-or-shed, place, enqueue — never wait for service.
-func (s *Server) generator(st *stream) func(*sim.Proc) {
-	return func(p *sim.Proc) {
-		for {
-			p.Sleep(st.spec.Arrival.Next(p.Now(), st.rng))
-			s.arrive(p, st)
+// armArrival draws the stream's next inter-arrival gap and sets a timer
+// for it; the timer delivers the arrival and re-arms. Arrivals are open
+// loop: the chain never waits for service. A gap of zero or less
+// delivers the arrival inline and draws again: same-instant arrivals
+// share the event of the arrival before them, so no other work of the
+// instant runs between them.
+func (s *Server) armArrival(st *stream) {
+	for {
+		gap := st.spec.Arrival.Next(s.eng.Now(), st.rng)
+		if gap > 0 {
+			s.eng.After(gap, st.arriveFn)
+			return
 		}
+		s.arrive(st)
 	}
 }
 
 // arrive handles one arrival at the front door. Admission is decided
 // against the arriving tenant's tier bound, so under rising backlog
 // best-effort streams shed first and premium streams last.
-func (s *Server) arrive(p *sim.Proc, st *stream) {
+func (s *Server) arrive(st *stream) {
 	st.stats.Arrivals++
 	if !s.adm.AdmitTier(st.tier, s.fleet.QueueDepth()) {
 		st.stats.Shed++
@@ -255,10 +272,10 @@ func (s *Server) arrive(p *sim.Proc, st *stream) {
 	d := st.disp[n]
 	if d == nil {
 		d = &dispatcher{srv: s, st: st, node: n,
-			gate: p.Engine().NewGate("dispatch-" + st.spec.Tenant.Name)}
+			gate: s.eng.NewGate("dispatch-" + st.spec.Tenant.Name)}
 		d.doneFn = d.onDone
 		st.disp[n] = d
-		p.Engine().Spawn("dispatch/"+st.spec.Tenant.Name, d.run)
+		s.eng.Spawn("dispatch/"+st.spec.Tenant.Name, d.run)
 	}
 	if d.err != nil {
 		// The tenant's client on this node failed to set up; nothing will
@@ -268,7 +285,7 @@ func (s *Server) arrive(p *sim.Proc, st *stream) {
 		return
 	}
 	d.queue = append(d.queue, item{
-		arrival: p.Now(),
+		arrival: s.eng.Now(),
 		cold:    migrated && st.spec.Tenant.WorkingSet > 0,
 	})
 	if d.ready && d.idle {

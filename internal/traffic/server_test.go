@@ -28,6 +28,68 @@ func oneStream(t *testing.T, sched string, admitDepth int, size sim.Duration, a 
 	return eng, srv
 }
 
+// Arrivals run as timer chains, not processes: a freshly built server
+// holds no live proc until its first arrival spawns a dispatcher.
+func TestNewSpawnsNoArrivalProcs(t *testing.T) {
+	eng, _ := oneStream(t, "direct", 0, 10*us, Poisson{Rate: 1000})
+	if n := eng.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d right after New, want 0", n)
+	}
+}
+
+// scripted is an Arrival that returns a fixed list of gaps, then goes
+// silent. Each draw records its instant and how many arrivals the
+// stream had counted by then.
+type scripted struct {
+	gaps  []sim.Duration
+	srv   *Server
+	draws []scriptedDraw
+}
+
+type scriptedDraw struct {
+	at       sim.Time
+	arrivals int64
+}
+
+func (*scripted) Name() string      { return "scripted" }
+func (*scripted) MeanRate() float64 { return 0 }
+
+func (a *scripted) Next(now sim.Time, _ *sim.RNG) sim.Duration {
+	a.draws = append(a.draws, scriptedDraw{now, a.srv.Stats(0).Arrivals})
+	if len(a.draws) > len(a.gaps) {
+		return never
+	}
+	return a.gaps[len(a.draws)-1]
+}
+
+// A gap of zero delivers the next arrival in the same instant, before
+// the next gap is drawn: after a first gap of 100µs, k zero gaps yield
+// k+1 arrivals at 100µs, each drawn after the one before it arrived.
+func TestZeroGapsArriveInline(t *testing.T) {
+	const k = 4
+	a := &scripted{gaps: []sim.Duration{100 * us}}
+	for i := 0; i < k; i++ {
+		a.gaps = append(a.gaps, 0)
+	}
+	eng, srv := oneStream(t, "direct", 0, 10*us, a)
+	a.srv = srv
+	eng.RunFor(time.Millisecond)
+	if got := srv.Stats(0).Arrivals; got != k+1 {
+		t.Fatalf("arrivals = %d, want %d", got, k+1)
+	}
+	if len(a.draws) != k+2 || a.draws[0] != (scriptedDraw{0, 0}) {
+		t.Fatalf("draws = %v, want %d with the first at 0 before any arrival", a.draws, k+2)
+	}
+	for i, d := range a.draws[1:] {
+		if want := (scriptedDraw{sim.Time(100 * us), int64(i + 1)}); d != want {
+			t.Fatalf("draw %d = %+v, want %+v", i+1, d, want)
+		}
+	}
+	if got := srv.Stats(0).Completed; got != k+1 {
+		t.Fatalf("completed = %d, want %d", got, k+1)
+	}
+}
+
 // TestOpenLoopLatencyStamping: under direct access at light load, every
 // completion carries a sojourn close to its service time, and goodput
 // matches the offered rate.

@@ -32,7 +32,7 @@ type App struct {
 
 	// Continuation-machine state (DESIGN.md §14): the round loop runs as
 	// an engine-driven state machine so steady-state rounds cost no
-	// goroutine park/unpark; the task's process survives as the slow
+	// proc park/unpark; the task's process survives as the slow
 	// lane for submissions that must block (engaged channels, traps).
 	eng        *sim.Engine
 	dw         sim.Duration // cost.Model.DirectWrite, the doorbell latency
@@ -110,7 +110,7 @@ func (a *App) ResetStats() {
 // round loop as a continuation-passing state machine: submissions ride
 // the asynchronous doorbell fast path (userlib.SubmitAsync) and
 // completions re-enter the machine in engine context, so a steady-state
-// round costs zero goroutine park/unpark. The process survives as the
+// round costs zero proc park/unpark. The process survives as the
 // machine's slow lane — when a submission needs process context
 // (engaged channel, trap mode) the machine signals slowGate and this
 // process replays the blocking submission, with its fault and trap

@@ -293,6 +293,39 @@ func benchClosedLoop(b *testing.B, async bool) {
 func BenchmarkClosedLoopSync(b *testing.B)  { benchClosedLoop(b, false) }
 func BenchmarkClosedLoopAsync(b *testing.B) { benchClosedLoop(b, true) }
 
+// BenchmarkEngagedSubmit prices the engaged submission path end to end:
+// a Throttle pair under engaged Timeslice (exp.NewRig), where every
+// request faults into the kernel, pays the trap and the handler's scan,
+// waits on its task's gate for the token, and is single-stepped to the
+// device by the app's slow-lane continuation (DESIGN.md §14). One op is
+// one completed simulated request. The steady state allocates nothing
+// but the per-slice drain's bookkeeping, under one allocation per
+// thousand requests, so it reports 0 allocs/op (gated in CI).
+func BenchmarkEngagedSubmit(b *testing.B) {
+	b.ReportAllocs()
+	a := workload.Throttle(20*time.Microsecond, 0)
+	c := a
+	c.Name = "Throttle-b"
+	rig := exp.NewRig(exp.TS, benchOpts(), a, c)
+	completed := func() int64 {
+		var n int64
+		for _, app := range rig.Apps {
+			n += app.Task.CompletedRequests()
+		}
+		return n
+	}
+	// Settle setup and a few slices, so the pools are warm.
+	rig.Engine.RunFor(100 * time.Millisecond)
+	start, t0 := completed(), rig.Engine.Now()
+	b.ResetTimer()
+	for completed()-start < int64(b.N) {
+		rig.Engine.RunFor(100 * time.Microsecond)
+	}
+	b.StopTimer()
+	simMS := float64(rig.Engine.Now()-t0) / 1e6
+	b.ReportMetric(float64(completed()-start)/simMS, "requests/ms-simulated")
+}
+
 // BenchmarkDFQCycle measures the cost of whole engagement/free-run cycles
 // with two saturating tasks.
 func BenchmarkDFQCycle(b *testing.B) {
@@ -443,9 +476,8 @@ func BenchmarkPlaceRequestMixedClassSticky(b *testing.B) { benchPlaceRequest(b, 
 
 type benchNoSched struct{}
 
-func (benchNoSched) Name() string                                          { return "none" }
-func (benchNoSched) Start(*neon.Kernel)                                    {}
-func (benchNoSched) TaskAdmitted(*neon.Task)                               {}
-func (benchNoSched) TaskExited(*neon.Task)                                 {}
-func (benchNoSched) ChannelActivated(cs *neon.ChannelState)                { cs.Ch.Reg.SetPresent(true) }
-func (benchNoSched) HandleFault(*sim.Proc, *neon.Task, *neon.ChannelState) {}
+func (benchNoSched) Name() string                           { return "none" }
+func (benchNoSched) Start(*neon.Kernel)                     {}
+func (benchNoSched) TaskAdmitted(*neon.Task)                {}
+func (benchNoSched) TaskExited(*neon.Task)                  {}
+func (benchNoSched) ChannelActivated(cs *neon.ChannelState) { cs.Ch.Reg.SetPresent(true) }

@@ -81,8 +81,9 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkDFQCycleTenants", "BenchmarkBoardReconcile",
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrain", "BenchmarkProcHandoff", "BenchmarkProcSpawn",
+		"BenchmarkEngagedSubmit",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
-		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json",
+		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -114,8 +115,9 @@ func TestExperimentsDocCoversRegistry(t *testing.T) {
 }
 
 // TestDesignDocCoversEngineInternals pins DESIGN.md §11's anchor
-// terms: the reference engine, pool APIs, and differential tests it
-// documents must keep their names, or the section silently rots.
+// terms: the reference engine, pool APIs, continuation API, and the
+// differential and lifecycle tests it documents must keep their names,
+// or the section silently rots.
 func TestDesignDocCoversEngineInternals(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -131,6 +133,11 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 		"BenchmarkProcHandoff", "BenchmarkProcSpawn",
 		"TestProcSpawnParkFinishAllocs", "TestSpawnFromOnFinish",
 		"TestPooledCoroutineSurvivesKillAndPanic",
+		"### Continuations and callback waiters", "sim.Cont", "Cont.WaitFor",
+		"Proc.Await", "Engine.InProcContext", "Request.Unpin",
+		"TestGateStormProcsAndCallbacksAgree", "TestContWaitForRechecks",
+		"TestProcAwaitResumesInline", "TestKillStopsAwaitedChain",
+		"TestPinnedRequestRecyclesOnce",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)
@@ -162,7 +169,8 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 }
 
 // TestDesignDocCoversSubmission pins DESIGN.md §14's anchor terms: the
-// continuation API, the slow-path commitment rules (committed fault,
+// continuation API, the continuation fault path and its admission
+// predicate, the slow-path commitment rules (committed fault,
 // side-effect-free peek), the batch staging surface, and every test
 // and benchmark the section cites as evidence must keep their names.
 func TestDesignDocCoversSubmission(t *testing.T) {
@@ -184,6 +192,11 @@ func TestDesignDocCoversSubmission(t *testing.T) {
 		"TestBatchDrainUnderDFQEngagement", "TestBatchDrainStampsSojourns",
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrainBatched",
+		"mmio.Page.FaultOn", "neon.Admitter", "userlib.SubmitFaulting",
+		"neon.Task.NewCont", "TestEngagedAppPairOwnsNoProcs",
+		"TestKillDuringFaultWrapper", "TestKillDuringFaultAppLane",
+		"TestDFQActiveAtBarrierSeesWaitingFault", "BenchmarkEngagedSubmit",
+		"TestDispatcherQueueReusesArray",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/neon"
-	"repro/internal/sim"
 )
 
 // New constructs a scheduler by policy name, using default parameters.
@@ -83,8 +82,5 @@ func (*DirectAccess) TaskExited(*neon.Task) {}
 func (*DirectAccess) ChannelActivated(cs *neon.ChannelState) {
 	cs.Ch.Reg.SetPresent(true)
 }
-
-// HandleFault implements neon.Scheduler. Unreachable under this policy.
-func (*DirectAccess) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.ChannelState) {}
 
 var _ neon.Scheduler = (*DirectAccess)(nil)

@@ -314,11 +314,9 @@ func (d *DisengagedFairQueueing) ChannelActivated(cs *neon.ChannelState) {
 	cs.Ch.Reg.SetPresent(d.mayRun(cs.Task))
 }
 
-// HandleFault implements neon.Scheduler: submissions from barriered or
-// denied tasks wait; the sampled task and free-running tasks proceed.
-func (d *DisengagedFairQueueing) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.ChannelState) {
-	p.WaitFor(t.Gate(), func() bool { return !t.Alive || d.mayRun(t) })
-}
+// Admit implements neon.Admitter: submissions from barriered or denied
+// tasks wait; the sampled task and free-running tasks proceed.
+func (d *DisengagedFairQueueing) Admit(t *neon.Task) bool { return d.mayRun(t) }
 
 // mayRun reports whether the task's submissions may currently proceed.
 func (d *DisengagedFairQueueing) mayRun(t *neon.Task) bool {
@@ -570,4 +568,7 @@ func maxDur(a, b sim.Duration) sim.Duration {
 	return b
 }
 
-var _ neon.Scheduler = (*DisengagedFairQueueing)(nil)
+var (
+	_ neon.Scheduler = (*DisengagedFairQueueing)(nil)
+	_ neon.Admitter  = (*DisengagedFairQueueing)(nil)
+)

@@ -134,3 +134,41 @@ func TestDFQDeniedTaskBlockedDuringFreeRun(t *testing.T) {
 		t.Fatalf("%d denied-but-unprotected channel observations", violations)
 	}
 }
+
+// TestDFQActiveAtBarrierSeesWaitingFault: a submission that waits in
+// the fault handler for admission — a continuation queued on the task's
+// gate, with nothing on the device — still marks its task active at the
+// barrier, because Gate.Waiters counts continuations as it counts
+// parked procs.
+func TestDFQActiveAtBarrierSeesWaitingFault(t *testing.T) {
+	sched := NewDisengagedFairQueueing(DefaultDFQConfig())
+	h := newHarness(t, sched)
+	task := h.k.NewTask("waiter")
+	var client *userlib.Client
+	task.Go("setup", func(p *sim.Proc) {
+		client, _ = userlib.Open(p, h.k, task, "waiter", gpu.Compute)
+	})
+	stepUntil := func(what string, cond func() bool) {
+		t.Helper()
+		limit := h.eng.Now().Add(time.Second)
+		for !cond() {
+			if h.eng.Now() > limit || !h.eng.Step() {
+				t.Fatalf("never reached: %s", what)
+			}
+		}
+	}
+	stepUntil("free run", func() bool { return client != nil && sched.mode == dfqFreeRun })
+	// Deny the idle task mid free run, so its next submission faults
+	// and waits for admission through the next barrier.
+	sched.st[task].denied = true
+	h.k.Engage(task)
+	client.SubmitFaulting(task.NewCont(), gpu.Compute, 20*time.Microsecond, nil, func() {})
+	stepUntil("barrier", func() bool { return sched.mode == dfqBarrier })
+	if task.PendingRequests() != 0 || h.k.TotalFaults != 1 {
+		t.Fatalf("%d requests on the device, %d faults; want the one fault still waiting",
+			task.PendingRequests(), h.k.TotalFaults)
+	}
+	if !sched.st[task].activeAtBarrier {
+		t.Fatal("task with a fault waiting in the handler was not active at the barrier")
+	}
+}

@@ -87,11 +87,9 @@ func (o *OracleFairQueueing) ChannelActivated(cs *neon.ChannelState) {
 	cs.Ch.Reg.SetPresent(!o.Denied(cs.Task))
 }
 
-// HandleFault implements neon.Scheduler: only denied tasks ever fault,
-// and they wait out the interval.
-func (o *OracleFairQueueing) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.ChannelState) {
-	p.WaitFor(t.Gate(), func() bool { return !t.Alive || !o.Denied(t) })
-}
+// Admit implements neon.Admitter: only denied tasks ever fault, and
+// they wait out the interval.
+func (o *OracleFairQueueing) Admit(t *neon.Task) bool { return !o.Denied(t) }
 
 // run reads hardware usage counters each interval and updates the
 // fair-queueing state. No draining or sampling is ever needed.
@@ -174,4 +172,7 @@ func (o *OracleFairQueueing) state(t *neon.Task) *oracleTask {
 	return s
 }
 
-var _ neon.Scheduler = (*OracleFairQueueing)(nil)
+var (
+	_ neon.Scheduler = (*OracleFairQueueing)(nil)
+	_ neon.Admitter  = (*OracleFairQueueing)(nil)
+)

@@ -126,11 +126,9 @@ func (ts *Timeslice) ChannelActivated(cs *neon.ChannelState) {
 	cs.Ch.Reg.SetPresent(direct)
 }
 
-// HandleFault implements neon.Scheduler: out-of-turn submissions block
-// until the submitting task holds the token.
-func (ts *Timeslice) HandleFault(p *sim.Proc, t *neon.Task, cs *neon.ChannelState) {
-	p.WaitFor(t.Gate(), func() bool { return !t.Alive || ts.holder == t })
-}
+// Admit implements neon.Admitter: out-of-turn submissions wait until
+// the submitting task holds the token.
+func (ts *Timeslice) Admit(t *neon.Task) bool { return ts.holder == t }
 
 // run is the scheduler control process: grant, sleep, re-engage, drain,
 // charge, rotate.
@@ -195,4 +193,7 @@ func (ts *Timeslice) pick() *neon.Task {
 	}
 }
 
-var _ neon.Scheduler = (*Timeslice)(nil)
+var (
+	_ neon.Scheduler = (*Timeslice)(nil)
+	_ neon.Admitter  = (*Timeslice)(nil)
+)

@@ -121,9 +121,8 @@ func throughput(opts Options, size sim.Duration, trap, driverWork bool) float64 
 // (avoids an import cycle in tests that reuse this file's helper).
 type noScheduler struct{}
 
-func (noScheduler) Name() string                                          { return "none" }
-func (noScheduler) Start(*neon.Kernel)                                    {}
-func (noScheduler) TaskAdmitted(*neon.Task)                               {}
-func (noScheduler) TaskExited(*neon.Task)                                 {}
-func (noScheduler) ChannelActivated(cs *neon.ChannelState)                { cs.Ch.Reg.SetPresent(true) }
-func (noScheduler) HandleFault(*sim.Proc, *neon.Task, *neon.ChannelState) {}
+func (noScheduler) Name() string                           { return "none" }
+func (noScheduler) Start(*neon.Kernel)                     {}
+func (noScheduler) TaskAdmitted(*neon.Task)                {}
+func (noScheduler) TaskExited(*neon.Task)                  {}
+func (noScheduler) ChannelActivated(cs *neon.ChannelState) { cs.Ch.Reg.SetPresent(true) }

@@ -464,7 +464,7 @@ func (t *Tenant) endRound() {
 // is for a refused submission, the fault-or-direct decision is
 // committed here, at the refusal instant, because the scheduler may
 // flip the channel's engagement within the same instant (see
-// userlib.Engaged and workload.App.toProc).
+// userlib.Engaged and DESIGN.md §14).
 func (t *Tenant) toProc(kind gpu.Kind, submission bool) {
 	if submission {
 		t.slowFault = t.client.Engaged(kind)

@@ -81,8 +81,9 @@ func (en *engine) removeChannel(ch *Channel) {
 // event (the async doorbell delivery) into an otherwise-empty instant
 // folds the dispatch inline — unobservable, since the scheduled
 // dispatch would have run immediately next with nothing in between; a
-// kick from process context always schedules, because the running
-// process's continuation belongs to this instant too.
+// kick from process context (a proc, or a continuation step standing in
+// for one, sim.Engine.InProcContext) always schedules, because the
+// running process's continuation belongs to this instant too.
 func (en *engine) kick() {
 	if !en.idle {
 		return

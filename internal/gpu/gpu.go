@@ -129,10 +129,11 @@ type Request struct {
 	// size, any time up to its completion instant).
 	OnDone func(*Request)
 
-	ch     *Channel
-	done   *sim.Gate
-	pinned bool // held beyond completion (sampling watcher); never recycled
-	pooled bool // currently on the device free list
+	ch       *Channel
+	done     *sim.Gate
+	pins     int32 // holds beyond completion (sampling watchers)
+	released bool  // owner released while pinned: recycle at the last Unpin
+	pooled   bool  // currently on the device free list
 }
 
 // finish invokes the completion hook (once) and opens the done gate.
@@ -156,20 +157,41 @@ func (r *Request) DoneGate() *sim.Gate { return r.done }
 // IsDone reports whether the request has completed or been aborted.
 func (r *Request) IsDone() bool { return r.Completed != 0 || r.Aborted }
 
-// Pin marks the request as held beyond its completion instant — a
+// Pin places a hold on the request beyond its completion instant — a
 // sampling watcher keeps the pointer and reads timing fields after the
-// done gate opens — so Release will never return it to the device pool.
-func (r *Request) Pin() { r.pinned = true }
+// done gate opens — so the request does not recycle until the hold ends
+// (Unpin).
+func (r *Request) Pin() { r.pins++ }
+
+// Unpin ends a hold placed by Pin. If the owner has already released
+// the request, the last Unpin recycles it: a pinned request recycles at
+// the later of its owner's Release and its last Unpin.
+func (r *Request) Unpin() {
+	r.pins--
+	if r.pins == 0 && r.released {
+		r.released = false
+		r.recycle()
+	}
+}
 
 // Release returns the request to its device's free pool for reuse by a
 // later Stage. The caller asserts that no other component still holds
 // the pointer: completion has been fully processed (the done gate opened
-// and its waiters ran, or the submitter owned the only reference).
-// Pinned requests and double releases are no-ops.
+// and its waiters ran, or the submitter owned the only reference). A
+// pinned request recycles at its last Unpin instead. Double releases
+// are no-ops.
 func (r *Request) Release() {
-	if r.pinned || r.pooled || r.ch == nil {
+	if r.pooled || r.ch == nil {
 		return
 	}
+	if r.pins > 0 {
+		r.released = true
+		return
+	}
+	r.recycle()
+}
+
+func (r *Request) recycle() {
 	r.pooled = true
 	d := r.ch.Ctx.dev
 	d.reqFree = append(d.reqFree, r)

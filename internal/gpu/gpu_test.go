@@ -409,3 +409,38 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedRequestRecyclesOnce pins the sampled-request lifetime: a
+// pinned request recycles at the later of its owner's Release and its
+// last Unpin, exactly once, and a double Release stays a no-op.
+func TestPinnedRequestRecyclesOnce(t *testing.T) {
+	for _, ownerFirst := range []bool{true, false} {
+		e, d := testDev(t)
+		ch := mustChan(t, d, mustCtx(t, d, 1), Compute)
+		r := submit(e, ch, 10*time.Microsecond, Compute)
+		r.Pin()
+		e.Run()
+		if ownerFirst {
+			r.Release()
+			r.Release()
+			if len(d.reqFree) != 0 {
+				t.Fatalf("owner first: recycled while pinned (pool %d)", len(d.reqFree))
+			}
+			r.Unpin()
+		} else {
+			r.Unpin()
+			if len(d.reqFree) != 0 {
+				t.Fatalf("watcher first: recycled before the owner released (pool %d)", len(d.reqFree))
+			}
+			r.Release()
+		}
+		r.Release() // double release after recycling: a no-op
+		if len(d.reqFree) != 1 || d.reqFree[0] != r {
+			t.Fatalf("ownerFirst=%v: pool %v, want exactly the request once", ownerFirst, d.reqFree)
+		}
+		a, b := ch.Stage(time.Microsecond, Compute), ch.Stage(time.Microsecond, Compute)
+		if a != r || b == r {
+			t.Fatalf("ownerFirst=%v: Stage reused %p then %p, want %p exactly once", ownerFirst, a, b, r)
+		}
+	}
+}

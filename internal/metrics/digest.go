@@ -21,6 +21,12 @@ const digestSubCount = 1 << digestSubBits
 // no randomized compaction — so parallel and serial experiment runs
 // stay byte-identical.
 //
+// Only the occupied span of buckets is stored: a window starting at
+// bucket lo that covers digestBucket(min) through digestBucket(max),
+// grown geometrically as observations land outside it. A digest of
+// sojourns around 1 ms holds tens of buckets, not the ~510 a dense
+// array from bucket 0 would.
+//
 // Accuracy: a reported quantile is the midpoint of the bucket holding
 // the true rank-q observation, so its relative error is at most half a
 // sub-bucket width — 1/64 (~1.6%) — for values >= 32 ns, and zero below.
@@ -28,11 +34,15 @@ const digestSubCount = 1 << digestSubBits
 // making one-point distributions exact. TestDigestQuantileAccuracy pins
 // the bound against exact sorted-sample quantiles.
 type Digest struct {
-	counts []int64
+	counts []int64 // counts[i] is bucket lo+i
+	lo     int
 	total  int64
 	min    int64
 	max    int64
 }
+
+// digestMinSpan is the window a digest's first observation allocates.
+const digestMinSpan = 16
 
 // digestBucket maps a non-negative value to its bucket index.
 func digestBucket(v int64) int {
@@ -64,12 +74,12 @@ func (d *Digest) Add(v time.Duration) {
 		x = 0
 	}
 	b := digestBucket(x)
-	if b >= len(d.counts) {
-		grown := make([]int64, b+1)
-		copy(grown, d.counts)
-		d.counts = grown
+	i := b - d.lo
+	if uint(i) >= uint(len(d.counts)) { // below or above the window
+		d.cover(b, b)
+		i = b - d.lo
 	}
-	d.counts[b]++
+	d.counts[i]++
 	if d.total == 0 || x < d.min {
 		d.min = x
 	}
@@ -77,6 +87,34 @@ func (d *Digest) Add(v time.Duration) {
 		d.max = x
 	}
 	d.total++
+}
+
+// cover widens the window to include buckets first through last. A
+// window that must grow at least doubles, so observations drifting
+// outward reallocate O(log n) times; an empty digest whose window is
+// wide enough just moves it.
+func (d *Digest) cover(first, last int) {
+	n, w := len(d.counts), last-first+1
+	if d.total == 0 && w <= n {
+		d.lo = max(0, first-(n-w)/2)
+		return
+	}
+	if n == 0 {
+		size := max(digestMinSpan, w)
+		d.counts = make([]int64, size)
+		d.lo = max(0, first-(size-w)/2)
+		return
+	}
+	lo, hi := d.lo, d.lo+n // current window [lo, hi)
+	nhi := max(hi, last+1)
+	size := max(2*n, nhi-min(lo, first))
+	nlo := lo // growing upward keeps the bottom
+	if first < lo {
+		nlo = max(0, nhi-size) // growing downward keeps the top
+	}
+	grown := make([]int64, size)
+	copy(grown[lo-nlo:], d.counts)
+	d.counts, d.lo = grown, nlo
 }
 
 // N returns the observation count.
@@ -101,10 +139,10 @@ func (d *Digest) Quantile(q float64) time.Duration {
 		rank = d.total
 	}
 	var cum int64
-	for b, c := range d.counts {
+	for i, c := range d.counts {
 		cum += c
 		if cum >= rank {
-			v := digestMid(b)
+			v := digestMid(d.lo + i)
 			if v < d.min {
 				v = d.min
 			}
@@ -122,13 +160,17 @@ func (d *Digest) Merge(o *Digest) {
 	if o.total == 0 {
 		return
 	}
-	if len(o.counts) > len(d.counts) {
-		grown := make([]int64, len(o.counts))
-		copy(grown, d.counts)
-		d.counts = grown
+	// o's observations lie in buckets [first, last]; its window may hold
+	// empty buckets around them.
+	first, last := digestBucket(o.min), digestBucket(o.max)
+	if first < d.lo || last >= d.lo+len(d.counts) {
+		d.cover(first, last)
 	}
-	for b, c := range o.counts {
-		d.counts[b] += c
+	src := o.counts[first-o.lo : last-o.lo+1]
+	dst := d.counts[first-d.lo:]
+	dst = dst[:len(src)]
+	for i, c := range src {
+		dst[i] += c
 	}
 	if d.total == 0 || o.min < d.min {
 		d.min = o.min

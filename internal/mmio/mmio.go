@@ -4,11 +4,11 @@
 // Each GPU channel exposes a channel register on its own page. While the
 // page is Present, a store costs cost.Model.DirectWrite and goes straight
 // to the device — the OS never sees it. When the page is made non-present
-// (the scheduler "engages"), a store instead raises a page fault: the
-// registered FaultHandler runs in the faulting process's context, may
-// block the process arbitrarily long (that is how schedulers delay
-// requests), and on return the faulting store is single-stepped to the
-// device and the page re-protected.
+// (the scheduler "engages"), a store instead raises a page fault: after
+// the trap, the registered FaultHandler runs as steps of the faulting
+// thread's continuation, may delay it arbitrarily long (that is how
+// schedulers delay requests), and when it delivers, the faulting store
+// is single-stepped to the device and the page stays re-protected.
 //
 // This is the exact interposition point of the paper: protection cannot
 // be bypassed by applications because it does not depend on library
@@ -20,16 +20,27 @@ import (
 	"repro/internal/sim"
 )
 
-// Write describes a store to a channel register.
-type Write struct {
+// Fault is one faulting store in flight: the page, the stored value, and
+// the continuation that carries the faulting thread through the trap,
+// the handler, and the single-stepped store. Records are pooled per page
+// and reused once delivered.
+type Fault struct {
 	Page  *Page
 	Value uint64
+	// Cont is the faulting thread's continuation. The handler sleeps and
+	// waits on it; stopping it (the owner's kill) abandons the fault
+	// before the store reaches the device.
+	Cont *sim.Cont
+
+	then   func()
+	trapFn func()
 }
 
-// FaultHandler is invoked, in the faulting process's context, for every
-// store to a non-present page. It may call blocking Proc methods. After
-// it returns the store is delivered to the device.
-type FaultHandler func(p *sim.Proc, w Write)
+// FaultHandler is invoked after the trap of every store to a
+// non-present page, as a step of f.Cont. It may sleep and wait on
+// f.Cont, and it must call f.Deliver exactly once, inline or from a
+// later step of f.Cont.
+type FaultHandler func(f *Fault)
 
 // Sink receives stores after they are allowed through (directly or via
 // fault single-stepping). The GPU's channel doorbell is a Sink.
@@ -48,6 +59,9 @@ type Page struct {
 	// (bound once at construction so the fast path does not allocate).
 	pending   []uint64
 	deliverFn func()
+
+	// free holds delivered fault records for reuse.
+	free []*Fault
 
 	// Counters for tests and experiments.
 	DirectWrites int64
@@ -86,34 +100,70 @@ func (pg *Page) Store(p *sim.Proc, value uint64) {
 	pg.StoreFaulting(p, value)
 }
 
-// StoreFaulting delivers a store through the fault path regardless of
-// the page's current mapping. Store commits a store to the fault at the
-// instant it observes the page non-present — the page may be remapped
-// during the trap sleep and the handler still runs. A caller that makes
-// the same observation in engine context (a continuation machine whose
-// fast-path store was refused) owes the same commitment, but takes the
-// fault one event hop later, on its slow-lane process; the scheduler may
-// remap the page within that same instant, exactly as it may during
-// Store's trap sleep, and either way the committed fault proceeds:
-// trap, handler, then the single-stepped store.
+// StoreFaulting delivers a store from process p through the fault path
+// regardless of the page's current mapping. It is a thin wrapper over
+// FaultOn on the process's own continuation: p parks once, for the whole
+// fault, and continues when the store has been single-stepped.
+//
+// Store commits a store to the fault at the instant it observes the
+// page non-present — the page may be remapped during the trap and the
+// handler still runs. A caller that makes the same observation in
+// engine context (a continuation machine whose fast-path store was
+// refused) owes the same commitment and takes the fault one event hop
+// later, on its slow lane; the scheduler may remap the page within that
+// same instant, exactly as it may during the trap, and either way the
+// committed fault proceeds: trap, handler, then the single-stepped
+// store.
 func (pg *Page) StoreFaulting(p *sim.Proc, value uint64) {
+	p.Await(func(c *sim.Cont, resume func()) { pg.FaultOn(c, value, resume) })
+}
+
+// FaultOn is the fault path in continuation form: it charges the trap on
+// c, runs the handler's steps on c, single-steps the store to the device
+// and then calls then, as a step of c. Stopping c at any point before
+// delivery abandons the fault: no store reaches the device.
+func (pg *Page) FaultOn(c *sim.Cont, value uint64, then func()) {
 	pg.Faults++
-	p.Sleep(pg.costs.FaultTrap)
-	if pg.handler != nil {
-		pg.handler(p, Write{Page: pg, Value: value})
+	var f *Fault
+	if n := len(pg.free); n > 0 {
+		f = pg.free[n-1]
+		pg.free = pg.free[:n-1]
+	} else {
+		f = &Fault{Page: pg}
+		f.trapFn = f.trapped
 	}
-	// Single-step the faulting instruction: the store now reaches the
-	// device. Protection state afterwards is whatever the handler chose
-	// (NEON re-protects by default by leaving present=false).
+	f.Cont, f.Value, f.then = c, value, then
+	c.Sleep(pg.costs.FaultTrap, f.trapFn)
+}
+
+// trapped is the step after the trap: hand the fault to the kernel.
+func (f *Fault) trapped() {
+	if h := f.Page.handler; h != nil {
+		h(f)
+		return
+	}
+	f.Deliver()
+}
+
+// Deliver single-steps the faulting instruction — the store now reaches
+// the device — and runs the faulting thread's continuation. Protection
+// state afterwards is whatever the handler chose (NEON re-protects by
+// default by leaving present=false). The record returns to the page's
+// pool first, so the continuation may fault again at once.
+func (f *Fault) Deliver() {
+	pg, value, then := f.Page, f.Value, f.then
+	f.Cont, f.then = nil, nil
+	pg.free = append(pg.free, f)
 	pg.sink(value)
+	then()
 }
 
 // StoreAsync performs a direct store without blocking the calling
 // process: the value reaches the sink after the same DirectWrite
 // propagation delay as Store, but as an engine event rather than a
 // process wakeup, saving the proc handoff. It reports false — and
-// does nothing — when the page is protected: faulting stores must run
-// the handler in process context, so the caller falls back to Store.
+// does nothing — when the page is protected: faulting stores take the
+// trap and the handler on the caller's slow lane (FaultOn or Store).
 //
 // Only callers that do not act between the store and the next blocking
 // point may use it (the store's side effects become visible at

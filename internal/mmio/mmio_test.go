@@ -40,14 +40,15 @@ func TestProtectedStoreFaults(t *testing.T) {
 	pg, delivered := testPage(e)
 	pg.SetPresent(false)
 	handled := false
-	pg.SetHandler(func(p *sim.Proc, w Write) {
+	pg.SetHandler(func(f *Fault) {
 		handled = true
-		if w.Value != 7 || w.Page != pg {
-			t.Errorf("handler saw %+v", w)
+		if f.Value != 7 || f.Page != pg {
+			t.Errorf("handler saw page %v value %d", f.Page.Name(), f.Value)
 		}
 		if len(*delivered) != 0 {
-			t.Error("store reached device before handler returned")
+			t.Error("store reached device before handler delivered it")
 		}
+		f.Deliver()
 	})
 	e.Spawn("w", func(p *sim.Proc) { pg.Store(p, 7) })
 	e.Run()
@@ -66,7 +67,7 @@ func TestFaultCostCharged(t *testing.T) {
 	e := sim.NewEngine()
 	pg, _ := testPage(e)
 	pg.SetPresent(false)
-	pg.SetHandler(func(p *sim.Proc, w Write) {})
+	pg.SetHandler(func(f *Fault) { f.Deliver() })
 	var took sim.Duration
 	e.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
@@ -84,7 +85,7 @@ func TestHandlerMayBlockSubmitter(t *testing.T) {
 	pg, delivered := testPage(e)
 	pg.SetPresent(false)
 	gate := e.NewGate("allow")
-	pg.SetHandler(func(p *sim.Proc, w Write) { p.Wait(gate) })
+	pg.SetHandler(func(f *Fault) { f.Cont.Wait(gate, f.Deliver) })
 	var doneAt sim.Time
 	e.Spawn("w", func(p *sim.Proc) {
 		pg.Store(p, 9)
@@ -104,7 +105,7 @@ func TestReprotectionPersistsAcrossStores(t *testing.T) {
 	e := sim.NewEngine()
 	pg, _ := testPage(e)
 	pg.SetPresent(false)
-	pg.SetHandler(func(p *sim.Proc, w Write) {})
+	pg.SetHandler(func(f *Fault) { f.Deliver() })
 	e.Spawn("w", func(p *sim.Proc) {
 		pg.Store(p, 1)
 		pg.Store(p, 2)
@@ -120,7 +121,7 @@ func TestUnprotectedAfterDisengage(t *testing.T) {
 	e := sim.NewEngine()
 	pg, _ := testPage(e)
 	pg.SetPresent(false)
-	pg.SetHandler(func(p *sim.Proc, w Write) {})
+	pg.SetHandler(func(f *Fault) { f.Deliver() })
 	e.Spawn("w", func(p *sim.Proc) {
 		pg.Store(p, 1)
 		pg.SetPresent(true) // disengage

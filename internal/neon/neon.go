@@ -10,8 +10,8 @@
 //     while disengaged);
 //   - a page-fault handling mechanism that catches channel-register
 //     writes while a channel is engaged, charges the per-fault buffer
-//     scanning cost, and passes control to the attached scheduler, which
-//     may delay the faulting process arbitrarily;
+//     scanning cost, and asks the attached scheduler's admission
+//     predicate, which may delay the faulting submission arbitrarily;
 //   - a polling-thread service that detects request completion by reading
 //     device-written reference counters at a configurable granularity —
 //     the granularity is the source of draining idleness in the paper's
@@ -53,11 +53,18 @@ type Scheduler interface {
 	// ChannelActivated is called when a channel completes its
 	// initialization phase. The scheduler decides its protection state.
 	ChannelActivated(cs *ChannelState)
-	// HandleFault is called, in the faulting process's context, for every
-	// intercepted request submission. It may block the process (that is
-	// how requests are delayed); when it returns the submission proceeds
-	// to the device.
-	HandleFault(p *sim.Proc, t *Task, cs *ChannelState)
+}
+
+// Admitter is implemented by schedulers that delay intercepted
+// submissions (that is how engaged schedulers delay requests). After
+// the handler's scan, a faulting submission of task t proceeds to the
+// device once Admit(t) holds or t has died; until then it waits on t's
+// gate and re-tests at every broadcast. Admit must be free of side
+// effects: it may run more than once per fault. The kernel finds it by
+// type assertion, and a scheduler without it admits every fault at
+// once.
+type Admitter interface {
+	Admit(t *Task) bool
 }
 
 // ChannelState is the kernel's per-channel bookkeeping: the channel
@@ -93,6 +100,7 @@ type Kernel struct {
 	dev   *gpu.Device
 	costs cost.Model
 	sched Scheduler
+	admit Admitter // sched's admission predicate; nil admits every fault
 
 	tasks      map[gpu.TaskID]*Task
 	taskOrder  []*Task
@@ -102,6 +110,10 @@ type Kernel struct {
 	// mux is the virtual-context multiplexing front-end (mux.go), nil
 	// until the first OpenVirtual call.
 	mux *muxState
+
+	// Pools of delivered fault records and finished sampling watchers.
+	faultFree []*kfault
+	watchFree []*watcher
 
 	// Label identifies this kernel instance in multi-device fleets; it
 	// defaults to the device's configured name and is what per-device
@@ -131,6 +143,7 @@ func NewKernel(dev *gpu.Device, sched Scheduler) *Kernel {
 		byPage: make(map[*mmio.Page]*ChannelState),
 		Label:  dev.Name(),
 	}
+	k.admit, _ = sched.(Admitter)
 	sched.Start(k)
 	return k
 }
@@ -229,21 +242,72 @@ func (k *Kernel) holdersCount() int {
 }
 
 // onFault is the page-fault handler: every store to an engaged channel
-// register lands here, in the faulting process's context.
-func (k *Kernel) onFault(p *sim.Proc, w mmio.Write) {
-	cs, ok := k.byPage[w.Page]
+// register lands here after the trap, as a step of the faulting
+// thread's continuation. The handler's work is the same three steps
+// the prototype's is (paper §4): scan the channel, register sampling
+// watchers, and let the scheduler delay the submission; then the store
+// is single-stepped to the device.
+func (k *Kernel) onFault(f *mmio.Fault) {
+	cs, ok := k.byPage[f.Page]
 	if !ok {
+		f.Deliver()
 		return
 	}
 	k.TotalFaults++
 	cs.Faults++
+	var h *kfault
+	if n := len(k.faultFree); n > 0 {
+		h = k.faultFree[n-1]
+		k.faultFree = k.faultFree[:n-1]
+	} else {
+		h = &kfault{k: k}
+		h.scannedFn, h.admitsFn, h.deliverFn = h.scanned, h.admits, h.deliver
+	}
+	h.f, h.cs = f, cs
 	// Manipulation cost: scan the channel's buffers to locate the
 	// reference counter for this request and map it into kernel space.
-	p.Sleep(k.costs.FaultScan)
-	if cs.sampling {
-		k.watchStaged(cs)
+	f.Cont.Sleep(k.costs.FaultScan, h.scannedFn)
+}
+
+// kfault is the kernel's state for one fault between the trap and the
+// delivery. Records are pooled on the kernel; a fault whose thread is
+// killed abandons its record, which then holds nothing live.
+type kfault struct {
+	k  *Kernel
+	f  *mmio.Fault
+	cs *ChannelState
+
+	// Continuation steps, bound once per record.
+	scannedFn, deliverFn func()
+	admitsFn             func() bool
+}
+
+// scanned follows the scan: watch newly staged requests of a sampled
+// channel, then wait until the scheduler admits the submission.
+func (h *kfault) scanned() {
+	if h.cs.sampling {
+		h.k.watchStaged(h.cs)
 	}
-	k.sched.HandleFault(p, cs.Task, cs)
+	if h.k.admit == nil {
+		h.deliver()
+		return
+	}
+	h.f.Cont.WaitFor(h.cs.Task.Gate(), h.admitsFn, h.deliverFn)
+}
+
+// admits is the wait predicate: the scheduler admits the task, or the
+// task has died (its store then lands on a dead context).
+func (h *kfault) admits() bool {
+	t := h.cs.Task
+	return !t.Alive || h.k.admit.Admit(t)
+}
+
+// deliver recycles the record and single-steps the store.
+func (h *kfault) deliver() {
+	f := h.f
+	h.f, h.cs = nil, nil
+	h.k.faultFree = append(h.k.faultFree, h)
+	f.Deliver()
 }
 
 // Engage protects every channel of the task: subsequent submissions

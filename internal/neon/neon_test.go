@@ -4,19 +4,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/gpu"
 	"repro/internal/mmio"
 	"repro/internal/sim"
 )
 
 // recordingSched is a minimal Scheduler that records events and lets
-// everything run, optionally keeping channels engaged.
+// everything run, optionally keeping channels engaged. It counts no
+// faults itself: its admission predicate may run more than once per
+// fault, so tests read Kernel.TotalFaults.
 type recordingSched struct {
 	engageAll bool
 	admitted  []*Task
 	exited    []*Task
 	activated []*ChannelState
-	faults    int
 	blockers  map[*Task]bool // tasks whose faults should block
 }
 
@@ -28,12 +30,7 @@ func (r *recordingSched) ChannelActivated(cs *ChannelState) {
 	r.activated = append(r.activated, cs)
 	cs.Ch.Reg.SetPresent(!r.engageAll)
 }
-func (r *recordingSched) HandleFault(p *sim.Proc, t *Task, cs *ChannelState) {
-	r.faults++
-	if r.blockers != nil && r.blockers[t] {
-		p.WaitFor(t.Gate(), func() bool { return !t.Alive || !r.blockers[t] })
-	}
-}
+func (r *recordingSched) Admit(t *Task) bool { return !r.blockers[t] }
 
 func testKernel(t *testing.T, sched Scheduler) (*sim.Engine, *gpu.Device, *Kernel) {
 	t.Helper()
@@ -93,8 +90,8 @@ func TestEngagedSubmissionFaultsIntoScheduler(t *testing.T) {
 		cs.Ch.Reg.Store(p, r.Ref)
 	})
 	e.RunFor(time.Millisecond)
-	if sched.faults != 1 || cs.Faults != 1 || k.TotalFaults != 1 {
-		t.Fatalf("fault counts: sched=%d cs=%d kernel=%d", sched.faults, cs.Faults, k.TotalFaults)
+	if cs.Faults != 1 || k.TotalFaults != 1 || cs.Ch.Reg.Faults != 1 {
+		t.Fatalf("fault counts: cs=%d kernel=%d page=%d", cs.Faults, k.TotalFaults, cs.Ch.Reg.Faults)
 	}
 }
 
@@ -303,7 +300,7 @@ func TestSampleTimesOutOnIdleTask(t *testing.T) {
 		t.Fatal("mean of nothing should be 0")
 	}
 	if e.LiveProcs() > 2 { // task setup proc finished; work proc none
-		t.Fatalf("leaked watcher procs: %d live", e.LiveProcs())
+		t.Fatalf("leaked procs: %d live", e.LiveProcs())
 	}
 }
 
@@ -415,6 +412,79 @@ func TestBlockedFaultDelaysSubmission(t *testing.T) {
 
 func TestMMIOWriteTypeVisible(t *testing.T) {
 	// Compile-time sanity: the kernel handler signature matches mmio.
-	var h mmio.FaultHandler = func(p *sim.Proc, w mmio.Write) {}
+	var h mmio.FaultHandler = (&Kernel{}).onFault
 	_ = h
+}
+
+// faultStage names a point inside one fault: the trap, the handler's
+// scan, or the wait for the scheduler's admission.
+type faultStage struct {
+	name string
+	at   func(c cost.Model) sim.Duration // offset from the store
+}
+
+var faultStages = []faultStage{
+	{"trap", func(c cost.Model) sim.Duration { return c.FaultTrap / 2 }},
+	{"scan", func(c cost.Model) sim.Duration { return c.FaultTrap + c.FaultScan/2 }},
+	{"scheduler wait", func(c cost.Model) sim.Duration { return c.FaultTrap + c.FaultScan + 5*time.Microsecond }},
+}
+
+// TestKillDuringFaultWrapper is the kill rule for a proc parked in the
+// blocking store wrapper: killing the task at each stage of the fault
+// cancels the rest of it. No store reaches the device, the handler
+// counts the fault only once it has run, nothing stays queued on the
+// task's gate, and no wake-up of the fault outlives the kill.
+func TestKillDuringFaultWrapper(t *testing.T) {
+	for _, st := range faultStages {
+		sched := &recordingSched{engageAll: true, blockers: map[*Task]bool{}}
+		e, _, k := testKernel(t, sched)
+		task, cs := openChannel(t, e, k)
+		sched.blockers[task] = true
+		var r *gpu.Request
+		task.Go("work", func(p *sim.Proc) {
+			r = cs.Ch.Stage(10*time.Microsecond, gpu.Compute)
+			cs.Ch.Reg.Store(p, r.Ref)
+			t.Errorf("%s: killed proc returned from its store", st.name)
+		})
+		killAt := e.Now().Add(st.at(k.Costs()))
+		queued := -1
+		e.Schedule(killAt, func() {
+			k.KillTask(task, "test")
+			queued = e.Pending()
+		})
+		e.Run()
+		// The one event the kill leaves is the proc's own unwinding.
+		checkKilledFault(t, st.name, e, k, task, cs, r, killAt, queued, 1)
+		if e.LiveProcs() != 0 {
+			t.Errorf("%s: %d live procs", st.name, e.LiveProcs())
+		}
+	}
+}
+
+// checkKilledFault asserts what a fault cancelled by its task's death
+// must leave behind: nothing. queued is the engine's pending-event count
+// right after the kill, of which want belong to the killed thread
+// itself; none may belong to the fault.
+func checkKilledFault(t *testing.T, stage string, e *sim.Engine, k *Kernel, task *Task, cs *ChannelState, r *gpu.Request, killAt sim.Time, queued, want int) {
+	t.Helper()
+	if queued != want {
+		t.Errorf("%s: %d events queued after the kill, want %d", stage, queued, want)
+	}
+	if e.Now() != killAt {
+		t.Errorf("%s: a wake-up of the fault ran at %v, after the kill at %v", stage, e.Now(), killAt)
+	}
+	if r == nil || r.Submitted != 0 || cs.Ch.LastSubmittedRef != 0 {
+		t.Errorf("%s: the store reached the device", stage)
+	}
+	handled := int64(1)
+	if stage == "trap" {
+		handled = 0 // the handler never ran
+	}
+	if cs.Ch.Reg.Faults != 1 || k.TotalFaults != handled || cs.Faults != handled {
+		t.Errorf("%s: faults page/kernel/channel = %d/%d/%d, want 1/%d/%d",
+			stage, cs.Ch.Reg.Faults, k.TotalFaults, cs.Faults, handled, handled)
+	}
+	if n := task.Gate().Waiters(); n != 0 {
+		t.Errorf("%s: %d waiters left on the task gate", stage, n)
+	}
 }

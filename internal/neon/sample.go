@@ -32,7 +32,29 @@ type sampleState struct {
 	want     int
 	sizes    []sim.Duration
 	gate     *sim.Gate
-	watchers []*sim.Proc
+	watchers []*watcher
+}
+
+// watcher observes one sampled request's completion: a continuation
+// that queues on the request's done gate and records its service time.
+// It holds a pin on the request until it has observed it or the
+// sampling run ends. Watchers are pooled on the kernel.
+type watcher struct {
+	c   *sim.Cont
+	st  *sampleState
+	req *gpu.Request
+
+	// Continuation steps, bound once per watcher.
+	armFn, observeFn func()
+}
+
+// arm queues the watcher on its request's done gate.
+func (w *watcher) arm() { w.c.Wait(w.req.DoneGate(), w.observeFn) }
+
+// observe records the completed request and ends the watcher's hold.
+func (w *watcher) observe() {
+	w.st.observe(w.req)
+	w.req.Unpin()
 }
 
 // Sample gives the scheduler a measured look at task t's requests: with
@@ -63,15 +85,20 @@ func (k *Kernel) Sample(p *sim.Proc, t *Task, maxDur sim.Duration, maxReqs int) 
 	}
 	t.sample = nil
 	for _, w := range st.watchers {
-		if !w.Finished() {
-			w.Kill()
+		if w.c.Stop() {
+			// Still waiting: the request was never observed.
+			w.req.Unpin()
 		}
+		w.st, w.req = nil, nil
+		k.watchFree = append(k.watchFree, w)
 	}
 	return SampleResult{Sizes: st.sizes, Elapsed: p.Now().Sub(start)}
 }
 
 // watchStaged registers completion watchers for requests newly staged on
-// a sampled channel. Called from the fault handler.
+// a sampled channel. Called from the fault handler. Each watcher arms at
+// the back of the current instant, the position a spawned process's
+// first activation takes.
 func (k *Kernel) watchStaged(cs *ChannelState) {
 	st := cs.Task.sample
 	if st == nil || !st.active {
@@ -82,15 +109,20 @@ func (k *Kernel) watchStaged(cs *ChannelState) {
 			continue
 		}
 		cs.watchedRef = r.Ref
-		req := r
 		// The watcher reads timing fields after the done gate opens, so
-		// the request must survive any completion-time recycling.
-		req.Pin()
-		w := k.eng.Spawn("sample-watch", func(p *sim.Proc) {
-			p.Wait(req.DoneGate())
-			st.observe(req)
-		})
+		// the request must not recycle before the watcher is done with it.
+		r.Pin()
+		var w *watcher
+		if n := len(k.watchFree); n > 0 {
+			w = k.watchFree[n-1]
+			k.watchFree = k.watchFree[:n-1]
+		} else {
+			w = &watcher{c: k.eng.NewCont()}
+			w.armFn, w.observeFn = w.arm, w.observe
+		}
+		w.st, w.req = st, r
 		st.watchers = append(st.watchers, w)
+		w.c.Yield(w.armFn)
 	}
 }
 

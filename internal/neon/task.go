@@ -28,6 +28,7 @@ type Task struct {
 
 	kernel   *Kernel
 	procs    []*sim.Proc
+	conts    []*sim.Cont
 	contexts []*gpu.Context
 	channels []*ChannelState
 
@@ -43,7 +44,7 @@ type Task struct {
 	retiredDone int64
 
 	// gate is broadcast whenever scheduler state affecting this task
-	// changes; blocked fault handlers re-check their predicates on it.
+	// changes; faults waiting for admission re-test it.
 	gate *sim.Gate
 
 	// sample is the in-progress sampling run, if any.
@@ -62,8 +63,18 @@ func (t *Task) Go(name string, body func(p *sim.Proc)) *sim.Proc {
 	return p
 }
 
-// Gate returns the task's scheduler wait gate. Scheduler implementations
-// block faulting processes on it and broadcast it on state changes.
+// NewCont returns a continuation thread of this task (sim.Cont): the
+// callback-form counterpart of Go. Killing the task stops it, as it
+// unwinds the task's processes, so none of its pending steps runs.
+func (t *Task) NewCont() *sim.Cont {
+	c := t.kernel.eng.NewCont()
+	t.conts = append(t.conts, c)
+	return c
+}
+
+// Gate returns the task's scheduler wait gate. Faulting submissions
+// wait on it for admission (Admitter), and schedulers broadcast it when
+// their decision for the task may have changed.
 func (t *Task) Gate() *sim.Gate { return t.gate }
 
 // ShareWeight returns the task's effective fair-share weight: Weight, or
@@ -126,6 +137,9 @@ func (t *Task) exit(reason string) {
 	t.ExitReason = reason
 	for _, p := range t.procs {
 		p.Kill()
+	}
+	for _, c := range t.conts {
+		c.Stop()
 	}
 	t.kernel.dev.KillOwner(t.ID)
 	for _, cs := range t.channels {

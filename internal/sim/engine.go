@@ -126,7 +126,7 @@ type Engine struct {
 	base     Time
 
 	procs  int     // live (unfinished) procs, for leak detection
-	inProc int     // >0 while process code may be on the stack (Proc.activate)
+	inProc int     // >0 while process code may be on the stack (Proc.activate, Cont.fire)
 	idle   []*coro // finished procs' coroutines, reused by Spawn
 
 	// stepping guards against re-entrant Run calls.
@@ -534,11 +534,11 @@ func (e *Engine) NextAfterNow() bool {
 }
 
 // InProcContext reports whether process code may currently be on the
-// stack (a Proc activation is in progress). Trampoline folding via
-// NextAfterNow is only sound from plain event context: a running
-// process's continuation is same-instant pending work the event queue
-// cannot see, so callers in proc context must schedule rather than
-// fold.
+// stack: a Proc activation or a Cont step (which stands in for process
+// code) is in progress. Trampoline folding via NextAfterNow is only
+// sound from plain event context: a running process's continuation is
+// same-instant pending work the event queue cannot see, so callers in
+// proc context must schedule rather than fold.
 func (e *Engine) InProcContext() bool { return e.inProc > 0 }
 
 // Pending returns the number of queued (uncancelled) events. It is O(1):

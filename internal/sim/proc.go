@@ -6,7 +6,7 @@ import (
 )
 
 // procState tracks where a Proc is in its lifecycle.
-type procState int
+type procState uint8
 
 const (
 	procReady procState = iota
@@ -25,7 +25,7 @@ type killSignal struct{ name string }
 // coroutine runs the body of the next Spawn (DESIGN.md §11).
 //
 // A Proc may only call its blocking methods (Sleep, SleepUntil, Wait,
-// WaitFor, WaitTimeout) from its own body function.
+// WaitFor, WaitTimeout, Await) from its own body function.
 type Proc struct {
 	engine *Engine
 	name   string
@@ -37,6 +37,9 @@ type Proc struct {
 	gate     *Gate // gate currently blocked on, if any
 	wakeup   Timer
 	finished func(*Proc)
+
+	// await is the proc's Await state, created on first use.
+	await *awaiter
 
 	// activateFn is the pre-bound activation closure, allocated once at
 	// Spawn so that every wakeup (Sleep, Gate release, Kill) schedules it
@@ -209,7 +212,7 @@ func (p *Proc) WaitTimeout(g *Gate, d Duration) (timedOut bool) {
 	fired := false
 	t := p.engine.After(d, func() {
 		if p.gate == g {
-			g.remove(p)
+			g.remove(waiter{p: p})
 			p.gate = nil
 			fired = true
 			p.activate()
@@ -218,6 +221,51 @@ func (p *Proc) WaitTimeout(g *Gate, d Duration) (timedOut bool) {
 	g.wait(p)
 	t.Stop()
 	return fired
+}
+
+// awaiter is a proc's Await state: its own continuation and the
+// pre-bound resume function handed to the chains it waits on.
+type awaiter struct {
+	p        *Proc
+	c        *Cont
+	resumeFn func()
+	parked   bool // p is parked in Await
+	resumed  bool // resume ran inline, before Await parked
+}
+
+// Await runs start, which begins a chain of continuation steps on the
+// process's own Cont, and parks p until the chain calls resume. The
+// chain stands in for code the process would run itself: its first
+// step runs inline here, its wake-ups sit where p's own would, and
+// resume continues p inline in the step that calls it, as if p's own
+// wake-up had fired. If the chain finishes inline, Await returns
+// without parking. Killing p stops the chain, so none of its pending
+// steps runs.
+func (p *Proc) Await(start func(c *Cont, resume func())) {
+	w := p.await
+	if w == nil {
+		w = &awaiter{p: p, c: p.engine.NewCont()}
+		w.resumeFn = w.resume
+		p.await = w
+	}
+	w.resumed = false
+	start(w.c, w.resumeFn)
+	if w.resumed {
+		return
+	}
+	w.parked = true
+	p.block()
+}
+
+// resume ends an Await: inline, it lets Await return at once; from a
+// continuation step (engine context) it activates the parked process.
+func (w *awaiter) resume() {
+	if !w.parked {
+		w.resumed = true
+		return
+	}
+	w.parked = false
+	w.p.activate()
 }
 
 // Kill marks the process as killed and unwinds it. If the process is
@@ -232,8 +280,12 @@ func (p *Proc) Kill() {
 	p.killed = true
 	p.wakeup.Stop() // inert if no sleep is outstanding (zero Timer)
 	p.wakeup = Timer{}
+	if w := p.await; w != nil {
+		w.c.Stop()
+		w.parked = false
+	}
 	if p.gate != nil {
-		p.gate.remove(p)
+		p.gate.remove(waiter{p: p})
 		p.gate = nil
 	}
 	if p.state == procBlocked || p.state == procReady {

@@ -282,3 +282,41 @@ func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 		t.Errorf("fleet queue depth %d after abort, want 0", depth)
 	}
 }
+
+// TestDispatcherQueueReusesArray pins the dispatcher queue's storage:
+// the drain pops from a head index and rewinds to the start of the
+// array once the queue empties, so a warmed arrive-then-drain cycle
+// allocates nothing (a re-slicing pop never reuses the array's head,
+// and every append past its end reallocates).
+func TestDispatcherQueueReusesArray(t *testing.T) {
+	eng := sim.NewEngine()
+	srv, err := New(eng, Config{
+		Fleet: fleet.Config{Devices: 1, Sched: "direct", Seed: 1},
+		Streams: []Stream{
+			// Arrival far beyond the horizon: arrivals are fed by hand.
+			{Tenant: workload.OpenLoopTenant("q", 20*us, 0), Arrival: Deterministic{Rate: 1}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := srv.streams[0]
+	burst := func() {
+		for i := 0; i < 3; i++ {
+			srv.arrive(st)
+		}
+	}
+	cycle := func() {
+		eng.After(0, burst)
+		eng.RunFor(500 * time.Microsecond)
+	}
+	for i := 0; i < 8; i++ { // spawn the dispatcher, open its client, warm the pools
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("arrive-drain cycle allocated %.1f times, want 0", allocs)
+	}
+	if got, want := st.stats.Completed, int64(3*(8+51)); got != want {
+		t.Errorf("completed %d requests, want %d", got, want)
+	}
+}

@@ -323,7 +323,8 @@ type dispatcher struct {
 	srv    *Server
 	st     *stream
 	node   *fleet.Node
-	queue  []item
+	queue  []item // queue[head:] waits; rewound to the start when drained
+	head   int
 	err    error
 	client *userlib.Client
 	ready  bool // client setup finished; wakes may target the gate
@@ -356,8 +357,7 @@ func (d *dispatcher) run(p *sim.Proc) {
 		if d.srv.batch && d.batchDrain() {
 			continue
 		}
-		it := d.queue[0]
-		d.queue = d.queue[1:]
+		it := d.pop()
 		if task := d.st.ft.Task(d.node); task == nil || !task.Alive {
 			// The tenant's context on this node was killed (run-limit or
 			// DoS protection): the queued request can never be served here.
@@ -407,8 +407,7 @@ func (d *dispatcher) batchDrain() bool {
 		return false
 	}
 	for len(d.queue) > 0 {
-		it := d.queue[0]
-		d.queue = d.queue[1:]
+		it := d.pop()
 		if task := d.st.ft.Task(d.node); task == nil || !task.Alive {
 			d.srv.fleet.RequestDone(d.node)
 			d.st.stats.Aborted++
@@ -428,6 +427,18 @@ func (d *dispatcher) batchDrain() bool {
 	}
 	b.Flush(d.srv.eng)
 	return true
+}
+
+// pop removes the oldest queued item. Once the queue drains it rewinds
+// to the start of its array, so later arrivals reuse it.
+func (d *dispatcher) pop() item {
+	it := d.queue[d.head]
+	d.head++
+	if d.head == len(d.queue) {
+		d.queue = d.queue[:0]
+		d.head = 0
+	}
+	return it
 }
 
 // onDone is the completion hook: it runs in engine context the instant
@@ -476,9 +487,10 @@ func (s *Server) flushDone() {
 // the fleet depth does not leak; once err is set, arrive retires new
 // placements to this node directly.
 func (d *dispatcher) drainFailed() {
-	for range d.queue {
+	for range d.queue[d.head:] {
 		d.srv.fleet.RequestDone(d.node)
 		d.st.stats.Aborted++
 	}
-	d.queue = nil
+	d.queue = d.queue[:0]
+	d.head = 0
 }

@@ -152,12 +152,14 @@ func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) *
 // aborts — before the request's done gate opens, per gpu.Request.OnDone.
 //
 // It reports false — staging nothing — whenever completing the
-// submission would need process context: trap-per-request mode, an
+// submission needs a slow lane: trap-per-request mode, an
 // engaged (non-present) channel register, or a virtual client whose
-// logical context is not currently attached. Callers then fall back to
-// the blocking methods from a real process, which charge the trap or
-// fault costs the slow paths owe. Async requests never enter the
-// outstanding set; completion is observed through the continuation.
+// logical context is not currently attached. Callers then take a slow
+// lane that charges the trap or fault costs the slow paths owe: the
+// blocking methods from a process, or SubmitFaulting from a
+// continuation when the refusal was an engaged register. Async
+// requests never enter the outstanding set; completion is observed
+// through the continuation.
 func (c *Client) SubmitAsync(e *sim.Engine, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request)) (*gpu.Request, bool) {
 	if c.TrapPerRequest {
 		return nil, false
@@ -239,6 +241,25 @@ func (c *Client) SubmitEngaged(p *sim.Proc, kind gpu.Kind, size sim.Duration, on
 	r := ch.Stage(size, kind)
 	r.OnDone = onDone
 	ch.Reg.StoreFaulting(p, r.Ref)
+	return r
+}
+
+// SubmitFaulting is SubmitEngaged in continuation form, for machines
+// whose slow lane is a continuation rather than a process: it stages the
+// request, hooks onDone (if non-nil), and starts the committed fault on
+// lane (mmio.Page.FaultOn). It returns the request at once; then runs,
+// as a step of lane, after the store has been single-stepped to the
+// device. Stopping lane abandons the fault before the store reaches the
+// device. Raw clients only: a virtual context's attach may block, which
+// needs a process (SubmitEngaged).
+func (c *Client) SubmitFaulting(lane *sim.Cont, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request), then func()) *gpu.Request {
+	if c.VC != nil {
+		panic("userlib: SubmitFaulting on a virtual client")
+	}
+	ch := c.channels[kind]
+	r := ch.Stage(size, kind)
+	r.OnDone = onDone
+	ch.Reg.FaultOn(lane, r.Ref, then)
 	return r
 }
 

@@ -11,12 +11,11 @@ import (
 
 type passthrough struct{}
 
-func (passthrough) Name() string                                          { return "pass" }
-func (passthrough) Start(*neon.Kernel)                                    {}
-func (passthrough) TaskAdmitted(*neon.Task)                               {}
-func (passthrough) TaskExited(*neon.Task)                                 {}
-func (passthrough) ChannelActivated(cs *neon.ChannelState)                { cs.Ch.Reg.SetPresent(true) }
-func (passthrough) HandleFault(*sim.Proc, *neon.Task, *neon.ChannelState) {}
+func (passthrough) Name() string                           { return "pass" }
+func (passthrough) Start(*neon.Kernel)                     {}
+func (passthrough) TaskAdmitted(*neon.Task)                {}
+func (passthrough) TaskExited(*neon.Task)                  {}
+func (passthrough) ChannelActivated(cs *neon.ChannelState) { cs.Ch.Reg.SetPresent(true) }
 
 func stack(t *testing.T) (*sim.Engine, *neon.Kernel) {
 	t.Helper()

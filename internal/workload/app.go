@@ -32,8 +32,10 @@ type App struct {
 
 	// Continuation-machine state (DESIGN.md §14): the round loop runs as
 	// an engine-driven state machine so steady-state rounds cost no
-	// proc park/unpark; the task's process survives as the slow
-	// lane for submissions that must block (engaged channels, traps).
+	// proc park/unpark. Submissions that fault (engaged channels) take
+	// the slow lane, a continuation of the task (neon.Task.NewCont)
+	// that carries the fault and whatever the machine does next until
+	// it can return to engine-context steps.
 	eng        *sim.Engine
 	dw         sim.Duration // cost.Model.DirectWrite, the doorbell latency
 	reqs       []Req
@@ -43,14 +45,21 @@ type App struct {
 	pending    int            // fire-and-forget submissions not yet completed
 	fencing    bool           // machine parked at the frame fence
 	awaiting   *gpu.Request   // blocking request whose continuation resumes the machine
-	slowFault  bool           // slow-lane handoff committed to the fault path (see toProc)
+	faulting   *gpu.Request   // blocking request on its way through the slow lane
 	retire     []*gpu.Request // completed fire-and-forget requests to recycle
 	roundStart sim.Time
-	slowGate   *sim.Gate
-	stepFn     func()
-	trivDone   func(*gpu.Request)
-	pipeDone   func(*gpu.Request)
-	blockDone  func(*gpu.Request)
+	lane       *sim.Cont
+
+	// Pre-bound steps and completion hooks.
+	stepFn    func() // engine-context step
+	laneFn    func() // slow-lane step
+	faultFn   func() // slow lane: fault reqs[idx]
+	firedFn   func() // slow lane: a fire-and-forget faulting store landed
+	storedFn  func() // slow lane: a blocking faulting store landed
+	blockedFn func() // slow lane: the blocking request completed
+	trivDone  func(*gpu.Request)
+	pipeDone  func(*gpu.Request)
+	blockDone func(*gpu.Request)
 }
 
 // Round-machine phases.
@@ -71,7 +80,7 @@ func Launch(k *neon.Kernel, spec Spec, rng *sim.RNG) *App {
 		ready:   k.Engine().NewGate("ready-" + spec.Name),
 	}
 	a.Task = k.NewTask(spec.Name)
-	a.Task.Go("main", func(p *sim.Proc) { a.run(p, k) })
+	a.Task.Go("main", func(p *sim.Proc) { a.setup(p, k) })
 	return a
 }
 
@@ -106,22 +115,24 @@ func (a *App) ResetStats() {
 	a.perKind = make(map[gpu.Kind]*metrics.Mean)
 }
 
-// run opens the client from process context, then drives the spec's
-// round loop as a continuation-passing state machine: submissions ride
-// the asynchronous doorbell fast path (userlib.SubmitAsync) and
-// completions re-enter the machine in engine context, so a steady-state
-// round costs zero proc park/unpark. The process survives as the
-// machine's slow lane — when a submission needs process context
-// (engaged channel, trap mode) the machine signals slowGate and this
-// process replays the blocking submission, with its fault and trap
-// charges, exactly as the pre-machine loop did.
+// setup opens the client from the task's process, then starts the
+// spec's round loop as a continuation-passing state machine and lets
+// the process finish: the setup syscalls are the only work that needs
+// one. Submissions ride the asynchronous doorbell fast path
+// (userlib.SubmitAsync) and completions re-enter the machine in engine
+// context, so a steady-state round costs zero proc park/unpark. A
+// submission refused because its channel is engaged hops to the slow
+// lane, which takes the fault (userlib.SubmitFaulting) with its trap,
+// scan and scheduler wait, and keeps stepping the machine until it can
+// return to engine context. Each lane step sits where a slow-lane
+// process's wake-up would (DESIGN.md §14).
 //
 // The machine reproduces the blocking loop's event timeline precisely:
 // a fire-and-forget submission chains the next step After(DirectWrite)
 // — the clock the old blocking store's sleep advanced — and a
 // completion continuation re-enters via After(0), the same queue
 // position the old done-gate broadcast gave the woken process.
-func (a *App) run(p *sim.Proc, k *neon.Kernel) {
+func (a *App) setup(p *sim.Proc, k *neon.Kernel) {
 	kinds := a.Spec.Channels
 	if len(kinds) == 0 {
 		kinds = []gpu.Kind{gpu.Compute}
@@ -138,17 +149,12 @@ func (a *App) run(p *sim.Proc, k *neon.Kernel) {
 	a.eng = p.Engine()
 	a.dw = k.Costs().DirectWrite
 	a.reqs = a.Spec.Requests()
-	a.slowGate = a.eng.NewGate("slow-" + a.Spec.Name)
-	a.stepFn = func() { a.step(nil) }
+	a.stepFn = func() { a.step(false) }
 	a.trivDone = func(r *gpu.Request) { a.oneDone(r, false) }
 	a.pipeDone = func(r *gpu.Request) { a.oneDone(r, true) }
 	a.blockDone = func(*gpu.Request) { a.eng.After(0, a.stepFn) }
 
 	a.beginRound(p.Now())
-	for a.Task.Alive {
-		p.Wait(a.slowGate)
-		a.step(p)
-	}
 }
 
 // beginRound starts a round: stamp the start, think for CPU, submit.
@@ -185,25 +191,24 @@ func (a *App) oneDone(r *gpu.Request, observe bool) {
 	}
 }
 
-// step advances the round machine. With p == nil it runs in engine
-// context and must not block: a submission that needs process context
-// hands off to the slow lane via slowGate. With p != nil it runs on the
-// slow lane and uses the blocking submission paths directly, exactly as
-// the pre-machine loop did.
-func (a *App) step(p *sim.Proc) {
+// step advances the round machine. Outside the lane it runs in engine
+// context and must not block: a submission refused because its channel
+// is engaged hands off to the slow lane. On the lane (lane == true) it
+// runs as a step of the lane continuation, and a refusal takes the
+// fault at once, as the process-driven lane's blocking store did.
+func (a *App) step(lane bool) {
 	if !a.Task.Alive {
 		return
 	}
 	if r := a.awaiting; r != nil {
 		// A blocking request's continuation brought us here. The request
 		// is recycled: completion processing finished before this After(0)
-		// step ran, and nothing else holds the pointer (sampling watchers
-		// pin, making Release a no-op).
+		// step ran. A sampling watcher's pin, if any, defers the recycle
+		// until the watcher has observed it.
 		a.awaiting = nil
 		a.noteDone(r)
 		r.Release()
-		a.idx++
-		a.noted = false
+		a.advance()
 	}
 	for {
 		switch a.phase {
@@ -221,74 +226,38 @@ func (a *App) step(p *sim.Proc) {
 				a.noteSubmit(a.eng.Now())
 				a.noted = true
 			}
-			fault := a.slowFault
-			a.slowFault = false
-			switch {
-			case rq.Trivial || a.Spec.Pipelined:
+			if rq.Trivial || a.Spec.Pipelined {
 				// Fire and forget; completion feeds the fence counter (and,
 				// for pipelined requests, the service stats).
-				hook := a.trivDone
-				if !rq.Trivial {
-					hook = a.pipeDone
-				}
-				if !fault {
-					if _, ok := a.client.SubmitAsync(a.eng, rq.Kind, rq.Size, hook); ok {
-						a.pending++
-						a.idx++
-						a.noted = false
-						if p == nil {
-							a.eng.After(a.dw, a.stepFn)
-							return
-						}
-						p.Sleep(a.dw)
-						continue
-					}
-					if p == nil {
-						a.toProc(rq.Kind)
-						return
-					}
-				}
-				if fault {
+				if _, ok := a.client.SubmitAsync(a.eng, rq.Kind, rq.Size, a.hook(rq)); ok {
 					a.pending++
-					if a.client.SubmitEngaged(p, rq.Kind, rq.Size, hook) == nil {
-						a.pending--
-					}
-				} else if r := a.client.SubmitDetached(p, rq.Kind, rq.Size); r != nil {
-					a.pending++
-					if r.IsDone() {
-						hook(r)
+					a.advance()
+					if lane {
+						a.lane.Sleep(a.dw, a.laneFn)
 					} else {
-						r.OnDone = hook
+						a.eng.After(a.dw, a.stepFn)
 					}
+					return
 				}
-				a.idx++
-				a.noted = false
-			default:
-				if !fault {
-					if r, ok := a.client.SubmitAsync(a.eng, rq.Kind, rq.Size, a.blockDone); ok {
-						a.awaiting = r
-						return
-					}
-					if p == nil {
-						a.toProc(rq.Kind)
-						return
-					}
-				}
-				var r *gpu.Request
-				if fault {
-					if r = a.client.SubmitEngaged(p, rq.Kind, rq.Size, nil); r != nil {
-						p.Wait(r.DoneGate())
-					}
-				} else {
-					r = a.client.SubmitSync(p, rq.Kind, rq.Size)
-				}
-				if r != nil {
-					a.noteDone(r)
-					r.Release()
-				}
-				a.idx++
-				a.noted = false
+			} else if r, ok := a.client.SubmitAsync(a.eng, rq.Kind, rq.Size, a.blockDone); ok {
+				a.awaiting = r
+				return
 			}
+			// Refused: the channel is engaged (an App's client has no
+			// trap mode and no virtual context). The refusal commits the
+			// submission to the fault path at this instant (DESIGN.md
+			// §14). The lane takes the fault at once; engine context
+			// hands it to the lane at the back of the instant, the
+			// position a signaled process wakes at.
+			if lane {
+				a.fault()
+				return
+			}
+			if a.lane == nil {
+				a.openLane()
+			}
+			a.lane.Yield(a.faultFn)
+			return
 		case phFence:
 			// Frame fence: wait for every fire-and-forget completion of the
 			// round, then recycle the retired requests.
@@ -321,15 +290,50 @@ func (a *App) step(p *sim.Proc) {
 	}
 }
 
-// toProc hands the machine to the slow-lane process, which is always
-// parked on slowGate whenever the machine runs in engine context. The
-// handoff is an event hop, and the scheduler may flip the channel's
-// engagement within the same instant — so the fault-or-direct decision
-// is committed here, at the refusal instant, and the slow lane honors
-// it (SubmitEngaged) instead of re-checking a page that may have moved.
-func (a *App) toProc(kind gpu.Kind) {
-	a.slowFault = a.client.Engaged(kind)
-	a.slowGate.Signal()
+// openLane creates the slow lane at the first refusal, so an app whose
+// channels are never engaged pays nothing for it.
+func (a *App) openLane() {
+	a.lane = a.Task.NewCont()
+	a.laneFn = func() { a.step(true) }
+	a.faultFn = a.fault
+	a.firedFn = func() { a.advance(); a.step(true) }
+	a.storedFn = func() { a.lane.Wait(a.faulting.DoneGate(), a.blockedFn) }
+	a.blockedFn = func() {
+		r := a.faulting
+		a.faulting = nil
+		a.noteDone(r)
+		r.Release()
+		a.advance()
+		a.step(true)
+	}
+}
+
+// fault submits reqs[idx] through the committed fault path on the lane.
+// A fire-and-forget request carries its completion hook into the fault
+// and the lane steps on once the store lands; a blocking request waits
+// on the lane for its completion.
+func (a *App) fault() {
+	rq := a.reqs[a.idx]
+	if rq.Trivial || a.Spec.Pipelined {
+		a.pending++
+		a.client.SubmitFaulting(a.lane, rq.Kind, rq.Size, a.hook(rq), a.firedFn)
+		return
+	}
+	a.faulting = a.client.SubmitFaulting(a.lane, rq.Kind, rq.Size, nil, a.storedFn)
+}
+
+// hook returns the completion hook of a fire-and-forget request.
+func (a *App) hook(rq Req) func(*gpu.Request) {
+	if rq.Trivial {
+		return a.trivDone
+	}
+	return a.pipeDone
+}
+
+// advance moves the machine past a submitted request.
+func (a *App) advance() {
+	a.idx++
+	a.noted = false
 }
 
 func (a *App) noteSubmit(now sim.Time) {

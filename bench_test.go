@@ -12,6 +12,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 	"repro/internal/userlib"
 	"repro/internal/workload"
 )
@@ -58,6 +59,13 @@ func BenchmarkProtection(b *testing.B)     { benchExperiment(b, "protect") }
 func BenchmarkSec63DoS(b *testing.B)       { benchExperiment(b, "sec63") }
 func BenchmarkAblationStats(b *testing.B)  { benchExperiment(b, "ablation-stats") }
 func BenchmarkAblationParams(b *testing.B) { benchExperiment(b, "ablation-params") }
+
+// The extension experiments, end to end (measured, not gated).
+
+func BenchmarkFleet(b *testing.B)  { benchExperiment(b, "fleet") }
+func BenchmarkTiers(b *testing.B)  { benchExperiment(b, "tiers") }
+func BenchmarkScale(b *testing.B)  { benchExperiment(b, "scale") }
+func BenchmarkPolicy(b *testing.B) { benchExperiment(b, "policy") }
 
 // benchExperimentAt regenerates one artifact per iteration at a fixed
 // scenario-pool width; comparing widths measures the harness speedup
@@ -324,6 +332,56 @@ func BenchmarkEngagedSubmit(b *testing.B) {
 	b.StopTimer()
 	simMS := float64(rig.Engine.Now()-t0) / 1e6
 	b.ReportMetric(float64(completed()-start)/simMS, "requests/ms-simulated")
+}
+
+// BenchmarkServeStorm serves one staggered open-loop storm per op: 10^3
+// tenants through traffic.New on one 48-context device under DFQ, each
+// arriving every 50 ms over a one-second window. Most arrivals find their
+// context evicted, so the op prices the serving dispatchers and the
+// mux's attach path, which run as continuations: the stack owns no
+// proc but the scheduler's. That proc never finishes, so each op's
+// stack stays reachable; twenty waves per op keep the op long enough
+// that a -count 5 process at -benchtime 0.3s builds few stacks.
+func BenchmarkServeStorm(b *testing.B) {
+	const tenants = 1000
+	window := time.Second
+	gap := window / 20
+	b.ReportAllocs()
+	var completed int64
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		streams := make([]traffic.Stream, tenants)
+		for j := range streams {
+			streams[j] = traffic.Stream{
+				Tenant:  workload.OpenLoopTenant(fmt.Sprintf("t%d", j), 5*time.Microsecond, 0),
+				Arrival: &traffic.Staggered{Phase: gap * sim.Duration(j+1) / tenants, Gap: gap},
+			}
+		}
+		srv, err := traffic.New(eng, traffic.Config{
+			Fleet: fleet.Config{
+				Devices: 1,
+				GPU:     gpu.Config{MaxContexts: 48},
+				Sched:   "dfq",
+				DFQ:     core.DFQConfig{SamplePeriod: 500 * time.Microsecond, SampleRequests: 4},
+				Seed:    1,
+			},
+			Streams: streams,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.RunFor(window)
+		if err := srv.SetupError(); err != nil {
+			b.Fatal(err)
+		}
+		for j := range streams {
+			completed += srv.Stats(j).Completed
+		}
+	}
+	if completed == 0 {
+		b.Fatal("no requests completed")
+	}
+	b.ReportMetric(float64(completed)/float64(b.N)/(float64(window)/1e6), "requests/ms-simulated")
 }
 
 // BenchmarkDFQCycle measures the cost of whole engagement/free-run cycles

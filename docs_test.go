@@ -81,9 +81,10 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkDFQCycleTenants", "BenchmarkBoardReconcile",
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrain", "BenchmarkProcHandoff", "BenchmarkProcSpawn",
-		"BenchmarkEngagedSubmit",
+		"BenchmarkEngagedSubmit", "BenchmarkServeStorm",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
+		"BENCH_15.json",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -171,8 +172,9 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 // TestDesignDocCoversSubmission pins DESIGN.md §14's anchor terms: the
 // continuation API, the continuation fault path and its admission
 // predicate, the slow-path commitment rules (committed fault,
-// side-effect-free peek), the batch staging surface, and every test
-// and benchmark the section cites as evidence must keep their names.
+// side-effect-free peek), the batch staging surface, the continuation
+// dispatcher, and every test and benchmark the section cites as
+// evidence must keep their names.
 func TestDesignDocCoversSubmission(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -197,6 +199,8 @@ func TestDesignDocCoversSubmission(t *testing.T) {
 		"TestKillDuringFaultWrapper", "TestKillDuringFaultAppLane",
 		"TestDFQActiveAtBarrierSeesWaitingFault", "BenchmarkEngagedSubmit",
 		"TestDispatcherQueueReusesArray",
+		"userlib.Client.SubmitDetachedOn", "mmio.Page.StoreOn",
+		"sim.Engine.NewCont", "TestServingDispatchersOwnNoProcs",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)
@@ -205,9 +209,9 @@ func TestDesignDocCoversSubmission(t *testing.T) {
 }
 
 // TestDesignDocCoversMux pins DESIGN.md §13's anchor terms: the
-// virtual-context table's API surface, the graceful-detach seam, the
-// board batch types, and every test the section cites as evidence must
-// keep their names.
+// virtual-context table's API surface and its continuation attach path,
+// the graceful-detach seam, the board batch types, and every test the
+// section cites as evidence must keep their names.
 func TestDesignDocCoversMux(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -222,6 +226,8 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"TestMuxHostsStormPastContextCap", "TestMuxKillMidBacklogRecyclesSlot",
 		"TestMuxTightPoolStorm", "TestBoardEagerClampDifferential",
 		"BenchmarkBoardReconcile", "RunScaleFullCell",
+		"Kernel.OpenVirtualOn", "VContext.AcquireOn", "CreateContextOn",
+		"TestKillMidAttachStopsAcquire", "TestKillMidAttachRetiresItem",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

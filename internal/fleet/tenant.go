@@ -190,27 +190,19 @@ func (t *Tenant) ResetStats() {
 	t.PerDevice = make([]int64, len(t.fleet.nodes))
 }
 
-// Client lazily opens the tenant's context and channels on the node,
-// paying the setup syscalls on first touch (the exported form for the
-// serving layer's dispatchers).
-func (t *Tenant) Client(p *sim.Proc, n *Node) (*userlib.Client, error) {
-	return t.clientOn(p, n)
-}
-
 // Task returns the tenant's kernel task on the node, nil before the
-// first Client call there.
+// first client open there.
 func (t *Tenant) Task(n *Node) *neon.Task { return t.tasks[n] }
 
-// clientOn lazily opens the tenant's context and channels on the node,
-// paying the setup syscalls on first touch.
-func (t *Tenant) clientOn(p *sim.Proc, n *Node) (*userlib.Client, error) {
-	if c, ok := t.clients[n]; ok {
-		if !c.Task.Alive {
-			// Killed on this node: the logical handle is dead and round
-			// loops must stop rather than spin on nil submissions.
-			return nil, gpu.ErrContextDead
-		}
-		return c, nil
+// ClientOn lazily opens the tenant's context and channels on the node
+// and hands the client to then, as a step of c: inline when the client
+// is already open, after the setup syscalls on first touch (the open
+// attaches eagerly while the node has a free hardware slot). The
+// serving layer's dispatchers open through it.
+func (t *Tenant) ClientOn(c *sim.Cont, n *Node, then func(*userlib.Client, error)) {
+	if cl, err, ok := t.openedOn(n); ok {
+		then(cl, err)
+		return
 	}
 	task := n.Kernel.NewTask(t.Spec.Name)
 	task.Weight = t.EffectiveWeight()
@@ -221,13 +213,42 @@ func (t *Tenant) clientOn(p *sim.Proc, n *Node) (*userlib.Client, error) {
 	// Logical (virtual-context) handle: the node's kernel multiplexes
 	// the device's fixed hardware-context pool underneath, so tenant
 	// populations are no longer capped by gpu.Config.MaxContexts.
-	c, err := userlib.OpenVirtual(p, n.Kernel, task, t.Spec.Name, kinds...)
-	if err != nil {
-		return nil, err
+	userlib.OpenVirtualOn(c, n.Kernel, task, t.Spec.Name, kinds, func(cl *userlib.Client, err error) {
+		if err != nil {
+			then(nil, err)
+			return
+		}
+		t.tasks[n] = task
+		t.clients[n] = cl
+		then(cl, nil)
+	})
+}
+
+// clientOn is ClientOn for the round loop: inline when the client is
+// open (p may then be nil), else parking the slow-lane process p
+// through the setup.
+func (t *Tenant) clientOn(p *sim.Proc, n *Node) (*userlib.Client, error) {
+	if cl, err, ok := t.openedOn(n); ok {
+		return cl, err
 	}
-	t.tasks[n] = task
-	t.clients[n] = c
-	return c, nil
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*userlib.Client, error)) {
+		t.ClientOn(c, n, then)
+	})
+}
+
+// openedOn returns the tenant's client on the node if one was opened,
+// and reports whether one was.
+func (t *Tenant) openedOn(n *Node) (*userlib.Client, error, bool) {
+	c, ok := t.clients[n]
+	if !ok {
+		return nil, nil, false
+	}
+	if !c.Task.Alive {
+		// Killed on this node: the logical handle is dead and round
+		// loops must stop rather than spin on nil submissions.
+		return nil, gpu.ErrContextDead, true
+	}
+	return c, nil, true
 }
 
 // Tenant round-machine phases, mirroring workload.App's machine: the

@@ -343,6 +343,10 @@ type Device struct {
 	// draws from it, reusing the object and its done gate.
 	reqFree []*Request
 
+	// regs pools the store records of every channel register, so a
+	// channel recreated by a reattach stores without allocating.
+	regs mmio.Records
+
 	// CompletionObserver, if set, is informed after each request retires
 	// on either engine (completion delivered, next dispatch not yet
 	// chosen). The virtual-context mux uses it to hand freed hardware
@@ -462,7 +466,7 @@ func (d *Device) CreateChannel(c *Context, kind Kind) (*Channel, error) {
 	}
 	ch := &Channel{ID: d.nextChID, Ctx: c, Kind: kind}
 	d.nextChID++
-	ch.Reg = mmio.NewPage(fmt.Sprintf("chreg-%d", ch.ID), d.cost, func(value uint64) {
+	ch.Reg = d.regs.NewPage(fmt.Sprintf("chreg-%d", ch.ID), d.cost, func(value uint64) {
 		d.doorbell(ch, value)
 	})
 	c.channels = append(c.channels, ch)

@@ -20,20 +20,26 @@ import (
 	"repro/internal/sim"
 )
 
-// Fault is one faulting store in flight: the page, the stored value, and
-// the continuation that carries the faulting thread through the trap,
-// the handler, and the single-stepped store. Records are pooled per page
-// and reused once delivered.
+// Fault is one store in flight on a continuation: a faulting store
+// between its trap and its single-stepped delivery, or a direct store
+// pacing its DirectWrite. It carries the page, the stored value, and the
+// continuation that carries the storing thread through the store.
+// Records are pooled (Records) and reused once delivered.
 type Fault struct {
 	Page  *Page
 	Value uint64
-	// Cont is the faulting thread's continuation. The handler sleeps and
-	// waits on it; stopping it (the owner's kill) abandons the fault
-	// before the store reaches the device.
+	// Cont is the storing thread's continuation. The handler sleeps and
+	// waits on it; stopping it (the owner's kill) abandons the store
+	// before it reaches the device.
 	Cont *sim.Cont
 
-	then   func()
-	trapFn func()
+	then func()
+	next *Fault // the pool's free list
+
+	// Steps and Proc.Await starts, bound on first use so that a record
+	// costs only what its callers use of it.
+	trapFn, deliverFn func()
+	storeFn, faultFn  func(*sim.Cont, func())
 }
 
 // FaultHandler is invoked after the trap of every store to a
@@ -60,19 +66,35 @@ type Page struct {
 	pending   []uint64
 	deliverFn func()
 
-	// free holds delivered fault records for reuse.
-	free []*Fault
+	// recs pools the page's store records.
+	recs *Records
 
 	// Counters for tests and experiments.
 	DirectWrites int64
 	Faults       int64
 }
 
-// NewPage returns a page that is initially present (direct access).
-func NewPage(name string, costs cost.Model, sink Sink) *Page {
-	pg := &Page{name: name, costs: costs, present: true, sink: sink}
+// Records pools the store records of a set of pages, such as a
+// device's channel registers: a page made to replace another (a
+// channel recreated on a reattach) starts with the records its
+// predecessors returned, so a store in flight allocates nothing once
+// the set has warmed.
+type Records struct {
+	free *Fault
+}
+
+// NewPage returns a page that is initially present (direct access) and
+// draws its store records from r.
+func (r *Records) NewPage(name string, costs cost.Model, sink Sink) *Page {
+	pg := &Page{name: name, costs: costs, present: true, sink: sink, recs: r}
 	pg.deliverFn = pg.deliver
 	return pg
+}
+
+// NewPage returns a page that is initially present (direct access),
+// with a record pool of its own.
+func NewPage(name string, costs cost.Model, sink Sink) *Page {
+	return new(Records).NewPage(name, costs, sink)
 }
 
 // Name returns the page's diagnostic name.
@@ -89,15 +111,15 @@ func (pg *Page) SetPresent(present bool) { pg.present = present }
 func (pg *Page) SetHandler(h FaultHandler) { pg.handler = h }
 
 // Store performs a user-space store to the page from process p, paying
-// the appropriate cost and faulting if the page is protected.
+// the appropriate cost and faulting if the page is protected. It is
+// the blocking form of StoreOn: p parks once, on its own continuation,
+// until the store has reached the device.
 func (pg *Page) Store(p *sim.Proc, value uint64) {
-	if pg.present {
-		pg.DirectWrites++
-		p.Sleep(pg.costs.DirectWrite)
-		pg.sink(value)
-		return
+	f := pg.record(value)
+	if f.storeFn == nil {
+		f.storeFn = f.store
 	}
-	pg.StoreFaulting(p, value)
+	p.Await(f.storeFn)
 }
 
 // StoreFaulting delivers a store from process p through the fault path
@@ -115,7 +137,21 @@ func (pg *Page) Store(p *sim.Proc, value uint64) {
 // committed fault proceeds: trap, handler, then the single-stepped
 // store.
 func (pg *Page) StoreFaulting(p *sim.Proc, value uint64) {
-	p.Await(func(c *sim.Cont, resume func()) { pg.FaultOn(c, value, resume) })
+	f := pg.record(value)
+	if f.faultFn == nil {
+		f.faultFn = f.fault
+	}
+	p.Await(f.faultFn)
+}
+
+// StoreOn is the store in continuation form. On a present page it
+// counts a direct write, sleeps the DirectWrite on c, then delivers the
+// value to the device and calls then, as a step of c: the step sits
+// where the wake-up of a process's direct store sat. On a protected
+// page it takes the fault path (FaultOn). Stopping c before the step
+// abandons the store: no value reaches the device.
+func (pg *Page) StoreOn(c *sim.Cont, value uint64, then func()) {
+	pg.record(value).store(c, then)
 }
 
 // FaultOn is the fault path in continuation form: it charges the trap on
@@ -123,17 +159,46 @@ func (pg *Page) StoreFaulting(p *sim.Proc, value uint64) {
 // and then calls then, as a step of c. Stopping c at any point before
 // delivery abandons the fault: no store reaches the device.
 func (pg *Page) FaultOn(c *sim.Cont, value uint64, then func()) {
-	pg.Faults++
-	var f *Fault
-	if n := len(pg.free); n > 0 {
-		f = pg.free[n-1]
-		pg.free = pg.free[:n-1]
+	pg.record(value).fault(c, then)
+}
+
+// record takes a store record from the page's pool.
+func (pg *Page) record(value uint64) *Fault {
+	r := pg.recs
+	f := r.free
+	if f != nil {
+		r.free, f.next = f.next, nil
 	} else {
-		f = &Fault{Page: pg}
+		f = &Fault{}
+	}
+	f.Page, f.Value = pg, value
+	return f
+}
+
+// store starts the record's store on c: direct if the page is present
+// now, through the fault otherwise.
+func (f *Fault) store(c *sim.Cont, then func()) {
+	pg := f.Page
+	if !pg.present {
+		f.fault(c, then)
+		return
+	}
+	pg.DirectWrites++
+	f.Cont, f.then = c, then
+	if f.deliverFn == nil {
+		f.deliverFn = f.Deliver
+	}
+	c.Sleep(pg.costs.DirectWrite, f.deliverFn)
+}
+
+// fault starts the record's store on c through the fault path.
+func (f *Fault) fault(c *sim.Cont, then func()) {
+	f.Page.Faults++
+	f.Cont, f.then = c, then
+	if f.trapFn == nil {
 		f.trapFn = f.trapped
 	}
-	f.Cont, f.Value, f.then = c, value, then
-	c.Sleep(pg.costs.FaultTrap, f.trapFn)
+	c.Sleep(f.Page.costs.FaultTrap, f.trapFn)
 }
 
 // trapped is the step after the trap: hand the fault to the kernel.
@@ -148,12 +213,13 @@ func (f *Fault) trapped() {
 // Deliver single-steps the faulting instruction — the store now reaches
 // the device — and runs the faulting thread's continuation. Protection
 // state afterwards is whatever the handler chose (NEON re-protects by
-// default by leaving present=false). The record returns to the page's
-// pool first, so the continuation may fault again at once.
+// default by leaving present=false). The record returns to the pool
+// first, so the continuation may store again at once. A direct
+// store ends here too, after its DirectWrite.
 func (f *Fault) Deliver() {
 	pg, value, then := f.Page, f.Value, f.then
-	f.Cont, f.then = nil, nil
-	pg.free = append(pg.free, f)
+	f.Page, f.Cont, f.then = nil, nil, nil
+	f.next, pg.recs.free = pg.recs.free, f
 	pg.sink(value)
 	then()
 }

@@ -144,3 +144,59 @@ func TestNilHandlerStillDelivers(t *testing.T) {
 		t.Fatal("store with nil handler lost")
 	}
 }
+
+// TestStoreOnDirectAndStopped: a continuation's direct store paces the
+// DirectWrite on the continuation and delivers in the step that
+// continues it, at the instant a process's store would have woken;
+// stopping the continuation before that step abandons the store.
+func TestStoreOnDirectAndStopped(t *testing.T) {
+	e := sim.NewEngine()
+	pg, delivered := testPage(e)
+	c := e.NewCont()
+	var at sim.Time
+	pg.StoreOn(c, 4, func() {
+		at = e.Now()
+		if len(*delivered) != 1 {
+			t.Error("the step ran before the store was delivered")
+		}
+	})
+	e.Run()
+	if at != sim.Time(cost.Default().DirectWrite) || len(*delivered) != 1 || pg.DirectWrites != 1 {
+		t.Fatalf("step at %v, delivered %v, direct writes %d", at, *delivered, pg.DirectWrites)
+	}
+
+	pg.StoreOn(c, 5, func() { t.Error("a stopped store's step ran") })
+	c.Stop()
+	e.Run()
+	if len(*delivered) != 1 {
+		t.Fatalf("a stopped store reached the device: %v", *delivered)
+	}
+}
+
+// TestRecordsSharedAcrossPages: pages made from one Records share its
+// store records, so a page created to replace another (a channel
+// recreated on a reattach) stores without allocating once the pool is
+// warm.
+func TestRecordsSharedAcrossPages(t *testing.T) {
+	e := sim.NewEngine()
+	var recs Records
+	sink := func(uint64) {}
+	c := e.NewCont()
+	then := func() {}
+	pg := recs.NewPage("warm", cost.Default(), sink)
+	pg.StoreOn(c, 1, then)
+	e.Run()
+	fresh := func() {
+		pg := recs.NewPage("fresh", cost.Default(), sink)
+		pg.StoreOn(c, 2, then)
+		e.Run()
+	}
+	// A fresh page costs its own allocations (page, deferred-delivery
+	// closure), but its store takes a pooled record.
+	perPage := testing.AllocsPerRun(20, func() {
+		recs.NewPage("bare", cost.Default(), sink)
+	})
+	if allocs := testing.AllocsPerRun(20, fresh); allocs > perPage {
+		t.Errorf("a store on a fresh page allocated %.0f times beyond the page's own %.0f", allocs-perPage, perPage)
+	}
+}

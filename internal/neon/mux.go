@@ -19,10 +19,16 @@ import (
 // Attach order under exhaustion is FIFO: a blocked attach enqueues a
 // waiter, and freed slots (request completions that leave a context
 // idle, or task exits) are granted to waiters in arrival order. Waiters
-// block on their task's gate, so the machinery adds no simulation
+// wait on their task's gate, so the machinery adds no simulation
 // events unless it is actually exercised — kernels whose clients all
 // fit in the hardware pool run an event sequence byte-identical to the
 // un-multiplexed stack.
+//
+// The attach path exists once, in continuation form (OpenVirtualOn,
+// AcquireOn): each step is scheduled where a parked process's wake-up
+// would sit, so a continuation and a process attach on the same
+// timeline. The blocking forms (OpenVirtual, Acquire) are Proc.Await
+// wrappers over it.
 
 // MuxStats are the kernel's virtual-context multiplexing counters.
 type MuxStats struct {
@@ -40,6 +46,11 @@ type MuxStats struct {
 	// MaxAttached is the high-water mark of concurrently attached
 	// logical contexts; it can never exceed the device's MaxContexts.
 	MaxAttached int
+	// Waiting and Reserved are gauges read at the snapshot: attaches
+	// queued for a hardware slot, and slots granted to queued attaches
+	// but not yet consumed. Both return to zero once no attach waits.
+	Waiting  int
+	Reserved int
 }
 
 // muxState is the kernel's multiplexing state, nil until the first
@@ -51,9 +62,10 @@ type muxState struct {
 	reserved int                        // slots granted to waiters not yet consumed
 	clock    uint64                     // logical LRU clock, bumped per use
 	stats    MuxStats
+	free     []*attachOp // finished attaches, for reuse
 }
 
-// muxWaiter is one queued attach. The waiting process blocks on its
+// muxWaiter is one queued attach. The waiting attach waits on its
 // task's gate until granted (or the task dies).
 type muxWaiter struct {
 	vc      *VContext
@@ -83,14 +95,24 @@ type VContext struct {
 }
 
 // OpenVirtual creates a logical context for the task with one channel
-// per kind. If a hardware slot is free it attaches eagerly — paying
-// exactly the setup syscalls a raw context creation would, so
-// populations within the hardware pool are indistinguishable from the
-// un-multiplexed stack. Otherwise the logical context starts detached
-// and the first Acquire attaches it (queueing for a slot if needed).
+// per kind: the blocking form of OpenVirtualOn.
 func (k *Kernel) OpenVirtual(p *sim.Proc, t *Task, label string, kinds ...gpu.Kind) (*VContext, error) {
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*VContext, error)) {
+		k.OpenVirtualOn(c, t, label, kinds, then)
+	})
+}
+
+// OpenVirtualOn creates a logical context for the task with one channel
+// per kind and hands it to then, as a step of c. If a hardware slot is
+// free it attaches eagerly — paying exactly the setup syscalls a raw
+// context creation would, so populations within the hardware pool are
+// indistinguishable from the un-multiplexed stack. Otherwise the
+// logical context starts detached, then runs inline, and the first
+// acquire attaches it (queueing for a slot if needed).
+func (k *Kernel) OpenVirtualOn(c *sim.Cont, t *Task, label string, kinds []gpu.Kind, then func(*VContext, error)) {
 	if !t.Alive {
-		return nil, gpu.ErrContextDead
+		then(nil, gpu.ErrContextDead)
+		return
 	}
 	if k.mux == nil {
 		k.mux = &muxState{vcs: make(map[*gpu.Context]*VContext)}
@@ -106,21 +128,23 @@ func (k *Kernel) OpenVirtual(p *sim.Proc, t *Task, label string, kinds ...gpu.Ki
 	t.vctxs = append(t.vctxs, vc)
 	k.mux.stats.Opens++
 	if k.muxFree() > 0 {
-		if err := vc.attach(p); err != nil {
-			return nil, err
-		}
-		vc.unpin()
+		a := k.attachOp(vc, c)
+		a.opened = then
+		a.attach()
+		return
 	}
-	return vc, nil
+	then(vc, nil)
 }
 
-// MuxStatus returns a snapshot of the multiplexing counters (zero value
-// when the kernel has never multiplexed).
+// MuxStatus returns a snapshot of the multiplexing counters and gauges
+// (zero value when the kernel has never multiplexed).
 func (k *Kernel) MuxStatus() MuxStats {
 	if k.mux == nil {
 		return MuxStats{}
 	}
-	return k.mux.stats
+	st := k.mux.stats
+	st.Waiting, st.Reserved = len(k.mux.waiters), k.mux.reserved
+	return st
 }
 
 // muxFree returns the number of hardware context slots available to the
@@ -156,14 +180,67 @@ func (vc *VContext) ChannelIf(kind gpu.Kind) *gpu.Channel {
 }
 
 // Acquire returns the hardware channel of the given kind, attaching the
-// logical context first if necessary (which may block p waiting for a
-// slot). The context is pinned — ineligible for eviction — until the
-// matching Release. Returns an error only when the task is dead or a
-// protection policy denies the attach.
+// logical context first if necessary (which may park p waiting for a
+// slot): the blocking form of AcquireOn. The context is pinned —
+// ineligible for eviction — until the matching Release. Returns an
+// error only when the task is dead or a protection policy denies the
+// attach.
 func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
-	if err := vc.ensure(p); err != nil {
-		return nil, err
+	if ch, err, ok := vc.acquireNow(kind); ok {
+		return ch, err
 	}
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*gpu.Channel, error)) {
+		vc.AcquireOn(c, kind, then)
+	})
+}
+
+// AcquireOn is Acquire in continuation form: it hands the hardware
+// channel of the given kind (or the error) to then, pinned until the
+// matching Release. When the logical context is attached, then runs
+// inline, with the LRU bump AcquireIf would charge; otherwise the
+// attach runs as steps of c — the wait for another attach of the same
+// context, the FIFO slot wait, the setup syscalls, the rollback, and
+// the reattach's ContextSwitch — and then runs as the last of them.
+// Stopping c abandons the attach between steps; the task's exit then
+// cleans up what it left (muxTaskExited).
+func (vc *VContext) AcquireOn(c *sim.Cont, kind gpu.Kind, then func(*gpu.Channel, error)) {
+	if ch, err, ok := vc.acquireNow(kind); ok {
+		then(ch, err)
+		return
+	}
+	a := vc.k.attachOp(vc, c)
+	a.kind, a.acquired = kind, then
+	a.ensure()
+}
+
+// acquireNow is the acquire that needs no step: it reports done when
+// the context is dead (an error) or attached (pinned, with the LRU bump,
+// and the channel of the given kind), and not done when an attach must
+// run or be waited for.
+func (vc *VContext) acquireNow(kind gpu.Kind) (ch *gpu.Channel, err error, done bool) {
+	if vc.closed || !vc.task.Alive {
+		return nil, gpu.ErrContextDead, true
+	}
+	if vc.hw == nil {
+		return nil, nil, false
+	}
+	vc.pin()
+	ch, err = vc.channel(kind)
+	return ch, err, true
+}
+
+// pin takes one pin on an attached context and bumps the LRU clock.
+func (vc *VContext) pin() {
+	m := vc.k.mux
+	vc.pins++
+	m.clock++
+	vc.lastUsed = m.clock
+}
+
+// channel returns the attached channel of the given kind to a caller
+// that holds a pin; without one, it drops the pin and reports the
+// context dead.
+func (vc *VContext) channel(kind gpu.Kind) (*gpu.Channel, error) {
 	for _, cs := range vc.chans {
 		if cs.Ch.Kind == kind {
 			return cs.Ch, nil
@@ -176,20 +253,17 @@ func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
 // AcquireIf is the non-blocking form of Acquire for the engine-driven
 // submission fast path: if the logical context is currently attached and
 // usable it pins it — bumping the LRU clock exactly as Acquire would —
-// and returns the hardware channel of the given kind. It never attaches,
-// never waits, and consumes no process context; it reports false when
-// the context is detached, mid-attach, or dead, and callers fall back to
-// the blocking Acquire from a real process.
+// and returns the hardware channel of the given kind. It never attaches
+// and never waits; it reports false when the context is detached,
+// mid-attach, or dead, and callers fall back to Acquire or AcquireOn on
+// their slow lane.
 func (vc *VContext) AcquireIf(kind gpu.Kind) (*gpu.Channel, bool) {
 	if vc.closed || !vc.task.Alive || vc.hw == nil || vc.attaching {
 		return nil, false
 	}
 	for _, cs := range vc.chans {
 		if cs.Ch.Kind == kind {
-			m := vc.k.mux
-			vc.pins++
-			m.clock++
-			vc.lastUsed = m.clock
+			vc.pin()
 			return cs.Ch, true
 		}
 	}
@@ -222,120 +296,275 @@ func (vc *VContext) Peek(kind gpu.Kind) (*gpu.Channel, bool) {
 // attach may produce fresh ones.
 func (vc *VContext) Release() { vc.unpin() }
 
-// ensure attaches (or joins an in-flight attach) and pins. On success
-// the caller owns one pin.
-func (vc *VContext) ensure(p *sim.Proc) error {
-	for {
-		if vc.closed || !vc.task.Alive {
-			return gpu.ErrContextDead
-		}
-		m := vc.k.mux
-		if vc.hw != nil {
-			vc.pins++
-			m.clock++
-			vc.lastUsed = m.clock
-			return nil
-		}
-		if !vc.attaching {
-			return vc.attach(p)
-		}
-		// Another process of this task is attaching; wait for it.
-		p.WaitFor(vc.task.gate, func() bool {
-			return !vc.attaching || vc.closed || !vc.task.Alive
-		})
+// attachOp is one acquire or eager open in flight on a continuation:
+// the ensure loop, the attach (FIFO slot wait, setup syscalls, rollback,
+// reattach ContextSwitch) and the hand-back to the caller. Records are
+// pooled on the mux, and their one step and one wait predicate are
+// bound once and dispatch on the phase, so an attach allocates no
+// closure; an op whose continuation is stopped abandons its record.
+type attachOp struct {
+	k     *Kernel
+	vc    *VContext
+	c     *sim.Cont
+	kind  gpu.Kind
+	phase attachPhase
+
+	// The caller's continuation: acquired for AcquireOn, opened for
+	// OpenVirtualOn's eager attach.
+	acquired func(*gpu.Channel, error)
+	opened   func(*VContext, error)
+
+	w     muxWaiter       // the queued attach, while waiting for a slot
+	ctx   *gpu.Context    // the hardware context being built
+	chans []*ChannelState // its channels so far
+
+	stepFn  func()
+	readyFn func() bool
+}
+
+// attachPhase is where an attach waits or sleeps: what its next step
+// does.
+type attachPhase uint8
+
+const (
+	phEnsure  attachPhase = iota // waiting for another attach of the context
+	phSlot                       // waiting in the FIFO for a hardware slot
+	phContext                    // sleeping the context syscall
+	phChannel                    // sleeping a channel syscall
+	phSwitch                     // sleeping the reattach's ContextSwitch
+)
+
+// attachOp takes an attach record from the mux's pool.
+func (k *Kernel) attachOp(vc *VContext, c *sim.Cont) *attachOp {
+	m := k.mux
+	var a *attachOp
+	if n := len(m.free); n > 0 {
+		a = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		a = &attachOp{k: k}
+		a.stepFn, a.readyFn = a.step, a.ready
+	}
+	a.vc, a.c = vc, c
+	return a
+}
+
+// step runs the attach's next step once its wait or sleep is over.
+func (a *attachOp) step() {
+	switch a.phase {
+	case phEnsure:
+		a.ensure()
+	case phSlot:
+		a.granted()
+	case phContext:
+		a.contextCreated(a.k.createContext(a.vc.task, a.vc.label))
+	case phChannel:
+		a.channelCreated(a.k.createChannel(a.vc.task, a.ctx, a.vc.kinds[len(a.chans)]))
+	case phSwitch:
+		a.finish(nil)
 	}
 }
 
-// attach binds the logical context to a hardware context, creating the
-// context and its channels through the normal setup syscalls. It blocks
-// p while the pool is exhausted and nothing is evictable. On success
-// the context is pinned once and, if this is a reattach, the paper's
-// ContextSwitch cost has been charged.
-func (vc *VContext) attach(p *sim.Proc) error {
-	k := vc.k
-	m := k.mux
-	vc.attaching = true
-	defer func() {
-		vc.attaching = false
-		vc.task.gate.Broadcast()
-	}()
-	for {
-		if vc.closed || !vc.task.Alive {
-			return gpu.ErrContextDead
-		}
-		if k.muxFree() <= 0 && !k.muxEvictLRU() {
-			w := &muxWaiter{vc: vc}
-			vc.waiter = w
-			m.waiters = append(m.waiters, w)
-			m.stats.AttachWaits++
-			p.WaitFor(vc.task.gate, func() bool {
-				return w.granted || vc.closed || !vc.task.Alive
-			})
-			vc.waiter = nil
-			if !w.granted {
-				k.muxRemoveWaiter(w)
-				return gpu.ErrContextDead
-			}
-			m.reserved--
-			if vc.closed || !vc.task.Alive {
-				k.muxPump() // hand the slot on
-				return gpu.ErrContextDead
-			}
-		}
-		ctx, err := k.CreateContext(p, vc.task, vc.label)
-		if err == gpu.ErrNoContexts {
-			// A non-multiplexed client took the slot during the syscall
-			// sleep; go around again.
-			continue
-		}
-		if err != nil {
-			k.muxPump()
-			return err
-		}
-		chans := make([]*ChannelState, 0, len(vc.kinds))
-		var cherr error
-		for _, kind := range vc.kinds {
-			cs, err := k.CreateChannel(p, vc.task, ctx, kind)
-			if err != nil {
-				cherr = err
-				break
-			}
-			chans = append(chans, cs)
-		}
-		if cherr != nil {
-			// Roll the partial attach back and release the slot.
-			for _, cs := range chans {
-				delete(k.byPage, cs.Ch.Reg)
-				vc.task.removeChannel(cs)
-			}
-			vc.task.removeContext(ctx)
-			if !ctx.Dead() {
-				if err := k.dev.ReleaseContext(ctx); err != nil {
-					panic("neon: mux rollback of busy context: " + err.Error())
-				}
-			}
-			k.muxPump()
-			return cherr
-		}
-		vc.hw = ctx
-		vc.chans = chans
-		m.vcs[ctx] = vc
-		m.attached = append(m.attached, vc)
-		if n := len(m.attached); n > m.stats.MaxAttached {
-			m.stats.MaxAttached = n
-		}
-		m.stats.Attaches++
-		vc.pins++
-		m.clock++
-		vc.lastUsed = m.clock
-		if vc.everAttached {
-			vc.reattaches++
-			m.stats.Reattaches++
-			p.Sleep(k.costs.ContextSwitch)
-		}
-		vc.everAttached = true
-		return nil
+// ready is the wait predicate: the other attach of the context has
+// finished (phEnsure) or a slot was granted (phSlot), or the context
+// is dead.
+func (a *attachOp) ready() bool {
+	vc := a.vc
+	if vc.closed || !vc.task.Alive {
+		return true
 	}
+	if a.phase == phSlot {
+		return a.w.granted
+	}
+	return !vc.attaching
+}
+
+// ensure attaches (or joins an in-flight attach of the same context by
+// another thread of its task) and pins.
+func (a *attachOp) ensure() {
+	vc := a.vc
+	if vc.closed || !vc.task.Alive {
+		a.done(gpu.ErrContextDead)
+		return
+	}
+	if vc.hw != nil {
+		vc.pin()
+		a.done(nil)
+		return
+	}
+	if !vc.attaching {
+		a.attach()
+		return
+	}
+	// Another thread of this task is attaching; wait for it.
+	a.phase = phEnsure
+	a.c.WaitFor(vc.task.gate, a.readyFn, a.stepFn)
+}
+
+// attach binds the logical context to a hardware context, creating the
+// context and its channels through the setup syscalls. It waits while
+// the pool is exhausted and nothing is evictable. On success the
+// context is pinned once and, if this is a reattach, the paper's
+// ContextSwitch cost has been charged. Whatever the outcome, finish
+// clears the attaching flag and broadcasts the task's gate.
+func (a *attachOp) attach() {
+	a.vc.attaching = true
+	a.slot()
+}
+
+// slot is the head of the attach loop: find a free hardware slot,
+// evicting or queueing for one, then sleep the context syscall.
+func (a *attachOp) slot() {
+	k, vc := a.k, a.vc
+	if vc.closed || !vc.task.Alive {
+		a.finish(gpu.ErrContextDead)
+		return
+	}
+	if k.muxFree() <= 0 && !k.muxEvictLRU() {
+		m := k.mux
+		a.w = muxWaiter{vc: vc}
+		vc.waiter = &a.w
+		m.waiters = append(m.waiters, &a.w)
+		m.stats.AttachWaits++
+		a.phase = phSlot
+		a.c.WaitFor(vc.task.gate, a.readyFn, a.stepFn)
+		return
+	}
+	a.sleepSyscall(phContext)
+}
+
+// sleepSyscall sleeps the trap and driver work of the next setup
+// syscall; its effect is the step after.
+func (a *attachOp) sleepSyscall(ph attachPhase) {
+	a.phase = ph
+	a.c.Sleep(a.k.setupCost(), a.stepFn)
+}
+
+// granted follows the slot wait: take the granted slot, or give it up
+// if the task died.
+func (a *attachOp) granted() {
+	k, vc := a.k, a.vc
+	vc.waiter = nil
+	if !a.w.granted {
+		k.muxRemoveWaiter(&a.w)
+		a.finish(gpu.ErrContextDead)
+		return
+	}
+	k.mux.reserved--
+	if vc.closed || !vc.task.Alive {
+		k.muxPump() // hand the slot on
+		a.finish(gpu.ErrContextDead)
+		return
+	}
+	a.sleepSyscall(phContext)
+}
+
+// contextCreated follows the context syscall.
+func (a *attachOp) contextCreated(ctx *gpu.Context, err error) {
+	if err == gpu.ErrNoContexts {
+		// A non-multiplexed client took the slot during the syscall
+		// sleep; go around again.
+		a.slot()
+		return
+	}
+	if err != nil {
+		a.k.muxPump()
+		a.finish(err)
+		return
+	}
+	a.ctx = ctx
+	a.chans = make([]*ChannelState, 0, len(a.vc.kinds))
+	a.nextChannel()
+}
+
+// nextChannel sleeps the next channel syscall, or binds the context
+// once every kind has a channel.
+func (a *attachOp) nextChannel() {
+	if len(a.chans) < len(a.vc.kinds) {
+		a.sleepSyscall(phChannel)
+		return
+	}
+	a.bind()
+}
+
+// channelCreated follows a channel syscall; a failure rolls the partial
+// attach back and releases the slot.
+func (a *attachOp) channelCreated(cs *ChannelState, err error) {
+	if err == nil {
+		a.chans = append(a.chans, cs)
+		a.nextChannel()
+		return
+	}
+	k, vc, ctx := a.k, a.vc, a.ctx
+	for _, cs := range a.chans {
+		delete(k.byPage, cs.Ch.Reg)
+		vc.task.removeChannel(cs)
+	}
+	vc.task.removeContext(ctx)
+	if !ctx.Dead() {
+		if err := k.dev.ReleaseContext(ctx); err != nil {
+			panic("neon: mux rollback of busy context: " + err.Error())
+		}
+	}
+	k.muxPump()
+	a.finish(err)
+}
+
+// bind installs the built hardware state and pins it; a reattach then
+// sleeps the ContextSwitch.
+func (a *attachOp) bind() {
+	vc := a.vc
+	m := a.k.mux
+	vc.hw = a.ctx
+	vc.chans = a.chans
+	m.vcs[a.ctx] = vc
+	m.attached = append(m.attached, vc)
+	if n := len(m.attached); n > m.stats.MaxAttached {
+		m.stats.MaxAttached = n
+	}
+	m.stats.Attaches++
+	vc.pin()
+	if vc.everAttached {
+		vc.reattaches++
+		m.stats.Reattaches++
+		a.phase = phSwitch
+		a.c.Sleep(a.k.costs.ContextSwitch, a.stepFn)
+		return
+	}
+	vc.everAttached = true
+	a.finish(nil)
+}
+
+// finish ends the attach: the attaching flag clears and the task's gate
+// is broadcast, so threads of the task waiting on this attach re-test.
+func (a *attachOp) finish(err error) {
+	vc := a.vc
+	vc.attaching = false
+	vc.task.gate.Broadcast()
+	a.done(err)
+}
+
+// done recycles the record and hands the outcome to the caller's
+// continuation: the channel for an acquire, the context for an open.
+func (a *attachOp) done(err error) {
+	vc, kind, acquired, opened := a.vc, a.kind, a.acquired, a.opened
+	a.vc, a.c, a.acquired, a.opened, a.ctx, a.chans = nil, nil, nil, nil, nil, nil
+	a.w = muxWaiter{}
+	a.k.mux.free = append(a.k.mux.free, a)
+	if opened != nil {
+		if err != nil {
+			opened(nil, err)
+			return
+		}
+		vc.unpin()
+		opened(vc, nil)
+		return
+	}
+	if err != nil {
+		acquired(nil, err)
+		return
+	}
+	acquired(vc.channel(kind))
 }
 
 func (vc *VContext) unpin() {
@@ -451,6 +680,9 @@ func (k *Kernel) muxTaskExited(t *Task) {
 	}
 	for _, vc := range t.vctxs {
 		vc.closed = true
+		// An attach stopped with its task's threads never finishes, so
+		// the exit clears its flag; one still running finishes dead.
+		vc.attaching = false
 		if w := vc.waiter; w != nil {
 			if w.granted {
 				// Granted but never consumed; the slot goes back.

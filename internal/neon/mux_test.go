@@ -222,3 +222,100 @@ func TestMuxTightPoolStorm(t *testing.T) {
 		t.Errorf("attached high-water mark %d exceeds the 4-context pool", st.MaxAttached)
 	}
 }
+
+// TestKillMidAttachStopsAcquire kills a task whose process is parked in
+// the blocking Acquire, a Proc.Await wrapper over the continuation
+// attach, at each point an attach can park: (a) waiting in the attach
+// FIFO, (b) sleeping the context or channel setup syscall of a
+// reattach, (c) sleeping the reattach's ContextSwitch. Task exit kills
+// the process, which stops the chain: no step of the dead attach runs
+// later, nothing waits on the gate or in the mux queue, no slot stays
+// reserved, and the context ends closed rather than attaching.
+func TestKillMidAttachStopsAcquire(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hog  bool // the hog keeps the only slot pinned
+		at   func(k *Kernel, vc *VContext) bool
+	}{
+		{"a-attach-fifo", true, func(k *Kernel, _ *VContext) bool { return len(k.mux.waiters) == 1 }},
+		{"b-context-syscall", false, func(k *Kernel, _ *VContext) bool { return k.mux.stats.Evictions == 2 }},
+		{"b-channel-syscall", false, func(_ *Kernel, vc *VContext) bool { return len(vc.task.contexts) == 1 }},
+		{"c-context-switch", false, func(_ *Kernel, vc *VContext) bool { return vc.reattaches == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, d, k := muxKernel(t, 1)
+			again := e.NewGate("again")
+			var vc *VContext
+			var second error
+			victim := k.NewTask("victim")
+			vp := victim.Go("main", func(p *sim.Proc) {
+				var err error
+				if vc, err = k.OpenVirtual(p, victim, "v", gpu.Compute); err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				p.Wait(again)
+				_, second = vc.Acquire(p, gpu.Compute)
+				t.Error("the killed process ran past its Acquire")
+			})
+			e.RunFor(time.Millisecond)
+
+			// The hog evicts the victim's idle context, then holds the only
+			// slot pinned (a) or leaves it idle to be evicted back (b, c).
+			hold := e.NewGate("hold")
+			hog := k.NewTask("hog")
+			hog.Go("main", func(p *sim.Proc) {
+				hvc, err := k.OpenVirtual(p, hog, "h", gpu.Compute)
+				if err != nil {
+					t.Errorf("hog open: %v", err)
+					return
+				}
+				if _, err := hvc.Acquire(p, gpu.Compute); err != nil {
+					t.Errorf("hog acquire: %v", err)
+					return
+				}
+				if tc.hog {
+					p.Wait(hold)
+				}
+				hvc.Release()
+			})
+			e.RunFor(time.Millisecond)
+			if vc == nil || vc.Attached() || k.mux.stats.Evictions != 1 {
+				t.Fatalf("setup: victim attached %v, %d evictions", vc != nil && vc.Attached(), k.mux.stats.Evictions)
+			}
+
+			again.Signal()
+			for !tc.at(k, vc) {
+				if !e.Step() {
+					t.Fatal("the attach never reached the kill point")
+				}
+			}
+			attaches := k.mux.stats.Attaches
+			k.KillTask(victim, "test: die mid-attach")
+			e.Run()
+
+			if !vp.Finished() || second != nil {
+				t.Errorf("victim finished %v, acquire returned %v", vp.Finished(), second)
+			}
+			if n := victim.Gate().Waiters(); n != 0 {
+				t.Errorf("%d waiters left on the dead task's gate", n)
+			}
+			if len(k.mux.waiters) != 0 || k.mux.reserved != 0 {
+				t.Errorf("%d attaches queued and %d slots reserved after the kill, want none", len(k.mux.waiters), k.mux.reserved)
+			}
+			if !vc.closed || vc.attaching || vc.Attached() {
+				t.Errorf("context closed %v, attaching %v, attached %v; want closed only", vc.closed, vc.attaching, vc.Attached())
+			}
+			if k.mux.stats.Attaches != attaches || e.Pending() != 0 {
+				t.Errorf("the dead attach went on: %d attaches (was %d), %d events pending", k.mux.stats.Attaches, attaches, e.Pending())
+			}
+			want := 0
+			if tc.hog {
+				want = 1
+			}
+			if n := d.ContextCount(); n != want {
+				t.Errorf("device holds %d contexts, want %d (the hog's only)", n, want)
+			}
+		})
+	}
+}

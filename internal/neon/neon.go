@@ -187,10 +187,48 @@ func (k *Kernel) NewTask(name string) *Task {
 	return t
 }
 
-// CreateContext is the context-setup syscall. It pays the trap plus
-// driver-work cost and applies the protection policy.
+// CreateContext is the context-setup syscall, the blocking form of
+// CreateContextOn: p parks once, for the trap and the driver work.
 func (k *Kernel) CreateContext(p *sim.Proc, t *Task, label string) (*gpu.Context, error) {
-	p.Sleep(k.costs.SyscallTrap + k.costs.SyscallDriverWork)
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*gpu.Context, error)) {
+		k.CreateContextOn(c, t, label, then)
+	})
+}
+
+// CreateChannel is the channel-setup syscall, the blocking form of
+// CreateChannelOn.
+func (k *Kernel) CreateChannel(p *sim.Proc, t *Task, ctx *gpu.Context, kind gpu.Kind) (*ChannelState, error) {
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*ChannelState, error)) {
+		k.CreateChannelOn(c, t, ctx, kind, then)
+	})
+}
+
+// CreateContextOn is the context-setup syscall in continuation form: it
+// sleeps the trap plus driver work on c, applies the protection policy,
+// creates the context and hands it to then, as a step of c. Stopping c
+// during the sleep abandons the call: no context is created.
+func (k *Kernel) CreateContextOn(c *sim.Cont, t *Task, label string, then func(*gpu.Context, error)) {
+	c.Sleep(k.setupCost(), func() { then(k.createContext(t, label)) })
+}
+
+// CreateChannelOn is the channel-setup syscall in continuation form:
+// the initialization phase of the paper. After the trap plus driver
+// work, slept on c, the kernel identifies the channel's VMAs, installs
+// the fault handler, marks the channel active, and lets the scheduler
+// choose its initial protection; then receives the channel state, as a
+// step of c.
+func (k *Kernel) CreateChannelOn(c *sim.Cont, t *Task, ctx *gpu.Context, kind gpu.Kind, then func(*ChannelState, error)) {
+	c.Sleep(k.setupCost(), func() { then(k.createChannel(t, ctx, kind)) })
+}
+
+// setupCost is what one setup syscall sleeps: the trap plus the driver
+// work.
+func (k *Kernel) setupCost() sim.Duration {
+	return k.costs.SyscallTrap + k.costs.SyscallDriverWork
+}
+
+// createContext is the context syscall's effect, after the trap.
+func (k *Kernel) createContext(t *Task, label string) (*gpu.Context, error) {
 	if !t.Alive {
 		return nil, gpu.ErrContextDead
 	}
@@ -205,12 +243,8 @@ func (k *Kernel) CreateContext(p *sim.Proc, t *Task, label string) (*gpu.Context
 	return ctx, nil
 }
 
-// CreateChannel is the channel-setup syscall: the initialization phase of
-// the paper. The kernel identifies the channel's VMAs, installs the fault
-// handler, marks the channel active, and lets the scheduler choose its
-// initial protection.
-func (k *Kernel) CreateChannel(p *sim.Proc, t *Task, ctx *gpu.Context, kind gpu.Kind) (*ChannelState, error) {
-	p.Sleep(k.costs.SyscallTrap + k.costs.SyscallDriverWork)
+// createChannel is the channel syscall's effect, after the trap.
+func (k *Kernel) createChannel(t *Task, ctx *gpu.Context, kind gpu.Kind) (*ChannelState, error) {
 	if !t.Alive {
 		return nil, gpu.ErrContextDead
 	}

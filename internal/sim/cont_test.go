@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -216,6 +217,27 @@ func TestProcAwaitResumesInline(t *testing.T) {
 	}
 	if e.LiveProcs() != 0 {
 		t.Fatalf("%d live procs", e.LiveProcs())
+	}
+}
+
+// TestAwaitResultHandsBackValue: AwaitResult returns what the chain
+// hands its continuation, whether the chain finishes inline or from a
+// later step.
+func TestAwaitResultHandsBackValue(t *testing.T) {
+	e := NewEngine()
+	boom := errors.New("boom")
+	var got []string
+	e.Spawn("p", func(p *Proc) {
+		v, err := AwaitResult(p, func(c *Cont, then func(int, error)) { then(1, nil) })
+		got = append(got, fmt.Sprint(v, err, int64(p.Now())))
+		v, err = AwaitResult(p, func(c *Cont, then func(int, error)) {
+			c.Sleep(5, func() { then(2, boom) })
+		})
+		got = append(got, fmt.Sprint(v, err, int64(p.Now())))
+	})
+	e.Run()
+	if want := []string{"1 <nil> 0", "2 boom 5"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }
 

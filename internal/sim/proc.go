@@ -257,6 +257,22 @@ func (p *Proc) Await(start func(c *Cont, resume func())) {
 	p.block()
 }
 
+// AwaitResult is Await for a chain that ends by handing a value and an
+// error to its continuation: start begins the chain on p's own Cont with
+// then as that continuation, and AwaitResult returns what the chain
+// handed to then. It is how a blocking call wraps its continuation form.
+func AwaitResult[T any](p *Proc, start func(c *Cont, then func(T, error))) (T, error) {
+	var v T
+	var err error
+	p.Await(func(c *Cont, resume func()) {
+		start(c, func(x T, e error) {
+			v, err = x, e
+			resume()
+		})
+	})
+	return v, err
+}
+
 // resume ends an Await: inline, it lets Await return at once; from a
 // continuation step (engine context) it activates the parked process.
 func (w *awaiter) resume() {

@@ -1,13 +1,16 @@
 package traffic
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/gpu"
+	"repro/internal/neon"
 	"repro/internal/sim"
+	"repro/internal/userlib"
 	"repro/internal/workload"
 )
 
@@ -46,14 +49,12 @@ func TestBatchDrainOneDoorbellPerBacklog(t *testing.T) {
 		}
 		node := srv.Fleet().Nodes()[0]
 		st := srv.streams[0]
-		d := &dispatcher{srv: srv, st: st, node: node, gate: eng.NewGate("dispatch-test")}
-		d.doneFn = d.onDone
-		st.disp[node] = d
+		d := srv.newDispatcher(st, node)
 		for i := 0; i < backlog; i++ {
 			srv.Fleet().PlaceRequest(st.ft)
 			d.queue = append(d.queue, item{arrival: eng.Now()})
 		}
-		eng.Spawn("dispatch", d.run)
+		d.start()
 		eng.RunFor(10 * time.Millisecond)
 		if err := srv.SetupError(); err != nil {
 			t.Fatal(err)
@@ -184,20 +185,15 @@ func benchDispatcherDrain(b *testing.B, batch bool) {
 	}
 	node := srv.Fleet().Nodes()[0]
 	st := srv.streams[0]
-	d := &dispatcher{srv: srv, st: st, node: node, gate: eng.NewGate("dispatch-bench")}
-	d.doneFn = d.onDone
-	st.disp[node] = d
-	eng.Spawn("dispatch", d.run)
+	d := srv.newDispatcher(st, node)
+	d.start()
 	eng.RunFor(time.Millisecond)
 	fill := func() {
 		for j := 0; j < backlog; j++ {
 			srv.Fleet().PlaceRequest(st.ft)
 			d.queue = append(d.queue, item{arrival: eng.Now()})
 		}
-		if d.ready && d.idle {
-			d.idle = false
-			d.gate.Signal()
-		}
+		d.wake()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -216,12 +212,12 @@ func BenchmarkDispatcherDrainBatched(b *testing.B) { benchDispatcherDrain(b, tru
 // TestColdRebuildNotCountedWhenTaskDies is the regression test for the
 // dispatcher's cold-rebuild accounting: when the tenant's task dies
 // while its virtual context waits for a hardware slot, the rebuild
-// submission returns nil and its working-set time must NOT be charged
+// submission lands nil and its working-set time must NOT be charged
 // to ColdTime — the rebuild never reached the device.
 //
 // The death window is built by hand: a hog tenant pins the device's
 // only hardware context forever, so the victim dispatcher's cold
-// submission parks in the mux attach queue, where the kill lands.
+// submission waits in the mux attach queue, where the kill lands.
 func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 	eng := sim.NewEngine()
 	srv, err := New(eng, Config{
@@ -235,34 +231,17 @@ func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := srv.Fleet().Nodes()[0]
-
-	// The hog attaches and pins the only hardware context, forever.
-	hog := srv.Fleet().NewTenant(workload.OpenLoopTenant("hog", 100*us, 0))
-	hold := eng.NewGate("hold")
-	eng.Spawn("hog", func(p *sim.Proc) {
-		c, err := hog.Client(p, node)
-		if err != nil {
-			t.Errorf("hog client: %v", err)
-			return
-		}
-		if _, err := c.VC.Acquire(p, gpu.Compute); err != nil {
-			t.Errorf("hog acquire: %v", err)
-			return
-		}
-		p.Wait(hold)
-	})
+	hogHolds(t, srv, node, true)
 	eng.RunFor(time.Millisecond)
 
-	// Hand-feed the victim's dispatcher one cold item and spawn its
+	// Hand-feed the victim's dispatcher one cold item and start its
 	// drain; the client opens detached (pool exhausted) and the cold
-	// rebuild parks waiting for a slot.
+	// rebuild waits for a slot.
 	st := srv.streams[0]
-	d := &dispatcher{srv: srv, st: st, node: node, gate: eng.NewGate("dispatch-test")}
-	d.doneFn = d.onDone
-	st.disp[node] = d
+	d := srv.newDispatcher(st, node)
 	srv.Fleet().PlaceRequest(st.ft)
 	d.queue = append(d.queue, item{arrival: eng.Now(), cold: true})
-	eng.Spawn("dispatch", d.run)
+	d.start()
 	eng.RunFor(time.Millisecond)
 
 	task := st.ft.Task(node)
@@ -281,6 +260,38 @@ func TestColdRebuildNotCountedWhenTaskDies(t *testing.T) {
 	if depth := srv.Fleet().QueueDepth(); depth != 0 {
 		t.Errorf("fleet queue depth %d after abort, want 0", depth)
 	}
+}
+
+// hogHolds opens a hog tenant's client on the node and acquires its
+// context from a process: pinned forever, or released at once so the
+// idle context is the LRU victim of the next attach.
+func hogHolds(t *testing.T, srv *Server, node *fleet.Node, pinned bool) {
+	t.Helper()
+	eng := srv.eng
+	hog := srv.Fleet().NewTenant(workload.OpenLoopTenant("hog", 100*us, 0))
+	hold := eng.NewGate("hold")
+	eng.Spawn("hog", func(p *sim.Proc) {
+		var c *userlib.Client
+		var err error
+		p.Await(func(lane *sim.Cont, resume func()) {
+			hog.ClientOn(lane, node, func(x *userlib.Client, e error) {
+				c, err = x, e
+				resume()
+			})
+		})
+		if err != nil {
+			t.Errorf("hog client: %v", err)
+			return
+		}
+		if _, err := c.VC.Acquire(p, gpu.Compute); err != nil {
+			t.Errorf("hog acquire: %v", err)
+			return
+		}
+		if pinned {
+			p.Wait(hold)
+		}
+		c.VC.Release()
+	})
 }
 
 // TestDispatcherQueueReusesArray pins the dispatcher queue's storage:
@@ -318,5 +329,160 @@ func TestDispatcherQueueReusesArray(t *testing.T) {
 	}
 	if got, want := st.stats.Completed, int64(3*(8+51)); got != want {
 		t.Errorf("completed %d requests, want %d", got, want)
+	}
+}
+
+// TestServingDispatchersOwnNoProcs: a serving stack's dispatchers are
+// engine continuations, so a storm of tenants leaves no proc behind but
+// the scheduler's own. The storm is staggered and four hardware
+// contexts serve a few hundred tenants under DFQ, so dispatchers wait
+// in the attach queue and reattach evicted contexts — the attach path
+// runs as continuation steps, not as parked procs.
+func TestServingDispatchersOwnNoProcs(t *testing.T) {
+	const tenants = 300
+	eng := sim.NewEngine()
+	gap := 10 * time.Millisecond
+	streams := make([]Stream, tenants)
+	for i := range streams {
+		streams[i] = Stream{
+			Tenant:  workload.OpenLoopTenant(fmt.Sprintf("t%d", i), 5*us, 0),
+			Arrival: &Staggered{Phase: gap * sim.Duration(i+1) / tenants, Gap: gap},
+		}
+	}
+	srv, err := New(eng, Config{
+		Fleet: fleet.Config{
+			Devices: 1,
+			GPU:     gpu.Config{MaxContexts: 4},
+			Sched:   "dfq",
+			DFQ:     core.DFQConfig{SamplePeriod: 500 * us, SampleRequests: 4},
+			Seed:    1,
+		},
+		Streams: streams,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := eng.LiveProcs()
+	eng.RunFor(3 * gap)
+	if err := srv.SetupError(); err != nil {
+		t.Fatal(err)
+	}
+
+	var completed int64
+	for i := range streams {
+		completed += srv.Stats(i).Completed
+		if len(srv.streams[i].disp) != 1 {
+			t.Fatalf("stream %d has %d dispatchers, want 1", i, len(srv.streams[i].disp))
+		}
+	}
+	mux := srv.Fleet().Nodes()[0].Kernel.MuxStatus()
+	t.Logf("%d completed, %d attach waits, %d reattaches, %d live procs", completed, mux.AttachWaits, mux.Reattaches, eng.LiveProcs())
+	if completed < 2*tenants {
+		t.Errorf("completed %d requests, want at least %d", completed, 2*tenants)
+	}
+	if mux.AttachWaits == 0 || mux.Reattaches == 0 {
+		t.Errorf("attach waits %d, reattaches %d: the storm never exercised the attach path", mux.AttachWaits, mux.Reattaches)
+	}
+	if n := eng.LiveProcs(); n != base {
+		t.Errorf("LiveProcs = %d after serving %d tenants, want %d (the scheduler's, as right after New)", n, tenants, base)
+	}
+}
+
+// TestKillMidAttachRetiresItem kills a tenant's task while its
+// dispatcher's continuation is inside an attach: (a) waiting in the
+// attach FIFO, (b) sleeping the context or channel setup syscall of a
+// reattach, (c) sleeping the reattach's ContextSwitch. In every case the
+// death wakes the dispatcher, which retires the cold item as aborted
+// without charging the rebuild, and the attach leaves nothing behind:
+// no queue depth, no gate waiter, no queued attach or reserved slot,
+// and no later step or event.
+func TestKillMidAttachRetiresItem(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hog  bool // the hog keeps the only slot pinned
+		at   func(vc *neon.VContext, task *neon.Task, mux neon.MuxStats) bool
+	}{
+		{"a-attach-fifo", true, func(_ *neon.VContext, _ *neon.Task, mux neon.MuxStats) bool {
+			return mux.Waiting == 1
+		}},
+		{"b-context-syscall", false, func(_ *neon.VContext, _ *neon.Task, mux neon.MuxStats) bool {
+			return mux.Evictions == 2
+		}},
+		{"b-channel-syscall", false, func(_ *neon.VContext, task *neon.Task, _ neon.MuxStats) bool {
+			return len(task.Contexts()) == 1
+		}},
+		{"c-context-switch", false, func(vc *neon.VContext, _ *neon.Task, _ neon.MuxStats) bool {
+			return vc.Reattaches() == 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			srv, err := New(eng, Config{
+				Fleet: fleet.Config{Devices: 1, GPU: gpu.Config{MaxContexts: 1}, Sched: "direct", Seed: 1},
+				Streams: []Stream{
+					// Arrival far beyond the horizon: the queue is fed by hand.
+					{Tenant: workload.OpenLoopTenant("victim", 100*us, 400*us), Arrival: Deterministic{Rate: 1}},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			node := srv.Fleet().Nodes()[0]
+			k := node.Kernel
+			st := srv.streams[0]
+			feed := func(cold bool) {
+				srv.Fleet().PlaceRequest(st.ft)
+				st.disp[node].queue = append(st.disp[node].queue, item{arrival: eng.Now(), cold: cold})
+				st.disp[node].wake()
+			}
+
+			// The victim attaches eagerly and serves one request; then the
+			// hog evicts its idle context, keeping the slot pinned (a) or
+			// leaving it idle for the victim to evict back (b, c).
+			d := srv.newDispatcher(st, node)
+			srv.Fleet().PlaceRequest(st.ft)
+			d.queue = append(d.queue, item{arrival: eng.Now()})
+			d.start()
+			eng.RunFor(time.Millisecond)
+			hogHolds(t, srv, node, tc.hog)
+			eng.RunFor(time.Millisecond)
+			task := st.ft.Task(node)
+			vc := d.client.VC
+			if st.stats.Completed != 1 || vc.Attached() || k.MuxStatus().Evictions != 1 {
+				t.Fatalf("setup: completed %d, victim attached %v, %d evictions", st.stats.Completed, vc.Attached(), k.MuxStatus().Evictions)
+			}
+
+			// A cold item sends the dispatcher into the attach; step to
+			// the kill point and kill the task there.
+			eng.After(0, func() { feed(true) })
+			for !tc.at(vc, task, k.MuxStatus()) {
+				if !eng.Step() {
+					t.Fatal("the attach never reached the kill point")
+				}
+			}
+			attaches := k.MuxStatus().Attaches
+			k.KillTask(task, "test: die mid-attach")
+			eng.RunFor(time.Millisecond)
+
+			if st.stats.Aborted != 1 || st.stats.ColdTime != 0 {
+				t.Errorf("aborted %d, cold time %v; want the item aborted and no rebuild charged", st.stats.Aborted, st.stats.ColdTime)
+			}
+			if depth := srv.Fleet().QueueDepth(); depth != 0 {
+				t.Errorf("fleet queue depth %d, want 0", depth)
+			}
+			if n := task.Gate().Waiters(); n != 0 {
+				t.Errorf("%d waiters left on the dead task's gate", n)
+			}
+			mux := k.MuxStatus()
+			if mux.Waiting != 0 || mux.Reserved != 0 {
+				t.Errorf("%d attaches queued and %d slots reserved after the kill, want none", mux.Waiting, mux.Reserved)
+			}
+			if mux.Attaches != attaches || vc.Attached() {
+				t.Errorf("the dead attach went on: %d attaches (was %d), attached %v", mux.Attaches, attaches, vc.Attached())
+			}
+			if !d.idle || eng.Pending() != 1 {
+				t.Errorf("dispatcher idle %v with %d events pending, want idle with only the arrival timer", d.idle, eng.Pending())
+			}
+		})
 	}
 }

@@ -92,21 +92,49 @@ func TestReweightingPreservesLeadBound(t *testing.T) {
 	}
 }
 
-// TestNewRejectsInvalidStreamWeight: the serving front door validates
-// tenant specs with a proper error — a malformed weight must never
-// reach the fleet's panic or the ledgers' silent clamp.
-func TestNewRejectsInvalidStreamWeight(t *testing.T) {
-	ten := workload.OpenLoopTenant("bad", 100*us, 0)
-	ten.Weight = -3
-	_, err := New(sim.NewEngine(), Config{
-		Fleet:   fleet.Config{Devices: 1, Seed: 1},
-		Streams: []Stream{{Tenant: ten, Arrival: Deterministic{Rate: 100}}},
-	})
-	if err == nil {
-		t.Fatal("negative stream weight accepted")
+// TestNewRejectsInvalidConfig: the serving front door validates its
+// configuration with a proper error that names the culprit — a
+// malformed weight must never reach the fleet's panic or the ledgers'
+// silent clamp, a stream without an arrival process must not reach the
+// engine's first event, and a negative tier depth must not read as
+// "never shed".
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	good := workload.OpenLoopTenant("ok", 100*us, 0)
+	bad := workload.OpenLoopTenant("bad", 100*us, 0)
+	bad.Weight = -3
+	cases := []struct {
+		name  string
+		cfg   Config
+		words []string
+	}{
+		{"weight", Config{
+			Streams: []Stream{{Tenant: bad, Arrival: Deterministic{Rate: 100}}},
+		}, []string{"stream 0", `"bad"`, "weight"}},
+		{"nil-arrival", Config{
+			Streams: []Stream{
+				{Tenant: good, Arrival: Deterministic{Rate: 100}},
+				{Tenant: workload.OpenLoopTenant("silent", 100*us, 0)},
+			},
+		}, []string{"stream 1", `"silent"`, "arrival"}},
+		{"negative-tier-depth", Config{
+			AdmitDepth: 8,
+			TierDepths: map[workload.Tier]int{workload.TierPremium: 16, workload.TierBestEffort: -1},
+			Streams:    []Stream{{Tenant: good, Arrival: Deterministic{Rate: 100}}},
+		}, []string{`"best-effort"`, "-1"}},
 	}
-	if !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "weight") {
-		t.Fatalf("error %q does not name the tenant and the weight", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Fleet = fleet.Config{Devices: 1, Seed: 1}
+			_, err := New(sim.NewEngine(), tc.cfg)
+			if err == nil {
+				t.Fatal("malformed config accepted")
+			}
+			for _, w := range tc.words {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not name %s", err, w)
+				}
+			}
+		})
 	}
 }
 

@@ -20,6 +20,7 @@ package traffic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fleet"
 	"repro/internal/gpu"
@@ -105,7 +106,8 @@ type Config struct {
 	// per-request doorbell timeline for submission cost; the default
 	// (off) reproduces the per-request event sequence exactly.
 	BatchDrain bool
-	// TierDepths overrides the derived per-tier admission bounds.
+	// TierDepths overrides the derived per-tier admission bounds; zero
+	// means the tier is never shed, and a negative depth is an error.
 	TierDepths map[workload.Tier]int
 	// Streams is the tenant population, one open-loop source each.
 	Streams []Stream
@@ -159,9 +161,12 @@ type doneRec struct {
 // stream's arrival timer chain. The simulation (engine Run/RunFor) then
 // serves traffic until stopped.
 //
-// Stream tenant specs are validated here with a proper error (the
+// Stream tenant specs, arrival processes and tier depths are validated
+// here with a proper error that names the stream or the tier (the
 // serving front door is where user-shaped configuration enters), so a
-// malformed weight or tier never reaches the fleet's panic. When the
+// malformed weight or tier never reaches the fleet's panic, a missing
+// arrival process never reaches the engine, and a negative depth is
+// never read as "never shed". When the
 // fleet runs an allocation policy (Fleet.AllocPolicy), the server
 // refreshes its admission tier bounds from the policy's targets after
 // every allocator round: tier headroom then follows the policy's
@@ -171,6 +176,19 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 	for i, spec := range cfg.Streams {
 		if err := spec.Tenant.Validate(); err != nil {
 			return nil, fmt.Errorf("traffic: stream %d: %w", i, err)
+		}
+		if spec.Arrival == nil {
+			return nil, fmt.Errorf("traffic: stream %d (tenant %q) has no arrival process", i, spec.Tenant.Name)
+		}
+	}
+	tiers := make([]workload.Tier, 0, len(cfg.TierDepths))
+	for tier := range cfg.TierDepths {
+		tiers = append(tiers, tier)
+	}
+	slices.Sort(tiers)
+	for _, tier := range tiers {
+		if d := cfg.TierDepths[tier]; d < 0 {
+			return nil, fmt.Errorf("traffic: tier %q has negative depth %d (0 means never shed)", tier.Normalize(), d)
 		}
 	}
 	f, err := fleet.New(eng, cfg.Fleet)
@@ -271,11 +289,8 @@ func (s *Server) arrive(st *stream) {
 	n, migrated := s.fleet.PlaceRequest(st.ft)
 	d := st.disp[n]
 	if d == nil {
-		d = &dispatcher{srv: s, st: st, node: n,
-			gate: s.eng.NewGate("dispatch-" + st.spec.Tenant.Name)}
-		d.doneFn = d.onDone
-		st.disp[n] = d
-		s.eng.Spawn("dispatch/"+st.spec.Tenant.Name, d.run)
+		d = s.newDispatcher(st, n)
+		d.start()
 	}
 	if d.err != nil {
 		// The tenant's client on this node failed to set up; nothing will
@@ -288,14 +303,7 @@ func (s *Server) arrive(st *stream) {
 		arrival: s.eng.Now(),
 		cold:    migrated && st.spec.Tenant.WorkingSet > 0,
 	})
-	if d.ready && d.idle {
-		// Edge-triggered wake: the drain parks only with an empty queue,
-		// so only the idle-to-backlogged transition signals the gate —
-		// same wake event position as a broadcast to the parked process,
-		// without a (lost) broadcast per backlogged arrival.
-		d.idle = false
-		d.gate.Signal()
-	}
+	d.wake()
 }
 
 // item is one admitted request waiting in a dispatcher queue.
@@ -306,19 +314,25 @@ type item struct {
 
 // dispatcher drains one (stream, node) queue: it submits requests in
 // arrival order through the tenant's client on that node. Submission
-// may block on the node scheduler's interception (that is how engaged
+// may wait on the node scheduler's interception (that is how engaged
 // schedulers delay tenants), but completion is never waited for — the
 // channel FIFO and the completion hook carry the rest.
 //
-// The drain stays process-driven — unlike the closed-loop drivers'
-// continuation machines (DESIGN.md §14) — because every serving client
-// rides a virtual (multiplexed) context: each acquire orders the mux's
-// LRU clock and attach queue by the event it runs in, and only a
-// process can block through an attach, so an engine-context refusal
-// hop would shift those orderings within the instant. The wake is
-// edge-triggered instead of broadcast-per-arrival (gate signal only on
-// the idle-to-backlogged transition), and Config.BatchDrain turns a
-// drained backlog into one staged batch with a single doorbell.
+// The drain is an engine continuation (sim.Cont), not a process, so a
+// served tenant costs no coroutine. Its steps sit where a blocking
+// drain's wake-ups would (DESIGN.md §14): the start is a Cont.Yield at
+// the first arrival, where Spawn would put the activation; the idle
+// wait ends with a Yield on the idle-to-backlogged transition, where a
+// gate signal would wake the drain (edge-triggered: no lost wake per
+// backlogged arrival); and each submission runs the client's steps
+// (userlib.Client.SubmitDetachedOn) — the mux acquire, inline while
+// the virtual context is attached and otherwise the attach's FIFO wait,
+// setup syscalls and reattach ContextSwitch, then the doorbell store's
+// DirectWrite or fault. Each acquire thus runs in the event that orders
+// the mux's LRU clock and attach queue. The continuation belongs to
+// the engine, not to the tenant's task, because the task's death must
+// wake it to retire its queue. Config.BatchDrain turns a drained
+// backlog into one staged batch with a single doorbell.
 type dispatcher struct {
 	srv    *Server
 	st     *stream
@@ -327,20 +341,54 @@ type dispatcher struct {
 	head   int
 	err    error
 	client *userlib.Client
-	ready  bool // client setup finished; wakes may target the gate
-	idle   bool // drain parked on the gate (implies empty queue)
-	gate   *sim.Gate
+	ready  bool // client setup finished; arrivals may wake the drain
+	idle   bool // drain waiting for an arrival (implies empty queue)
+	c      *sim.Cont
+
+	// The submission in flight: the item's arrival stamp, whether it is
+	// the item's cold rebuild (the request itself follows), and whether
+	// it landed inline, inside submit.
+	arrival    sim.Time
+	cold       bool
+	submitting bool
+	landed     bool
 
 	// doneFn is the completion hook, bound once: every request of this
 	// (stream, node) pair shares it, so hooking a completion allocates
-	// nothing.
-	doneFn func(*gpu.Request)
+	// nothing. The steps are bound once too.
+	doneFn      func(*gpu.Request)
+	openFn      func()
+	openedFn    func(*userlib.Client, error)
+	drainFn     func()
+	submittedFn func(*gpu.Request)
 }
 
-// run opens the tenant's client on the node (anything queued during
-// setup is drained right after), then serves wake-drain cycles.
-func (d *dispatcher) run(p *sim.Proc) {
-	client, err := d.st.ft.Client(p, d.node)
+// newDispatcher registers the (stream, node) dispatcher, not yet
+// started.
+func (s *Server) newDispatcher(st *stream, n *fleet.Node) *dispatcher {
+	d := &dispatcher{srv: s, st: st, node: n, c: s.eng.NewCont()}
+	d.doneFn = d.onDone
+	d.openFn, d.openedFn, d.drainFn, d.submittedFn = d.open, d.opened, d.drain, d.submitted
+	st.disp[n] = d
+	return d
+}
+
+// start schedules the client open at the back of the current instant.
+func (d *dispatcher) start() { d.c.Yield(d.openFn) }
+
+// wake resumes an idle drain once its client is open.
+func (d *dispatcher) wake() {
+	if d.ready && d.idle {
+		d.idle = false
+		d.c.Yield(d.drainFn)
+	}
+}
+
+// open opens the tenant's client on the node; anything queued during
+// setup is drained right after.
+func (d *dispatcher) open() { d.st.ft.ClientOn(d.c, d.node, d.openedFn) }
+
+func (d *dispatcher) opened(client *userlib.Client, err error) {
 	if err != nil {
 		d.err = err
 		d.drainFailed()
@@ -348,11 +396,24 @@ func (d *dispatcher) run(p *sim.Proc) {
 	}
 	d.client = client
 	d.ready = true
+	d.drain()
+}
+
+// drain serves the queue until it empties, then idles; a submission
+// that waits on a step returns, and the step that lands it re-enters.
+func (d *dispatcher) drain() {
 	for {
+		if d.cold {
+			// The item's cold rebuild landed; its request follows.
+			d.cold = false
+			if !d.submit(d.st.size) {
+				return
+			}
+			continue
+		}
 		if len(d.queue) == 0 {
 			d.idle = true
-			p.Wait(d.gate)
-			continue
+			return
 		}
 		if d.srv.batch && d.batchDrain() {
 			continue
@@ -365,37 +426,66 @@ func (d *dispatcher) run(p *sim.Proc) {
 			d.st.stats.Aborted++
 			continue
 		}
+		d.arrival = it.arrival
 		if it.cold {
 			// Rebuild the warm working set ahead of the request, on the
-			// same channel: FIFO ordering makes the reconstruction complete
-			// first, and its device time is real capacity spent — counted
-			// only when the rebuild was actually staged (the task can die
-			// while the virtual context waits for a hardware slot).
-			ws := d.st.spec.Tenant.WorkingSet
-			if d.client.SubmitDetached(p, d.st.kind, ws) != nil {
-				d.st.stats.ColdTime += ws
+			// same channel: FIFO ordering makes the reconstruction
+			// complete first, and its device time is real capacity
+			// spent — counted only when the rebuild was actually staged
+			// (the task can die while the virtual context waits for a
+			// hardware slot).
+			d.cold = true
+			if !d.submit(d.st.spec.Tenant.WorkingSet) {
+				return
 			}
-		}
-		r := d.client.SubmitDetached(p, d.st.kind, d.st.size)
-		if r == nil {
-			// The task died while the virtual context waited for a
-			// hardware slot; the request can never be served here.
-			d.srv.fleet.RequestDone(d.node)
-			d.st.stats.Aborted++
 			continue
 		}
-		r.Stamp = it.arrival
+		if !d.submit(d.st.size) {
+			return
+		}
+	}
+}
+
+// submit starts one submission on the dispatcher's continuation and
+// reports whether it landed inline.
+func (d *dispatcher) submit(size sim.Duration) bool {
+	d.submitting, d.landed = true, false
+	d.client.SubmitDetachedOn(d.c, d.st.kind, size, d.submittedFn)
+	d.submitting = false
+	return d.landed
+}
+
+// submitted accounts a landed submission — nil when the task died
+// while the virtual context waited for a hardware slot, so the request
+// can never be served here — and resumes the drain, unless the
+// submission landed inline and submit's caller resumes it.
+func (d *dispatcher) submitted(r *gpu.Request) {
+	switch {
+	case d.cold:
+		if r != nil {
+			d.st.stats.ColdTime += d.st.spec.Tenant.WorkingSet
+		}
+	case r == nil:
+		d.srv.fleet.RequestDone(d.node)
+		d.st.stats.Aborted++
+	default:
+		r.Stamp = d.arrival
 		if r.IsDone() {
 			d.onDone(r)
 		} else {
 			r.OnDone = d.doneFn
 		}
 	}
+	if d.submitting {
+		d.landed = true
+		return
+	}
+	d.drain()
 }
 
 // batchDrain stages the whole backlog on the channel and rings one
 // doorbell (Config.BatchDrain): the drain pays one StoreAsync and one
-// device kick — and the process one wake — for k requests, and the
+// device kick — and the continuation one wake — for k requests, and the
 // batch reaches the device in one event at now+DirectWrite. Returns
 // false, staging nothing, when the batch fast path is unavailable
 // (engaged register, detached context); the per-request blocking path

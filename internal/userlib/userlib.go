@@ -36,6 +36,9 @@ type Client struct {
 
 	outstanding []*gpu.Request
 
+	// subFree lists finished SubmitDetachedOn records for reuse.
+	subFree *submission
+
 	// TrapPerRequest switches submissions to the syscall path: every
 	// request pays a kernel trap (plus driver work if TrapDriverWork),
 	// bypassing the direct-mapped interface entirely.
@@ -69,23 +72,34 @@ func Open(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds ...gpu.
 }
 
 // OpenVirtual creates a client backed by a logical (virtual) context:
-// the task can always open one, regardless of how many hardware
-// contexts the device has, and the kernel multiplexes the hardware pool
-// underneath. When a hardware slot is free the attach happens eagerly
-// here, paying exactly the setup syscalls Open would; otherwise the
-// first submission attaches (queueing for a slot if the pool is
-// exhausted, and paying cost.ContextSwitch on every re-attach).
+// the blocking form of OpenVirtualOn.
 func OpenVirtual(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds ...gpu.Kind) (*Client, error) {
-	vc, err := k.OpenVirtual(p, t, label, kinds...)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
-		Task:   t,
-		VC:     vc,
-		kernel: k,
-		order:  append([]gpu.Kind(nil), kinds...),
-	}, nil
+	return sim.AwaitResult(p, func(lane *sim.Cont, then func(*Client, error)) {
+		OpenVirtualOn(lane, k, t, label, kinds, then)
+	})
+}
+
+// OpenVirtualOn creates a client backed by a logical (virtual) context
+// and hands it to then, as a step of lane: the task can always open
+// one, regardless of how many hardware contexts the device has, and the
+// kernel multiplexes the hardware pool underneath. When a hardware slot
+// is free the attach happens eagerly here, paying exactly the setup
+// syscalls Open would; otherwise the first submission attaches
+// (queueing for a slot if the pool is exhausted, and paying
+// cost.ContextSwitch on every re-attach).
+func OpenVirtualOn(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, then func(*Client, error)) {
+	k.OpenVirtualOn(lane, t, label, kinds, func(vc *neon.VContext, err error) {
+		if err != nil {
+			then(nil, err)
+			return
+		}
+		then(&Client{
+			Task:   t,
+			VC:     vc,
+			kernel: k,
+			order:  append([]gpu.Kind(nil), kinds...),
+		}, nil)
+	})
 }
 
 // Channel returns the client's channel of the given kind, or nil. For a
@@ -115,32 +129,122 @@ func (c *Client) Submit(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Requ
 
 // SubmitDetached stages and submits a request without adding it to the
 // outstanding set: the caller never fences or waits on it through this
-// client. Open-loop serving dispatchers use it — completion is observed
-// through the request's own done hook, and tracking every in-flight
-// request in the fence list would grow without bound under sustained
-// overload. Like Submit, the doorbell store may fault and block p.
+// client. It is the blocking form of SubmitDetachedOn: p parks once, if
+// the submission needs a step, until the doorbell store has landed.
 // On a virtual client it returns nil if the task dies before the
 // logical context can attach.
-func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Request {
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var err error
-		ch, err = c.VC.Acquire(p, kind)
-		if err != nil {
-			return nil
-		}
-		defer c.VC.Release()
+func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) (r *gpu.Request) {
+	p.Await(func(lane *sim.Cont, resume func()) {
+		c.SubmitDetachedOn(lane, kind, size, func(x *gpu.Request) {
+			r = x
+			resume()
+		})
+	})
+	return r
+}
+
+// SubmitDetachedOn stages and submits a request on the kind's channel
+// as steps of lane, without adding it to the outstanding set, and hands
+// the request to then once its doorbell store has landed. Open-loop
+// serving dispatchers use it — completion is observed through the
+// request's own done hook, and tracking every in-flight request in the
+// fence list would grow without bound under sustained overload.
+//
+// The steps sit where a process's wake-ups would: a virtual client's
+// acquire (AcquireOn: inline when attached, else the attach's steps),
+// the trap of trap-per-request mode, and the store (mmio.Page.StoreOn:
+// the DirectWrite, or the fault when the register is engaged). A
+// virtual context stays pinned until the store lands. On a virtual
+// client then receives nil, staging nothing, if the task dies before
+// the logical context can attach. Stopping lane abandons the
+// submission, pin included: a lane is stopped when its task exits,
+// which closes the context.
+func (c *Client) SubmitDetachedOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, then func(*gpu.Request)) {
+	s := c.submission()
+	s.lane, s.kind, s.size, s.then = lane, kind, size, then
+	if c.VC == nil {
+		s.acquired(c.channels[kind], nil)
+		return
 	}
-	r := ch.Stage(size, kind)
-	if c.TrapPerRequest {
+	if s.acquiredFn == nil {
+		s.acquiredFn = s.acquired
+	}
+	c.VC.AcquireOn(lane, kind, s.acquiredFn)
+}
+
+// submission is one SubmitDetachedOn in flight. Records are pooled per
+// client; a submission whose lane is stopped abandons its record.
+type submission struct {
+	c    *Client
+	lane *sim.Cont
+	kind gpu.Kind
+	size sim.Duration
+	ch   *gpu.Channel
+	r    *gpu.Request
+	then func(*gpu.Request)
+	next *submission // the client's free list
+
+	// Steps, bound on first use.
+	acquiredFn          func(*gpu.Channel, error)
+	trappedFn, storedFn func()
+}
+
+// submission takes a record from the client's pool.
+func (c *Client) submission() *submission {
+	s := c.subFree
+	if s == nil {
+		return &submission{c: c}
+	}
+	c.subFree, s.next = s.next, nil
+	return s
+}
+
+// acquired stages the request on the acquired channel and rings the
+// doorbell, after the trap in trap-per-request mode.
+func (s *submission) acquired(ch *gpu.Channel, err error) {
+	if err != nil {
+		s.finish(nil)
+		return
+	}
+	s.ch = ch
+	s.r = ch.Stage(s.size, s.kind)
+	if c := s.c; c.TrapPerRequest {
 		cost := c.kernel.Costs().SyscallTrap
 		if c.TrapDriverWork {
 			cost += c.kernel.Costs().SyscallDriverWork
 		}
-		p.Sleep(cost)
+		if s.trappedFn == nil {
+			s.trappedFn = s.trapped
+		}
+		s.lane.Sleep(cost, s.trappedFn)
+		return
 	}
-	ch.Reg.Store(p, r.Ref)
-	return r
+	s.trapped()
+}
+
+// trapped rings the doorbell.
+func (s *submission) trapped() {
+	if s.storedFn == nil {
+		s.storedFn = s.stored
+	}
+	s.ch.Reg.StoreOn(s.lane, s.r.Ref, s.storedFn)
+}
+
+// stored follows the landed store: unpin a virtual context and hand
+// the request on.
+func (s *submission) stored() {
+	if s.c.VC != nil {
+		s.c.VC.Release()
+	}
+	s.finish(s.r)
+}
+
+// finish recycles the record and runs the caller's continuation.
+func (s *submission) finish(r *gpu.Request) {
+	then := s.then
+	s.lane, s.ch, s.r, s.then = nil, nil, nil, nil
+	s.next, s.c.subFree = s.c.subFree, s
+	then(r)
 }
 
 // SubmitAsync is the continuation-passing submission fast path: stage,
@@ -250,8 +354,10 @@ func (c *Client) SubmitEngaged(p *sim.Proc, kind gpu.Kind, size sim.Duration, on
 // lane (mmio.Page.FaultOn). It returns the request at once; then runs,
 // as a step of lane, after the store has been single-stepped to the
 // device. Stopping lane abandons the fault before the store reaches the
-// device. Raw clients only: a virtual context's attach may block, which
-// needs a process (SubmitEngaged).
+// device. Raw clients only, because the request is returned at once: a
+// virtual client's request can only be staged once its context is
+// attached, which may take steps of its own (neon.VContext.AcquireOn);
+// a virtual client commits its fault with SubmitEngaged.
 func (c *Client) SubmitFaulting(lane *sim.Cont, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request), then func()) *gpu.Request {
 	if c.VC != nil {
 		panic("userlib: SubmitFaulting on a virtual client")

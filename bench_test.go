@@ -413,9 +413,8 @@ func BenchmarkDFQCycleConsumerClass(b *testing.B) {
 	k.RequestRunLimit = time.Second
 	dct, _ := workload.ByName("DCT")
 	thr := workload.Throttle(64*time.Microsecond, 0)
-	rng := sim.NewRNG(1)
-	workload.Launch(k, dct, rng.ForkNamed("app", 0))
-	workload.Launch(k, thr, rng.ForkNamed("app", 1))
+	workload.Launch(k, dct)
+	workload.Launch(k, thr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.RunFor(30 * time.Millisecond)

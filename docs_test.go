@@ -82,9 +82,11 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrain", "BenchmarkProcHandoff", "BenchmarkProcSpawn",
 		"BenchmarkEngagedSubmit", "BenchmarkServeStorm",
+		"BenchmarkTable1", "BenchmarkProtection", "BenchmarkSec63DoS",
+		"BenchmarkFleet",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
-		"BENCH_15.json",
+		"BENCH_15.json", "BENCH_16.json",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -183,24 +185,27 @@ func TestDesignDocCoversSubmission(t *testing.T) {
 	doc := string(data)
 	for _, want := range []string{
 		"## 14.", "userlib.SubmitAsync", "gpu.Request.OnDone",
-		"mmio.StoreAsync", "SubmitSync", "SubmitEngaged",
-		"mmio.Page.StoreFaulting", "userlib.Client.Engaged",
+		"mmio.StoreAsync", "SubmitSync", "userlib.Client.SubmitEngagedOn",
+		"userlib.Client.SubmitSyncOn", "userlib.Client.Engaged",
 		"neon.VContext.Peek", "userlib.BeginBatch", "Batch.Flush",
 		"traffic.Config.BatchDrain", "StreamStats.Flushes",
 		"TestSubmitAsyncRefusesEngagedChannel",
 		"TestSubmitAsyncRefusesTrapPerRequest",
-		"TestSubmitEngagedCommitsFault",
+		"TestSubmitEngagedOnCommitsFault",
 		"TestBatchDrainOneDoorbellPerBacklog",
 		"TestBatchDrainUnderDFQEngagement", "TestBatchDrainStampsSojourns",
 		"BenchmarkRequestPathAsync", "BenchmarkClosedLoopSync",
 		"BenchmarkDispatcherDrainBatched",
-		"mmio.Page.FaultOn", "neon.Admitter", "userlib.SubmitFaulting",
-		"neon.Task.NewCont", "TestEngagedAppPairOwnsNoProcs",
+		"mmio.Page.FaultOn", "neon.Admitter", "userlib.OpenOn",
+		"workload.Loop", "workload.Round",
+		"neon.Task.NewCont", "TestClosedLoopStacksOwnNoProcs",
 		"TestKillDuringFaultWrapper", "TestKillDuringFaultAppLane",
 		"TestDFQActiveAtBarrierSeesWaitingFault", "BenchmarkEngagedSubmit",
 		"TestDispatcherQueueReusesArray",
 		"userlib.Client.SubmitDetachedOn", "mmio.Page.StoreOn",
 		"sim.Engine.NewCont", "TestServingDispatchersOwnNoProcs",
+		"TestTenantLaneOversubscribed", "TestKillTenantMidLane",
+		"TestDeadHandleRetiresOnTheLane", "TestRefusalHopsToTheLane",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

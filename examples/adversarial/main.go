@@ -73,7 +73,7 @@ func channelHog() {
 		_, res, _ := workload.LaunchChannelHog(rig.Kernel, 100)
 		rig.Engine.RunFor(50 * time.Millisecond)
 		dct, _ := workload.ByName("DCT")
-		victim := workload.Launch(rig.Kernel, dct, nil)
+		victim := workload.Launch(rig.Kernel, dct)
 		rig.Engine.RunFor(50 * time.Millisecond)
 		policy := "no policy"
 		if withPolicy {

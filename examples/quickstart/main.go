@@ -34,8 +34,8 @@ func main() {
 	//    greedy microbenchmark issuing 850us requests back to back.
 	dct, _ := workload.ByName("DCT")
 	throttle := workload.Throttle(850*time.Microsecond, 0)
-	appA := workload.Launch(kernel, dct, sim.NewRNG(1))
-	appB := workload.Launch(kernel, throttle, sim.NewRNG(2))
+	appA := workload.Launch(kernel, dct)
+	appB := workload.Launch(kernel, throttle)
 
 	// 5. Run one simulated second.
 	eng.RunFor(time.Second)

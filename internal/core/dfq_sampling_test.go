@@ -162,7 +162,7 @@ func TestDFQActiveAtBarrierSeesWaitingFault(t *testing.T) {
 	// and waits for admission through the next barrier.
 	sched.st[task].denied = true
 	h.k.Engage(task)
-	client.SubmitFaulting(task.NewCont(), gpu.Compute, 20*time.Microsecond, nil, func() {})
+	client.SubmitEngagedOn(task.NewCont(), gpu.Compute, 20*time.Microsecond, nil, func(*gpu.Request) {})
 	stepUntil("barrier", func() bool { return sched.mode == dfqBarrier })
 	if task.PendingRequests() != 0 || h.k.TotalFaults != 1 {
 		t.Fatalf("%d requests on the device, %d faults; want the one fault still waiting",

@@ -168,9 +168,8 @@ func ablationRun(opts Options, costs cost.Model, mk func() neon.Scheduler, specs
 	k := neon.NewKernel(dev, mk())
 	k.RequestRunLimit = opts.RunLimit
 	var apps []*workload.App
-	rng := sim.NewRNG(opts.Seed)
-	for i, s := range specs {
-		apps = append(apps, workload.Launch(k, s, rng.ForkNamed("app", i)))
+	for _, s := range specs {
+		apps = append(apps, workload.Launch(k, s))
 	}
 	eng.RunFor(opts.Warmup)
 	for _, a := range apps {

@@ -28,7 +28,7 @@ func TestTaskChurn(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				at := time.Duration(40*(i+1)) * time.Millisecond
 				rig.Engine.After(at, func() {
-					app := workload.Launch(rig.Kernel, workload.Throttle(200*time.Microsecond, 0), nil)
+					app := workload.Launch(rig.Kernel, workload.Throttle(200*time.Microsecond, 0))
 					rig.Engine.After(60*time.Millisecond, func() {
 						rig.Kernel.KillTask(app.Task, "churn")
 					})

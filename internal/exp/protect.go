@@ -65,7 +65,7 @@ func Sec63DoS(opts Options) *report.Table {
 
 				// A well-behaved victim arrives after the hog.
 				dct, _ := workload.ByName("DCT")
-				victim := workload.Launch(rig.Kernel, dct, nil)
+				victim := workload.Launch(rig.Kernel, dct)
 				rig.Engine.RunFor(50 * time.Millisecond)
 
 				label := "none (vendor default)"

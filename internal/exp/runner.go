@@ -152,9 +152,8 @@ func NewRig(sched Sched, opts Options, specs ...workload.Spec) *Rig {
 	k := neon.NewKernel(dev, policy)
 	k.RequestRunLimit = opts.RunLimit
 	rig := &Rig{Engine: eng, Device: dev, Kernel: k, opts: opts}
-	rng := sim.NewRNG(opts.Seed)
-	for i, s := range specs {
-		rig.Apps = append(rig.Apps, workload.Launch(k, s, rng.ForkNamed("app", i)))
+	for _, s := range specs {
+		rig.Apps = append(rig.Apps, workload.Launch(k, s))
 	}
 	return rig
 }

@@ -56,65 +56,72 @@ func Sec3Throughput(opts Options) *report.Table {
 // throughput measures completed requests/second for back-to-back
 // blocking requests of one size under the chosen submission stack.
 func throughput(opts Options, size sim.Duration, trap, driverWork bool) float64 {
-	eng := sim.NewEngine()
+	eng, done := sec3Stack(size, trap, driverWork)
+	eng.RunFor(opts.Measure)
+	return float64(*done) / eng.Now().Seconds()
+}
+
+// sec3Stack builds the throughput driver: one task submitting
+// back-to-back blocking requests of one size, counting completions in
+// done. Its thread is a continuation of the task: the first step takes
+// the place a spawned process's activation would, and the setup
+// syscalls are its sleeps.
+func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done *int64) {
+	eng = sim.NewEngine()
 	cfg := gpu.DefaultConfig()
 	dev := gpu.New(eng, cfg)
 	k := neon.NewKernel(dev, noScheduler{})
 	task := k.NewTask("throttle")
-	var done int64
-	task.Go("main", func(p *sim.Proc) {
-		client, err := userlib.Open(p, k, task, "throttle", gpu.Compute)
-		if err != nil {
-			return
-		}
-		client.TrapPerRequest = trap
-		client.TrapDriverWork = driverWork
-		if trap {
-			// Trap-per-request stacks refuse the async fast path on
-			// every submission, so the classic blocking loop — trap
-			// sleep, store, park on the done gate — is the honest model.
-			for task.Alive {
-				client.SubmitSync(p, gpu.Compute, size)
-				done++
-			}
-			return
-		}
-		// Direct access runs as a self-resubmitting continuation chain:
-		// each completion re-stages the next request from engine context,
-		// with zero proc handoffs per request.
-		eng := p.Engine()
-		slow := eng.NewGate("sec3-slow")
-		var submit func()
-		onDone := func(r *gpu.Request) {
-			if r.Aborted {
+	lane := task.NewCont()
+	done = new(int64)
+	lane.Yield(func() {
+		userlib.OpenOn(lane, k, task, "throttle", []gpu.Kind{gpu.Compute}, func(client *userlib.Client, err error) {
+			if err != nil {
 				return
 			}
-			eng.After(0, func() {
-				r.Release()
-				done++
-				submit()
-			})
-		}
-		submit = func() {
-			if !task.Alive {
+			client.TrapPerRequest = trap
+			client.TrapDriverWork = driverWork
+			if trap {
+				// Trap-per-request stacks refuse the async fast path on
+				// every submission, so the classic blocking loop — trap
+				// sleep, store, wait on the done gate — is the honest
+				// model.
+				var next func(*gpu.Request)
+				next = func(*gpu.Request) {
+					*done++
+					if task.Alive {
+						client.SubmitSyncOn(lane, gpu.Compute, size, next)
+					}
+				}
+				client.SubmitSyncOn(lane, gpu.Compute, size, next)
 				return
 			}
-			if _, ok := client.SubmitAsync(eng, gpu.Compute, size, onDone); !ok {
-				// Unreachable under noScheduler (pages stay present);
-				// hand to the blocking lane rather than stall silently.
-				slow.Signal()
+			// Direct access runs as a self-resubmitting continuation chain:
+			// each completion re-stages the next request from engine context,
+			// with zero proc handoffs per request.
+			var submit func()
+			onDone := func(r *gpu.Request) {
+				if r.Aborted {
+					return
+				}
+				eng.After(0, func() {
+					r.Release()
+					*done++
+					submit()
+				})
 			}
-		}
-		submit()
-		for task.Alive {
-			p.Wait(slow)
-			client.SubmitSync(p, gpu.Compute, size)
-			done++
+			submit = func() {
+				if !task.Alive {
+					return
+				}
+				if _, ok := client.SubmitAsync(eng, gpu.Compute, size, onDone); !ok {
+					panic("exp: sec3 direct submission refused; noScheduler keeps every channel page present")
+				}
+			}
 			submit()
-		}
+		})
 	})
-	eng.RunFor(opts.Measure)
-	return float64(done) / eng.Now().Seconds()
+	return eng, done
 }
 
 // noScheduler is a direct-access policy without the core package import

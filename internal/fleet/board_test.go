@@ -304,9 +304,9 @@ func TestFleetWideFairness(t *testing.T) {
 		wide.Name = "wide"
 		narrow := spec
 		narrow.Name = "narrow"
-		w0 := workload.Launch(k0, wide, sim.NewRNG(1))
-		w1 := workload.Launch(k1, wide, sim.NewRNG(2))
-		n0 := workload.Launch(k0, narrow, sim.NewRNG(3))
+		w0 := workload.Launch(k0, wide)
+		w1 := workload.Launch(k1, wide)
+		n0 := workload.Launch(k0, narrow)
 		eng.RunFor(500 * ms)
 
 		wideBusy := w0.Task.BusyTime() + w1.Task.BusyTime()

@@ -19,7 +19,13 @@ import (
 // pays WorkingSet of device time to reconstruct it (data migration plus
 // re-initialization kernels occupying the destination engine) — the
 // locality cost sticky placement exists to avoid.
+//
+// The round loop is the embedded workload.Loop; the tenant supplies
+// its rounds' content: the placement, the lazily opened virtual client
+// (ClientOn), the jittered think time and the cold-rebuild request.
 type Tenant struct {
+	workload.Loop
+
 	Spec workload.TenantSpec
 
 	fleet   *Fleet
@@ -37,39 +43,15 @@ type Tenant struct {
 	allocWeight float64
 	hintClasses []float64
 
-	// Continuation-machine state (DESIGN.md §14), mirroring
-	// workload.App: phase/idx drive the round, pending/fencing the
-	// frame fence, awaiting the blocking request in flight, slowFault
-	// the committed fault handoff, and stopped halts the slow lane.
-	eng        *sim.Engine
-	reqs       []workload.Req
-	coldKind   gpu.Kind
-	node       *Node
-	client     *userlib.Client
-	phase      int
-	idx        int
-	pending    int
-	fencing    bool
-	awaiting   *gpu.Request
-	placed     bool
-	slowFault  bool
-	stopped    bool
-	retire     []*gpu.Request
-	roundStart sim.Time
-	slowGate   *sim.Gate
-	stepFn     func()
-	fireDone   func(*gpu.Request)
-	blockDone  func(*gpu.Request)
+	// The round in progress: its node, and whether it was placed (a
+	// Begin repeated on the loop's lane must not place again).
+	node   *Node
+	placed bool
 
-	// Rounds and RoundTime accumulate since the last ResetStats.
-	Rounds    int64
-	RoundTime sim.Duration
 	// Migrations counts rounds that moved off the previous device;
 	// ColdTime is the device time those moves spent rebuilding state.
 	Migrations int64
 	ColdTime   sim.Duration
-	// PerDevice counts rounds completed on each node index.
-	PerDevice []int64
 
 	setupErr error
 }
@@ -91,34 +73,29 @@ func (f *Fleet) NewTenant(spec workload.TenantSpec) *Tenant {
 		panic(fmt.Sprintf("fleet: %v", err))
 	}
 	t := &Tenant{
-		Spec:      spec,
-		fleet:     f,
-		clients:   make(map[*Node]*userlib.Client),
-		tasks:     make(map[*Node]*neon.Task),
-		rng:       sim.NewRNG(sim.StreamSeed(f.seed, "tenant", len(f.tenants))),
-		PerDevice: make([]int64, len(f.nodes)),
+		Spec:    spec,
+		fleet:   f,
+		clients: make(map[*Node]*userlib.Client),
+		tasks:   make(map[*Node]*neon.Task),
+		rng:     sim.NewRNG(sim.StreamSeed(f.seed, "tenant", len(f.tenants))),
 	}
 	f.tenants = append(f.tenants, t)
 	return t
 }
 
-// Launch starts a tenant's round loop on the fleet.
+// Launch starts a tenant's round loop on the fleet. The loop's lane is
+// an engine continuation, not a task's, because it outlives any one
+// node's task; its first step takes the place a spawned process's
+// activation would.
 func (f *Fleet) Launch(spec workload.TenantSpec) *Tenant {
 	t := f.NewTenant(spec)
-	f.eng.Spawn("tenant/"+spec.Name, t.run)
+	lane := f.eng.NewCont()
+	lane.Yield(func() { t.Start(t, f.eng, lane, nil, spec.Spec) })
 	return t
 }
 
 // SetupError returns any context/channel allocation failure.
 func (t *Tenant) SetupError() error { return t.setupErr }
-
-// AvgRound returns the mean round time since the last ResetStats.
-func (t *Tenant) AvgRound() sim.Duration {
-	if t.Rounds == 0 {
-		return 0
-	}
-	return t.RoundTime / sim.Duration(t.Rounds)
-}
 
 // ServiceTime returns the raw device time the tenant has received
 // across the fleet since the last ResetStats — including any
@@ -187,7 +164,6 @@ func (t *Tenant) ResetStats() {
 	t.RoundTime = 0
 	t.Migrations = 0
 	t.ColdTime = 0
-	t.PerDevice = make([]int64, len(t.fleet.nodes))
 }
 
 // Task returns the tenant's kernel task on the node, nil before the
@@ -224,18 +200,6 @@ func (t *Tenant) ClientOn(c *sim.Cont, n *Node, then func(*userlib.Client, error
 	})
 }
 
-// clientOn is ClientOn for the round loop: inline when the client is
-// open (p may then be nil), else parking the slow-lane process p
-// through the setup.
-func (t *Tenant) clientOn(p *sim.Proc, n *Node) (*userlib.Client, error) {
-	if cl, err, ok := t.openedOn(n); ok {
-		return cl, err
-	}
-	return sim.AwaitResult(p, func(c *sim.Cont, then func(*userlib.Client, error)) {
-		t.ClientOn(c, n, then)
-	})
-}
-
 // openedOn returns the tenant's client on the node if one was opened,
 // and reports whether one was.
 func (t *Tenant) openedOn(n *Node) (*userlib.Client, error, bool) {
@@ -251,250 +215,63 @@ func (t *Tenant) openedOn(n *Node) (*userlib.Client, error, bool) {
 	return c, nil, true
 }
 
-// Tenant round-machine phases, mirroring workload.App's machine: the
-// placed round loop runs as an engine-driven state machine on the async
-// submission path, and the tenant's process survives as the slow lane
-// for anything that must block — first-touch client setup, blocking
-// attach of a detached virtual context, and submissions committed to
-// the fault path at an engine-instant refusal (see userlib.Engaged).
-const (
-	tphPlace  = iota // round start: place, open client, cold rebuild
-	tphCold          // cold-rebuild request in flight
-	tphThink         // jittered CPU think timer in flight
-	tphSubmit        // submitting reqs[idx:]
-	tphFence         // waiting for pending to reach zero
-	tphOff           // off-period timer in flight
-)
-
-// run drives the tenant's placed round loop as a continuation machine.
-func (t *Tenant) run(p *sim.Proc) {
-	t.eng = p.Engine()
-	t.reqs = t.Spec.Requests()
-	t.coldKind = gpu.Compute
-	if kinds := t.Spec.Channels; len(kinds) > 0 {
-		t.coldKind = kinds[0]
+// Begin places the round and hands the loop the round's client: at
+// once when the client on the node is open, else on the loop's lane,
+// through the setup syscalls of a first touch or, for a dead handle,
+// straight to the error. A dead handle still hops to the lane before
+// the round is retired, where a slow-lane process would have retired
+// it.
+func (t *Tenant) Begin(l *workload.Loop, lane bool) {
+	if !t.placed {
+		t.node = t.fleet.Place(t)
+		t.placed = true
 	}
-	t.slowGate = t.eng.NewGate("slow-tenant-" + t.Spec.Name)
-	t.stepFn = func() { t.step(nil) }
-	t.fireDone = func(r *gpu.Request) { t.oneDone(r) }
-	t.blockDone = func(*gpu.Request) { t.eng.After(0, t.stepFn) }
-
-	t.phase = tphPlace
-	t.step(p)
-	for !t.stopped {
-		p.Wait(t.slowGate)
-		if t.stopped {
-			return
-		}
-		t.step(p)
+	if c, err, ok := t.openedOn(t.node); ok && err == nil {
+		t.run(c, lane)
+		return
 	}
+	if !lane {
+		l.Hop()
+		return
+	}
+	t.ClientOn(l.Lane(), t.node, t.opened)
 }
 
-// oneDone is the completion continuation of fire-and-forget requests.
-func (t *Tenant) oneDone(r *gpu.Request) {
-	t.pending--
-	if !r.Aborted {
-		t.retire = append(t.retire, r)
+// opened continues a round whose client needed the lane.
+func (t *Tenant) opened(c *userlib.Client, err error) {
+	if err != nil {
+		t.setupErr = err
+		t.fleet.roundDone(t.node)
+		t.Stop()
+		return
 	}
-	if t.fencing && t.pending == 0 {
-		t.eng.After(0, t.stepFn)
-	}
+	t.run(c, true)
 }
 
-// step advances the round machine; p == nil means engine context (must
-// not block — blocking work hands off to the slow lane), p != nil means
-// the slow-lane process.
-func (t *Tenant) step(p *sim.Proc) {
-	if r := t.awaiting; r != nil {
-		t.awaiting = nil
-		r.Release()
-		t.advance()
-	}
-	for {
-		switch t.phase {
-		case tphPlace:
-			// Place exactly once per round: a slow-lane handoff re-enters
-			// this phase, and the placement decision must not be redrawn
-			// (round-robin advances on every Place call).
-			if !t.placed {
-				t.roundStart = t.eng.Now()
-				t.node = t.fleet.Place(t)
-				t.placed = true
-			}
-			if p == nil {
-				if c, ok := t.clients[t.node]; !ok || !c.Task.Alive {
-					// First touch (setup syscalls) or a dead handle:
-					// both need the process.
-					t.toProc(t.coldKind, false)
-					return
-				}
-			}
-			client, err := t.clientOn(p, t.node)
-			if err != nil {
-				t.setupErr = err
-				t.fleet.roundDone(t.node)
-				t.stop()
-				return
-			}
-			t.client = client
-			cold := t.last != nil && t.last != t.node && t.Spec.WorkingSet > 0
-			t.last = t.node
-			if !cold {
-				t.phase = tphThink
-				continue
-			}
-			// Cold round: rebuild the warm state before the round's own
-			// requests. The reconstruction occupies the destination
-			// engine, so migration costs the fleet real capacity.
-			t.Migrations++
-			t.ColdTime += t.Spec.WorkingSet
-			t.phase = tphCold
-		case tphCold:
-			if !t.submitBlocking(p, t.coldKind, t.Spec.WorkingSet) {
-				return
-			}
-		case tphThink:
-			t.phase = tphSubmit
-			t.idx = 0
-			t.eng.After(t.rng.Jitter(t.Spec.CPU, t.Spec.Jitter), t.stepFn)
-			return
-		case tphSubmit:
-			if t.idx == len(t.reqs) {
-				t.phase = tphFence
-				continue
-			}
-			rq := t.reqs[t.idx]
-			if rq.Trivial || t.Spec.Pipelined {
-				fault := t.slowFault
-				t.slowFault = false
-				if !fault {
-					if _, ok := t.client.SubmitAsync(t.eng, rq.Kind, rq.Size, t.fireDone); ok {
-						t.pending++
-						t.idx++
-						dw := t.node.Kernel.Costs().DirectWrite
-						if p == nil {
-							t.eng.After(dw, t.stepFn)
-							return
-						}
-						p.Sleep(dw)
-						continue
-					}
-					if p == nil {
-						t.toProc(rq.Kind, true)
-						return
-					}
-				}
-				if fault {
-					t.pending++
-					if t.client.SubmitEngaged(p, rq.Kind, rq.Size, t.fireDone) == nil {
-						t.pending--
-					}
-				} else if r := t.client.SubmitDetached(p, rq.Kind, rq.Size); r != nil {
-					t.pending++
-					if r.IsDone() {
-						t.fireDone(r)
-					} else {
-						r.OnDone = t.fireDone
-					}
-				}
-				t.idx++
-			} else if !t.submitBlocking(p, rq.Kind, rq.Size) {
-				return
-			}
-		case tphFence:
-			if t.pending > 0 {
-				t.fencing = true
-				return
-			}
-			t.fencing = false
-			for i, r := range t.retire {
-				r.Release()
-				t.retire[i] = nil
-			}
-			t.retire = t.retire[:0]
-			t.fleet.roundDone(t.node)
-			if off := t.Spec.OffTime(); off > 0 {
-				t.phase = tphOff
-				t.eng.After(off, t.stepFn)
-				return
-			}
-			t.endRound()
-		case tphOff:
-			t.endRound()
-		}
-	}
-}
-
-// submitBlocking issues one submit-and-wait request for the current
-// phase. It returns false when the machine must yield: the request is
-// in flight with a continuation, or the submission was handed to the
-// slow lane. On a nil (dead-handle) submission it advances as the old
-// blocking loop did — the next placement notices the dead task.
-func (t *Tenant) submitBlocking(p *sim.Proc, kind gpu.Kind, size sim.Duration) bool {
-	fault := t.slowFault
-	t.slowFault = false
-	if !fault {
-		if r, ok := t.client.SubmitAsync(t.eng, kind, size, t.blockDone); ok {
-			t.awaiting = r
-			return false
-		}
-		if p == nil {
-			t.toProc(kind, true)
-			return false
-		}
-	}
-	var r *gpu.Request
-	if fault {
-		if r = t.client.SubmitEngaged(p, kind, size, nil); r != nil {
-			p.Wait(r.DoneGate())
-		}
-	} else {
-		r = t.client.SubmitSync(p, kind, size)
-	}
-	if r != nil {
-		r.Release()
-	}
-	t.advance()
-	return true
-}
-
-// advance moves past the blocking submission that just completed: the
-// cold rebuild yields to the think phase, a round request to the next
-// request in the sequence.
-func (t *Tenant) advance() {
-	if t.phase == tphCold {
-		t.phase = tphThink
-	} else {
-		t.idx++
-	}
-}
-
-// endRound accounts the finished round; the step loop then re-enters
-// tphPlace in the same turn, exactly as the blocking loop began its
-// next round without yielding.
-func (t *Tenant) endRound() {
-	now := t.eng.Now()
-	t.Rounds++
-	t.PerDevice[t.node.Index]++
-	t.RoundTime += now.Sub(t.roundStart)
-	t.phase = tphPlace
+// run runs the placed round on c. A round placed off the previous
+// device first rebuilds the warm state: the reconstruction occupies the
+// destination engine, so migration costs the fleet real capacity.
+func (t *Tenant) run(c *userlib.Client, lane bool) {
 	t.placed = false
-}
-
-// toProc hands the machine to the slow-lane process. When the handoff
-// is for a refused submission, the fault-or-direct decision is
-// committed here, at the refusal instant, because the scheduler may
-// flip the channel's engagement within the same instant (see
-// userlib.Engaged and DESIGN.md §14).
-func (t *Tenant) toProc(kind gpu.Kind, submission bool) {
-	if submission {
-		t.slowFault = t.client.Engaged(kind)
+	var cold workload.Req
+	if t.last != nil && t.last != t.node && t.Spec.WorkingSet > 0 {
+		t.Migrations++
+		t.ColdTime += t.Spec.WorkingSet
+		cold = workload.Req{Size: t.Spec.WorkingSet, Kind: c.Kinds()[0]}
 	}
-	t.slowGate.Signal()
+	t.last = t.node
+	t.Run(c, cold, lane)
 }
 
-// stop halts the machine and releases the slow-lane process.
-func (t *Tenant) stop() {
-	t.stopped = true
-	t.slowGate.Signal()
+// Think returns the round's jittered CPU time.
+func (t *Tenant) Think() (sim.Duration, bool) {
+	return t.rng.Jitter(t.Spec.CPU, t.Spec.Jitter), true
 }
+
+// Fenced retires the round from its node's queue depth once its
+// requests have completed.
+func (t *Tenant) Fenced() { t.fleet.roundDone(t.node) }
+
+// Submitted and Served do nothing: tenants keep no request statistics.
+func (t *Tenant) Submitted(sim.Time)  {}
+func (t *Tenant) Served(*gpu.Request) {}

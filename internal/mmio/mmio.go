@@ -36,10 +36,10 @@ type Fault struct {
 	then func()
 	next *Fault // the pool's free list
 
-	// Steps and Proc.Await starts, bound on first use so that a record
-	// costs only what its callers use of it.
+	// Steps and the Proc.Await start, bound on first use so that a
+	// record costs only what its callers use of it.
 	trapFn, deliverFn func()
-	storeFn, faultFn  func(*sim.Cont, func())
+	storeFn           func(*sim.Cont, func())
 }
 
 // FaultHandler is invoked after the trap of every store to a
@@ -122,28 +122,6 @@ func (pg *Page) Store(p *sim.Proc, value uint64) {
 	p.Await(f.storeFn)
 }
 
-// StoreFaulting delivers a store from process p through the fault path
-// regardless of the page's current mapping. It is a thin wrapper over
-// FaultOn on the process's own continuation: p parks once, for the whole
-// fault, and continues when the store has been single-stepped.
-//
-// Store commits a store to the fault at the instant it observes the
-// page non-present — the page may be remapped during the trap and the
-// handler still runs. A caller that makes the same observation in
-// engine context (a continuation machine whose fast-path store was
-// refused) owes the same commitment and takes the fault one event hop
-// later, on its slow lane; the scheduler may remap the page within that
-// same instant, exactly as it may during the trap, and either way the
-// committed fault proceeds: trap, handler, then the single-stepped
-// store.
-func (pg *Page) StoreFaulting(p *sim.Proc, value uint64) {
-	f := pg.record(value)
-	if f.faultFn == nil {
-		f.faultFn = f.fault
-	}
-	p.Await(f.faultFn)
-}
-
 // StoreOn is the store in continuation form. On a present page it
 // counts a direct write, sleeps the DirectWrite on c, then delivers the
 // value to the device and calls then, as a step of c: the step sits
@@ -158,6 +136,16 @@ func (pg *Page) StoreOn(c *sim.Cont, value uint64, then func()) {
 // c, runs the handler's steps on c, single-steps the store to the device
 // and then calls then, as a step of c. Stopping c at any point before
 // delivery abandons the fault: no store reaches the device.
+//
+// It takes the fault regardless of the page's current mapping. A store
+// commits to the fault at the instant it observes the page non-present:
+// the page may be remapped during the trap and the handler still runs.
+// A caller that makes the same observation in engine context (a
+// continuation machine whose fast-path store was refused) owes the same
+// commitment and takes the fault one event hop later, on its lane; the
+// scheduler may remap the page within that instant, exactly as it may
+// during the trap, and either way the committed fault proceeds: trap,
+// handler, then the single-stepped store.
 func (pg *Page) FaultOn(c *sim.Cont, value uint64, then func()) {
 	pg.record(value).fault(c, then)
 }

@@ -28,7 +28,7 @@ func ExampleNewKernel() {
 	kernel := neon.NewKernel(dev, sched)
 	kernel.RequestRunLimit = time.Second
 
-	app := workload.Launch(kernel, workload.Throttle(100*time.Microsecond, 0), sim.NewRNG(1))
+	app := workload.Launch(kernel, workload.Throttle(100*time.Microsecond, 0))
 	eng.RunFor(50 * time.Millisecond)
 
 	fmt.Println("scheduler:", kernel.Scheduler().Name())

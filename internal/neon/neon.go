@@ -187,22 +187,6 @@ func (k *Kernel) NewTask(name string) *Task {
 	return t
 }
 
-// CreateContext is the context-setup syscall, the blocking form of
-// CreateContextOn: p parks once, for the trap and the driver work.
-func (k *Kernel) CreateContext(p *sim.Proc, t *Task, label string) (*gpu.Context, error) {
-	return sim.AwaitResult(p, func(c *sim.Cont, then func(*gpu.Context, error)) {
-		k.CreateContextOn(c, t, label, then)
-	})
-}
-
-// CreateChannel is the channel-setup syscall, the blocking form of
-// CreateChannelOn.
-func (k *Kernel) CreateChannel(p *sim.Proc, t *Task, ctx *gpu.Context, kind gpu.Kind) (*ChannelState, error) {
-	return sim.AwaitResult(p, func(c *sim.Cont, then func(*ChannelState, error)) {
-		k.CreateChannelOn(c, t, ctx, kind, then)
-	})
-}
-
 // CreateContextOn is the context-setup syscall in continuation form: it
 // sleeps the trap plus driver work on c, applies the protection policy,
 // creates the context and hands it to then, as a step of c. Stopping c

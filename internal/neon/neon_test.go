@@ -22,6 +22,21 @@ type recordingSched struct {
 	blockers  map[*Task]bool // tasks whose faults should block
 }
 
+// CreateContext is the context-setup syscall's blocking form: p parks
+// once, for the trap and the driver work.
+func (k *Kernel) CreateContext(p *sim.Proc, t *Task, label string) (*gpu.Context, error) {
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*gpu.Context, error)) {
+		k.CreateContextOn(c, t, label, then)
+	})
+}
+
+// CreateChannel is the channel-setup syscall's blocking form.
+func (k *Kernel) CreateChannel(p *sim.Proc, t *Task, ctx *gpu.Context, kind gpu.Kind) (*ChannelState, error) {
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*ChannelState, error)) {
+		k.CreateChannelOn(c, t, ctx, kind, then)
+	})
+}
+
 func (r *recordingSched) Name() string         { return "recording" }
 func (r *recordingSched) Start(*Kernel)        {}
 func (r *recordingSched) TaskAdmitted(t *Task) { r.admitted = append(r.admitted, t) }

@@ -450,7 +450,7 @@ func (d *dispatcher) drain() {
 // reports whether it landed inline.
 func (d *dispatcher) submit(size sim.Duration) bool {
 	d.submitting, d.landed = true, false
-	d.client.SubmitDetachedOn(d.c, d.st.kind, size, d.submittedFn)
+	d.client.SubmitDetachedOn(d.c, d.st.kind, size, nil, d.submittedFn)
 	d.submitting = false
 	return d.landed
 }

@@ -113,46 +113,61 @@ func TestSubmitAsyncRefusesTrapPerRequest(t *testing.T) {
 	e.RunFor(time.Millisecond)
 }
 
-// TestSubmitEngagedCommitsFault: a submission that observed the register
-// engaged must replay the fault even if the scheduler disengaged the
-// page before its process-context turn — the committed-fault rule that
-// keeps continuation machines byte-identical with the atomic blocking
-// store's check-then-fault.
-func TestSubmitEngagedCommitsFault(t *testing.T) {
-	e, k := stack(t)
-	task := k.NewTask("t")
-	task.Go("main", func(p *sim.Proc) {
-		c, _ := Open(p, k, task, "t", gpu.Compute)
-		c.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
-		reg := c.Channel(gpu.Compute).Reg
+// TestSubmitEngagedOnCommitsFault: a submission that observed the
+// register engaged must replay the fault even if the scheduler
+// disengaged the page before its lane runs — the committed-fault rule
+// that keeps continuation machines byte-identical with the atomic
+// blocking store's check-then-fault — on raw and virtual clients alike.
+func TestSubmitEngagedOnCommitsFault(t *testing.T) {
+	for _, virtual := range []bool{false, true} {
+		e, k := stack(t)
+		task := k.NewTask("t")
+		task.Go("main", func(p *sim.Proc) {
+			open := Open
+			if virtual {
+				open = OpenVirtual
+			}
+			c, _ := open(p, k, task, "t", gpu.Compute)
+			c.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
+			reg := c.Channel(gpu.Compute).Reg
 
-		// The machine observes the engagement at the refusal instant...
-		reg.SetPresent(false)
-		if _, ok := c.SubmitAsync(e, gpu.Compute, 10*time.Microsecond, nil); ok {
-			t.Fatal("SubmitAsync accepted an engaged channel")
-		}
-		committed := c.Engaged(gpu.Compute)
-		if !committed {
-			t.Fatal("Engaged = false at the refusal instant")
-		}
-		// ...and the scheduler disengages before the slow lane runs.
-		reg.SetPresent(true)
-
-		faultsBefore := reg.Faults
-		start := p.Now()
-		r := c.SubmitEngaged(p, gpu.Compute, 10*time.Microsecond, nil)
-		if r == nil {
-			t.Fatal("SubmitEngaged staged nothing")
-		}
-		if reg.Faults != faultsBefore+1 {
-			t.Errorf("Faults = %d, want %d: the committed fault must replay", reg.Faults, faultsBefore+1)
-		}
-		if blocked := p.Now().Sub(start); blocked < k.Costs().FaultTrap {
-			t.Errorf("SubmitEngaged blocked %v, want at least the fault trap %v", blocked, k.Costs().FaultTrap)
-		}
-		p.Wait(r.DoneGate())
-	})
-	e.RunFor(time.Millisecond)
+			// The machine observes the engagement at the refusal instant...
+			reg.SetPresent(false)
+			if _, ok := c.SubmitAsync(e, gpu.Compute, 10*time.Microsecond, nil); ok {
+				t.Fatal("SubmitAsync accepted an engaged channel")
+			}
+			if !c.Engaged(gpu.Compute) {
+				t.Fatal("Engaged = false at the refusal instant")
+			}
+			// ...hands the submission to its lane, and the scheduler
+			// disengages before the lane runs.
+			faultsBefore, start := reg.Faults, p.Now()
+			lane, landed := task.NewCont(), e.NewGate("landed")
+			var r *gpu.Request
+			hooked := 0
+			lane.Yield(func() {
+				c.SubmitEngagedOn(lane, gpu.Compute, 10*time.Microsecond,
+					func(*gpu.Request) { hooked++ },
+					func(x *gpu.Request) { r = x; landed.Open() })
+			})
+			reg.SetPresent(true)
+			p.Wait(landed)
+			if r == nil {
+				t.Fatalf("virtual=%v: SubmitEngagedOn staged nothing", virtual)
+			}
+			if reg.Faults != faultsBefore+1 {
+				t.Errorf("virtual=%v: Faults = %d, want %d: the committed fault must replay", virtual, reg.Faults, faultsBefore+1)
+			}
+			if blocked := p.Now().Sub(start); blocked < k.Costs().FaultTrap {
+				t.Errorf("virtual=%v: the store landed after %v, want at least the fault trap %v", virtual, blocked, k.Costs().FaultTrap)
+			}
+			p.Wait(r.DoneGate())
+			if hooked != 1 {
+				t.Errorf("virtual=%v: the completion hook ran %d times, want 1", virtual, hooked)
+			}
+		})
+		e.RunFor(time.Millisecond)
+	}
 }
 
 // TestWaitOneRetiresFromMiddle: WaitOne must retire the waited request

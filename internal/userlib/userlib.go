@@ -47,28 +47,50 @@ type Client struct {
 	TrapDriverWork bool
 }
 
-// Open creates a context and one channel per kind for the task. It is
-// called from the task's own process p and pays the setup syscall costs.
+// Open creates a context and one channel per kind for the task: the
+// blocking form of OpenOn, which p parks once for.
 func Open(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds ...gpu.Kind) (*Client, error) {
-	ctx, err := k.CreateContext(p, t, label)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{
-		Task:     t,
-		Ctx:      ctx,
-		kernel:   k,
-		channels: make(map[gpu.Kind]*gpu.Channel, len(kinds)),
-	}
-	for _, kind := range kinds {
-		cs, err := k.CreateChannel(p, t, ctx, kind)
+	return sim.AwaitResult(p, func(lane *sim.Cont, then func(*Client, error)) {
+		OpenOn(lane, k, t, label, kinds, then)
+	})
+}
+
+// OpenOn creates a context and one channel per kind for the task and
+// hands the client to then, as a step of lane. Each setup syscall's
+// trap and driver work is a sleep of lane (neon.Kernel.CreateContextOn,
+// CreateChannelOn). A failed syscall hands then its error; stopping
+// lane abandons the open.
+func OpenOn(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, then func(*Client, error)) {
+	k.CreateContextOn(lane, t, label, func(ctx *gpu.Context, err error) {
 		if err != nil {
-			return nil, err
+			then(nil, err)
+			return
 		}
-		c.channels[kind] = cs.Ch
-		c.order = append(c.order, kind)
-	}
-	return c, nil
+		c := &Client{
+			Task:     t,
+			Ctx:      ctx,
+			kernel:   k,
+			channels: make(map[gpu.Kind]*gpu.Channel, len(kinds)),
+		}
+		var next func()
+		next = func() {
+			if len(c.order) == len(kinds) {
+				then(c, nil)
+				return
+			}
+			kind := kinds[len(c.order)]
+			k.CreateChannelOn(lane, t, ctx, kind, func(cs *neon.ChannelState, err error) {
+				if err != nil {
+					then(nil, err)
+					return
+				}
+				c.channels[kind] = cs.Ch
+				c.order = append(c.order, kind)
+				next()
+			})
+		}
+		next()
+	})
 }
 
 // OpenVirtual creates a client backed by a logical (virtual) context:
@@ -115,6 +137,9 @@ func (c *Client) Channel(kind gpu.Kind) *gpu.Channel {
 // Kinds returns the channel kinds the client opened, in creation order.
 func (c *Client) Kinds() []gpu.Kind { return c.order }
 
+// Kernel returns the kernel the client was opened on.
+func (c *Client) Kernel() *neon.Kernel { return c.kernel }
+
 // Submit stages a request of the given size on the kind's channel and
 // rings the doorbell. It does not wait for completion. The store may
 // fault (and block p) if the scheduler has engaged the channel.
@@ -135,7 +160,7 @@ func (c *Client) Submit(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Requ
 // logical context can attach.
 func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) (r *gpu.Request) {
 	p.Await(func(lane *sim.Cont, resume func()) {
-		c.SubmitDetachedOn(lane, kind, size, func(x *gpu.Request) {
+		c.SubmitDetachedOn(lane, kind, size, nil, func(x *gpu.Request) {
 			r = x
 			resume()
 		})
@@ -148,7 +173,8 @@ func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) (
 // the request to then once its doorbell store has landed. Open-loop
 // serving dispatchers use it — completion is observed through the
 // request's own done hook, and tracking every in-flight request in the
-// fence list would grow without bound under sustained overload.
+// fence list would grow without bound under sustained overload. onDone,
+// if non-nil, is hooked at staging, before the store.
 //
 // The steps sit where a process's wake-ups would: a virtual client's
 // acquire (AcquireOn: inline when attached, else the attach's steps),
@@ -159,9 +185,55 @@ func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) (
 // the logical context can attach. Stopping lane abandons the
 // submission, pin included: a lane is stopped when its task exits,
 // which closes the context.
-func (c *Client) SubmitDetachedOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, then func(*gpu.Request)) {
+func (c *Client) SubmitDetachedOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, onDone, then func(*gpu.Request)) {
+	c.submitOn(lane, kind, size, subDetached, onDone, then)
+}
+
+// SubmitEngagedOn completes, as steps of lane, a submission whose fast
+// path was refused because the channel register was engaged (Engaged
+// reported true at the refusal instant). The store is committed to the
+// fault path (mmio.Page.FaultOn), so the request pays the fault trap
+// and runs the kernel handler even if the scheduler disengaged the page
+// between the refusal and this step, exactly as a store that took the
+// fault at the observation would have. onDone, if non-nil, is hooked at
+// staging, before the store: the handler may delay the store
+// arbitrarily and the request can abort (task death) while staged. It
+// does not wait for completion: then receives the request once the
+// store has been single-stepped to the device. It covers raw and
+// virtual clients alike: a virtual context is acquired first
+// (VContext.AcquireOn) and stays pinned until the store lands, and then
+// receives nil, staging nothing, if the task dies before the context
+// can attach. Stopping lane abandons the submission.
+func (c *Client) SubmitEngagedOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, onDone, then func(*gpu.Request)) {
+	c.submitOn(lane, kind, size, subEngaged, onDone, then)
+}
+
+// SubmitSyncOn is SubmitSync in continuation form: it submits a request
+// and hands it to then, as a step of lane, once it has completed or
+// aborted. On the fast path (SubmitAsync) lane only waits on the done
+// gate. Otherwise it keeps the blocking order of a synchronous launch:
+// acquire a virtual context (AcquireOn), stage, trap in
+// trap-per-request mode, store — asynchronously when the page is
+// present, unpinning at once, and otherwise through the store's steps
+// (mmio.Page.StoreOn), which fault on an engaged register, unpinning
+// once it lands — then wait on the done gate. On a virtual client then
+// receives nil, staging nothing, if the task dies before the context
+// can attach. Stopping lane abandons the submission.
+func (c *Client) SubmitSyncOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, then func(*gpu.Request)) {
+	if r, ok := c.SubmitAsync(c.kernel.Engine(), kind, size, nil); ok {
+		s := c.submission()
+		s.lane, s.r, s.then = lane, r, then
+		s.wait()
+		return
+	}
+	c.submitOn(lane, kind, size, subSync, nil, then)
+}
+
+// submitOn starts a submission record on lane: acquire, stage, trap,
+// store, then the mode's ending.
+func (c *Client) submitOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, mode subMode, onDone, then func(*gpu.Request)) {
 	s := c.submission()
-	s.lane, s.kind, s.size, s.then = lane, kind, size, then
+	s.lane, s.kind, s.size, s.mode, s.onDone, s.then = lane, kind, size, mode, onDone, then
 	if c.VC == nil {
 		s.acquired(c.channels[kind], nil)
 		return
@@ -172,21 +244,32 @@ func (c *Client) SubmitDetachedOn(lane *sim.Cont, kind gpu.Kind, size sim.Durati
 	c.VC.AcquireOn(lane, kind, s.acquiredFn)
 }
 
-// submission is one SubmitDetachedOn in flight. Records are pooled per
-// client; a submission whose lane is stopped abandons its record.
+// subMode is what a submission does at its store and after it.
+type subMode uint8
+
+const (
+	subDetached subMode = iota // StoreOn; hand the request on once it lands
+	subEngaged                 // FaultOn, the committed fault; then as subDetached
+	subSync                    // StoreAsync if present, else StoreOn; then wait for completion
+)
+
+// submission is one lane-form submission in flight. Records are pooled
+// per client; a submission whose lane is stopped abandons its record.
 type submission struct {
-	c    *Client
-	lane *sim.Cont
-	kind gpu.Kind
-	size sim.Duration
-	ch   *gpu.Channel
-	r    *gpu.Request
-	then func(*gpu.Request)
-	next *submission // the client's free list
+	c      *Client
+	lane   *sim.Cont
+	kind   gpu.Kind
+	size   sim.Duration
+	mode   subMode
+	ch     *gpu.Channel
+	r      *gpu.Request
+	onDone func(*gpu.Request)
+	then   func(*gpu.Request)
+	next   *submission // the client's free list
 
 	// Steps, bound on first use.
-	acquiredFn          func(*gpu.Channel, error)
-	trappedFn, storedFn func()
+	acquiredFn                  func(*gpu.Channel, error)
+	trappedFn, storedFn, doneFn func()
 }
 
 // submission takes a record from the client's pool.
@@ -208,6 +291,7 @@ func (s *submission) acquired(ch *gpu.Channel, err error) {
 	}
 	s.ch = ch
 	s.r = ch.Stage(s.size, s.kind)
+	s.r.OnDone = s.onDone
 	if c := s.c; c.TrapPerRequest {
 		cost := c.kernel.Costs().SyscallTrap
 		if c.TrapDriverWork {
@@ -227,22 +311,41 @@ func (s *submission) trapped() {
 	if s.storedFn == nil {
 		s.storedFn = s.stored
 	}
-	s.ch.Reg.StoreOn(s.lane, s.r.Ref, s.storedFn)
+	switch {
+	case s.mode == subEngaged:
+		s.ch.Reg.FaultOn(s.lane, s.r.Ref, s.storedFn)
+	case s.mode == subSync && !s.c.TrapPerRequest && s.ch.Reg.StoreAsync(s.c.kernel.Engine(), s.r.Ref):
+		s.stored()
+	default:
+		s.ch.Reg.StoreOn(s.lane, s.r.Ref, s.storedFn)
+	}
 }
 
 // stored follows the landed store: unpin a virtual context and hand
-// the request on.
+// the request on, once it has completed in sync mode.
 func (s *submission) stored() {
 	if s.c.VC != nil {
 		s.c.VC.Release()
 	}
+	if s.mode == subSync {
+		s.wait()
+		return
+	}
 	s.finish(s.r)
+}
+
+// wait hands the request on once it has completed.
+func (s *submission) wait() {
+	if s.doneFn == nil {
+		s.doneFn = func() { s.finish(s.r) }
+	}
+	s.lane.Wait(s.r.DoneGate(), s.doneFn)
 }
 
 // finish recycles the record and runs the caller's continuation.
 func (s *submission) finish(r *gpu.Request) {
 	then := s.then
-	s.lane, s.ch, s.r, s.then = nil, nil, nil, nil
+	s.lane, s.ch, s.r, s.onDone, s.then = nil, nil, nil, nil, nil
 	s.next, s.c.subFree = s.c.subFree, s
 	then(r)
 }
@@ -260,10 +363,10 @@ func (s *submission) finish(r *gpu.Request) {
 // engaged (non-present) channel register, or a virtual client whose
 // logical context is not currently attached. Callers then take a slow
 // lane that charges the trap or fault costs the slow paths owe: the
-// blocking methods from a process, or SubmitFaulting from a
-// continuation when the refusal was an engaged register. Async
-// requests never enter the outstanding set; completion is observed
-// through the continuation.
+// lane forms (SubmitEngagedOn when the refusal was an engaged register,
+// SubmitDetachedOn or SubmitSyncOn otherwise) or their blocking
+// wrappers. Async requests never enter the outstanding set; completion
+// is observed through the continuation.
 func (c *Client) SubmitAsync(e *sim.Engine, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request)) (*gpu.Request, bool) {
 	if c.TrapPerRequest {
 		return nil, false
@@ -301,10 +404,10 @@ func (c *Client) SubmitAsync(e *sim.Engine, kind gpu.Kind, size sim.Duration, on
 // resolvable without blocking (raw client, or attached virtual context)
 // but the register page is non-present. A continuation machine calls it
 // in the same engine instant as a SubmitAsync refusal to decide whether
-// the slow-lane retry must commit to the fault path (SubmitEngaged)
-// before handing off to its process — the handoff is an event hop, and
-// the scheduler may disengage within the instant, which must not turn a
-// store that was observed engaged into a direct write.
+// the retry on its lane must commit to the fault path (SubmitEngagedOn)
+// — the handoff to the lane is an event hop, and the scheduler may
+// disengage within the instant, which must not turn a store that was
+// observed engaged into a direct write.
 func (c *Client) Engaged(kind gpu.Kind) bool {
 	if c.TrapPerRequest {
 		return false
@@ -320,98 +423,27 @@ func (c *Client) Engaged(kind gpu.Kind) bool {
 	return ch != nil && !ch.Reg.Present()
 }
 
-// SubmitEngaged completes, on process p, a submission whose fast path
-// was refused because the channel register was engaged (Engaged
-// reported true at the refusal instant). The store is committed to the
-// fault path — mmio.Page.StoreFaulting — so the request pays the fault
-// trap and runs the kernel handler even if the scheduler disengaged the
-// page between the refusal and p's turn, exactly as a blocking Store
-// that took the fault at the observation would have. The continuation,
-// if non-nil, is hooked before the store: the handler may block p
-// arbitrarily and the request can be aborted (task death) while staged,
-// in which case onDone fires during this call. It does not wait for
-// completion. On a virtual client it returns nil, staging nothing, if
-// the task dies before the context can (re)attach.
-func (c *Client) SubmitEngaged(p *sim.Proc, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request)) *gpu.Request {
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var err error
-		ch, err = c.VC.Acquire(p, kind)
-		if err != nil {
-			return nil
-		}
-		defer c.VC.Release()
-	}
-	r := ch.Stage(size, kind)
-	r.OnDone = onDone
-	ch.Reg.StoreFaulting(p, r.Ref)
-	return r
-}
-
-// SubmitFaulting is SubmitEngaged in continuation form, for machines
-// whose slow lane is a continuation rather than a process: it stages the
-// request, hooks onDone (if non-nil), and starts the committed fault on
-// lane (mmio.Page.FaultOn). It returns the request at once; then runs,
-// as a step of lane, after the store has been single-stepped to the
-// device. Stopping lane abandons the fault before the store reaches the
-// device. Raw clients only, because the request is returned at once: a
-// virtual client's request can only be staged once its context is
-// attached, which may take steps of its own (neon.VContext.AcquireOn);
-// a virtual client commits its fault with SubmitEngaged.
-func (c *Client) SubmitFaulting(lane *sim.Cont, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request), then func()) *gpu.Request {
-	if c.VC != nil {
-		panic("userlib: SubmitFaulting on a virtual client")
-	}
-	ch := c.channels[kind]
-	r := ch.Stage(size, kind)
-	r.OnDone = onDone
-	ch.Reg.FaultOn(lane, r.Ref, then)
-	return r
-}
-
 // SubmitSync submits a request and blocks until it completes, like a
 // blocking OpenCL kernel launch. Completion is detected by user-space
 // polling of the reference counter (no kernel involvement).
 //
-// It is a thin wrapper over SubmitAsync: because the caller does nothing
-// between the doorbell store and the completion wait, the store uses the
-// page's asynchronous fast path when the channel is direct-mapped — the
-// doorbell still reaches the device at now+DirectWrite, but without a
-// process wakeup in between — and the process parks once, on the done
-// gate. An engaged channel (or the trap-per-request mode) falls back to
-// the blocking store, which may fault and delay the process arbitrarily.
-// Sync requests never enter the outstanding set: the request is retired
-// before returning, so there is nothing for Fence to see.
-// On a virtual client it returns nil if the task dies before the
-// logical context can attach.
+// On the fast path (SubmitAsync) the doorbell reaches the device at
+// now+DirectWrite without a process wakeup in between, and the process
+// parks once, on the done gate. Otherwise it is the blocking form of
+// SubmitSyncOn: an engaged channel, a detached virtual context or the
+// trap-per-request mode take that form's steps, which may delay the
+// process arbitrarily. Sync requests never enter the outstanding set:
+// the request is retired before returning, so there is nothing for
+// Fence to see. On a virtual client it returns nil if the task dies
+// before the logical context can attach.
 func (c *Client) SubmitSync(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Request {
 	if r, ok := c.SubmitAsync(p.Engine(), kind, size, nil); ok {
 		p.Wait(r.DoneGate())
 		return r
 	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var err error
-		ch, err = c.VC.Acquire(p, kind)
-		if err != nil {
-			return nil
-		}
-	}
-	r := ch.Stage(size, kind)
-	if c.TrapPerRequest {
-		cost := c.kernel.Costs().SyscallTrap
-		if c.TrapDriverWork {
-			cost += c.kernel.Costs().SyscallDriverWork
-		}
-		p.Sleep(cost)
-		ch.Reg.Store(p, r.Ref)
-	} else if !ch.Reg.StoreAsync(p.Engine(), r.Ref) {
-		ch.Reg.Store(p, r.Ref)
-	}
-	if c.VC != nil {
-		c.VC.Release()
-	}
-	p.Wait(r.DoneGate())
+	r, _ := sim.AwaitResult(p, func(lane *sim.Cont, then func(*gpu.Request, error)) {
+		c.SubmitSyncOn(lane, kind, size, func(r *gpu.Request) { then(r, nil) })
+	})
 	return r
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/sim"
-	"repro/internal/userlib"
 )
 
 // LaunchInfiniteKernel starts the paper's denial-of-service adversary: a
@@ -14,101 +13,42 @@ import (
 // request that never terminates. Under direct access this hangs the
 // device; under the protected schedulers the kernel must identify and
 // kill the task.
+//
+// It is an App whose rounds submit one blocking request each, at once,
+// with no CPU time. Where its last warmup round ends, the next round's
+// Begin starts the attack on the loop's lane and ends the loop.
 func LaunchInfiniteKernel(k *neon.Kernel, warmupRounds int) *App {
 	spec := Spec{Name: "InfiniteKernel", Area: "Adversarial", CPU: 2 * time.Microsecond,
 		Mix: []Req{{Size: 50 * time.Microsecond, Kind: gpu.Compute, Count: 1}}}
-	a := &App{Spec: spec, ready: k.Engine().NewGate("ready-inf")}
-	a.Task = k.NewTask(spec.Name)
-	a.Task.Go("main", func(p *sim.Proc) {
-		client, err := userlib.Open(p, k, a.Task, spec.Name, gpu.Compute)
-		if err != nil {
-			a.setupErr = err
-			a.ready.Open()
-			return
-		}
-		a.ready.Open()
-
-		// Warmup rounds run as a continuation machine on the async
-		// submission path, with this process as the slow lane — the same
-		// shape as App.step, reduced to one blocking request per round.
-		eng := p.Engine()
-		slow := eng.NewGate("slow-inf")
-		var (
-			rounds int
-			start  sim.Time
-			fault  bool
-			attack bool
-			submit func(*sim.Proc)
-			done   func(*gpu.Request)
-		)
-		account := func(p *sim.Proc) {
-			a.Rounds++
-			a.RoundTime += eng.Now().Sub(start)
-			rounds++
-			if rounds < warmupRounds && a.Task.Alive {
-				submit(p)
-				return
-			}
-			attack = true
-			slow.Signal()
-		}
-		done = func(r *gpu.Request) {
-			if r.Aborted {
-				return
-			}
-			eng.After(0, func() {
-				r.Release()
-				account(nil)
-			})
-		}
-		submit = func(p *sim.Proc) {
-			start = eng.Now()
-			committed := fault
-			fault = false
-			if !committed {
-				if _, ok := client.SubmitAsync(eng, gpu.Compute, 50*time.Microsecond, done); ok {
-					return
-				}
-				if p == nil {
-					fault = client.Engaged(gpu.Compute)
-					slow.Signal()
-					return
-				}
-			}
-			if committed {
-				if r := client.SubmitEngaged(p, gpu.Compute, 50*time.Microsecond, nil); r != nil {
-					p.Wait(r.DoneGate())
-					r.Release()
-				}
-			} else {
-				client.SubmitSync(p, gpu.Compute, 50*time.Microsecond)
-			}
-			account(p)
-		}
-		if warmupRounds > 0 {
-			submit(p)
-		} else {
-			attack = true
-		}
-		for a.Task.Alive && !attack {
-			p.Wait(slow)
-			if !attack {
-				submit(p)
-			}
-		}
-		if !a.Task.Alive {
-			return
-		}
-
-		// The attack: an infinite loop on the device.
-		client.Submit(p, gpu.Compute, gpu.Forever)
-		// Keep "working" so the task looks busy.
-		for a.Task.Alive {
-			p.Sleep(time.Millisecond)
-		}
-	})
+	a := newApp(k, spec)
+	a.launch(k, &infiniteKernel{App: a, warmup: warmupRounds})
 	return a
 }
+
+// infiniteKernel is the InfiniteKernel's round content.
+type infiniteKernel struct {
+	*App
+	warmup, rounds int
+}
+
+// Begin runs the warmup rounds, then attacks: an infinite loop on the
+// device, submitted from the lane.
+func (x *infiniteKernel) Begin(l *Loop, lane bool) {
+	if x.rounds < x.warmup {
+		x.rounds++
+		l.Run(x.client, Req{}, lane)
+		return
+	}
+	if !lane {
+		l.Hop()
+		return
+	}
+	l.Stop()
+	x.client.SubmitDetachedOn(l.Lane(), gpu.Compute, gpu.Forever, nil, func(*gpu.Request) {})
+}
+
+// Think submits each warmup round at once.
+func (x *infiniteKernel) Think() (sim.Duration, bool) { return 0, false }
 
 // HogResult reports what a channel-hog adversary managed to grab.
 type HogResult struct {
@@ -119,33 +59,46 @@ type HogResult struct {
 // LaunchChannelHog starts the Section 6.3 adversary: it greedily creates
 // contexts (each with a compute and a DMA channel, as the paper observed)
 // until the device or the OS policy refuses. The result gate opens when
-// it is done grabbing.
+// it is done grabbing. The setup syscalls are sleeps of a continuation
+// of the hog's task, whose first step takes the place a spawned
+// process's activation would.
 func LaunchChannelHog(k *neon.Kernel, limit int) (*neon.Task, *HogResult, *sim.Gate) {
 	t := k.NewTask("ChannelHog")
 	res := &HogResult{}
 	done := k.Engine().NewGate("hog-done")
-	t.Go("main", func(p *sim.Proc) {
-		for i := 0; i < limit; i++ {
-			ctx, err := k.CreateContext(p, t, "hog")
-			if err != nil {
-				res.DeniedAt = err
-				break
-			}
-			if _, err := k.CreateChannel(p, t, ctx, gpu.Compute); err != nil {
-				res.DeniedAt = err
-				break
-			}
-			if _, err := k.CreateChannel(p, t, ctx, gpu.DMA); err != nil {
-				res.DeniedAt = err
-				break
-			}
-			res.ContextsCreated++
-		}
+	lane := t.NewCont()
+	denied := func(err error) {
+		res.DeniedAt = err
 		done.Open()
-		for t.Alive {
-			p.Sleep(time.Millisecond)
+	}
+	var grab func()
+	grab = func() {
+		if res.ContextsCreated == limit {
+			done.Open()
+			return
 		}
-	})
+		k.CreateContextOn(lane, t, "hog", func(ctx *gpu.Context, err error) {
+			if err != nil {
+				denied(err)
+				return
+			}
+			k.CreateChannelOn(lane, t, ctx, gpu.Compute, func(_ *neon.ChannelState, err error) {
+				if err != nil {
+					denied(err)
+					return
+				}
+				k.CreateChannelOn(lane, t, ctx, gpu.DMA, func(_ *neon.ChannelState, err error) {
+					if err != nil {
+						denied(err)
+						return
+					}
+					res.ContextsCreated++
+					grab()
+				})
+			})
+		})
+	}
+	lane.Yield(grab)
 	return t, res, done
 }
 

@@ -4,47 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/sim"
 )
-
-// TestEngagedAppPairOwnsNoProcs: under engaged Timeslice every
-// submission faults, yet once setup ends the apps own no proc — the
-// only live proc is the scheduler's own — and a steady-state fault,
-// trap to completion, allocates nothing.
-func TestEngagedAppPairOwnsNoProcs(t *testing.T) {
-	e := sim.NewEngine()
-	// A slice longer than the test keeps the per-slice drain, which
-	// allocates its result maps, out of the measured window.
-	k := neon.NewKernel(gpu.New(e, gpu.DefaultConfig()), core.NewTimeslice(time.Second))
-	a := Launch(k, Throttle(50*time.Microsecond, 0), sim.NewRNG(1))
-	bs := Throttle(50*time.Microsecond, 0)
-	bs.Name = "Throttle-b"
-	b := Launch(k, bs, sim.NewRNG(2))
-	e.RunFor(5 * time.Millisecond)
-	for _, app := range []*App{a, b} {
-		if err := app.SetupError(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.LiveProcs(); n != 1 {
-		t.Fatalf("%d live procs after setup, want 1 (the scheduler's)", n)
-	}
-	faults, rounds := k.TotalFaults, a.Rounds+b.Rounds
-	if allocs := testing.AllocsPerRun(10, func() { e.RunFor(time.Millisecond) }); allocs != 0 {
-		t.Errorf("engaged steady state allocated %.1f times per simulated ms, want 0", allocs)
-	}
-	if k.TotalFaults-faults < 100 || a.Rounds+b.Rounds-rounds < 100 {
-		t.Fatalf("measured window saw %d faults and %d rounds; expected a busy engaged holder",
-			k.TotalFaults-faults, a.Rounds+b.Rounds-rounds)
-	}
-	if e.LiveProcs() != 1 {
-		t.Fatalf("%d live procs in steady state", e.LiveProcs())
-	}
-}
 
 // engagedSched keeps every channel engaged and holds back the faults of
 // blocked tasks until they are unblocked.
@@ -76,7 +40,7 @@ func TestKillDuringFaultAppLane(t *testing.T) {
 		e := sim.NewEngine()
 		sched := engagedSched{blocked: map[*neon.Task]bool{}}
 		k := neon.NewKernel(gpu.New(e, gpu.DefaultConfig()), sched)
-		a := Launch(k, Throttle(50*time.Microsecond, 0), sim.NewRNG(1))
+		a := Launch(k, Throttle(50*time.Microsecond, 0))
 		sched.blocked[a.Task] = true
 		for len(a.Task.Channels()) == 0 {
 			e.Step()
@@ -110,5 +74,37 @@ func TestKillDuringFaultAppLane(t *testing.T) {
 		if e.LiveProcs() != 0 {
 			t.Errorf("%s: %d live procs", st.name, e.LiveProcs())
 		}
+	}
+}
+
+// TestRefusalHopsToTheLane pins where an App takes the fault its
+// engine-context refusal committed to: on its lane, at the back of the
+// refusal's instant, where the slow-lane process woke — not inline in
+// the refusing step. An event that runs in that instant between the
+// two starts a chain that blocks the task's admission exactly when the
+// fault's scan ends. After the hop the chain's events precede the
+// fault's, so the fault finds the task blocked and waits on its gate;
+// a fault started inline would have been admitted first.
+func TestRefusalHopsToTheLane(t *testing.T) {
+	e := sim.NewEngine()
+	sched := engagedSched{blocked: map[*neon.Task]bool{}}
+	k := neon.NewKernel(gpu.New(e, gpu.DefaultConfig()), sched)
+	spec := Throttle(50*time.Microsecond, 0)
+	a := Launch(k, spec)
+	for a.Rounds < 3 { // a round just ended: the next think timer is armed
+		if !e.Step() {
+			t.Fatal("the engine ran dry")
+		}
+	}
+	c := k.Costs()
+	refusal := e.Now().Add(spec.CPU)
+	e.Schedule(refusal, func() {
+		e.After(c.FaultTrap, func() {
+			e.After(c.FaultScan, func() { sched.blocked[a.Task] = true })
+		})
+	})
+	e.RunUntil(refusal.Add(c.FaultTrap + c.FaultScan))
+	if n := a.Task.Gate().Waiters(); n != 1 {
+		t.Fatalf("%d waiters on the task's gate when the scan ended, want the fault", n)
 	}
 }

@@ -162,7 +162,7 @@ func TestTenantSpecValidate(t *testing.T) {
 func TestAppRunsRounds(t *testing.T) {
 	e, k := stack(t)
 	spec, _ := ByName("DCT")
-	app := Launch(k, spec, sim.NewRNG(1))
+	app := Launch(k, spec)
 	e.RunFor(100 * time.Millisecond)
 	if app.SetupError() != nil {
 		t.Fatal(app.SetupError())
@@ -179,7 +179,7 @@ func TestAppRunsRounds(t *testing.T) {
 func TestAppObserveHistograms(t *testing.T) {
 	e, k := stack(t)
 	spec, _ := ByName("glxgears")
-	app := Launch(k, spec, sim.NewRNG(1))
+	app := Launch(k, spec)
 	app.Observe = true
 	e.RunFor(50 * time.Millisecond)
 	if app.Service.Total == 0 || app.InterArrival.Total == 0 {
@@ -193,7 +193,7 @@ func TestAppObserveHistograms(t *testing.T) {
 
 func TestAppResetStats(t *testing.T) {
 	e, k := stack(t)
-	app := Launch(k, Throttle(50*time.Microsecond, 0), sim.NewRNG(1))
+	app := Launch(k, Throttle(50*time.Microsecond, 0))
 	e.RunFor(20 * time.Millisecond)
 	if app.Rounds == 0 {
 		t.Fatal("no rounds before reset")
@@ -210,7 +210,7 @@ func TestAppResetStats(t *testing.T) {
 
 func TestMeanRequestObserved(t *testing.T) {
 	e, k := stack(t)
-	app := Launch(k, Throttle(100*time.Microsecond, 0), sim.NewRNG(1))
+	app := Launch(k, Throttle(100*time.Microsecond, 0))
 	e.RunFor(20 * time.Millisecond)
 	if got := app.MeanRequest(gpu.Compute); got != 100*time.Microsecond {
 		t.Fatalf("observed mean = %v, want 100us", got)
@@ -222,7 +222,7 @@ func TestMeanRequestObserved(t *testing.T) {
 
 func TestInfiniteKernelHangsUnprotectedDevice(t *testing.T) {
 	e, k := stack(t)
-	victim := Launch(k, Throttle(50*time.Microsecond, 0), sim.NewRNG(1))
+	victim := Launch(k, Throttle(50*time.Microsecond, 0))
 	inf := LaunchInfiniteKernel(k, 2)
 	e.RunFor(200 * time.Millisecond)
 	if !inf.Task.Alive {
@@ -261,7 +261,7 @@ func TestGreedyBatcherSpec(t *testing.T) {
 func TestPipelinedAppKeepsChannelBusy(t *testing.T) {
 	e, k := stack(t)
 	spec, _ := ByName("glxgears")
-	app := Launch(k, spec, sim.NewRNG(1))
+	app := Launch(k, spec)
 	e.RunFor(50 * time.Millisecond)
 	// Frame time should be close to GPU time (pipelined, GPU-bound).
 	avg := float64(app.AvgRound()) / float64(time.Microsecond)

@@ -161,7 +161,8 @@ func BenchmarkProcHandoff(b *testing.B) {
 
 // BenchmarkProcSpawn prices a proc's whole life on a warm coroutine
 // pool: spawn, park once on a gate, wake, finish. Its allocs/op (the
-// Proc and its activation closure) is the floor the pool leaves.
+// Proc; the coroutine and the Cont it parks on are pooled) is the floor
+// the pool leaves.
 func BenchmarkProcSpawn(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
@@ -306,9 +307,8 @@ func BenchmarkClosedLoopAsync(b *testing.B) { benchClosedLoop(b, true) }
 // request faults into the kernel, pays the trap and the handler's scan,
 // waits on its task's gate for the token, and is single-stepped to the
 // device by the app's slow-lane continuation (DESIGN.md §14). One op is
-// one completed simulated request. The steady state allocates nothing
-// but the per-slice drain's bookkeeping, under one allocation per
-// thousand requests, so it reports 0 allocs/op (gated in CI).
+// one completed simulated request. The steady state, slice ends and
+// drains included, allocates nothing (gated in CI).
 func BenchmarkEngagedSubmit(b *testing.B) {
 	b.ReportAllocs()
 	a := workload.Throttle(20*time.Microsecond, 0)
@@ -338,10 +338,9 @@ func BenchmarkEngagedSubmit(b *testing.B) {
 // tenants through traffic.New on one 48-context device under DFQ, each
 // arriving every 50 ms over a one-second window. Most arrivals find their
 // context evicted, so the op prices the serving dispatchers and the
-// mux's attach path, which run as continuations: the stack owns no
-// proc but the scheduler's. That proc never finishes, so each op's
-// stack stays reachable; twenty waves per op keep the op long enough
-// that a -count 5 process at -benchtime 0.3s builds few stacks.
+// mux's attach path, which run as continuations, as does the
+// scheduler: the stack owns no proc, and the GC frees it once the op
+// ends.
 func BenchmarkServeStorm(b *testing.B) {
 	const tenants = 1000
 	window := time.Second
@@ -385,13 +384,15 @@ func BenchmarkServeStorm(b *testing.B) {
 }
 
 // BenchmarkDFQCycle measures the cost of whole engagement/free-run cycles
-// with two saturating tasks.
+// with two saturating tasks. The cycle (barrier, drain, sampling runs,
+// virtual-time update, free run) allocates nothing (gated in CI).
 func BenchmarkDFQCycle(b *testing.B) {
 	b.ReportAllocs()
 	opts := benchOpts()
 	dct, _ := workload.ByName("DCT")
 	thr := workload.Throttle(64*time.Microsecond, 0)
 	rig := exp.NewRig(exp.DFQ, opts, dct, thr)
+	rig.Engine.RunFor(100 * time.Millisecond) // setup, and the kernel's watcher pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rig.Engine.RunFor(30 * time.Millisecond)
@@ -415,6 +416,7 @@ func BenchmarkDFQCycleConsumerClass(b *testing.B) {
 	thr := workload.Throttle(64*time.Microsecond, 0)
 	workload.Launch(k, dct)
 	workload.Launch(k, thr)
+	eng.RunFor(100 * time.Millisecond) // setup, and the kernel's watcher pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.RunFor(30 * time.Millisecond)

@@ -1,8 +1,8 @@
 // Command benchjson records and checks the repository's benchmark
 // trajectory (PERFORMANCE.md).
 //
-// `benchjson run` executes `go test -bench`, one process per benchmark,
-// and renders the output as one trajectory point: a JSON object
+// `benchjson run` executes `go test -bench` in one process and renders
+// the output as one trajectory point: a JSON object
 // carrying both the raw benchmark lines (benchstat-consumable verbatim)
 // and parsed per-benchmark statistics (median/min/max ns/op, B/op,
 // allocs/op, custom metrics).
@@ -98,34 +98,19 @@ func cmdRun(args []string) {
 	baseline := fs.String("baseline", "", "embed this prior point as the before section")
 	fs.Parse(args)
 
-	names, err := listBenchmarks(*bench, *pkg)
+	// No timeout: go test's default of 10 minutes covers the whole
+	// selection, which a long -benchtime or a high -count outlasts.
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", *bench, "-timeout", "0",
+		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
 	if err != nil {
-		fatalf("go test -list: %v", err)
+		fatalf("go test -bench %s: %v", *bench, err)
 	}
-	if len(names) == 0 {
+	res := parse(string(out))
+	if len(res.Benchmarks) == 0 {
 		fatalf("-bench %q matches no benchmark in %s", *bench, *pkg)
 	}
-	// One go test process per benchmark: the simulator never frees a
-	// finished stack while its procs stay parked, so a process that ran
-	// the whole suite would hold every benchmark's leftovers at once.
-	var out strings.Builder
-	for i, name := range names {
-		cmd := exec.Command("go", "test", "-run", "^$",
-			"-bench", "^"+regexp.QuoteMeta(name)+"$", "-benchtime", *benchtime,
-			"-count", strconv.Itoa(*count), *pkg)
-		cmd.Stderr = os.Stderr
-		b, err := cmd.Output()
-		if err != nil {
-			fatalf("go test -bench %s: %v", name, err)
-		}
-		for _, line := range strings.Split(string(b), "\n") {
-			if i > 0 && benchHeader.MatchString(line) {
-				continue // keep one goos/goarch/pkg/cpu header in Raw
-			}
-			out.WriteString(line + "\n")
-		}
-	}
-	res := parse(out.String())
 	res.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	res.GoVersion = runtime.Version()
 	res.Bench, res.Benchtime, res.Count = *bench, *benchtime, *count
@@ -141,26 +126,6 @@ func cmdRun(args []string) {
 	if err := enc.Encode(res); err != nil {
 		fatalf("encode: %v", err)
 	}
-}
-
-var benchHeader = regexp.MustCompile(`^(goos|goarch|pkg|cpu): `)
-
-// listBenchmarks returns the names of pkg's benchmarks that the -bench
-// regexp selects, in source order.
-func listBenchmarks(bench, pkg string) ([]string, error) {
-	cmd := exec.Command("go", "test", "-list", bench, pkg)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, line := range strings.Split(string(out), "\n") {
-		if strings.HasPrefix(line, "Benchmark") {
-			names = append(names, strings.TrimSpace(line))
-		}
-	}
-	return names, nil
 }
 
 func cmdCheck(args []string) {

@@ -86,7 +86,8 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkFleet",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
-		"BENCH_15.json", "BENCH_16.json",
+		"BENCH_15.json", "BENCH_16.json", "BENCH_17.json",
+		"BenchmarkDFQCycleConsumerClass",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -132,11 +133,12 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 		"TestDifferentialEventStorm", "TestQuickGolden",
 		"TestPropertyTimerStopRecycledGeneration",
 		"Request.Release", "Request.Pin",
-		"### Process handoff", "iter.Pull", "Proc.activate", "Proc.run",
+		"### Process handoff", "iter.Pull", "coro.resume", "Proc.run",
 		"BenchmarkProcHandoff", "BenchmarkProcSpawn",
-		"TestProcSpawnParkFinishAllocs", "TestSpawnFromOnFinish",
+		"TestProcSpawnParkFinishAllocs", "TestFinishedStacksAreFreed",
 		"TestPooledCoroutineSurvivesKillAndPanic",
 		"### Continuations and callback waiters", "sim.Cont", "Cont.WaitFor",
+		"sim.Cont.WaitTimeout", "neon.Kernel.DrainOn", "neon.Kernel.SampleOn",
 		"Proc.Await", "Engine.InProcContext", "Request.Unpin",
 		"TestGateStormProcsAndCallbacksAgree", "TestContWaitForRechecks",
 		"TestProcAwaitResumesInline", "TestKillStopsAwaitedChain",

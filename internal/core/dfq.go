@@ -168,6 +168,21 @@ type DisengagedFairQueueing struct {
 	admitGate *sim.Gate
 	speed     float64 // device class speed factor, set at Start
 
+	// The engagement/free-run cycle runs on c (see cycle). Between its
+	// steps it keeps the barrier's task snapshot, the next task to
+	// consider for sampling, the sampled task's state (kept across the
+	// sampling step: the task may die mid-sample) and the episode's
+	// timing. active and charged are maintainVirtualTime's scratch.
+	c                     *sim.Cont
+	live, active, charged []*neon.Task
+	next, sampledCount    int
+	sampledState          *dfqTask
+	lastBarrier, engStart sim.Time
+	window                sim.Duration
+
+	cycleFn, admittedFn, sampleNextFn, computedFn func()
+	sampleDoneFn                                  func(neon.SampleResult)
+
 	// Cycles counts completed engagement episodes, for tests.
 	Cycles int64
 	// Denials counts task-intervals denied, for tests.
@@ -277,12 +292,17 @@ func (d *DisengagedFairQueueing) Denied(t *neon.Task) bool {
 	return s != nil && s.denied
 }
 
-// Start implements neon.Scheduler.
+// Start implements neon.Scheduler: the engagement/free-run cycle
+// starts at the back of the current instant.
 func (d *DisengagedFairQueueing) Start(k *neon.Kernel) {
 	d.k = k
 	d.speed = k.Device().ClassSpeed()
 	d.admitGate = k.Engine().NewGate("dfq-admit")
-	k.Engine().Spawn("sched/dfq", d.run)
+	d.c = k.Engine().NewCont()
+	d.cycleFn, d.admittedFn, d.sampleNextFn, d.computedFn = d.cycle, d.admitted, d.sampleNext, d.computed
+	d.sampleDoneFn = d.sampleDone
+	d.lastBarrier = k.Engine().Now()
+	d.c.Yield(d.cycleFn)
 }
 
 // chargeSpeed is the device-time-to-work conversion factor the ledger
@@ -331,92 +351,117 @@ func (d *DisengagedFairQueueing) mayRun(t *neon.Task) bool {
 	}
 }
 
-// run is the engagement/free-run cycle of Figure 3.
-func (d *DisengagedFairQueueing) run(p *sim.Proc) {
-	lastBarrier := p.Now()
-	for {
-		live := d.k.Tasks()
-		if len(live) == 0 {
-			p.Wait(d.admitGate)
-			lastBarrier = p.Now()
+// cycle is the engagement/free-run cycle of Figure 3, one step of c
+// per wake-up: it waits for a first task, or raises the barrier and
+// drains, samples the tasks that issued work (sampleNext, sampleDone),
+// maintains virtual time (computed) and sleeps out the disengaged free
+// run before the next barrier.
+func (d *DisengagedFairQueueing) cycle() {
+	live := d.k.Tasks()
+	if len(live) == 0 {
+		d.c.Wait(d.admitGate, d.admittedFn)
+		return
+	}
+
+	// --- Barrier: stop new submissions everywhere, then drain. ---
+	d.engStart = d.k.Engine().Now()
+	d.window = d.engStart.Sub(d.lastBarrier)
+	d.lastBarrier = d.engStart
+	d.mode = dfqBarrier
+	d.k.EngageAll()
+	for _, t := range live {
+		s := d.state(t)
+		s.activeAtBarrier = t.PendingRequests() > 0 || t.Gate().Waiters() > 0
+	}
+	d.live, d.next, d.sampledCount = live, 0, 0
+	d.k.DrainOn(d.c, live, d.sampleNextFn)
+}
+
+// admitted follows the wait for a first task: the idle time before it
+// is no engagement window.
+func (d *DisengagedFairQueueing) admitted() {
+	d.lastBarrier = d.k.Engine().Now()
+	d.cycle()
+}
+
+// sampleNext follows the drain and each sampling run: it starts a
+// sampling run for the next task that issued work last interval, or,
+// once none is left, sleeps the scheduler's compute.
+func (d *DisengagedFairQueueing) sampleNext() {
+	for d.next < len(d.live) {
+		t := d.live[d.next]
+		d.next++
+		if !t.Alive {
 			continue
 		}
-
-		// --- Barrier: stop new submissions everywhere, then drain. ---
-		engStart := p.Now()
-		window := engStart.Sub(lastBarrier)
-		lastBarrier = engStart
-		d.mode = dfqBarrier
-		d.k.EngageAll()
-		for _, t := range live {
-			s := d.state(t)
-			s.activeAtBarrier = t.PendingRequests() > 0 || t.Gate().Waiters() > 0
+		s := d.state(t)
+		completed := t.CompletedRequests()
+		issued := completed > s.lastCompleted
+		s.lastCompleted = completed
+		if !issued && !s.activeAtBarrier {
+			continue // do not waste sampling time on idle tasks
 		}
-		d.k.Drain(p, live)
-
-		// --- Sampling runs for tasks that issued work last interval. ---
-		sampledCount := 0
-		for _, t := range live {
-			if !t.Alive {
-				continue
-			}
-			s := d.state(t)
-			completed := t.CompletedRequests()
-			issued := completed > s.lastCompleted
-			s.lastCompleted = completed
-			if !issued && !s.activeAtBarrier {
-				continue // do not waste sampling time on idle tasks
-			}
-			if t.Virtualized() && len(t.Channels()) == 0 {
-				// Detached logical context: no hardware channels exist to
-				// intercept, so a sampling run could observe nothing. The
-				// completion bookkeeping above still advanced.
-				continue
-			}
-			sampledCount++
-			want := d.cfg.SampleRequests
-			if len(t.Channels()) > 1 {
-				want = d.cfg.SampleRequestsMulti
-			}
-			d.mode = dfqSampling
-			d.sampled = t
-			t.Gate().Broadcast()
-			res := d.k.Sample(p, t, d.cfg.SamplePeriod, want)
-			d.sampled = nil
-			d.mode = dfqBarrier
-			s.sampledRequests = len(res.Sizes)
-			if m := res.Mean(); m > 0 {
-				s.est = m
-			} else if t.PendingRequests() > 0 && res.Elapsed > s.est {
-				// The task kept the device busy for the whole window
-				// without completing anything: its requests are at least
-				// as long as the window. Observable from the reference
-				// counters alone.
-				s.est = res.Elapsed
-			}
+		if t.Virtualized() && len(t.Channels()) == 0 {
+			// Detached logical context: no hardware channels exist to
+			// intercept, so a sampling run could observe nothing. The
+			// completion bookkeeping above still advanced.
+			continue
 		}
-
-		// --- Virtual time maintenance and scheduling decision. ---
-		p.Sleep(d.k.Costs().SchedulerCompute)
-		engElapsed := p.Now().Sub(engStart)
-		nominal := d.cfg.SamplePeriod * sim.Duration(max(1, sampledCount))
-		freeRun := sim.Duration(d.cfg.FreeRunMultiplier) * maxDur(engElapsed, nominal)
-		d.maintainVirtualTime(window, freeRun)
-
-		// --- Disengaged free run. ---
-		d.mode = dfqFreeRun
-		for _, t := range d.k.Tasks() {
-			s := d.state(t)
-			if s.denied {
-				d.Denials++
-				continue
-			}
-			d.k.Disengage(t)
-			t.Gate().Broadcast()
+		d.sampledCount++
+		want := d.cfg.SampleRequests
+		if len(t.Channels()) > 1 {
+			want = d.cfg.SampleRequestsMulti
 		}
-		d.Cycles++
-		p.Sleep(freeRun)
+		d.mode = dfqSampling
+		d.sampled, d.sampledState = t, s
+		t.Gate().Broadcast()
+		d.k.SampleOn(d.c, t, d.cfg.SamplePeriod, want, d.sampleDoneFn)
+		return
 	}
+	d.live = nil
+
+	// --- Virtual time maintenance and scheduling decision. ---
+	d.c.Sleep(d.k.Costs().SchedulerCompute, d.computedFn)
+}
+
+// sampleDone updates the sampled task's estimate and moves on.
+func (d *DisengagedFairQueueing) sampleDone(res neon.SampleResult) {
+	t, s := d.sampled, d.sampledState
+	d.sampled, d.sampledState = nil, nil
+	d.mode = dfqBarrier
+	s.sampledRequests = res.Requests
+	if m := res.Mean(); m > 0 {
+		s.est = m
+	} else if t.PendingRequests() > 0 && res.Elapsed > s.est {
+		// The task kept the device busy for the whole window
+		// without completing anything: its requests are at least
+		// as long as the window. Observable from the reference
+		// counters alone.
+		s.est = res.Elapsed
+	}
+	d.sampleNext()
+}
+
+// computed decides the next interval and starts the disengaged free run.
+func (d *DisengagedFairQueueing) computed() {
+	engElapsed := d.k.Engine().Now().Sub(d.engStart)
+	nominal := d.cfg.SamplePeriod * sim.Duration(max(1, d.sampledCount))
+	freeRun := sim.Duration(d.cfg.FreeRunMultiplier) * maxDur(engElapsed, nominal)
+	d.maintainVirtualTime(d.window, freeRun)
+
+	// --- Disengaged free run. ---
+	d.mode = dfqFreeRun
+	for _, t := range d.k.Tasks() {
+		s := d.state(t)
+		if s.denied {
+			d.Denials++
+			continue
+		}
+		d.k.Disengage(t)
+		t.Gate().Broadcast()
+	}
+	d.Cycles++
+	d.c.Sleep(freeRun, d.cycleFn)
 }
 
 // maintainVirtualTime performs the paper's three per-engagement steps:
@@ -444,7 +489,7 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 	freeRunW := WorkFor(freeRun, speed)
 
 	var estSum sim.Duration
-	var active, charged []*neon.Task
+	active, charged := d.active[:0], d.charged[:0]
 	minWeight := 1.0
 	for _, t := range d.k.Tasks() {
 		s := d.state(t)
@@ -461,6 +506,7 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 			}
 		}
 	}
+	d.active, d.charged = active, charged
 
 	// Step 1: advance each running task's virtual time by its estimated
 	// share of the elapsed interval, normalized to work units and scaled

@@ -24,9 +24,8 @@ func TestDFQMultiChannelSampleTarget(t *testing.T) {
 			return
 		}
 		for multi.Alive {
-			client.Submit(p, gpu.Compute, 5*time.Microsecond)
-			client.Submit(p, gpu.Graphics, 5*time.Microsecond)
-			client.Fence(p)
+			client.SubmitSync(p, gpu.Compute, 5*time.Microsecond)
+			client.SubmitSync(p, gpu.Graphics, 5*time.Microsecond)
 		}
 	})
 	h.eng.RunFor(300 * time.Millisecond)
@@ -138,8 +137,8 @@ func TestDFQDeniedTaskBlockedDuringFreeRun(t *testing.T) {
 // TestDFQActiveAtBarrierSeesWaitingFault: a submission that waits in
 // the fault handler for admission — a continuation queued on the task's
 // gate, with nothing on the device — still marks its task active at the
-// barrier, because Gate.Waiters counts continuations as it counts
-// parked procs.
+// barrier, because Gate.Waiters counts every continuation queued on the
+// gate.
 func TestDFQActiveAtBarrierSeesWaitingFault(t *testing.T) {
 	sched := NewDisengagedFairQueueing(DefaultDFQConfig())
 	h := newHarness(t, sched)

@@ -70,7 +70,7 @@ func TestOracleKillsInfiniteKernel(t *testing.T) {
 		if err != nil {
 			return
 		}
-		client.Submit(p, gpu.Compute, gpu.Forever)
+		client.SubmitSync(p, gpu.Compute, gpu.Forever)
 	})
 	victim := h.startWorker("victim", 50*time.Microsecond)
 	h.eng.RunFor(200 * time.Millisecond)

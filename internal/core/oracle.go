@@ -27,6 +27,10 @@ type OracleFairQueueing struct {
 	admitGate *sim.Gate
 	sysVT     Work
 
+	// The accounting loop runs on c (see cycle).
+	c                             *sim.Cont
+	cycleFn, elapsedFn, accountFn func()
+
 	// Intervals counts completed accounting rounds, for tests.
 	Intervals int64
 	// Denials counts task-intervals denied, for tests.
@@ -65,12 +69,15 @@ func (o *OracleFairQueueing) Denied(t *neon.Task) bool {
 	return s != nil && s.denied
 }
 
-// Start implements neon.Scheduler.
+// Start implements neon.Scheduler: the accounting loop starts at the
+// back of the current instant.
 func (o *OracleFairQueueing) Start(k *neon.Kernel) {
 	o.k = k
 	o.speed = k.Device().ClassSpeed()
 	o.admitGate = k.Engine().NewGate("oracle-admit")
-	k.Engine().Spawn("sched/oracle", o.run)
+	o.c = k.Engine().NewCont()
+	o.cycleFn, o.elapsedFn, o.accountFn = o.cycle, o.elapsed, o.account
+	o.c.Yield(o.cycleFn)
 }
 
 // TaskAdmitted implements neon.Scheduler.
@@ -91,76 +98,85 @@ func (o *OracleFairQueueing) ChannelActivated(cs *neon.ChannelState) {
 // they wait out the interval.
 func (o *OracleFairQueueing) Admit(t *neon.Task) bool { return !o.Denied(t) }
 
-// run reads hardware usage counters each interval and updates the
-// fair-queueing state. No draining or sampling is ever needed.
-func (o *OracleFairQueueing) run(p *sim.Proc) {
-	for {
-		live := o.k.Tasks()
-		if len(live) == 0 {
-			p.Wait(o.admitGate)
-			continue
-		}
-		p.Sleep(o.interval)
-		p.Sleep(o.k.Costs().SchedulerCompute)
-		o.Intervals++
-		o.k.EnforceRunLimit()
+// cycle is the accounting loop, one step of c per wake-up: once tasks
+// exist, it sleeps out an interval and the scheduler's compute, then
+// reads the hardware usage counters and updates the fair-queueing
+// state (account). No draining or sampling is ever needed.
+func (o *OracleFairQueueing) cycle() {
+	if len(o.k.Tasks()) == 0 {
+		o.c.Wait(o.admitGate, o.cycleFn)
+		return
+	}
+	o.c.Sleep(o.interval, o.elapsedFn)
+}
 
-		// Step 1: charge true per-task usage, read from the device,
-		// normalized to work units at the device's class speed, and
-		// divided by the task's fair-share weight.
-		var active []*neon.Task
-		for _, t := range o.k.Tasks() {
-			s := o.state(t)
-			busy := t.BusyTime()
-			delta := busy - s.lastBusy
-			s.lastBusy = busy
-			s.vt += PerWeight(WorkFor(delta, o.speed), t.ShareWeight())
-			if delta > 0 || t.PendingRequests() > 0 || t.Gate().Waiters() > 0 {
-				active = append(active, t)
-			}
-		}
-		if len(active) > 0 {
-			minVT := o.st[active[0]].vt
-			for _, t := range active[1:] {
-				if o.st[t].vt < minVT {
-					minVT = o.st[t].vt
-				}
-			}
-			if minVT > o.sysVT {
-				o.sysVT = minVT
-			}
-		}
+// elapsed follows the interval's sleep.
+func (o *OracleFairQueueing) elapsed() {
+	o.c.Sleep(o.k.Costs().SchedulerCompute, o.accountFn)
+}
 
-		// Step 2: idle tasks forfeit unused credit.
-		activeSet := make(map[*neon.Task]bool, len(active))
-		for _, t := range active {
-			activeSet[t] = true
-		}
-		for _, t := range o.k.Tasks() {
-			s := o.state(t)
-			if !activeSet[t] && s.vt < o.sysVT {
-				s.vt = o.sysVT
-			}
-		}
+// account charges the interval's usage, denies tasks too far ahead and
+// starts the next interval.
+func (o *OracleFairQueueing) account() {
+	o.Intervals++
+	o.k.EnforceRunLimit()
 
-		// Step 3: deny tasks too far ahead; admit the rest.
-		horizon := WorkFor(o.interval, o.speed)
-		for _, t := range o.k.Tasks() {
-			s := o.state(t)
-			denied := s.vt-o.sysVT >= horizon
-			if denied && !s.denied {
-				o.Denials++
-				o.k.Engage(t)
-			}
-			if !denied && s.denied {
-				o.k.Disengage(t)
-			}
-			s.denied = denied
-			if !denied {
-				t.Gate().Broadcast()
-			}
+	// Step 1: charge true per-task usage, read from the device,
+	// normalized to work units at the device's class speed, and
+	// divided by the task's fair-share weight.
+	var active []*neon.Task
+	for _, t := range o.k.Tasks() {
+		s := o.state(t)
+		busy := t.BusyTime()
+		delta := busy - s.lastBusy
+		s.lastBusy = busy
+		s.vt += PerWeight(WorkFor(delta, o.speed), t.ShareWeight())
+		if delta > 0 || t.PendingRequests() > 0 || t.Gate().Waiters() > 0 {
+			active = append(active, t)
 		}
 	}
+	if len(active) > 0 {
+		minVT := o.st[active[0]].vt
+		for _, t := range active[1:] {
+			if o.st[t].vt < minVT {
+				minVT = o.st[t].vt
+			}
+		}
+		if minVT > o.sysVT {
+			o.sysVT = minVT
+		}
+	}
+
+	// Step 2: idle tasks forfeit unused credit.
+	activeSet := make(map[*neon.Task]bool, len(active))
+	for _, t := range active {
+		activeSet[t] = true
+	}
+	for _, t := range o.k.Tasks() {
+		s := o.state(t)
+		if !activeSet[t] && s.vt < o.sysVT {
+			s.vt = o.sysVT
+		}
+	}
+
+	// Step 3: deny tasks too far ahead; admit the rest.
+	horizon := WorkFor(o.interval, o.speed)
+	for _, t := range o.k.Tasks() {
+		s := o.state(t)
+		denied := s.vt-o.sysVT >= horizon
+		if denied && !s.denied {
+			o.Denials++
+			o.k.Engage(t)
+		}
+		if !denied && s.denied {
+			o.k.Disengage(t)
+		}
+		s.denied = denied
+		if !denied {
+			t.Gate().Broadcast()
+		}
+	}
+	o.cycle()
 }
 
 func (o *OracleFairQueueing) state(t *neon.Task) *oracleTask {

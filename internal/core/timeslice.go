@@ -48,6 +48,14 @@ type Timeslice struct {
 	overuse   map[*neon.Task]Work
 	admitGate *sim.Gate
 
+	// The slice loop runs on c (see grant). cur is the last slice's
+	// task, kept apart from holder, which TaskExited clears, and
+	// deadline is that slice's end.
+	c                              *sim.Cont
+	cur                            *neon.Task
+	deadline                       sim.Time
+	grantFn, sliceEndFn, drainedFn func()
+
 	// SlicesGranted counts slices actually granted, for tests.
 	SlicesGranted int64
 	// TurnsSkipped counts turns forfeited to overuse, for tests.
@@ -84,12 +92,15 @@ func (ts *Timeslice) Holder() *neon.Task { return ts.holder }
 // Overuse returns the task's accrued overuse charge in normalized work.
 func (ts *Timeslice) Overuse(t *neon.Task) Work { return ts.overuse[t] }
 
-// Start implements neon.Scheduler.
+// Start implements neon.Scheduler: the first slice is granted at the
+// back of the current instant.
 func (ts *Timeslice) Start(k *neon.Kernel) {
 	ts.k = k
 	ts.speed = k.Device().ClassSpeed()
 	ts.admitGate = k.Engine().NewGate("ts-admit")
-	k.Engine().Spawn("sched/"+ts.Name(), ts.run)
+	ts.c = k.Engine().NewCont()
+	ts.grantFn, ts.sliceEndFn, ts.drainedFn = ts.grant, ts.sliceEnd, ts.drained
+	ts.c.Yield(ts.grantFn)
 }
 
 // sliceWork is one slice converted to this device's work rate: the debt
@@ -130,37 +141,47 @@ func (ts *Timeslice) ChannelActivated(cs *neon.ChannelState) {
 // the submitting task holds the token.
 func (ts *Timeslice) Admit(t *neon.Task) bool { return ts.holder == t }
 
-// run is the scheduler control process: grant, sleep, re-engage, drain,
-// charge, rotate.
-func (ts *Timeslice) run(p *sim.Proc) {
-	for {
-		t := ts.pick()
-		if t == nil {
-			p.Wait(ts.admitGate)
-			continue
-		}
-
-		ts.holder = t
-		ts.SlicesGranted++
-		if ts.disengaged {
-			ts.k.Disengage(t)
-		}
-		t.Gate().Broadcast()
-
-		deadline := p.Now().Add(ts.slice)
-		p.Sleep(ts.slice)
-
-		ts.holder = nil
-		if t.Alive {
-			if ts.disengaged {
-				ts.k.Engage(t)
-			}
-			res := ts.k.Drain(p, []*neon.Task{t})
-			if t.Alive {
-				ts.overuse[t] += PerWeight(WorkFor(res.Overuse(t, deadline), ts.speed), t.ShareWeight())
-			}
-		}
+// grant is the scheduler's control loop, one step of c per wake-up:
+// grant the token and sleep out the slice (sliceEnd), re-engage and
+// drain the holder (drained), charge its overuse, rotate.
+func (ts *Timeslice) grant() {
+	t := ts.pick()
+	if t == nil {
+		ts.c.Wait(ts.admitGate, ts.grantFn)
+		return
 	}
+
+	ts.holder, ts.cur = t, t
+	ts.SlicesGranted++
+	if ts.disengaged {
+		ts.k.Disengage(t)
+	}
+	t.Gate().Broadcast()
+
+	ts.deadline = ts.k.Engine().Now().Add(ts.slice)
+	ts.c.Sleep(ts.slice, ts.sliceEndFn)
+}
+
+// sliceEnd takes the token back and drains the slice's task.
+func (ts *Timeslice) sliceEnd() {
+	ts.holder = nil
+	if !ts.cur.Alive {
+		ts.grant()
+		return
+	}
+	if ts.disengaged {
+		ts.k.Engage(ts.cur)
+	}
+	ts.k.DrainOn(ts.c, []*neon.Task{ts.cur}, ts.drainedFn)
+}
+
+// drained charges the drain's time past the slice boundary as overuse.
+func (ts *Timeslice) drained() {
+	if t := ts.cur; t.Alive {
+		over := max(0, ts.k.Engine().Now().Sub(ts.deadline))
+		ts.overuse[t] += PerWeight(WorkFor(over, ts.speed), t.ShareWeight())
+	}
+	ts.grant()
 }
 
 // pick selects the next token holder, consuming skipped turns of

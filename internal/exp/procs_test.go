@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,15 +16,14 @@ import (
 
 // TestClosedLoopStacksOwnNoProcs: every closed-loop driver — App rounds
 // and setup, the fleet tenant's lane, both adversaries and the Section 3
-// throughput driver — runs as continuations, so once setup ends a
-// stack's only live procs are its scheduler loops (none under direct
-// access). The engaged App pair also pins the App lane's committed
-// fault: under engaged Timeslice every submission faults, and a
-// steady-state fault, trap to completion, allocates nothing.
+// throughput driver — and every scheduler loop runs as continuations,
+// so once setup ends a stack owns no live proc. The engaged App pair
+// also pins the App lane's committed fault and the slice loop: under
+// engaged Timeslice every submission faults, and a steady-state fault,
+// trap to completion, and a slice's end and drain allocate nothing.
 func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 	type stack struct {
 		eng   *sim.Engine
-		loops int           // scheduler loops: the live procs expected
 		check func() string // after setup; a non-empty result fails the row
 	}
 	type row struct {
@@ -36,14 +36,13 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 	rows := []row{
 		{"engaged-app-pair", 5 * time.Millisecond, func() stack {
 			eng := sim.NewEngine()
-			// A slice longer than the test keeps the per-slice drain,
-			// which allocates its result maps, out of the measured window.
-			k := neon.NewKernel(gpu.New(eng, gpu.DefaultConfig()), core.NewTimeslice(time.Second))
+			// 2 ms slices put slice ends and drains in the measured window.
+			k := neon.NewKernel(gpu.New(eng, gpu.DefaultConfig()), core.NewTimeslice(2*time.Millisecond))
 			a := workload.Launch(k, thr)
 			bs := thr
 			bs.Name = "Throttle-b"
 			b := workload.Launch(k, bs)
-			return stack{eng, 1, func() string {
+			return stack{eng, func() string {
 				faults, rounds := k.TotalFaults, a.Rounds+b.Rounds
 				if allocs := testing.AllocsPerRun(10, func() { eng.RunFor(time.Millisecond) }); allocs != 0 {
 					return fmt.Sprintf("engaged steady state allocated %.1f times per simulated ms, want 0", allocs)
@@ -58,7 +57,7 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 		{"infinite-kernel-warmup", 5 * time.Millisecond, func() stack {
 			rig := NewRig(DFQ, Quick(), dct)
 			inf := workload.LaunchInfiniteKernel(rig.Kernel, 1000)
-			return stack{rig.Engine, 1, func() string {
+			return stack{rig.Engine, func() string {
 				if inf.Rounds == 0 || inf.Rounds >= 1000 {
 					return fmt.Sprintf("attacker ran %d warmup rounds, want some of 1000", inf.Rounds)
 				}
@@ -68,7 +67,7 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 		{"infinite-kernel-attack", 10 * time.Millisecond, func() stack {
 			rig := NewRig(Direct, Quick(), dct)
 			inf := workload.LaunchInfiniteKernel(rig.Kernel, 3)
-			return stack{rig.Engine, 0, func() string {
+			return stack{rig.Engine, func() string {
 				if inf.Rounds != 3 || inf.Task.PendingRequests() != 1 {
 					return fmt.Sprintf("attacker ran %d rounds with %d requests on the device, want 3 and the infinite one",
 						inf.Rounds, inf.Task.PendingRequests())
@@ -79,7 +78,7 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 		{"channel-hog", 50 * time.Millisecond, func() stack {
 			rig := NewRig(Direct, Quick())
 			_, res, done := workload.LaunchChannelHog(rig.Kernel, 100)
-			return stack{rig.Engine, 0, func() string {
+			return stack{rig.Engine, func() string {
 				if !done.IsOpen() || res.ContextsCreated != 48 {
 					return fmt.Sprintf("hog done %v with %d contexts, want done with 48", done.IsOpen(), res.ContextsCreated)
 				}
@@ -96,7 +95,7 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 			for _, spec := range workload.FleetPopulation(2, "mixed") {
 				ts = append(ts, f.Launch(spec))
 			}
-			return stack{eng, 2, func() string {
+			return stack{eng, func() string {
 				for _, tn := range ts {
 					if tn.Rounds == 0 || tn.SetupError() != nil {
 						return fmt.Sprintf("tenant %s: %d rounds, setup error %v", tn.Spec.Name, tn.Rounds, tn.SetupError())
@@ -107,21 +106,17 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 		}},
 		{"sec3-direct", time.Millisecond, func() stack {
 			eng, done := sec3Stack(20*time.Microsecond, false, false)
-			return stack{eng, 0, func() string { return sec3Progress(*done) }}
+			return stack{eng, func() string { return sec3Progress(*done) }}
 		}},
 		{"sec3-trap", time.Millisecond, func() stack {
 			eng, done := sec3Stack(20*time.Microsecond, true, true)
-			return stack{eng, 0, func() string { return sec3Progress(*done) }}
+			return stack{eng, func() string { return sec3Progress(*done) }}
 		}},
 	}
 	for _, s := range append(AllScheds(), Oracle) {
-		loops := 1
-		if s == Direct {
-			loops = 0
-		}
 		rows = append(rows, row{"rig-" + string(s), 100 * time.Millisecond, func() stack {
 			rig := NewRig(s, Quick(), dct, thr)
-			return stack{rig.Engine, loops, func() string {
+			return stack{rig.Engine, func() string {
 				for _, a := range rig.Apps {
 					if a.Rounds == 0 || a.SetupError() != nil {
 						return fmt.Sprintf("%s: %d rounds, setup error %v", a.Spec.Name, a.Rounds, a.SetupError())
@@ -135,14 +130,14 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			st := r.build()
 			st.eng.RunFor(r.setup)
-			if n := st.eng.LiveProcs(); n != st.loops {
-				t.Fatalf("%d live procs after setup, want %d (the scheduler loops)", n, st.loops)
+			if n := st.eng.LiveProcs(); n != 0 {
+				t.Fatalf("%d live procs after setup, want 0", n)
 			}
 			if msg := st.check(); msg != "" {
 				t.Fatal(msg)
 			}
-			if n := st.eng.LiveProcs(); n != st.loops {
-				t.Fatalf("%d live procs in steady state, want %d", n, st.loops)
+			if n := st.eng.LiveProcs(); n != 0 {
+				t.Fatalf("%d live procs in steady state, want 0", n)
 			}
 		})
 	}
@@ -154,4 +149,36 @@ func sec3Progress(done int64) string {
 		return "the throughput driver completed no request"
 	}
 	return ""
+}
+
+// TestFinishedStacksAreFreed runs a pair of 10^3-tenant storm cells, one
+// under DFQ and one under Timeslice, three times in one process. No
+// proc and no parked coroutine holds a finished stack, so after a GC
+// the live heap and the goroutine count after the third round match the
+// first round's.
+func TestFinishedStacksAreFreed(t *testing.T) {
+	o := Quick()
+	round := func() (heap uint64, goroutines int) {
+		for _, s := range []Sched{DFQ, TS} {
+			if res := RunScaleFullCell(o, 1_000, s); res.Completed == 0 {
+				t.Fatalf("%s storm completed nothing", s)
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, runtime.NumGoroutine()
+	}
+	heap1, g1 := round()
+	round()
+	heap3, g3 := round()
+	t.Logf("live heap %.1f MB, %d goroutines after round 1; %.1f MB, %d after round 3",
+		float64(heap1)/1e6, g1, float64(heap3)/1e6, g3)
+	if heap3 > heap1+1<<20 {
+		t.Errorf("live heap grew by %.1f MB over two more rounds; finished stacks stay reachable",
+			float64(heap3-heap1)/1e6)
+	}
+	if g3 != g1 {
+		t.Errorf("%d goroutines after round 3, %d after round 1; finished stacks leave goroutines parked", g3, g1)
+	}
 }

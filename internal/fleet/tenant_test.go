@@ -70,7 +70,7 @@ func TestTenantLaneOversubscribed(t *testing.T) {
 // retires the tenant: the setup error is gpu.ErrContextDead, its round
 // leaves the fleet's queue depth, nothing waits on the dead task's gate
 // or in the attach queue, and the other tenants keep running rounds on
-// a stack whose only proc is the scheduler's.
+// a stack that owns no proc.
 func TestKillTenantMidLane(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -149,8 +149,8 @@ func TestKillTenantMidLane(t *testing.T) {
 					t.Errorf("%s ran no rounds after the kill", o.Spec.Name)
 				}
 			}
-			if p := eng.LiveProcs(); p != 1 {
-				t.Errorf("%d live procs, want 1 (the scheduler's)", p)
+			if p := eng.LiveProcs(); p != 0 {
+				t.Errorf("%d live procs, want 0", p)
 			}
 		})
 	}

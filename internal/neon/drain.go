@@ -4,35 +4,36 @@ import (
 	"repro/internal/sim"
 )
 
-// DrainResult reports the outcome of a drain barrier.
-type DrainResult struct {
-	// Started is when the barrier began.
-	Started sim.Time
-	// DrainedAt maps each task to the virtual time at which its last
-	// outstanding request was observed complete (quantized to the polling
-	// granularity, as in the prototype).
-	DrainedAt map[*Task]sim.Time
-	// Killed lists tasks terminated for exceeding the request run limit.
-	Killed []*Task
+// drain is a kernel's drain record.
+type drain struct {
+	k    *Kernel
+	c    *sim.Cont
+	then func()
+	// tasks is the drain set; polling filters it down to the tasks not
+	// yet drained.
+	tasks []*Task
+	// The scan's position: the next task, the channel slice of the task
+	// being scanned as it stood when its scan began, the next index
+	// into it, and the channel whose scan is being slept.
+	task, ch int
+	chans    []*ChannelState
+	cs       *ChannelState
+
+	lastProgress      sim.Time
+	lastSnapshot      uint64
+	scannedFn, pollFn func() // bound once per kernel
 }
 
-// Overuse returns how far past deadline the task's outstanding requests
-// ran, or zero. Timeslice schedulers charge this against future slices.
-func (r DrainResult) Overuse(t *Task, deadline sim.Time) sim.Duration {
-	at, ok := r.DrainedAt[t]
-	if !ok || at <= deadline {
-		return 0
-	}
-	return at.Sub(deadline)
-}
-
-// Drain waits until every outstanding request of the given tasks has
-// completed, as observed through reference counters at the kernel's
-// polling granularity. Callers must first have arranged (via engagement
-// and scheduler policy) that the tasks submit no new work.
+// DrainOn waits, as steps of c, until every outstanding request of the
+// given tasks has completed, as observed through reference counters at
+// the kernel's polling granularity, and then calls then as a step of
+// c. Callers must first have arranged (via engagement and scheduler
+// policy) that the tasks submit no new work. DrainOn copies tasks; a
+// kernel runs one drain at a time.
 //
-// The post-re-engagement status update is charged here: one ReengageScan
-// per active channel to discover the last submitted reference values.
+// The post-re-engagement status update is charged first: one
+// ReengageScan sleep per active channel, after which the channel's last
+// submitted reference value is read as its drain target.
 //
 // If RequestRunLimit is non-zero and a request occupies the device beyond
 // it, the task owning the currently running context is killed through the
@@ -40,64 +41,80 @@ func (r DrainResult) Overuse(t *Task, deadline sim.Time) sim.Duration {
 // holder (timeslice) or the sampled task; here we consult the device's
 // current request, standing in for the Section 6.2 vendor mechanism to
 // "identify and kill the currently running context".
-func (k *Kernel) Drain(p *sim.Proc, tasks []*Task) DrainResult {
-	res := DrainResult{Started: p.Now(), DrainedAt: make(map[*Task]sim.Time)}
-
-	// Status update: scan every active channel for its last submitted
-	// reference value.
-	targets := make(map[*ChannelState]uint64)
-	for _, t := range tasks {
-		for _, cs := range t.channels {
-			p.Sleep(k.costs.ReengageScan)
-			targets[cs] = cs.Ch.LastSubmittedRef
-		}
+func (k *Kernel) DrainOn(c *sim.Cont, tasks []*Task, then func()) {
+	d := &k.drain
+	if d.k == nil {
+		d.k = k
+		d.scannedFn, d.pollFn = d.scanned, d.poll
 	}
-
-	remaining := make([]*Task, 0, len(tasks))
-	remaining = append(remaining, tasks...)
-	lastProgress := p.Now()
-	var lastSnapshot = k.refSnapshot(remaining)
-
-	for {
-		// Check immediately: draining completes at once if the device is
-		// not working on the tasks' requests.
-		still := remaining[:0]
-		for _, t := range remaining {
-			if !t.Alive {
-				res.DrainedAt[t] = p.Now()
-				continue
-			}
-			if k.taskDrained(t, targets) {
-				res.DrainedAt[t] = p.Now()
-				continue
-			}
-			still = append(still, t)
-		}
-		remaining = still
-		if len(remaining) == 0 {
-			return res
-		}
-
-		if snap := k.refSnapshot(remaining); snap != lastSnapshot {
-			lastSnapshot = snap
-			lastProgress = p.Now()
-		}
-		if k.RequestRunLimit > 0 && p.Now().Sub(lastProgress) > k.RequestRunLimit {
-			if victim := k.runningTask(); victim != nil {
-				k.KillTask(victim, "request exceeded run limit")
-				res.Killed = append(res.Killed, victim)
-			}
-			lastProgress = p.Now()
-		}
-		p.Sleep(k.costs.PollInterval)
-	}
+	d.c, d.then = c, then
+	d.tasks = append(d.tasks[:0], tasks...)
+	d.task, d.chans, d.ch = 0, nil, 0
+	d.scan()
 }
 
-// taskDrained reports whether all of the task's channels have reached
-// their scan targets.
-func (k *Kernel) taskDrained(t *Task, targets map[*ChannelState]uint64) bool {
+// scan sleeps one ReengageScan per channel, task by task, then starts
+// polling.
+func (d *drain) scan() {
+	for d.ch == len(d.chans) {
+		if d.task == len(d.tasks) {
+			d.chans, d.cs = nil, nil
+			d.lastProgress = d.k.eng.Now()
+			d.lastSnapshot = d.k.refSnapshot(d.tasks)
+			d.poll()
+			return
+		}
+		d.chans, d.ch = d.tasks[d.task].channels, 0
+		d.task++
+	}
+	d.cs = d.chans[d.ch]
+	d.ch++
+	d.c.Sleep(d.k.costs.ReengageScan, d.scannedFn)
+}
+
+// scanned reads the scanned channel's drain target after its sleep.
+func (d *drain) scanned() {
+	d.cs.drainTarget = d.cs.Ch.LastSubmittedRef
+	d.scan()
+}
+
+// poll checks the tasks not yet drained: draining completes at once if
+// the device is not working on their requests. Otherwise it applies
+// the run limit and polls again one PollInterval later.
+func (d *drain) poll() {
+	k := d.k
+	still := d.tasks[:0]
+	for _, t := range d.tasks {
+		if t.Alive && !t.drained() {
+			still = append(still, t)
+		}
+	}
+	d.tasks = still
+	if len(still) == 0 {
+		then := d.then
+		d.c, d.then = nil, nil
+		then()
+		return
+	}
+	now := k.eng.Now()
+	if snap := k.refSnapshot(still); snap != d.lastSnapshot {
+		d.lastSnapshot = snap
+		d.lastProgress = now
+	}
+	if k.RequestRunLimit > 0 && now.Sub(d.lastProgress) > k.RequestRunLimit {
+		if victim := k.runningTask(); victim != nil {
+			k.KillTask(victim, "request exceeded run limit")
+		}
+		d.lastProgress = now
+	}
+	d.c.Sleep(k.costs.PollInterval, d.pollFn)
+}
+
+// drained reports whether all of the task's channels have reached their
+// drain targets.
+func (t *Task) drained() bool {
 	for _, cs := range t.channels {
-		if cs.Ch.RefCount < targets[cs] {
+		if cs.Ch.RefCount < cs.drainTarget {
 			return false
 		}
 	}
@@ -131,7 +148,7 @@ func (k *Kernel) runningTask() *Task {
 // if that request has occupied the engine beyond RequestRunLimit. This is
 // the barrier-free enforcement path used by schedulers that never drain
 // (oracle fair queueing); it relies on the same identify-the-running-
-// context mechanism as Drain. Returns the killed task, if any.
+// context mechanism as DrainOn. Returns the killed task, if any.
 func (k *Kernel) EnforceRunLimit() *Task {
 	if k.RequestRunLimit <= 0 {
 		return nil

@@ -161,9 +161,6 @@ func (vc *VContext) Task() *Task { return vc.task }
 // hardware context.
 func (vc *VContext) Attached() bool { return vc.hw != nil }
 
-// HW returns the current hardware context (nil while detached).
-func (vc *VContext) HW() *gpu.Context { return vc.hw }
-
 // Reattaches counts how many times this logical context was re-attached
 // after an eviction.
 func (vc *VContext) Reattaches() int64 { return vc.reattaches }

@@ -17,8 +17,8 @@
 //     the granularity is the source of draining idleness in the paper's
 //     overhead measurements.
 //
-// On top of these it offers the primitives schedulers are built from:
-// engage/disengage, drain barriers with overuse accounting and over-long
+// On top of these it offers the primitives schedulers are built from,
+// in continuation form: engage/disengage, drain barriers with over-long
 // request killing, sampling runs that measure per-request service times,
 // and protected channel allocation (Section 6.3).
 package neon
@@ -43,8 +43,9 @@ type Scheduler interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Start is called once, after the kernel is constructed. The
-	// scheduler may spawn control processes and install initial
-	// protection state.
+	// scheduler may start its control loop on a continuation
+	// (sim.Engine.NewCont), whose steps drain (DrainOn) and sample
+	// (SampleOn), and install initial protection state.
 	Start(k *Kernel)
 	// TaskAdmitted is called when a task first becomes known.
 	TaskAdmitted(t *Task)
@@ -107,6 +108,14 @@ type Kernel struct {
 	nextTaskID gpu.TaskID
 	byPage     map[*mmio.Page]*ChannelState
 
+	// live is the snapshot Tasks returns, rebuilt into a new array by
+	// the first call after a task is admitted or exits (liveStale).
+	live      []*Task
+	liveStale bool
+
+	drain  drain       // the one drain record, reused by every DrainOn
+	sample sampleState // the one sampling record, reused by every SampleOn
+
 	// mux is the virtual-context multiplexing front-end (mux.go), nil
 	// until the first OpenVirtual call.
 	mux *muxState
@@ -160,15 +169,20 @@ func (k *Kernel) Costs() cost.Model { return k.costs }
 // Scheduler returns the attached scheduling policy.
 func (k *Kernel) Scheduler() Scheduler { return k.sched }
 
-// Tasks returns live tasks in admission order.
+// Tasks returns live tasks in admission order. The slice is a shared
+// snapshot: callers must not modify it, and it does not change when a
+// task is later admitted or exits.
 func (k *Kernel) Tasks() []*Task {
-	out := make([]*Task, 0, len(k.taskOrder))
-	for _, t := range k.taskOrder {
-		if t.Alive {
-			out = append(out, t)
+	if k.liveStale {
+		live := make([]*Task, 0, len(k.taskOrder))
+		for _, t := range k.taskOrder {
+			if t.Alive {
+				live = append(live, t)
+			}
 		}
+		k.live, k.liveStale = live, false
 	}
-	return out
+	return k.live
 }
 
 // NewTask admits a new resource principal (an OS process).
@@ -183,6 +197,7 @@ func (k *Kernel) NewTask(name string) *Task {
 	k.nextTaskID++
 	k.tasks[t.ID] = t
 	k.taskOrder = append(k.taskOrder, t)
+	k.liveStale = true
 	k.sched.TaskAdmitted(t)
 	return t
 }
@@ -361,6 +376,3 @@ func (k *Kernel) KillTask(t *Task, reason string) {
 	k.Kills++
 	t.exit(fmt.Sprintf("killed: %s", reason))
 }
-
-// TaskFor returns the kernel task for a device-level owner ID.
-func (k *Kernel) TaskFor(id gpu.TaskID) *Task { return k.tasks[id] }

@@ -173,14 +173,13 @@ func TestDrainWaitsForOutstanding(t *testing.T) {
 		r := cs.Ch.Stage(500*time.Microsecond, gpu.Compute)
 		cs.Ch.Reg.Store(p, r.Ref)
 	})
-	var res DrainResult
-	e.Spawn("sched", func(p *sim.Proc) {
-		p.Sleep(50 * time.Microsecond) // let the request start
-		res = k.Drain(p, []*Task{task})
+	at := sim.Time(-1)
+	c := e.NewCont()
+	c.Sleep(50*time.Microsecond, func() { // let the request start
+		k.DrainOn(c, []*Task{task}, func() { at = e.Now() })
 	})
 	e.RunFor(10 * time.Millisecond)
-	at, ok := res.DrainedAt[task]
-	if !ok {
+	if at < 0 {
 		t.Fatal("drain never completed")
 	}
 	// Completion at ~500us, observed at the next poll tick.
@@ -196,18 +195,18 @@ func TestDrainImmediateWhenIdle(t *testing.T) {
 	sched := &recordingSched{}
 	e, _, k := testKernel(t, sched)
 	task, _ := openChannel(t, e, k)
-	var took sim.Duration
-	e.Spawn("sched", func(p *sim.Proc) {
-		start := p.Now()
-		k.Drain(p, []*Task{task})
-		took = p.Now().Sub(start)
-	})
+	start := e.Now()
+	took := sim.Duration(-1)
+	k.DrainOn(e.NewCont(), []*Task{task}, func() { took = e.Now().Sub(start) })
 	e.RunFor(time.Millisecond)
-	if took > 100*time.Microsecond {
+	if took < 0 || took > 100*time.Microsecond {
 		t.Fatalf("idle drain took %v; should complete immediately", took)
 	}
 }
 
+// The drain ends in the instant its task's last request is observed
+// complete, so a timeslice charges that instant's distance past the
+// slice's deadline as overuse.
 func TestDrainOveruseCharge(t *testing.T) {
 	sched := &recordingSched{}
 	e, _, k := testKernel(t, sched)
@@ -216,21 +215,17 @@ func TestDrainOveruseCharge(t *testing.T) {
 		r := cs.Ch.Stage(2*time.Millisecond, gpu.Compute)
 		cs.Ch.Reg.Store(p, r.Ref)
 	})
-	var res DrainResult
 	var deadline sim.Time
-	e.Spawn("sched", func(p *sim.Proc) {
-		p.Sleep(100 * time.Microsecond)
-		deadline = p.Now() // pretend the slice ended now
-		res = k.Drain(p, []*Task{task})
+	over := sim.Duration(-1)
+	c := e.NewCont()
+	c.Sleep(100*time.Microsecond, func() {
+		deadline = e.Now() // pretend the slice ended now
+		k.DrainOn(c, []*Task{task}, func() { over = e.Now().Sub(deadline) })
 	})
 	e.RunFor(10 * time.Millisecond)
-	over := res.Overuse(task, deadline)
 	// The request runs ~1.9ms past the deadline.
 	if over < 1800*time.Microsecond || over > 2*time.Millisecond+2*k.Costs().PollInterval {
 		t.Fatalf("overuse = %v, want ~1.9ms", over)
-	}
-	if res.Overuse(task, deadline+sim.Time(time.Hour)) != 0 {
-		t.Fatal("overuse after generous deadline should be 0")
 	}
 }
 
@@ -249,23 +244,20 @@ func TestDrainKillsHungTask(t *testing.T) {
 		r := vcs.Ch.Stage(10*time.Microsecond, gpu.Compute)
 		vcs.Ch.Reg.Store(p, r.Ref)
 	})
-	var res DrainResult
-	e.Spawn("sched", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		res = k.Drain(p, []*Task{attacker, victim})
+	drained := false
+	c := e.NewCont()
+	c.Sleep(time.Millisecond, func() {
+		k.DrainOn(c, []*Task{attacker, victim}, func() { drained = true })
 	})
 	e.RunFor(100 * time.Millisecond)
 	if attacker.Alive {
 		t.Fatal("hung task not killed")
 	}
-	if len(res.Killed) != 1 || res.Killed[0] != attacker {
-		t.Fatalf("Killed = %v", res.Killed)
-	}
 	if !victim.Alive {
 		t.Fatal("innocent task killed")
 	}
-	if _, ok := res.DrainedAt[victim]; !ok {
-		t.Fatal("victim never drained after the kill")
+	if !drained {
+		t.Fatal("drain never completed after the kill")
 	}
 	if k.Kills != 1 {
 		t.Fatalf("Kills = %d", k.Kills)
@@ -284,12 +276,13 @@ func TestSampleMeasuresServiceTimes(t *testing.T) {
 		}
 	})
 	var res SampleResult
-	e.Spawn("sched", func(p *sim.Proc) {
-		res = k.Sample(p, task, 5*time.Millisecond, 8)
-	})
+	k.SampleOn(e.NewCont(), task, 5*time.Millisecond, 8, func(r SampleResult) { res = r })
 	e.RunFor(20 * time.Millisecond)
-	if len(res.Sizes) != 8 {
-		t.Fatalf("sampled %d requests, want 8 (early stop)", len(res.Sizes))
+	if res.Requests != 8 {
+		t.Fatalf("sampled %d requests, want 8 (early stop)", res.Requests)
+	}
+	if res.Elapsed >= 5*time.Millisecond {
+		t.Fatalf("Elapsed = %v; the run should stop at its 8th request", res.Elapsed)
 	}
 	if res.Mean() != 50*time.Microsecond {
 		t.Fatalf("mean = %v, want 50us", res.Mean())
@@ -300,13 +293,11 @@ func TestSampleTimesOutOnIdleTask(t *testing.T) {
 	sched := &recordingSched{engageAll: true}
 	e, _, k := testKernel(t, sched)
 	task, _ := openChannel(t, e, k)
-	var res SampleResult
-	e.Spawn("sched", func(p *sim.Proc) {
-		res = k.Sample(p, task, 2*time.Millisecond, 8)
-	})
+	res := SampleResult{Requests: -1}
+	k.SampleOn(e.NewCont(), task, 2*time.Millisecond, 8, func(r SampleResult) { res = r })
 	e.RunFor(10 * time.Millisecond)
-	if len(res.Sizes) != 0 {
-		t.Fatalf("sampled %d from an idle task", len(res.Sizes))
+	if res.Requests != 0 {
+		t.Fatalf("sampled %d from an idle task", res.Requests)
 	}
 	if res.Elapsed != 2*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want the full window", res.Elapsed)
@@ -314,7 +305,7 @@ func TestSampleTimesOutOnIdleTask(t *testing.T) {
 	if res.Mean() != 0 {
 		t.Fatal("mean of nothing should be 0")
 	}
-	if e.LiveProcs() > 2 { // task setup proc finished; work proc none
+	if e.LiveProcs() != 0 {
 		t.Fatalf("leaked procs: %d live", e.LiveProcs())
 	}
 }

@@ -7,32 +7,35 @@ import (
 
 // SampleResult is what a sampling run learned about a task.
 type SampleResult struct {
-	// Sizes are the observed service times of requests that completed
-	// within the sampling window, in completion order.
-	Sizes []sim.Duration
+	// Requests counts the requests that completed within the sampling
+	// window, and Total sums their observed service times.
+	Requests int
+	Total    sim.Duration
 	// Elapsed is how long the sampling window lasted.
 	Elapsed sim.Duration
 }
 
 // Mean returns the average observed service time, or 0 if none completed.
 func (s SampleResult) Mean() sim.Duration {
-	if len(s.Sizes) == 0 {
+	if s.Requests == 0 {
 		return 0
 	}
-	var sum sim.Duration
-	for _, d := range s.Sizes {
-		sum += d
-	}
-	return sum / sim.Duration(len(s.Sizes))
+	return s.Total / sim.Duration(s.Requests)
 }
 
-// sampleState tracks an in-progress sampling run.
+// sampleState is a kernel's sampling record.
 type sampleState struct {
+	k        *Kernel
+	c        *sim.Cont
+	t        *Task
 	active   bool
 	want     int
-	sizes    []sim.Duration
-	gate     *sim.Gate
+	start    sim.Time
+	res      SampleResult
+	gate     *sim.Gate // opens once want requests have been observed
 	watchers []*watcher
+	then     func(SampleResult)
+	endFn    func() // the window's end, bound once per kernel
 }
 
 // watcher observes one sampled request's completion: a continuation
@@ -57,26 +60,40 @@ func (w *watcher) observe() {
 	w.req.Unpin()
 }
 
-// Sample gives the scheduler a measured look at task t's requests: with
-// the task engaged (every submission intercepted), observed requests'
-// service times are recorded until either maxReqs requests complete or
-// maxDur elapses, whichever comes first. The caller must have arranged
+// SampleOn gives the scheduler a measured look at task t's requests, as
+// steps of c: with the task engaged (every submission intercepted),
+// observed requests' service times are recorded until either maxReqs
+// requests complete or maxDur elapses, whichever comes first, and then
+// receives the result as a step of c. The caller must have arranged
 // exclusive device access for t (that is the point of the engagement
-// episode in Disengaged Fair Queueing).
+// episode in Disengaged Fair Queueing). A kernel runs one sampling run
+// at a time.
 //
 // Completion times are observed per request; the prototype achieves this
 // by running its polling service at high rate during the short sampling
 // window, so no additional cost is charged beyond the per-request
 // interception already paid by the fault path.
-func (k *Kernel) Sample(p *sim.Proc, t *Task, maxDur sim.Duration, maxReqs int) SampleResult {
-	st := &sampleState{active: true, want: maxReqs, gate: k.eng.NewGate("sample-" + t.Name)}
-	start := p.Now()
+func (k *Kernel) SampleOn(c *sim.Cont, t *Task, maxDur sim.Duration, maxReqs int, then func(SampleResult)) {
+	st := &k.sample
+	if st.k == nil {
+		st.k, st.gate = k, k.eng.NewGate("sample")
+		st.endFn = st.end
+	}
+	st.c, st.t, st.then = c, t, then
+	st.active, st.want, st.start, st.res = true, maxReqs, k.eng.Now(), SampleResult{}
+	st.gate.Close()
 	t.sample = st
 	for _, cs := range t.channels {
 		cs.sampling = true
 		cs.watchedRef = cs.Ch.LastSubmittedRef
 	}
-	p.WaitTimeout(st.gate, maxDur)
+	c.WaitTimeout(st.gate, maxDur, st.endFn)
+}
+
+// end closes the sampling window: it stops the watchers still waiting,
+// recycles every watcher, and hands the result on.
+func (st *sampleState) end() {
+	k, t := st.k, st.t
 	st.active = false
 	if t.Alive {
 		for _, cs := range t.channels {
@@ -92,7 +109,11 @@ func (k *Kernel) Sample(p *sim.Proc, t *Task, maxDur sim.Duration, maxReqs int) 
 		w.st, w.req = nil, nil
 		k.watchFree = append(k.watchFree, w)
 	}
-	return SampleResult{Sizes: st.sizes, Elapsed: p.Now().Sub(start)}
+	st.watchers = st.watchers[:0]
+	res, then := st.res, st.then
+	res.Elapsed = k.eng.Now().Sub(st.start)
+	st.c, st.t, st.then = nil, nil, nil
+	then(res)
 }
 
 // watchStaged registers completion watchers for requests newly staged on
@@ -130,8 +151,9 @@ func (st *sampleState) observe(r *gpu.Request) {
 	if !st.active || r.Aborted {
 		return
 	}
-	st.sizes = append(st.sizes, r.Completed.Sub(r.Started))
-	if len(st.sizes) >= st.want {
+	st.res.Requests++
+	st.res.Total += r.Completed.Sub(r.Started)
+	if st.res.Requests >= st.want {
 		st.gate.Open()
 	}
 }

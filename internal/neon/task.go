@@ -49,10 +49,6 @@ type Task struct {
 
 	// sample is the in-progress sampling run, if any.
 	sample *sampleState
-
-	// Sched is scratch space for the attached scheduler's per-task state
-	// (virtual times, overuse, token bookkeeping). Owned by the scheduler.
-	Sched any
 }
 
 // Go spawns a thread of this task. Threads are registered so that killing
@@ -135,6 +131,7 @@ func (t *Task) exit(reason string) {
 	}
 	t.Alive = false
 	t.ExitReason = reason
+	t.kernel.liveStale = true
 	for _, p := range t.procs {
 		p.Kill()
 	}

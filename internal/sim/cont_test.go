@@ -268,3 +268,78 @@ func TestKillStopsAwaitedChain(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitTimeoutFires: with no release, the timer takes the cont
+// off the gate and runs the step inline, in the timer's own event and
+// under the in-process marker.
+func TestWaitTimeoutFires(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	c := e.NewCont()
+	var ranAt Time = -1
+	inProc := false
+	c.WaitTimeout(g, 25, func() { ranAt, inProc = e.Now(), e.InProcContext() })
+	if g.Waiters() != 1 || e.Pending() != 1 {
+		t.Fatalf("queued wait: %d waiters, %d pending events; want 1 and the timer", g.Waiters(), e.Pending())
+	}
+	e.Run()
+	if ranAt != 25 || !inProc {
+		t.Fatalf("step ran at %v (in-process %v), want 25 under the marker", ranAt, inProc)
+	}
+	if g.Waiters() != 0 || c.Stop() {
+		t.Fatalf("timed-out cont left behind: %d waiters", g.Waiters())
+	}
+}
+
+// TestWaitTimeoutSignaledEarly: a release schedules the step at
+// the release instant, after the events already queued there, and
+// cancels the timer, so nothing runs at the deadline.
+func TestWaitTimeoutSignaledEarly(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	c := e.NewCont()
+	var trace []string
+	c.WaitTimeout(g, 100, func() { trace = append(trace, fmt.Sprint("step ", int64(e.Now()))) })
+	e.Schedule(10, func() {
+		g.Broadcast()
+		e.After(0, func() { trace = append(trace, "queued after the release") })
+	})
+	e.RunUntil(10)
+	if e.Pending() != 0 || g.Waiters() != 0 {
+		t.Fatalf("after the release: %d pending events, %d waiters; want the timer cancelled", e.Pending(), g.Waiters())
+	}
+	e.Run()
+	if want := []string{"step 10", "queued after the release"}; fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("trace %q, want %q", trace, want)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("engine ran to %v; the cancelled timer must not fire", e.Now())
+	}
+}
+
+// TestWaitTimeoutStopCancelsBoth: Stop takes the cont off the gate
+// and cancels the timer, and a gate that is open or a window that is not
+// positive runs the step inline.
+func TestWaitTimeoutStopCancelsBoth(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate("g")
+	c := e.NewCont()
+	ran := 0
+	step := func() { ran++ }
+	c.WaitTimeout(g, 50, step)
+	if !c.Stop() || g.Waiters() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Stop: %d waiters, %d pending events", g.Waiters(), e.Pending())
+	}
+	c.WaitTimeout(g, 50, step)
+	e.Schedule(5, func() { g.Signal(); c.Stop() }) // released, then stopped in the same event
+	e.Run()
+	if ran != 0 || e.Now() != 5 {
+		t.Fatalf("a stopped step ran %d times; engine at %v", ran, e.Now())
+	}
+	c.WaitTimeout(g, 0, step)
+	g.Open()
+	c.WaitTimeout(g, 50, step)
+	if ran != 2 || e.Pending() != 0 {
+		t.Fatalf("inline cases ran %d steps, left %d events; want 2 and none", ran, e.Pending())
+	}
+}

@@ -1,10 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine owns a virtual clock and an event queue ordered by
-// (time, seq). Model code runs either as plain event
-// callbacks or as processes (Proc): pooled coroutines that execute in
-// strict handoff with the engine, so exactly one of them ever runs and
-// every run of the same model is bit-for-bit identical.
+// (time, seq). Model code runs as plain event callbacks or as
+// continuations (Cont): threads of control written as callbacks, whose
+// every wake-up is one event. A process (Proc) is a pooled coroutine
+// parked on a Cont, running in strict handoff with the engine. Exactly
+// one of them ever runs, so every run of the same model is bit-for-bit
+// identical.
 //
 // All of the NEON reproduction — the GPU device, the interposition kernel
 // module, the schedulers, and the workloads — is built on this package.
@@ -126,7 +128,7 @@ type Engine struct {
 	base     Time
 
 	procs  int     // live (unfinished) procs, for leak detection
-	inProc int     // >0 while process code may be on the stack (Proc.activate, Cont.fire)
+	inProc int     // >0 while process code may be on the stack (Cont.fire)
 	idle   []*coro // finished procs' coroutines, reused by Spawn
 
 	// stepping guards against re-entrant Run calls.
@@ -184,7 +186,7 @@ func (e *Engine) Schedule(t Time, fn func()) Timer {
 	idx := e.alloc(t, fn)
 	e.pending++
 	e.insert(idx, t)
-	return Timer{engine: e, slot: idx, gen: e.slab[idx].gen, when: t}
+	return Timer{engine: e, slot: idx, gen: e.slab[idx].gen}
 }
 
 // After runs fn after duration d. Zero and negative durations both
@@ -208,7 +210,6 @@ type Timer struct {
 	engine *Engine
 	slot   int32
 	gen    uint32
-	when   Time
 }
 
 // Stop cancels the timer. It reports whether the callback had not yet
@@ -229,9 +230,6 @@ func (t Timer) Stop() bool {
 	e.pending--
 	return true
 }
-
-// When returns the virtual time at which the timer fires.
-func (t Timer) When() Time { return t.when }
 
 // insert places an allocated slot into the event queue.
 //

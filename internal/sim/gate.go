@@ -2,24 +2,17 @@ package sim
 
 // Gate is a condition-variable-like wakeup point in virtual time.
 //
-// Processes block on a Gate with Proc.Wait or Proc.WaitFor, and
-// continuations queue on it with Cont.Wait or Cont.WaitFor. Both kinds
-// of waiter share one FIFO. Wakers call Signal (wake one), Broadcast
-// (wake all), or Open/Close (level-triggered: while open, waits pass
-// immediately). Wakeups are delivered as events at the current virtual
-// time, so a waker never runs a waiter's code inline.
+// Continuations queue on a Gate with Cont.Wait, WaitFor or WaitTimeout;
+// a process waits through its own continuation (Proc.Wait). Wakers call
+// Signal (wake one), Broadcast (wake all), or Open/Close
+// (level-triggered: while open, waits pass immediately). Wakeups are
+// delivered as events at the current virtual time, so a waker never
+// runs a waiter's code inline.
 type Gate struct {
 	engine  *Engine
 	name    string
 	open    bool
-	waiters []waiter
-}
-
-// waiter is one entry of a gate's FIFO: a parked proc or a queued
-// continuation (exactly one of p and c is set).
-type waiter struct {
-	p *Proc
-	c *Cont
+	waiters []*Cont
 }
 
 // NewGate returns a closed gate.
@@ -48,52 +41,41 @@ func (g *Gate) Signal() {
 	if len(g.waiters) == 0 {
 		return
 	}
-	w := g.waiters[0]
+	c := g.waiters[0]
 	copy(g.waiters, g.waiters[1:]) // shift in place: keep capacity
 	g.waiters = g.waiters[:len(g.waiters)-1]
-	g.release(w)
+	g.release(c)
 }
 
 // Broadcast wakes all current waiters.
 func (g *Gate) Broadcast() {
 	ws := g.waiters
 	g.waiters = g.waiters[:0] // keep capacity: gates are reused hot
-	for _, w := range ws {
-		g.release(w)
+	for _, c := range ws {
+		g.release(c)
 	}
 }
 
-// Waiters returns the number of processes and continuations currently
-// waiting on the gate.
+// Waiters returns the number of continuations, processes included,
+// currently waiting on the gate.
 func (g *Gate) Waiters() int { return len(g.waiters) }
 
-// release schedules a waiter's wake-up at the current instant: a
-// proc's activation or a continuation's step, in the same queue
-// position either way.
-func (g *Gate) release(w waiter) {
-	if w.p != nil {
-		w.p.gate = nil
-		g.engine.Schedule(g.engine.now, w.p.activateFn)
-		return
-	}
-	w.c.gate = nil
-	w.c.wakeup = g.engine.Schedule(g.engine.now, w.c.fireFn)
+// release schedules a waiter's step at the current instant and cancels
+// its WaitTimeout timer, if any.
+func (g *Gate) release(c *Cont) {
+	c.gate = nil
+	c.wakeup.Stop() // inert unless a WaitTimeout timer is pending
+	c.wakeup = g.engine.Schedule(g.engine.now, c.fireFn)
 }
 
-func (g *Gate) wait(p *Proc) {
-	if g.open {
-		return
-	}
-	g.enqueue(waiter{p: p})
-	p.gate = g
-	p.block()
+func (g *Gate) enqueue(c *Cont) {
+	g.waiters = append(g.waiters, c)
+	c.gate = g
 }
 
-func (g *Gate) enqueue(w waiter) { g.waiters = append(g.waiters, w) }
-
-func (g *Gate) remove(w waiter) {
+func (g *Gate) remove(c *Cont) {
 	for i, x := range g.waiters {
-		if x == w {
+		if x == c {
 			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
 			return
 		}

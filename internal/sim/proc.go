@@ -19,59 +19,58 @@ const (
 type killSignal struct{ name string }
 
 // Proc is a simulated process: a body function running on a coroutine
-// that only the engine resumes and only the body suspends. At most one
-// of {engine, any proc} executes at a time, which keeps the simulation
-// deterministic. Coroutines are pooled per engine: a finished proc's
-// coroutine runs the body of the next Spawn (DESIGN.md §11).
+// that parks on a Cont. Every blocking call (Sleep, Wait, WaitFor,
+// Await) arms the Cont and parks the coroutine, and the Cont's step
+// resumes it, so a proc's wake-ups sit exactly where a continuation's
+// would. At most one of {engine, any proc} executes at a time, which
+// keeps the simulation deterministic. Coroutines, with their Conts, are
+// pooled per engine: a finished proc's coroutine runs the body of the
+// next Spawn (DESIGN.md §11).
 //
-// A Proc may only call its blocking methods (Sleep, SleepUntil, Wait,
-// WaitFor, WaitTimeout, Await) from its own body function.
+// A Proc may only call its blocking methods from its own body function.
 type Proc struct {
-	engine *Engine
-	name   string
-	state  procState
-	killed bool
+	engine  *Engine
+	name    string
+	state   procState
+	killed  bool
+	resumed bool // an Await chain resumed inline, before the proc parked
 
 	co *coro // the coroutine running the body; nil once finished
-
-	gate     *Gate // gate currently blocked on, if any
-	wakeup   Timer
-	finished func(*Proc)
-
-	// await is the proc's Await state, created on first use.
-	await *awaiter
-
-	// activateFn is the pre-bound activation closure, allocated once at
-	// Spawn so that every wakeup (Sleep, Gate release, Kill) schedules it
-	// without allocating a fresh closure on the hot path.
-	activateFn func()
 }
 
 // coro is a pooled coroutine: an iter.Pull pair whose sequence function
-// runs one proc body after another. next resumes it from engine context;
-// the body suspends through yield. Between bodies it parks in its
-// engine's idle list with no proc attached. Nothing stops an idle
-// coroutine: like the coroutine of a proc that never finishes, it stays
-// parked for the life of the process, so the pool holds at most as
-// many coroutines as the engine ever had procs live at once.
+// runs one proc body after another, and the Cont its procs park on.
+// next resumes it from engine context; the body suspends through yield.
+// Between bodies it parks in its engine's idle list with no proc
+// attached, and its Cont drops the engine, so an idle coroutine keeps
+// no simulation reachable. Nothing stops an idle coroutine: like the
+// coroutine of a proc that never finishes, it stays parked for the
+// life of the process, so the pool holds at most as many coroutines as
+// the engine ever had procs live at once.
 type coro struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	p     *Proc
 	body  func(*Proc)
+
+	// c carries the current proc's wake-ups; resumeFn is the step that
+	// resumes the proc, bound once per coroutine.
+	c        *Cont
+	resumeFn func()
 }
 
 // loop is the coroutine's sequence function. A coroutine rejoins the
 // pool only after run returns, that is after the proc's finish
-// bookkeeping and OnFinish, so a Spawn from inside OnFinish never
-// receives the coroutine that is still finishing.
-func (c *coro) loop(yield func(struct{}) bool) {
-	c.yield = yield
+// bookkeeping.
+func (co *coro) loop(yield func(struct{}) bool) {
+	co.yield = yield
 	for {
-		p := c.p
-		p.run(c.body)
-		c.p, c.body, p.co = nil, nil, nil
-		p.engine.idle = append(p.engine.idle, c)
+		p := co.p
+		p.run(co.body)
+		co.c.Stop()
+		co.c.engine = nil
+		co.p, co.body, p.co = nil, nil, nil
+		p.engine.idle = append(p.engine.idle, co)
 		yield(struct{}{})
 	}
 }
@@ -81,20 +80,21 @@ func (c *coro) loop(yield func(struct{}) bool) {
 // back to the engine.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{engine: e, name: name, state: procReady}
-	p.activateFn = func() { p.activate() }
-	var c *coro
+	var co *coro
 	if n := len(e.idle); n > 0 {
-		c = e.idle[n-1]
+		co = e.idle[n-1]
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
+		co.c.engine = e
 	} else {
-		c = &coro{}
-		c.next, _ = iter.Pull(c.loop)
+		co = &coro{c: e.NewCont()}
+		co.resumeFn = co.resume
+		co.next, _ = iter.Pull(co.loop)
 	}
-	c.p, c.body = p, body
-	p.co = c
+	co.p, co.body = p, body
+	p.co = co
 	e.procs++
-	e.Schedule(e.now, p.activateFn)
+	co.c.Yield(co.resumeFn)
 	return p
 }
 
@@ -113,11 +113,6 @@ func (p *Proc) run(body func(p *Proc)) {
 			p.engine.panicked = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
 			p.engine.hasPanic = true
 		}
-		if p.finished != nil && r == nil {
-			fn := p.finished
-			p.finished = nil
-			fn(p)
-		}
 	}()
 	if p.killed {
 		panic(killSignal{p.name})
@@ -126,23 +121,23 @@ func (p *Proc) run(body func(p *Proc)) {
 	body(p)
 }
 
-// activate resumes the process until it blocks or finishes. It must run
-// in engine context: from process code it would nest one body inside
-// another, and resuming the running proc re-enters iter.Pull's next,
-// which panics. The inProc window brackets exactly the span during
-// which process code may be on the stack, which is what InProcContext
-// reports.
-func (p *Proc) activate() {
-	if p.state == procFinished {
+// resume is the proc's wake-up step. Called inline from the running
+// proc (an Await chain that finished at once), it only notes that
+// Await need not park. Otherwise it resumes the coroutine until the
+// proc parks again or finishes. It runs as a step of the proc's Cont,
+// so in engine context and under the in-process marker the step
+// raises: from process code it would nest one body inside another, and
+// resuming the running proc re-enters iter.Pull's next, which panics.
+func (co *coro) resume() {
+	if p := co.p; p.state == procRunning {
+		p.resumed = true
 		return
 	}
-	p.engine.inProc++
-	p.co.next()
-	p.engine.inProc--
+	co.next()
 }
 
-// block suspends the process until some event calls activate again.
-func (p *Proc) block() {
+// park suspends the process until its Cont's step resumes it.
+func (p *Proc) park() {
 	p.state = procBlocked
 	p.co.yield(struct{}{})
 	if p.killed {
@@ -166,11 +161,6 @@ func (p *Proc) Finished() bool { return p.state == procFinished }
 // Killed reports whether Kill has been called on the process.
 func (p *Proc) Killed() bool { return p.killed }
 
-// OnFinish registers fn to run when the process finishes by returning or
-// by being killed; a panicking body skips it. fn runs on the process's
-// coroutine before the coroutine rejoins the pool, so it may Spawn.
-func (p *Proc) OnFinish(fn func(*Proc)) { p.finished = fn }
-
 // Sleep advances the process's local time by d: the process blocks and is
 // woken after d of virtual time. Zero and negative durations return
 // immediately without yielding.
@@ -178,9 +168,8 @@ func (p *Proc) Sleep(d Duration) {
 	if d <= 0 {
 		return
 	}
-	p.wakeup = p.engine.After(d, p.activateFn)
-	p.block()
-	p.wakeup = Timer{}
+	p.co.c.Sleep(d, p.co.resumeFn)
+	p.park()
 }
 
 // SleepUntil blocks the process until absolute time t.
@@ -192,69 +181,38 @@ func (p *Proc) SleepUntil(t Time) {
 }
 
 // Wait blocks the process until g is signaled (or open). See Gate.
-func (p *Proc) Wait(g *Gate) { g.wait(p) }
+func (p *Proc) Wait(g *Gate) {
+	if g.open {
+		return
+	}
+	p.co.c.Wait(g, p.co.resumeFn)
+	p.park()
+}
 
 // WaitFor blocks until pred() is true, re-testing each time g is
 // signaled. If g is open, pred is still required to pass; the process
 // yields between tests only when the gate is closed.
 func (p *Proc) WaitFor(g *Gate, pred func() bool) {
 	for !pred() {
-		g.wait(p)
+		p.Wait(g)
 	}
-}
-
-// WaitTimeout blocks until g is signaled or d elapses, whichever comes
-// first. It reports whether the wait timed out.
-func (p *Proc) WaitTimeout(g *Gate, d Duration) (timedOut bool) {
-	if g.open || d <= 0 {
-		return d <= 0 && !g.open
-	}
-	fired := false
-	t := p.engine.After(d, func() {
-		if p.gate == g {
-			g.remove(waiter{p: p})
-			p.gate = nil
-			fired = true
-			p.activate()
-		}
-	})
-	g.wait(p)
-	t.Stop()
-	return fired
-}
-
-// awaiter is a proc's Await state: its own continuation and the
-// pre-bound resume function handed to the chains it waits on.
-type awaiter struct {
-	p        *Proc
-	c        *Cont
-	resumeFn func()
-	parked   bool // p is parked in Await
-	resumed  bool // resume ran inline, before Await parked
 }
 
 // Await runs start, which begins a chain of continuation steps on the
 // process's own Cont, and parks p until the chain calls resume. The
 // chain stands in for code the process would run itself: its first
-// step runs inline here, its wake-ups sit where p's own would, and
-// resume continues p inline in the step that calls it, as if p's own
-// wake-up had fired. If the chain finishes inline, Await returns
-// without parking. Killing p stops the chain, so none of its pending
-// steps runs.
+// step runs inline here, its wake-ups are the process's own, and
+// resume continues p inline in the step that calls it, which must be
+// the chain's last use of the Cont. If the chain finishes inline, Await
+// returns without parking. Killing p stops the chain, so none of its
+// pending steps runs.
 func (p *Proc) Await(start func(c *Cont, resume func())) {
-	w := p.await
-	if w == nil {
-		w = &awaiter{p: p, c: p.engine.NewCont()}
-		w.resumeFn = w.resume
-		p.await = w
-	}
-	w.resumed = false
-	start(w.c, w.resumeFn)
-	if w.resumed {
+	p.resumed = false
+	start(p.co.c, p.co.resumeFn)
+	if p.resumed {
 		return
 	}
-	w.parked = true
-	p.block()
+	p.park()
 }
 
 // AwaitResult is Await for a chain that ends by handing a value and an
@@ -273,38 +231,19 @@ func AwaitResult[T any](p *Proc, start func(c *Cont, then func(T, error))) (T, e
 	return v, err
 }
 
-// resume ends an Await: inline, it lets Await return at once; from a
-// continuation step (engine context) it activates the parked process.
-func (w *awaiter) resume() {
-	if !w.parked {
-		w.resumed = true
-		return
-	}
-	w.parked = false
-	w.p.activate()
-}
-
-// Kill marks the process as killed and unwinds it. If the process is
-// blocked, it is woken immediately (at the current virtual time) and its
-// body panics with an internal signal that run absorbs.
-// Killing a finished process is a no-op. Kill must be called from engine
-// or other-process context, never from the process itself.
+// Kill marks the process as killed and unwinds it. A parked or
+// not-yet-started process has its Cont stopped, which cancels its
+// sleep, gate wait or Await chain, and gets exactly one wake-up at the
+// back of the current instant, where its body panics with an internal
+// signal that run absorbs. A process that kills itself unwinds at its
+// next wake-up. Killing a finished process is a no-op.
 func (p *Proc) Kill() {
 	if p.state == procFinished || p.killed {
 		return
 	}
 	p.killed = true
-	p.wakeup.Stop() // inert if no sleep is outstanding (zero Timer)
-	p.wakeup = Timer{}
-	if w := p.await; w != nil {
-		w.c.Stop()
-		w.parked = false
-	}
-	if p.gate != nil {
-		p.gate.remove(waiter{p: p})
-		p.gate = nil
-	}
-	if p.state == procBlocked || p.state == procReady {
-		p.engine.Schedule(p.engine.now, p.activateFn)
+	if p.state != procRunning {
+		p.co.c.Stop()
+		p.co.c.Yield(p.co.resumeFn)
 	}
 }

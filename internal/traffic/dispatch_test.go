@@ -332,9 +332,9 @@ func TestDispatcherQueueReusesArray(t *testing.T) {
 	}
 }
 
-// TestServingDispatchersOwnNoProcs: a serving stack's dispatchers are
-// engine continuations, so a storm of tenants leaves no proc behind but
-// the scheduler's own. The storm is staggered and four hardware
+// TestServingDispatchersOwnNoProcs: a serving stack's dispatchers and
+// its scheduler loop are engine continuations, so a storm of tenants
+// leaves no proc behind. The storm is staggered and four hardware
 // contexts serve a few hundred tenants under DFQ, so dispatchers wait
 // in the attach queue and reattach evicted contexts — the attach path
 // runs as continuation steps, not as parked procs.
@@ -362,7 +362,6 @@ func TestServingDispatchersOwnNoProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := eng.LiveProcs()
 	eng.RunFor(3 * gap)
 	if err := srv.SetupError(); err != nil {
 		t.Fatal(err)
@@ -383,8 +382,8 @@ func TestServingDispatchersOwnNoProcs(t *testing.T) {
 	if mux.AttachWaits == 0 || mux.Reattaches == 0 {
 		t.Errorf("attach waits %d, reattaches %d: the storm never exercised the attach path", mux.AttachWaits, mux.Reattaches)
 	}
-	if n := eng.LiveProcs(); n != base {
-		t.Errorf("LiveProcs = %d after serving %d tenants, want %d (the scheduler's, as right after New)", n, tenants, base)
+	if n := eng.LiveProcs(); n != 0 {
+		t.Errorf("LiveProcs = %d after serving %d tenants, want 0", n, tenants)
 	}
 }
 

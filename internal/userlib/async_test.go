@@ -40,9 +40,6 @@ func TestSubmitAsyncZeroHandoff(t *testing.T) {
 	if doneAt != want {
 		t.Fatalf("completed at %v, want %v (doorbell + context switch + execution)", doneAt, want)
 	}
-	if c.Outstanding() != 0 {
-		t.Error("async request entered the outstanding set")
-	}
 }
 
 // TestSubmitAsyncRefusesEngagedChannel: with the channel register
@@ -168,37 +165,4 @@ func TestSubmitEngagedOnCommitsFault(t *testing.T) {
 		})
 		e.RunFor(time.Millisecond)
 	}
-}
-
-// TestWaitOneRetiresFromMiddle: WaitOne must retire the waited request
-// from the outstanding set by swap-remove — the set keeps the other
-// requests (order-independent) and Fence still drains exactly them.
-func TestWaitOneRetiresFromMiddle(t *testing.T) {
-	e, k := stack(t)
-	task := k.NewTask("t")
-	task.Go("main", func(p *sim.Proc) {
-		c, _ := Open(p, k, task, "t", gpu.Compute)
-		var reqs []*gpu.Request
-		for i := 0; i < 3; i++ {
-			reqs = append(reqs, c.Submit(p, gpu.Compute, 25*time.Microsecond))
-		}
-		c.WaitOne(p, reqs[1])
-		if !reqs[1].IsDone() {
-			t.Error("WaitOne returned before completion")
-		}
-		if c.Outstanding() != 2 {
-			t.Fatalf("Outstanding = %d after WaitOne, want 2", c.Outstanding())
-		}
-		left := map[*gpu.Request]bool{}
-		for _, r := range c.outstanding {
-			left[r] = true
-		}
-		if !left[reqs[0]] || !left[reqs[2]] || left[reqs[1]] {
-			t.Fatalf("outstanding set after middle retire: %v", left)
-		}
-		if drained := c.Fence(p); len(drained) != 2 {
-			t.Fatalf("Fence drained %d, want the 2 survivors", len(drained))
-		}
-	})
-	e.RunFor(time.Millisecond)
 }

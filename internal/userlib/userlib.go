@@ -34,8 +34,6 @@ type Client struct {
 	channels map[gpu.Kind]*gpu.Channel
 	order    []gpu.Kind
 
-	outstanding []*gpu.Request
-
 	// subFree lists finished SubmitDetachedOn records for reuse.
 	subFree *submission
 
@@ -140,41 +138,12 @@ func (c *Client) Kinds() []gpu.Kind { return c.order }
 // Kernel returns the kernel the client was opened on.
 func (c *Client) Kernel() *neon.Kernel { return c.kernel }
 
-// Submit stages a request of the given size on the kind's channel and
-// rings the doorbell. It does not wait for completion. The store may
-// fault (and block p) if the scheduler has engaged the channel.
-func (c *Client) Submit(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Request {
-	r := c.SubmitDetached(p, kind, size)
-	if r == nil {
-		return nil
-	}
-	c.outstanding = append(c.outstanding, r)
-	return r
-}
-
-// SubmitDetached stages and submits a request without adding it to the
-// outstanding set: the caller never fences or waits on it through this
-// client. It is the blocking form of SubmitDetachedOn: p parks once, if
-// the submission needs a step, until the doorbell store has landed.
-// On a virtual client it returns nil if the task dies before the
-// logical context can attach.
-func (c *Client) SubmitDetached(p *sim.Proc, kind gpu.Kind, size sim.Duration) (r *gpu.Request) {
-	p.Await(func(lane *sim.Cont, resume func()) {
-		c.SubmitDetachedOn(lane, kind, size, nil, func(x *gpu.Request) {
-			r = x
-			resume()
-		})
-	})
-	return r
-}
-
 // SubmitDetachedOn stages and submits a request on the kind's channel
-// as steps of lane, without adding it to the outstanding set, and hands
-// the request to then once its doorbell store has landed. Open-loop
-// serving dispatchers use it — completion is observed through the
-// request's own done hook, and tracking every in-flight request in the
-// fence list would grow without bound under sustained overload. onDone,
-// if non-nil, is hooked at staging, before the store.
+// as steps of lane, and hands the request to then once its doorbell
+// store has landed, without waiting for completion. Open-loop serving
+// dispatchers use it: completion is observed through the request's own
+// done hook. onDone, if non-nil, is hooked at staging, before the
+// store.
 //
 // The steps sit where a process's wake-ups would: a virtual client's
 // acquire (AcquireOn: inline when attached, else the attach's steps),
@@ -364,8 +333,7 @@ func (s *submission) finish(r *gpu.Request) {
 // logical context is not currently attached. Callers then take a slow
 // lane that charges the trap or fault costs the slow paths owe: the
 // lane forms (SubmitEngagedOn when the refusal was an engaged register,
-// SubmitDetachedOn or SubmitSyncOn otherwise) or their blocking
-// wrappers. Async requests never enter the outstanding set; completion
+// SubmitDetachedOn or SubmitSyncOn otherwise) or SubmitSync. Completion
 // is observed through the continuation.
 func (c *Client) SubmitAsync(e *sim.Engine, kind gpu.Kind, size sim.Duration, onDone func(*gpu.Request)) (*gpu.Request, bool) {
 	if c.TrapPerRequest {
@@ -432,10 +400,8 @@ func (c *Client) Engaged(kind gpu.Kind) bool {
 // parks once, on the done gate. Otherwise it is the blocking form of
 // SubmitSyncOn: an engaged channel, a detached virtual context or the
 // trap-per-request mode take that form's steps, which may delay the
-// process arbitrarily. Sync requests never enter the outstanding set:
-// the request is retired before returning, so there is nothing for
-// Fence to see. On a virtual client it returns nil if the task dies
-// before the logical context can attach.
+// process arbitrarily. On a virtual client it returns nil if the task
+// dies before the logical context can attach.
 func (c *Client) SubmitSync(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.Request {
 	if r, ok := c.SubmitAsync(p.Engine(), kind, size, nil); ok {
 		p.Wait(r.DoneGate())
@@ -446,39 +412,6 @@ func (c *Client) SubmitSync(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.
 	})
 	return r
 }
-
-// WaitOne blocks until the given request completes or aborts, and
-// retires it from the outstanding set by swap-remove: the hole is filled
-// with the last element, so retiring from the middle is O(1) instead of
-// shifting the tail. The outstanding set's order is therefore
-// unspecified — Fence waits on all of them regardless of order, and no
-// caller may rely on submission order surviving a WaitOne.
-func (c *Client) WaitOne(p *sim.Proc, r *gpu.Request) {
-	p.Wait(r.DoneGate())
-	for i, o := range c.outstanding {
-		if o == r {
-			last := len(c.outstanding) - 1
-			c.outstanding[i] = c.outstanding[last]
-			c.outstanding[last] = nil
-			c.outstanding = c.outstanding[:last]
-			break
-		}
-	}
-}
-
-// Fence blocks until every outstanding request completes (a frame
-// boundary for graphics pipelines) and returns the drained requests.
-func (c *Client) Fence(p *sim.Proc) []*gpu.Request {
-	reqs := c.outstanding
-	c.outstanding = nil
-	for _, r := range reqs {
-		p.Wait(r.DoneGate())
-	}
-	return reqs
-}
-
-// Outstanding returns requests submitted but not yet fenced.
-func (c *Client) Outstanding() int { return len(c.outstanding) }
 
 // Batch stages several requests on one channel and rings a single
 // doorbell for all of them — the open-loop dispatchers' backlog-drain

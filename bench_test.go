@@ -466,13 +466,14 @@ func BenchmarkDFQCycleTenants1e5(b *testing.B) { benchDFQCycleTenants(b, 100_000
 
 // BenchmarkBoardReconcile measures one fleet reconciliation episode on
 // a board already holding 10^4 registered, fleet-active principals: 64
-// charges plus activity marks folded into the sharded ledger through
+// charges plus activity marks folded into the board's FlowIndex through
 // the batch exchange (the surface the per-device schedulers use), leads
-// written back in place. The episode's cost tracks its own size
-// (charges, shard heads), not the registered population — and the
-// reusable slice-of-struct batch makes the steady state allocation-free
-// where the old map-keyed exchange allocated both maps and the lead map
-// every episode.
+// written back in place. The episode's cost tracks its own size (a heap
+// fix per charge, the fold a heap-head read), not the registered
+// population — and the reusable slice-of-struct batch makes the steady
+// state allocation-free where the old map-keyed exchange allocated both
+// maps and the lead map every episode. The DFQCycleTenants trio drives
+// the same index through the per-device ledger.
 func BenchmarkBoardReconcile(b *testing.B) {
 	b.ReportAllocs()
 	const principals = 10_000

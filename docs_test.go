@@ -86,7 +86,7 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkFleet",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
-		"BENCH_15.json", "BENCH_16.json", "BENCH_17.json",
+		"BENCH_15.json", "BENCH_16.json", "BENCH_17.json", "BENCH_18.json",
 		"BenchmarkDFQCycleConsumerClass",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
@@ -161,11 +161,12 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 	doc := string(data)
 	for _, want := range []string{
 		"## 12.", "core.FlowIndex", "core.FlowID", "linearLedger",
-		"ledger_test.go", "fleet.NewBoardWith", "fleet.Config.BoardEpoch",
+		"ledger_test.go", "fleet.Board", "eagerBoard",
 		"TestDifferentialDFQIndex",
 		"FuzzDFQIndexOps", "TestFlowIndexStaleHandles",
-		"TestBoardShardCountInvariance", "TestBoardEpochLeadBound",
-		"TestBoardShardUnderflowPanic", "BenchmarkDFQCycleTenants",
+		"TestFlowIndexCorruptHeapPanics", "TestBoardUnderflowPanic",
+		"TestBoardEagerClampDifferential", "FuzzBoardReconcile",
+		"core.OracleFairQueueing", "BenchmarkDFQCycleTenants",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

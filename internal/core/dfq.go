@@ -78,8 +78,10 @@ type EpisodeEntry struct {
 // only where it happens to be sampled.
 //
 // The batch is a reusable slice owned by the reporter: the exchange
-// must not retain it past the call. Duplicate handles in one batch are
-// legal (charges sum, activity ORs across marked entries).
+// must not retain it past the call. A batch holds at most one entry per
+// principal: reporters fold same-named tasks into one entry first (DFQ
+// sums their charges and ORs their activity). The exchange does not
+// merge duplicates; their marks would apply in batch order.
 //
 // All quantities are in weighted normalized Work, not device time: each
 // device scales its charges by its own class speed and divides by the

@@ -64,8 +64,9 @@ type FlowIndex struct {
 	nextID uint32
 }
 
-// NewFlowIndex returns an empty index. The slab grows on demand;
-// pre-size with Grow when the population is known up front.
+// NewFlowIndex returns an empty index, as is the zero FlowIndex. The
+// slab grows on demand; pre-size with Grow when the population is known
+// up front.
 func NewFlowIndex() *FlowIndex { return &FlowIndex{} }
 
 // Grow pre-allocates slab and heap capacity for n flows, so a known
@@ -116,7 +117,7 @@ func (x *FlowIndex) Remove(id FlowID) {
 		return
 	}
 	if s.heapPos >= 0 {
-		x.heapDelete(int(s.heapPos))
+		x.heapDelete(id.idx)
 	} else {
 		x.idle--
 	}
@@ -148,7 +149,7 @@ func (x *FlowIndex) SetActive(id FlowID, active bool) {
 		x.idle--
 		x.heapPush(id.idx)
 	} else {
-		x.heapDelete(int(s.heapPos))
+		x.heapDelete(id.idx)
 		x.idle++
 	}
 }
@@ -302,13 +303,20 @@ func (x *FlowIndex) heapPush(i uint32) {
 	x.heapUp(len(x.heap) - 1)
 }
 
-func (x *FlowIndex) heapDelete(pos int) {
+// heapDelete takes slot i out of the heap. A heap position that does
+// not hold the slot claiming it means the index has been corrupted, so
+// it panics naming the flow rather than evict whichever flow does hold
+// that position.
+func (x *FlowIndex) heapDelete(i uint32) {
+	pos := int(x.slab[i].heapPos)
+	if pos >= len(x.heap) || x.heap[pos] != i {
+		panic(fmt.Sprintf("core: flow %d claims heap position %d, which does not hold it", i, pos))
+	}
 	last := len(x.heap) - 1
 	moved := x.heap[last]
-	removed := x.heap[pos]
 	x.heap[pos] = moved
 	x.heap = x.heap[:last]
-	x.slab[removed].heapPos = flowIdle
+	x.slab[i].heapPos = flowIdle
 	if pos < last {
 		x.slab[moved].heapPos = int32(pos)
 		x.heapDown(pos)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,6 +147,42 @@ func TestFlowIndexStaleHandles(t *testing.T) {
 	}
 	if x.Len() != 1 {
 		t.Fatalf("population = %d after stale Remove, want 1", x.Len())
+	}
+}
+
+// TestFlowIndexCorruptHeapPanics pins the heap's corruption tripwire:
+// an active flow whose heap position does not hold it — out of range,
+// or held by another flow — must panic naming the flow when it leaves
+// the heap, on deactivation and on removal alike, rather than fault on
+// the index or evict the flow that does hold the position.
+func TestFlowIndexCorruptHeapPanics(t *testing.T) {
+	for _, pos := range []int32{99, 0} {
+		for _, op := range []string{"deactivate", "remove"} {
+			t.Run(fmt.Sprintf("pos%d/%s", pos, op), func(t *testing.T) {
+				x := NewFlowIndex()
+				other, victim := x.Add(), x.Add()
+				x.SetActive(other, true)
+				x.SetActive(victim, true)
+				x.Charge(victim, 100) // other holds the root, position 0
+				x.slab[victim.idx].heapPos = pos
+
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s of a flow its heap position does not hold must panic", op)
+					}
+					msg, ok := r.(string)
+					if want := fmt.Sprintf("flow %d ", victim.idx); !ok || !strings.Contains(msg, want) {
+						t.Fatalf("panic %v must name the flow (%q)", r, want)
+					}
+				}()
+				if op == "remove" {
+					x.Remove(victim)
+				} else {
+					x.SetActive(victim, false)
+				}
+			})
+		}
 	}
 }
 

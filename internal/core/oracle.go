@@ -15,7 +15,9 @@ const DefaultOracleInterval = 30 * time.Millisecond
 // per-context busy time (gpu.Context.BusyTime), so the scheduler needs no
 // barriers, no draining, and no sampling runs — it simply reads the
 // counters every interval, updates virtual times with *true* usage, and
-// denies tasks that have run too far ahead. Comparing it with
+// denies tasks that have run too far ahead. The virtual times live in a
+// FlowIndex, the ledger DisengagedFairQueueing keeps, so the two differ
+// only in where the charges come from. Comparing it with
 // DisengagedFairQueueing isolates the cost of software estimation: the
 // glxgears and oclParticles anomalies disappear.
 type OracleFairQueueing struct {
@@ -24,8 +26,8 @@ type OracleFairQueueing struct {
 	k         *neon.Kernel
 	speed     float64 // device class speed factor, set at Start
 	st        map[*neon.Task]*oracleTask
+	ledger    FlowIndex
 	admitGate *sim.Gate
-	sysVT     Work
 
 	// The accounting loop runs on c (see cycle).
 	c                             *sim.Cont
@@ -38,7 +40,7 @@ type OracleFairQueueing struct {
 }
 
 type oracleTask struct {
-	vt       Work
+	flow     FlowID // the task's slot in the virtual-time ledger
 	lastBusy sim.Duration
 	denied   bool
 }
@@ -58,7 +60,7 @@ func (o *OracleFairQueueing) Name() string { return "oracle-fair-queueing" }
 // tests.
 func (o *OracleFairQueueing) VirtualTime(t *neon.Task) Work {
 	if s := o.st[t]; s != nil {
-		return s.vt
+		return o.ledger.VT(s.flow)
 	}
 	return 0
 }
@@ -82,12 +84,17 @@ func (o *OracleFairQueueing) Start(k *neon.Kernel) {
 
 // TaskAdmitted implements neon.Scheduler.
 func (o *OracleFairQueueing) TaskAdmitted(t *neon.Task) {
-	o.st[t] = &oracleTask{vt: o.sysVT}
+	o.st[t] = &oracleTask{flow: o.ledger.Add()}
 	o.admitGate.Broadcast()
 }
 
 // TaskExited implements neon.Scheduler.
-func (o *OracleFairQueueing) TaskExited(t *neon.Task) { delete(o.st, t) }
+func (o *OracleFairQueueing) TaskExited(t *neon.Task) {
+	if s := o.st[t]; s != nil {
+		o.ledger.Remove(s.flow)
+	}
+	delete(o.st, t)
+}
 
 // ChannelActivated implements neon.Scheduler.
 func (o *OracleFairQueueing) ChannelActivated(cs *neon.ChannelState) {
@@ -123,47 +130,27 @@ func (o *OracleFairQueueing) account() {
 
 	// Step 1: charge true per-task usage, read from the device,
 	// normalized to work units at the device's class speed, and
-	// divided by the task's fair-share weight.
-	var active []*neon.Task
+	// divided by the task's fair-share weight. A task that used the
+	// device or has work waiting is active.
 	for _, t := range o.k.Tasks() {
 		s := o.state(t)
 		busy := t.BusyTime()
 		delta := busy - s.lastBusy
 		s.lastBusy = busy
-		s.vt += PerWeight(WorkFor(delta, o.speed), t.ShareWeight())
-		if delta > 0 || t.PendingRequests() > 0 || t.Gate().Waiters() > 0 {
-			active = append(active, t)
-		}
-	}
-	if len(active) > 0 {
-		minVT := o.st[active[0]].vt
-		for _, t := range active[1:] {
-			if o.st[t].vt < minVT {
-				minVT = o.st[t].vt
-			}
-		}
-		if minVT > o.sysVT {
-			o.sysVT = minVT
-		}
+		o.ledger.Charge(s.flow, PerWeight(WorkFor(delta, o.speed), t.ShareWeight()))
+		o.ledger.SetActive(s.flow, delta > 0 || t.PendingRequests() > 0 || t.Gate().Waiters() > 0)
 	}
 
-	// Step 2: idle tasks forfeit unused credit.
-	activeSet := make(map[*neon.Task]bool, len(active))
-	for _, t := range active {
-		activeSet[t] = true
-	}
-	for _, t := range o.k.Tasks() {
-		s := o.state(t)
-		if !activeSet[t] && s.vt < o.sysVT {
-			s.vt = o.sysVT
-		}
-	}
+	// Step 2: the system virtual time advances to the oldest active
+	// virtual time, and idle tasks forfeit unused credit (lazily, in the
+	// ledger).
+	o.ledger.AdvanceSysVT()
 
 	// Step 3: deny tasks too far ahead; admit the rest.
 	horizon := WorkFor(o.interval, o.speed)
 	for _, t := range o.k.Tasks() {
 		s := o.state(t)
-		denied := s.vt-o.sysVT >= horizon
+		denied := o.ledger.Lead(s.flow) >= horizon
 		if denied && !s.denied {
 			o.Denials++
 			o.k.Engage(t)
@@ -182,7 +169,7 @@ func (o *OracleFairQueueing) account() {
 func (o *OracleFairQueueing) state(t *neon.Task) *oracleTask {
 	s := o.st[t]
 	if s == nil {
-		s = &oracleTask{vt: o.sysVT}
+		s = &oracleTask{flow: o.ledger.Add()}
 		o.st[t] = s
 	}
 	return s

@@ -20,7 +20,8 @@ import (
 // so once setup ends a stack owns no live proc. The engaged App pair
 // also pins the App lane's committed fault and the slice loop: under
 // engaged Timeslice every submission faults, and a steady-state fault,
-// trap to completion, and a slice's end and drain allocate nothing.
+// trap to completion, and a slice's end and drain allocate nothing, and
+// the oracle row pins its accounting interval at zero allocations.
 func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 	type stack struct {
 		eng   *sim.Engine
@@ -114,12 +115,24 @@ func TestClosedLoopStacksOwnNoProcs(t *testing.T) {
 		}},
 	}
 	for _, s := range append(AllScheds(), Oracle) {
-		rows = append(rows, row{"rig-" + string(s), 100 * time.Millisecond, func() stack {
+		setup := 100 * time.Millisecond
+		if s == Oracle {
+			setup = 200 * time.Millisecond
+		}
+		rows = append(rows, row{"rig-" + string(s), setup, func() stack {
 			rig := NewRig(s, Quick(), dct, thr)
 			return stack{rig.Engine, func() string {
 				for _, a := range rig.Apps {
 					if a.Rounds == 0 || a.SetupError() != nil {
 						return fmt.Sprintf("%s: %d rounds, setup error %v", a.Spec.Name, a.Rounds, a.SetupError())
+					}
+				}
+				// The oracle charges, activates and reads leads through its
+				// FlowIndex, so a steady-state accounting interval (30 ms)
+				// allocates nothing.
+				if s == Oracle {
+					if allocs := testing.AllocsPerRun(10, func() { rig.Engine.RunFor(30 * time.Millisecond) }); allocs != 0 {
+						return fmt.Sprintf("oracle steady state allocated %.1f times per 30 ms interval, want 0", allocs)
 					}
 				}
 				return ""

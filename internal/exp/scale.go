@@ -5,19 +5,19 @@ package exp
 // applications; 10^5 tenants is more than the simulated GPU stack can
 // host directly (a device exposes 48 channels). So this experiment
 // drives the scheduling *state machinery* itself — a core.FlowIndex per
-// device reconciling through a sharded fleet.Board — with a synthetic
-// open-loop engagement cycle: each cycle a bounded working set of
-// tenants is activated, charged its estimated share of the engagement
-// window, folded into the fleet-wide system virtual time, and denied
-// when its fleet lead reaches the free-run horizon, exactly the
-// per-cycle bookkeeping of core.DisengagedFairQueueing. Tenant count
-// sweeps 10²→10⁵ while the per-cycle working set stays fixed, so any
-// O(tenants) step in the ledger or the board would surface as
-// allocations (and wall time) growing with the population; the table
-// pins allocs/request flat and the weighted lead bound holding at every
-// scale. Wall-clock scaling is benchmarked separately
-// (BenchmarkDFQCycleTenants*, BENCH_7.json) — the golden table only
-// carries deterministic columns.
+// device reconciling through a fleet.Board, which keeps its own
+// FlowIndex — with a synthetic open-loop engagement cycle: each cycle a
+// bounded working set of tenants is activated, charged its estimated
+// share of the engagement window, folded into the fleet-wide system
+// virtual time, and denied when its fleet lead reaches the free-run
+// horizon, exactly the per-cycle bookkeeping of
+// core.DisengagedFairQueueing. Tenant count sweeps 10²→10⁵ while the
+// per-cycle working set stays fixed, so any O(tenants) step in the
+// ledger or the board would surface as allocations (and wall time)
+// growing with the population; the table pins allocs/request flat and
+// the weighted lead bound holding at every scale. Wall-clock scaling is
+// benchmarked separately (BenchmarkDFQCycleTenants*, BENCH_7.json) — the
+// golden table only carries deterministic columns.
 
 import (
 	"fmt"
@@ -149,11 +149,11 @@ func RunScaleCell(o Options, tenants int, sched Sched) ScaleResult {
 	return res
 }
 
-// runScaleDFQ is the DFQ arm: per-device ledgers, a sharded board, and
+// runScaleDFQ is the DFQ arm: per-device ledgers, a fleet board, and
 // the paper's charge/advance/deny cycle over a rolling active set.
 func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 	weight func(int) float64, est func(int) sim.Duration) ScaleResult {
-	board := fleet.NewBoardWith(0, 1)
+	board := fleet.NewBoard()
 	board.Grow(tenants)
 	names := make([]string, tenants)
 	pids := make([]core.PrincipalID, tenants)

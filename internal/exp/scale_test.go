@@ -11,7 +11,7 @@ import (
 // TestScaleLeadBoundInvariant is the property half of the scale
 // experiment: under randomized open-loop engagement storms at 10^4 and
 // 10^5 tenants, the indexed DFQ path (per-device ledgers reconciling
-// through the sharded board) must keep every tenant's fleet-wide lead
+// through the fleet board) must keep every tenant's fleet-wide lead
 // within the weighted bound freeRun + devices x window / minWeight. It
 // extends internal/traffic's TestWeightedDFQLeadBoundInvariant — which
 // proves the same bound on the real scheduler at device-channel

@@ -150,126 +150,23 @@ func TestBoardHeterogeneousCharges(t *testing.T) {
 	}
 }
 
-// TestBoardEpochLeadBound pins the epoch-batching contract: against a
-// per-episode board on an identical charge stream, a batched board's
-// reported leads are never lower (denial stays conservative — the stale
-// system virtual time is an under-estimate), and never exceed the
-// per-episode lead by more than the total work charged since the
-// batched board's last fold. Every principal stays fleet-active so the
-// only divergence source is the fold cadence itself.
-func TestBoardEpochLeadBound(t *testing.T) {
-	const epoch = 4
-	b1 := NewBoardWith(8, 1)
-	be := NewBoardWith(8, epoch)
-	rng := sim.NewRNG(sim.StreamSeed(1, "board-epoch-bound", 0))
-
-	names := []string{"A", "B", "C", "D", "E"}
-	var sinceFold core.Work
-	for ep := 0; ep < 200; ep++ {
-		charges := map[string]core.Work{}
-		active := map[string]bool{}
-		var total core.Work
-		for j, n := range names {
-			// Skewed rates keep a genuine leader and a laggard.
-			c := wms(1+rng.Intn(3*(j+1))) / 4
-			charges[n] = c
-			active[n] = true
-			total += c
-		}
-		dev := "dev" + string(rune('0'+ep%2))
-		foldsBefore := be.Folds
-		l1 := reconcile(b1, dev, charges, active)
-		le := reconcile(be, dev, charges, active)
-		if be.Folds > foldsBefore {
-			sinceFold = 0
-		} else {
-			sinceFold += total
-		}
-		for _, n := range names {
-			if le[n] < l1[n] {
-				t.Fatalf("episode %d: batched lead for %s = %v below per-episode lead %v; denial no longer conservative",
-					ep, n, le[n], l1[n])
-			}
-			if over := le[n] - l1[n]; over > sinceFold {
-				t.Fatalf("episode %d: batched lead for %s over-estimates by %v, more than the %v charged since the last fold",
-					ep, n, over, sinceFold)
-			}
-		}
-	}
-	if want := int64(200 / epoch); be.Folds != want {
-		t.Fatalf("batched board folded %d times over 200 episodes, want %d (epoch %d)", be.Folds, want, epoch)
-	}
-	if b1.Folds != b1.Episodes {
-		t.Fatalf("per-episode board must fold every episode: %d folds, %d episodes", b1.Folds, b1.Episodes)
-	}
-}
-
-// TestBoardShardCountInvariance reruns one randomized reconciliation
-// stream on boards with 1, 3, and 16 shards and requires identical
-// virtual times, system virtual time, and reported leads: sharding is a
-// cost structure, never a semantics knob.
-func TestBoardShardCountInvariance(t *testing.T) {
-	run := func(shards int) (*Board, []map[string]core.Work) {
-		b := NewBoardWith(shards, 1)
-		rng := sim.NewRNG(sim.StreamSeed(1, "board-shard-invariance", 0))
-		names := make([]string, 40)
-		for i := range names {
-			names[i] = "tenant-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		}
-		var all []map[string]core.Work
-		for ep := 0; ep < 120; ep++ {
-			charges := map[string]core.Work{}
-			active := map[string]bool{}
-			for k := 0; k < 12; k++ {
-				n := names[rng.Intn(len(names))]
-				charges[n] = wms(1 + rng.Intn(5))
-				active[n] = true
-			}
-			for k := 0; k < 4; k++ {
-				active[names[rng.Intn(len(names))]] = false
-			}
-			all = append(all, reconcile(b, "dev"+string(rune('0'+ep%3)), charges, active))
-		}
-		return b, all
-	}
-
-	ref, refLeads := run(1)
-	for _, shards := range []int{3, 16} {
-		b, leads := run(shards)
-		if got, want := b.SystemVirtualTime(), ref.SystemVirtualTime(); got != want {
-			t.Fatalf("%d shards: sysVT = %v, want %v (1 shard)", shards, got, want)
-		}
-		for _, n := range ref.Principals() {
-			if got, want := b.VirtualTime(n), ref.VirtualTime(n); got != want {
-				t.Fatalf("%d shards: %s vt = %v, want %v (1 shard)", shards, n, got, want)
-			}
-		}
-		for ep := range refLeads {
-			for n, want := range refLeads[ep] {
-				if got := leads[ep][n]; got != want {
-					t.Fatalf("%d shards: episode %d lead for %s = %v, want %v (1 shard)", shards, ep, n, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestBoardShardUnderflowPanic pins the corruption tripwire: a
-// deactivation that finds its shard heap slot not holding the principal
-// it claims must panic with the tenant's name rather than let the
-// fairness ledger rot silently.
-func TestBoardShardUnderflowPanic(t *testing.T) {
+// TestBoardUnderflowPanic pins the corruption tripwire: a principal
+// leaving its last device must still be active in the ledger, or the
+// board's accounting has been corrupted, and the deactivation panics
+// with the tenant's name rather than let the fairness ledger rot
+// silently.
+func TestBoardUnderflowPanic(t *testing.T) {
 	b := NewBoard()
 	reconcile(b, "dev0", map[string]core.Work{"victim": wms(3)},
 		map[string]bool{"victim": true})
-	// Corrupt the slab: point the principal at a heap slot that does not
-	// exist, as a lost heap write would.
-	b.slab[b.byName["victim"]].heapPos = 99
+	// Drop the principal's flow behind the board's back, as a lost
+	// ledger write would.
+	b.ledger.Remove(b.slab[b.byName["victim"]].flow)
 
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("deactivating a principal with corrupt shard accounting must panic")
+			t.Fatal("deactivating a principal the ledger no longer holds must panic")
 		}
 		msg, ok := r.(string)
 		if !ok || !strings.Contains(msg, `"victim"`) || !strings.Contains(msg, "underflow") {
@@ -326,12 +223,12 @@ func TestFleetWideFairness(t *testing.T) {
 	}
 }
 
-// eagerBoard is the pre-shard reference semantics of the fleet
-// virtual-time exchange, written as directly as possible: flat maps, a
-// full scan per fold, and the idle forfeit applied *eagerly* to every
-// fleet-idle principal at the end of each episode — where the real
-// board clamps lazily at charge/activate/read time. It exists only for
-// the differential test below.
+// eagerBoard is the reference semantics of the fleet virtual-time
+// exchange, written as directly as possible: flat maps, a full scan per
+// fold, and the idle forfeit applied *eagerly* to every fleet-idle
+// principal at the end of each episode — where the board's FlowIndex
+// clamps lazily at charge/activate/read time. It exists only for the
+// differential test and the fuzzer below.
 type eagerBoard struct {
 	vt       map[string]core.Work
 	activeOn map[string]map[string]bool
@@ -407,56 +304,130 @@ func (e *eagerBoard) episode(device string, charges map[string]core.Work,
 // read clamp produce. The storm forces that case every episode (some
 // tenants appear in charges and in active=false simultaneously) across
 // three reporting devices, and the comparison covers every reported
-// lead, every principal's virtual time, and the system virtual time, at
-// shard counts 1 and 8.
+// lead, every principal's virtual time, and the system virtual time.
 func TestBoardEagerClampDifferential(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		b := NewBoardWith(shards, 1)
-		ref := newEagerBoard()
-		rng := sim.NewRNG(sim.StreamSeed(2, "board-eager-differential", shards))
-		names := make([]string, 60)
-		for i := range names {
-			names[i] = "tenant-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
+	b := NewBoard()
+	ref := newEagerBoard()
+	rng := sim.NewRNG(sim.StreamSeed(2, "board-eager-differential", 1))
+	names := make([]string, 60)
+	for i := range names {
+		names[i] = "tenant-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
+	}
+	for ep := 0; ep < 300; ep++ {
+		charges := map[string]core.Work{}
+		active := map[string]bool{}
+		for k := 0; k < 10; k++ {
+			n := names[rng.Intn(len(names))]
+			charges[n] = wms(1 + rng.Intn(5))
+			active[n] = true
 		}
-		for ep := 0; ep < 300; ep++ {
-			charges := map[string]core.Work{}
-			active := map[string]bool{}
-			for k := 0; k < 10; k++ {
-				n := names[rng.Intn(len(names))]
-				charges[n] = wms(1 + rng.Intn(5))
-				active[n] = true
-			}
-			// The ordering under test: charge and deactivate at once.
-			for k := 0; k < 3; k++ {
-				n := names[rng.Intn(len(names))]
-				charges[n] = wms(1 + rng.Intn(5))
-				active[n] = false
-			}
-			// Plus plain departures with no same-episode charge.
-			for k := 0; k < 3; k++ {
-				active[names[rng.Intn(len(names))]] = false
-			}
-			dev := "dev" + string(rune('0'+ep%3))
-			got := reconcile(b, dev, charges, active)
-			want := ref.episode(dev, charges, active)
-			if len(got) != len(want) {
-				t.Fatalf("shards %d, episode %d: %d leads reported, reference has %d",
-					shards, ep, len(got), len(want))
-			}
-			for n, w := range want {
-				if got[n] != w {
-					t.Fatalf("shards %d, episode %d: lead for %s = %v, reference %v",
-						shards, ep, n, got[n], w)
-				}
-			}
-			if got, want := b.SystemVirtualTime(), ref.sysVT; got != want {
-				t.Fatalf("shards %d, episode %d: sysVT = %v, reference %v", shards, ep, got, want)
-			}
+		// The ordering under test: charge and deactivate at once.
+		for k := 0; k < 3; k++ {
+			n := names[rng.Intn(len(names))]
+			charges[n] = wms(1 + rng.Intn(5))
+			active[n] = false
 		}
-		for _, n := range b.Principals() {
-			if got, want := b.VirtualTime(n), ref.vt[n]; got != want {
-				t.Fatalf("shards %d: final vt for %s = %v, reference %v", shards, n, got, want)
-			}
+		// Plus plain departures with no same-episode charge.
+		for k := 0; k < 3; k++ {
+			active[names[rng.Intn(len(names))]] = false
+		}
+		dev := "dev" + string(rune('0'+ep%3))
+		checkAgainstEager(t, b, ref, ep, reconcile(b, dev, charges, active),
+			ref.episode(dev, charges, active))
+	}
+}
+
+// checkAgainstEager fails unless the board agrees with the eager
+// reference after one episode: every reported lead, the system virtual
+// time, every principal's virtual time, and the active population —
+// the ledger's active flows are exactly the principals active on some
+// device.
+func checkAgainstEager(t *testing.T, b *Board, ref *eagerBoard, ep int,
+	got, want map[string]core.Work) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("episode %d: %d leads reported, reference has %d", ep, len(got), len(want))
+	}
+	for n, w := range want {
+		if got[n] != w {
+			t.Fatalf("episode %d: lead for %s = %v, reference %v", ep, n, got[n], w)
 		}
 	}
+	if got, want := b.SystemVirtualTime(), ref.sysVT; got != want {
+		t.Fatalf("episode %d: sysVT = %v, reference %v", ep, got, want)
+	}
+	for _, n := range b.Principals() {
+		if got, want := b.VirtualTime(n), ref.vt[n]; got != want {
+			t.Fatalf("episode %d: vt for %s = %v, reference %v", ep, n, got, want)
+		}
+	}
+	masked, refActive := 0, 0
+	for i := range b.slab {
+		if b.slab[i].activeOn != 0 {
+			masked++
+		}
+	}
+	for _, devs := range ref.activeOn {
+		if len(devs) > 0 {
+			refActive++
+		}
+	}
+	if n := b.ledger.ActiveLen(); n != masked || n != refActive {
+		t.Fatalf("episode %d: ledger holds %d active flows, %d principals have a device mask, reference has %d active",
+			ep, n, masked, refActive)
+	}
+}
+
+// FuzzBoardReconcile drives the board and the eager reference through
+// arbitrary episodes over at most 16 principals and 4 devices and
+// checks them against each other after every episode. Each episode is
+// a header byte (device, entry count) and two bytes per entry: the
+// principal and what the entry does (charge only, charge and mark
+// active, charge and mark idle, or mark idle), then the charge. A
+// principal appears at most once per batch, as the exchange's contract
+// requires.
+func FuzzBoardReconcile(f *testing.F) {
+	f.Add([]byte{4, 0x10, 5, 0x11, 2, 9, 0x20, 7, 0x31, 0, 1, 0x01, 3})
+	f.Add([]byte{29, 0x10, 255, 0x11, 1, 0x12, 2, 0x13, 3, 0x14, 4, 0x15, 5, 0x16, 6, 0x17, 7,
+		2, 0x30, 0, 0x21, 9, 5, 0x30, 0, 0x11, 3, 3, 0x10, 1, 0x31, 0})
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = "tenant-" + string(rune('a'+i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := NewBoard()
+		ref := newEagerBoard()
+		for n, ep := 0, 0; n < len(data) && ep < 512; ep++ {
+			hdr := data[n]
+			n++
+			dev := "dev" + string(rune('0'+hdr%4))
+			charges := map[string]core.Work{}
+			active := map[string]bool{}
+			for k := int(hdr/4) % 9; k > 0 && n+1 < len(data); k-- {
+				op, arg := data[n], data[n+1]
+				n += 2
+				name := names[op%16]
+				if _, ok := charges[name]; ok {
+					continue
+				}
+				if _, ok := active[name]; ok {
+					continue
+				}
+				switch op / 16 % 4 {
+				case 0:
+					charges[name] = core.Work(arg) * 1000
+				case 1:
+					charges[name] = core.Work(arg) * 1000
+					active[name] = true
+				case 2:
+					charges[name] = core.Work(arg) * 1000
+					active[name] = false
+				case 3:
+					active[name] = false
+				}
+			}
+			checkAgainstEager(t, b, ref, ep, reconcile(b, dev, charges, active),
+				ref.episode(dev, charges, active))
+		}
+	})
 }

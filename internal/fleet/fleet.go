@@ -82,7 +82,8 @@ func (n *Node) DFQ() *core.DisengagedFairQueueing {
 
 // Config assembles a fleet.
 type Config struct {
-	// Devices is the number of device instances (N >= 1).
+	// Devices is the number of device instances (N >= 1). Under DFQ
+	// every device reports to one fleet board, which tracks at most 64.
 	Devices int
 	// Classes names each device's generation (cost.ClassNames); device i
 	// takes Classes[i%len(Classes)], so a short list tiles over a large
@@ -119,14 +120,6 @@ type Config struct {
 	// AllocEvery is the allocator round period; <= 0 takes
 	// DefaultAllocEvery. Ignored unless AllocPolicy is set.
 	AllocEvery sim.Duration
-	// BoardShards and BoardEpoch size the fleet-wide virtual-time
-	// board: principals hash over BoardShards min-VT heaps, and the
-	// system-virtual-time fold runs every BoardEpoch-th episode (between
-	// folds leads are conservative over-estimates; see Board). Zero
-	// takes DefaultBoardShards and per-episode (epoch 1) folding — the
-	// exact pre-shard semantics.
-	BoardShards int
-	BoardEpoch  int
 }
 
 // Fleet is a set of device instances behind one placement interface.
@@ -167,6 +160,11 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 	if schedName == "" {
 		schedName = "dfq"
 	}
+	dfq := schedName == "dfq" || schedName == "disengaged-fair-queueing"
+	if dfq && cfg.Devices > boardMaxDevices {
+		return nil, fmt.Errorf("fleet: a DFQ fleet reconciles at most %d devices on its board, got %d",
+			boardMaxDevices, cfg.Devices)
+	}
 	classes := make([]cost.Class, 0, len(cfg.Classes))
 	for _, name := range cfg.Classes {
 		c, err := cost.ClassByName(name)
@@ -178,7 +176,7 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		eng:    eng,
 		policy: policy,
-		board:  NewBoardWith(cfg.BoardShards, cfg.BoardEpoch),
+		board:  NewBoard(),
 		seed:   cfg.Seed,
 	}
 	for i := 0; i < cfg.Devices; i++ {
@@ -207,12 +205,11 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 		gcfg.Class = class
 		dev := gpu.New(eng, gcfg)
 		var sched neon.Scheduler
-		switch schedName {
-		case "dfq", "disengaged-fair-queueing":
+		if dfq {
 			dcfg := cfg.DFQ
 			dcfg.Fleet = f.board
 			sched = core.NewDisengagedFairQueueing(dcfg)
-		default:
+		} else {
 			s, err := core.New(schedName)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: %w", err)

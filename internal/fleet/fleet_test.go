@@ -19,6 +19,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(sim.NewEngine(), Config{Devices: 1, DFQ: core.DFQConfig{Fleet: NewBoard()}}); err == nil {
 		t.Fatal("pre-set DFQ.Fleet should fail: the fleet installs its own board")
 	}
+	// The board's device mask holds 64 devices: a wider DFQ fleet fails
+	// here, naming the limit, instead of panicking mid-run.
+	if _, err := New(sim.NewEngine(), Config{Devices: 65}); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Fatalf("65 devices under DFQ should fail naming the limit of 64, got %v", err)
+	}
+	if _, err := New(sim.NewEngine(), Config{Devices: 65, Sched: "ts"}); err != nil {
+		t.Fatalf("65 devices under ts have no board to outgrow: %v", err)
+	}
 	f, err := New(sim.NewEngine(), Config{Devices: 3})
 	if err != nil {
 		t.Fatalf("New: %v", err)

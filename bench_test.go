@@ -187,7 +187,7 @@ func BenchmarkRequestPath(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
 	dev := gpu.New(eng, gpu.DefaultConfig())
-	k := neon.NewKernel(dev, benchNoSched{})
+	k := neon.NewKernel(dev, core.NewDirectAccess())
 	t := k.NewTask("bench")
 	done := 0
 	t.Go("main", func(p *sim.Proc) {
@@ -224,7 +224,7 @@ func BenchmarkRequestPathAsync(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
 	dev := gpu.New(eng, gpu.DefaultConfig())
-	k := neon.NewKernel(dev, benchNoSched{})
+	k := neon.NewKernel(dev, core.NewDirectAccess())
 	t := k.NewTask("bench")
 	done := 0
 	t.Go("main", func(p *sim.Proc) {
@@ -262,7 +262,7 @@ func benchClosedLoop(b *testing.B, async bool) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
 	dev := gpu.New(eng, gpu.DefaultConfig())
-	k := neon.NewKernel(dev, benchNoSched{})
+	k := neon.NewKernel(dev, core.NewDirectAccess())
 	done := 0
 	for i := 0; i < 8; i++ {
 		name := fmt.Sprintf("cl%d", i)
@@ -533,11 +533,3 @@ func benchPlaceRequest(b *testing.B, policyName string) {
 func BenchmarkPlaceRequestMixedSticky(b *testing.B)      { benchPlaceRequest(b, "sticky") }
 func BenchmarkPlaceRequestMixedFastestFit(b *testing.B)  { benchPlaceRequest(b, "fastest-fit") }
 func BenchmarkPlaceRequestMixedClassSticky(b *testing.B) { benchPlaceRequest(b, "class-sticky") }
-
-type benchNoSched struct{}
-
-func (benchNoSched) Name() string                           { return "none" }
-func (benchNoSched) Start(*neon.Kernel)                     {}
-func (benchNoSched) TaskAdmitted(*neon.Task)                {}
-func (benchNoSched) TaskExited(*neon.Task)                  {}
-func (benchNoSched) ChannelActivated(cs *neon.ChannelState) { cs.Ch.Reg.SetPresent(true) }

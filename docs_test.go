@@ -83,11 +83,12 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BenchmarkDispatcherDrain", "BenchmarkProcHandoff", "BenchmarkProcSpawn",
 		"BenchmarkEngagedSubmit", "BenchmarkServeStorm",
 		"BenchmarkTable1", "BenchmarkProtection", "BenchmarkSec63DoS",
-		"BenchmarkFleet",
+		"BenchmarkFleet", "BenchmarkPlaceRequestMixedSticky",
+		"BenchmarkPlaceRequestMixedFastestFit", "BenchmarkPlaceRequestMixedClassSticky",
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
 		"BENCH_15.json", "BENCH_16.json", "BENCH_17.json", "BENCH_18.json",
-		"BenchmarkDFQCycleConsumerClass",
+		"BENCH_19.json", "BenchmarkDFQCycleConsumerClass",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -167,6 +168,7 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 		"TestFlowIndexCorruptHeapPanics", "TestBoardUnderflowPanic",
 		"TestBoardEagerClampDifferential", "FuzzBoardReconcile",
 		"core.OracleFairQueueing", "BenchmarkDFQCycleTenants",
+		"TestPlacementCrossClassTiesGoToLowestIndex",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

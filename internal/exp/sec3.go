@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/report"
@@ -70,7 +71,7 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 	eng = sim.NewEngine()
 	cfg := gpu.DefaultConfig()
 	dev := gpu.New(eng, cfg)
-	k := neon.NewKernel(dev, noScheduler{})
+	k := neon.NewKernel(dev, core.NewDirectAccess())
 	task := k.NewTask("throttle")
 	lane := task.NewCont()
 	done = new(int64)
@@ -115,7 +116,7 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 					return
 				}
 				if _, ok := client.SubmitAsync(eng, gpu.Compute, size, onDone); !ok {
-					panic("exp: sec3 direct submission refused; noScheduler keeps every channel page present")
+					panic("exp: sec3 direct submission refused; direct access keeps every channel page present")
 				}
 			}
 			submit()
@@ -123,13 +124,3 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 	})
 	return eng, done
 }
-
-// noScheduler is a direct-access policy without the core package import
-// (avoids an import cycle in tests that reuse this file's helper).
-type noScheduler struct{}
-
-func (noScheduler) Name() string                           { return "none" }
-func (noScheduler) Start(*neon.Kernel)                     {}
-func (noScheduler) TaskAdmitted(*neon.Task)                {}
-func (noScheduler) TaskExited(*neon.Task)                  {}
-func (noScheduler) ChannelActivated(cs *neon.ChannelState) { cs.Ch.Reg.SetPresent(true) }

@@ -54,11 +54,8 @@ type Node struct {
 	// tenant rounds for closed-loop tenants, individual requests for the
 	// open-loop serving layer. It is the queue depth placement policies
 	// compare and admission controllers bound. All changes go through
-	// Fleet.addLoad so the placement load index stays ordered.
+	// Fleet.addLoad so the fleet-wide total stays current.
 	inflight int
-
-	// heapPos are the node's positions in the fleet's load-index heaps.
-	heapPos [nodeHeaps]int32
 
 	// busyAtReset snapshots the exec engine for utilization reporting.
 	busyAtReset sim.Duration
@@ -128,7 +125,6 @@ type Fleet struct {
 	nodes   []*Node
 	policy  Policy
 	board   *Board
-	loads   *loadIndex
 	depth   int // fleet-wide in-flight total, kept incrementally
 	tenants []*Tenant
 	seed    int64
@@ -220,7 +216,6 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 		k.RequestRunLimit = cfg.RunLimit
 		f.nodes = append(f.nodes, &Node{Index: i, Class: class, Device: dev, Kernel: k, Sched: sched})
 	}
-	f.loads = newLoadIndex(f.nodes)
 	if cfg.AllocPolicy != nil {
 		f.allocPol = cfg.AllocPolicy
 		every := cfg.AllocEvery
@@ -233,11 +228,10 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 }
 
 // addLoad changes a node's in-flight count, keeping the fleet-wide
-// total and the placement load index current.
+// total current.
 func (f *Fleet) addLoad(n *Node, delta int) {
 	n.inflight += delta
 	f.depth += delta
-	f.loads.fix(n)
 }
 
 // Engine returns the simulation engine the fleet runs on.
@@ -255,34 +249,13 @@ func (f *Fleet) Policy() Policy { return f.policy }
 // Tenants returns launched tenants in launch order.
 func (f *Fleet) Tenants() []*Tenant { return f.tenants }
 
-// Place asks the placement policy for the device to run the tenant's
-// next round on and accounts the round as in flight there. Tenant round
-// loops call it before every round.
-func (f *Fleet) Place(t *Tenant) *Node {
-	n := f.policy.Pick(f, t)
-	f.addLoad(n, 1)
-	f.Placements++
-	if t.last != nil && t.last != n {
-		f.Migrations++
-	}
-	return n
-}
-
-// roundDone retires a placed round from the node's in-flight count.
-func (f *Fleet) roundDone(n *Node) {
-	if n.inflight <= 0 {
-		panic(fmt.Sprintf("fleet: round retired on %s with none in flight", n.Device.Name()))
-	}
-	f.addLoad(n, -1)
-}
-
-// PlaceRequest asks the placement policy for the device to serve one
-// open-loop request of the tenant's stream and accounts it in flight
-// there. Unlike Place (whose round loop records locality itself), the
-// tenant's warm-state device advances here, at placement time — the
-// serving layer's dispatchers drain queues asynchronously, so placement
-// order is the only coherent notion of "previous device". It reports
-// whether the request moved off that previous device.
+// PlaceRequest asks the placement policy for the device to serve the
+// tenant's next work unit — a closed-loop round, or one open-loop
+// request of its stream — and accounts it in flight there. The tenant's
+// warm-state device advances here, at placement time: the serving
+// layer's dispatchers drain queues asynchronously, so placement order
+// is the only coherent notion of "previous device". It reports whether
+// the unit moved off that previous device.
 func (f *Fleet) PlaceRequest(t *Tenant) (n *Node, migrated bool) {
 	n = f.policy.Pick(f, t)
 	f.addLoad(n, 1)
@@ -295,11 +268,12 @@ func (f *Fleet) PlaceRequest(t *Tenant) (n *Node, migrated bool) {
 	return n, migrated
 }
 
-// RequestDone retires a placed request from the node's in-flight count
-// (on completion, abort, or shed-after-placement). A retire without a
-// matching placement would silently corrupt the queue-depth signal that
-// admission control and every placement policy read, so it panics —
-// naming the node — instead.
+// RequestDone retires a placed work unit from the node's in-flight
+// count (a round once fenced; a request on completion, abort, or
+// shed-after-placement). A retire without a matching placement would
+// silently corrupt the queue-depth signal that admission control and
+// every placement policy read, so it panics — naming the node —
+// instead.
 func (f *Fleet) RequestDone(n *Node) {
 	if n.inflight <= 0 {
 		panic(fmt.Sprintf("fleet: request retired on %s with none in flight", n.Device.Name()))

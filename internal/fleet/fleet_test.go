@@ -79,28 +79,20 @@ func TestRequestDoneUnderflowPanicsWithNodeName(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	n := f.Nodes()[0]
-	for _, retire := range []struct {
-		name string
-		fn   func()
-	}{
-		{"RequestDone", func() { f.RequestDone(n) }},
-		{"roundDone", func() { f.roundDone(n) }},
-	} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s with nothing in flight must panic, not corrupt queue depth", retire.name)
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, n.Device.Name()) {
-					t.Fatalf("%s panic %v does not name node %s", retire.name, r, n.Device.Name())
-				}
-			}()
-			retire.fn()
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("RequestDone with nothing in flight must panic, not corrupt queue depth")
+			}
+			if msg, ok := r.(string); !ok || !strings.Contains(msg, n.Device.Name()) {
+				t.Fatalf("RequestDone panic %v does not name node %s", r, n.Device.Name())
+			}
 		}()
-	}
+		f.RequestDone(n)
+	}()
 	if n.Load() != 0 {
-		t.Fatalf("load = %d after refused retires, want 0", n.Load())
+		t.Fatalf("load = %d after the refused retire, want 0", n.Load())
 	}
 }
 

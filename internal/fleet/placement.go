@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -81,9 +82,7 @@ func (p *RoundRobin) Pick(f *Fleet, t *Tenant) *Node {
 
 // LeastLoaded places each round on the device with the fewest rounds in
 // flight. Ties break to the lowest device index — a deterministic rule,
-// so identical fleet states always place identically. The pick reads
-// the fleet's load index head instead of scanning nodes, so one
-// placement is O(1) no matter the fleet size.
+// so identical fleet states always place identically.
 type LeastLoaded struct{}
 
 // NewLeastLoaded returns the least-loaded placement policy.
@@ -94,7 +93,13 @@ func (*LeastLoaded) Name() string { return "least-loaded" }
 
 // Pick implements Policy.
 func (*LeastLoaded) Pick(f *Fleet, t *Tenant) *Node {
-	return f.loads.leastLoaded()
+	best := f.nodes[0]
+	for _, n := range f.nodes[1:] {
+		if n.inflight < best.inflight {
+			best = n
+		}
+	}
+	return best
 }
 
 // LocalitySticky returns a tenant to the device that holds its warm
@@ -145,9 +150,7 @@ func NewFastestFit() *FastestFit { return &FastestFit{} }
 // Name implements Policy.
 func (*FastestFit) Name() string { return "fastest-fit" }
 
-// Pick implements Policy. Within one class the effective-throughput
-// score is maximized by the least-loaded node, so the pick compares one
-// load-index head per class instead of scanning every node.
+// Pick implements Policy.
 //
 // When the round-based allocator has hinted the tenant toward target
 // classes (the active policy's allocation concentrates it there), the
@@ -161,11 +164,13 @@ func (*FastestFit) Name() string { return "fastest-fit" }
 // Without hints (no allocator, or a policy with proportional rows) the
 // pick is exactly the unhinted greedy.
 func (*FastestFit) Pick(f *Fleet, t *Tenant) *Node {
-	best := f.loads.bestEffective()
+	best := bestEffective(f.nodes, nil)
 	if len(t.hintClasses) == 0 {
 		return best
 	}
-	hinted := f.loads.bestEffectiveAmong(t.hintClasses)
+	hinted := bestEffective(f.nodes, func(n *Node) bool {
+		return slices.Contains(t.hintClasses, n.Speed())
+	})
 	if hinted == nil || hinted.Load()+1 >= 2*(best.Load()+1) {
 		return best
 	}
@@ -177,6 +182,23 @@ func (*FastestFit) Pick(f *Fleet, t *Tenant) *Node {
 // in front of it.
 func effectiveThroughput(n *Node) float64 {
 	return n.Speed() / float64(n.Load()+1)
+}
+
+// bestEffective returns the node with the highest effective throughput
+// among those accept admits (every node when accept is nil), ties to the
+// lowest index, or nil when accept admits none.
+func bestEffective(nodes []*Node, accept func(*Node) bool) *Node {
+	var best *Node
+	var bestScore float64
+	for _, n := range nodes {
+		if accept != nil && !accept(n) {
+			continue
+		}
+		if s := effectiveThroughput(n); best == nil || s > bestScore {
+			best, bestScore = n, s
+		}
+	}
+	return best
 }
 
 // ClassAwareSticky extends locality-sticky placement with class
@@ -227,8 +249,10 @@ func (p *ClassAwareSticky) Pick(f *Fleet, t *Tenant) *Node {
 // Speedup times the warm node's class speed, queue depth under the
 // stick threshold, and the highest effective throughput among such
 // candidates (ties to the lowest index). Nil when staying warm wins.
-// The candidate set is read off the per-class load-index heads —
 // Speedup above 1 means the warm node's own class never qualifies.
 func (p *ClassAwareSticky) upgrade(f *Fleet, warm *Node) *Node {
-	return f.loads.upgradeFor(warm, p.Depth, p.Speedup)
+	bar := p.Speedup * warm.Speed()
+	return bestEffective(f.nodes, func(n *Node) bool {
+		return n.Speed() >= bar && n.Load() < p.Depth
+	})
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // setLoad forces a node's in-flight count through the fleet's load
-// accounting, so the placement index the policies consult stays
-// ordered — tests must not poke Node.inflight directly anymore.
+// accounting, so the fleet-wide queue depth stays consistent with it.
 func (f *Fleet) setLoad(n *Node, v int) {
 	f.addLoad(n, v-n.inflight)
 }
@@ -117,6 +116,46 @@ func TestFastestFitPrefersEffectiveThroughput(t *testing.T) {
 	tie := heteroFleet(t, "k20", "k20")
 	if got := p.Pick(tie, &Tenant{fleet: tie}); got.Index != 0 {
 		t.Fatalf("tie: got node %d, want 0", got.Index)
+	}
+}
+
+// TestPlacementCrossClassTiesGoToLowestIndex pins the tie-break across
+// classes: a nextgen node one round deep (2.0/2) and an idle k20 node
+// (1.0/1) score alike, and every effective-throughput pick — unhinted,
+// hinted toward both classes, and class-aware sticky's upgrade — takes
+// the lower index, whichever class sits there.
+func TestPlacementCrossClassTiesGoToLowestIndex(t *testing.T) {
+	loadNextgen := func(f *Fleet) {
+		for _, n := range f.nodes {
+			if n.Class.Name == "nextgen" {
+				f.setLoad(n, 1)
+			}
+		}
+	}
+	for _, classes := range [][]string{{"nextgen", "k20"}, {"k20", "nextgen"}} {
+		fleetName := strings.Join(classes, ",")
+		f := heteroFleet(t, classes...)
+		loadNextgen(f)
+		p := NewFastestFit()
+		tn := &Tenant{fleet: f}
+		if got := p.Pick(f, tn); got.Index != 0 {
+			t.Errorf("%s: fastest-fit picked node %d, want 0", fleetName, got.Index)
+		}
+		// Hints listed against node order, so the hint order cannot
+		// stand in for the index order.
+		tn.hintClasses = []float64{f.nodes[1].Speed(), f.nodes[0].Speed()}
+		if got := p.Pick(f, tn); got.Index != 0 {
+			t.Errorf("%s: hinted fastest-fit picked node %d, want 0", fleetName, got.Index)
+		}
+
+		// Warm on a consumer node (0.5): both classes clear the 2x bar
+		// with room under the depth bound, and score alike.
+		up := heteroFleet(t, append([]string{"consumer"}, classes...)...)
+		loadNextgen(up)
+		warm := &Tenant{fleet: up, last: up.nodes[0]}
+		if got := NewClassAwareSticky(3, 2.0).Pick(up, warm); got.Index != 1 {
+			t.Errorf("consumer,%s: upgrade picked node %d, want 1", fleetName, got.Index)
+		}
 	}
 }
 

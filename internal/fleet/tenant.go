@@ -43,10 +43,12 @@ type Tenant struct {
 	allocWeight float64
 	hintClasses []float64
 
-	// The round in progress: its node, and whether it was placed (a
-	// Begin repeated on the loop's lane must not place again).
-	node   *Node
-	placed bool
+	// The round in progress: its node, whether it was placed (a Begin
+	// repeated on the loop's lane must not place again), and whether the
+	// placement moved it off the previous device.
+	node     *Node
+	placed   bool
+	migrated bool
 
 	// Migrations counts rounds that moved off the previous device;
 	// ColdTime is the device time those moves spent rebuilding state.
@@ -223,7 +225,7 @@ func (t *Tenant) openedOn(n *Node) (*userlib.Client, error, bool) {
 // it.
 func (t *Tenant) Begin(l *workload.Loop, lane bool) {
 	if !t.placed {
-		t.node = t.fleet.Place(t)
+		t.node, t.migrated = t.fleet.PlaceRequest(t)
 		t.placed = true
 	}
 	if c, err, ok := t.openedOn(t.node); ok && err == nil {
@@ -241,7 +243,7 @@ func (t *Tenant) Begin(l *workload.Loop, lane bool) {
 func (t *Tenant) opened(c *userlib.Client, err error) {
 	if err != nil {
 		t.setupErr = err
-		t.fleet.roundDone(t.node)
+		t.fleet.RequestDone(t.node)
 		t.Stop()
 		return
 	}
@@ -254,12 +256,11 @@ func (t *Tenant) opened(c *userlib.Client, err error) {
 func (t *Tenant) run(c *userlib.Client, lane bool) {
 	t.placed = false
 	var cold workload.Req
-	if t.last != nil && t.last != t.node && t.Spec.WorkingSet > 0 {
+	if t.migrated && t.Spec.WorkingSet > 0 {
 		t.Migrations++
 		t.ColdTime += t.Spec.WorkingSet
 		cold = workload.Req{Size: t.Spec.WorkingSet, Kind: c.Kinds()[0]}
 	}
-	t.last = t.node
 	t.Run(c, cold, lane)
 }
 
@@ -270,7 +271,7 @@ func (t *Tenant) Think() (sim.Duration, bool) {
 
 // Fenced retires the round from its node's queue depth once its
 // requests have completed.
-func (t *Tenant) Fenced() { t.fleet.roundDone(t.node) }
+func (t *Tenant) Fenced() { t.fleet.RequestDone(t.node) }
 
 // Submitted and Served do nothing: tenants keep no request statistics.
 func (t *Tenant) Submitted(sim.Time)  {}

@@ -466,7 +466,7 @@ func (d *Device) CreateChannel(c *Context, kind Kind) (*Channel, error) {
 	}
 	ch := &Channel{ID: d.nextChID, Ctx: c, Kind: kind}
 	d.nextChID++
-	ch.Reg = d.regs.NewPage(fmt.Sprintf("chreg-%d", ch.ID), d.cost, func(value uint64) {
+	ch.Reg = d.regs.NewPage(d.cost, func(value uint64) {
 		d.doorbell(ch, value)
 	})
 	c.channels = append(c.channels, ch)

@@ -54,7 +54,6 @@ type Sink func(value uint64)
 
 // Page is one device-register page that can be mapped into a task.
 type Page struct {
-	name    string
 	costs   cost.Model
 	present bool
 	handler FaultHandler
@@ -85,20 +84,17 @@ type Records struct {
 
 // NewPage returns a page that is initially present (direct access) and
 // draws its store records from r.
-func (r *Records) NewPage(name string, costs cost.Model, sink Sink) *Page {
-	pg := &Page{name: name, costs: costs, present: true, sink: sink, recs: r}
+func (r *Records) NewPage(costs cost.Model, sink Sink) *Page {
+	pg := &Page{costs: costs, present: true, sink: sink, recs: r}
 	pg.deliverFn = pg.deliver
 	return pg
 }
 
 // NewPage returns a page that is initially present (direct access),
 // with a record pool of its own.
-func NewPage(name string, costs cost.Model, sink Sink) *Page {
-	return new(Records).NewPage(name, costs, sink)
+func NewPage(costs cost.Model, sink Sink) *Page {
+	return new(Records).NewPage(costs, sink)
 }
-
-// Name returns the page's diagnostic name.
-func (pg *Page) Name() string { return pg.name }
 
 // Present reports whether direct user-space access is currently enabled.
 func (pg *Page) Present() bool { return pg.present }

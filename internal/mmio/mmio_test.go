@@ -10,7 +10,7 @@ import (
 
 func testPage(e *sim.Engine) (*Page, *[]uint64) {
 	var delivered []uint64
-	pg := NewPage("test", cost.Default(), func(v uint64) { delivered = append(delivered, v) })
+	pg := NewPage(cost.Default(), func(v uint64) { delivered = append(delivered, v) })
 	return pg, &delivered
 }
 
@@ -43,7 +43,7 @@ func TestProtectedStoreFaults(t *testing.T) {
 	pg.SetHandler(func(f *Fault) {
 		handled = true
 		if f.Value != 7 || f.Page != pg {
-			t.Errorf("handler saw page %v value %d", f.Page.Name(), f.Value)
+			t.Errorf("handler saw page %p value %d, want page %p value 7", f.Page, f.Value, pg)
 		}
 		if len(*delivered) != 0 {
 			t.Error("store reached device before handler delivered it")
@@ -183,18 +183,18 @@ func TestRecordsSharedAcrossPages(t *testing.T) {
 	sink := func(uint64) {}
 	c := e.NewCont()
 	then := func() {}
-	pg := recs.NewPage("warm", cost.Default(), sink)
+	pg := recs.NewPage(cost.Default(), sink)
 	pg.StoreOn(c, 1, then)
 	e.Run()
 	fresh := func() {
-		pg := recs.NewPage("fresh", cost.Default(), sink)
+		pg := recs.NewPage(cost.Default(), sink)
 		pg.StoreOn(c, 2, then)
 		e.Run()
 	}
 	// A fresh page costs its own allocations (page, deferred-delivery
 	// closure), but its store takes a pooled record.
 	perPage := testing.AllocsPerRun(20, func() {
-		recs.NewPage("bare", cost.Default(), sink)
+		recs.NewPage(cost.Default(), sink)
 	})
 	if allocs := testing.AllocsPerRun(20, fresh); allocs > perPage {
 		t.Errorf("a store on a fresh page allocated %.0f times beyond the page's own %.0f", allocs-perPage, perPage)

@@ -56,11 +56,10 @@ type MuxStats struct {
 // muxState is the kernel's multiplexing state, nil until the first
 // OpenVirtual call so non-multiplexed kernels pay nothing.
 type muxState struct {
-	vcs      map[*gpu.Context]*VContext // attached, by hardware context
-	attached []*VContext                // attach order (unordered set; LRU is by lastUsed)
-	waiters  []*muxWaiter               // FIFO attach queue
-	reserved int                        // slots granted to waiters not yet consumed
-	clock    uint64                     // logical LRU clock, bumped per use
+	attached []*VContext  // attach order (unordered set; LRU is by lastUsed)
+	waiters  []*muxWaiter // FIFO attach queue
+	reserved int          // slots granted to waiters not yet consumed
+	clock    uint64       // logical LRU clock, bumped per use
 	stats    MuxStats
 	free     []*attachOp // finished attaches, for reuse
 }
@@ -115,7 +114,7 @@ func (k *Kernel) OpenVirtualOn(c *sim.Cont, t *Task, label string, kinds []gpu.K
 		return
 	}
 	if k.mux == nil {
-		k.mux = &muxState{vcs: make(map[*gpu.Context]*VContext)}
+		k.mux = &muxState{}
 		prev := k.dev.CompletionObserver
 		k.dev.CompletionObserver = func(r *gpu.Request) {
 			if prev != nil {
@@ -514,7 +513,6 @@ func (a *attachOp) bind() {
 	m := a.k.mux
 	vc.hw = a.ctx
 	vc.chans = a.chans
-	m.vcs[a.ctx] = vc
 	m.attached = append(m.attached, vc)
 	if n := len(m.attached); n > m.stats.MaxAttached {
 		m.stats.MaxAttached = n
@@ -622,7 +620,6 @@ func (k *Kernel) muxDetach(vc *VContext) {
 	if err := k.dev.ReleaseContext(vc.hw); err != nil {
 		panic("neon: mux detach of busy context: " + err.Error())
 	}
-	delete(m.vcs, vc.hw)
 	for i, x := range m.attached {
 		if x == vc {
 			m.attached = append(m.attached[:i], m.attached[i+1:]...)
@@ -691,7 +688,6 @@ func (k *Kernel) muxTaskExited(t *Task) {
 			vc.waiter = nil
 		}
 		if vc.hw != nil {
-			delete(m.vcs, vc.hw)
 			for i, x := range m.attached {
 				if x == vc {
 					m.attached = append(m.attached[:i], m.attached[i+1:]...)

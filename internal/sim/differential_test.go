@@ -8,7 +8,7 @@ import (
 )
 
 // stormEngine is the engine surface stormTrace drives. The production
-// engine implements it through wheelEngine; refEngine is the reference.
+// engine implements it through prodEngine; refEngine is the reference.
 type stormEngine interface {
 	After(d Duration, fn func()) interface{ Stop() bool }
 	Run()
@@ -17,16 +17,16 @@ type stormEngine interface {
 	Pending() int
 }
 
-// wheelEngine adapts the production engine (timing wheel plus 4-ary
-// heap) to stormEngine.
-type wheelEngine struct{ *Engine }
+// prodEngine adapts the production engine (a 4-ary heap over a slab)
+// to stormEngine.
+type prodEngine struct{ *Engine }
 
-func (w wheelEngine) After(d Duration, fn func()) interface{ Stop() bool } {
-	return w.Engine.After(d, fn)
+func (p prodEngine) After(d Duration, fn func()) interface{ Stop() bool } {
+	return p.Engine.After(d, fn)
 }
 
-// refEngine is the reference event queue the timing wheel must match:
-// the original container/heap binary heap ordered by (time, seq), with
+// refEngine is the reference event queue the production engine must
+// match: a container/heap binary heap ordered by (time, seq), with
 // cancellation as a flag checked at pop.
 type refEngine struct {
 	now     Time
@@ -112,31 +112,29 @@ func (r *refEngine) Now() Time    { return r.now }
 func (r *refEngine) Pending() int { return r.pending }
 
 // stormTrace drives one randomized event storm on e and returns the
-// full execution trace. The storm is built to exercise every queue
-// region: same-tick bursts (FIFO order), near-horizon events (overflow
-// heap), mid- and far-future events (every wheel level), cancellations,
-// nested rescheduling, and a mid-run Reset followed by a second storm on
-// the recycled slab.
+// full execution trace. The storm mixes same-tick bursts (FIFO order),
+// delays from nanoseconds to days, cancellations, nested rescheduling,
+// and a mid-run Reset followed by a second storm on the recycled slab.
 func stormTrace(e stormEngine, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []string
 	record := func(id int) func() {
 		return func() { trace = append(trace, fmt.Sprintf("%d@%d", id, e.Now())) }
 	}
-	// Delay spectrum spanning all wheel levels plus the overflow heap:
-	// the near horizon is 2^16 ns and the wheel covers ~2^46 ns.
+	// Delays spread over every scale, so one heap holds events about to
+	// fire next to events whole simulated days away.
 	delay := func() Duration {
 		switch rng.Intn(5) {
 		case 0:
 			return Duration(rng.Intn(3)) // same-tick and next-tick bursts
 		case 1:
-			return Duration(rng.Intn(1 << 16)) // near horizon
+			return Duration(rng.Intn(1 << 16)) // up to 65 µs
 		case 2:
-			return Duration(rng.Intn(1 << 24)) // low wheel levels
+			return Duration(rng.Intn(1 << 24)) // up to 17 ms
 		case 3:
-			return Duration(rng.Intn(1 << 40)) // high wheel levels
+			return Duration(rng.Intn(1 << 40)) // up to 18 minutes
 		default:
-			return Duration(1<<46 + rng.Int63n(1<<50)) // overflow region
+			return Duration(1<<46 + rng.Int63n(1<<50)) // 19 hours to 14 days
 		}
 	}
 	storm := func(base, n int) {
@@ -173,23 +171,22 @@ func stormTrace(e stormEngine, seed int64) []string {
 }
 
 // TestDifferentialEventStorm runs randomized storms on the production
-// timing-wheel queue and the binary-heap reference and requires
-// identical execution traces: same events, same times, same order within
-// ties. This is the bit-for-bit (time, seq) contract any future queue
-// swap must preserve.
+// queue and the binary-heap reference and requires identical execution
+// traces: same events, same times, same order within ties. This is the
+// bit-for-bit (time, seq) contract any future queue swap must preserve.
 func TestDifferentialEventStorm(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 8; seed++ {
-		wheel := stormTrace(wheelEngine{NewEngine()}, seed)
+		prod := stormTrace(prodEngine{NewEngine()}, seed)
 		ref := stormTrace(&refEngine{}, seed)
-		if len(wheel) != len(ref) {
-			t.Fatalf("seed %d: trace lengths differ: wheel %d vs reference %d",
-				seed, len(wheel), len(ref))
+		if len(prod) != len(ref) {
+			t.Fatalf("seed %d: trace lengths differ: production %d vs reference %d",
+				seed, len(prod), len(ref))
 		}
-		for i := range wheel {
-			if wheel[i] != ref[i] {
-				t.Fatalf("seed %d: traces diverge at %d: wheel %q vs reference %q",
-					seed, i, wheel[i], ref[i])
+		for i := range prod {
+			if prod[i] != ref[i] {
+				t.Fatalf("seed %d: traces diverge at %d: production %q vs reference %q",
+					seed, i, prod[i], ref[i])
 			}
 		}
 	}

@@ -15,7 +15,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 )
 
@@ -59,29 +58,11 @@ type event struct {
 	fn      func()
 	gen     uint32
 	stopped bool  // cancelled by Timer.Stop; skipped (and recycled) at pop
-	next    int32 // free-list link (and wheel-bucket link), -1 terminated
+	next    int32 // free-list link, -1 terminated
 }
 
 // noSlot is the nil value for slab indices.
 const noSlot int32 = -1
-
-// Event-queue geometry (see DESIGN.md §11): a hierarchical timing wheel
-// for far events feeds a 4-ary index-free heap that orders everything
-// within nearSpan of the wheel base exactly by (time, seq). Events
-// farther out sit unordered in wheel buckets — level lv spans slots of
-// width 1<<(nearBits+wheelBits*lv) ns — and are dumped or cascaded
-// toward the heap as the base advances. An event is eligible for level
-// lv only if it is within 63 slot-widths of the base, which guarantees a
-// slot index (taken from the absolute time bits) can never collide with
-// a slot one wheel revolution away. Events beyond the last level (~19h)
-// overflow into the heap, which stays correct at any horizon.
-const (
-	wheelLevels = 5
-	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits
-	nearBits    = 16
-	nearSpan    = Time(1) << nearBits
-)
 
 // hnode is one heap entry: the ordering key (time, seq) inlined next to
 // the slab slot so sift compares never touch the slab.
@@ -115,17 +96,10 @@ type Engine struct {
 	slab []event
 	free int32
 
-	// Event queue. h4 is the 4-ary heap that totally orders the near
-	// horizon; the wheel holds far events in unordered slot chains linked
-	// through event.next. occupied has one bit per slot so the next
-	// occupied slot is a TrailingZeros away. base is the wheel origin:
-	// every event with t < base+nearSpan lives in the heap, and base only
-	// ever moves forward, never past an occupied slot's start time.
-	h4       []hnode
-	buckets  [wheelLevels][wheelSlots]int32
-	occupied [wheelLevels]uint64
-	occSum   uint8 // bit per level with any occupied slot; 0 = wheel empty
-	base     Time
+	// h4 is the event queue: a 4-ary heap ordering every pending event
+	// by (time, seq). Cancelled events stay in it until they reach the
+	// top.
+	h4 []hnode
 
 	procs  int     // live (unfinished) procs, for leak detection
 	inProc int     // >0 while process code may be on the stack (Cont.fire)
@@ -185,7 +159,7 @@ func (e *Engine) Schedule(t Time, fn func()) Timer {
 	}
 	idx := e.alloc(t, fn)
 	e.pending++
-	e.insert(idx, t)
+	e.hpush(hnode{t, e.slab[idx].seq, idx})
 	return Timer{engine: e, slot: idx, gen: e.slab[idx].gen}
 }
 
@@ -229,48 +203,6 @@ func (t Timer) Stop() bool {
 	ev.fn = nil // release the closure for GC
 	e.pending--
 	return true
-}
-
-// insert places an allocated slot into the event queue.
-//
-// Events within nearSpan of the base go straight into the
-// 4-ary heap (as do events in the past region t < base, which exists
-// because the base can run ahead of the clock after a dump). Far events
-// go to the first wheel level whose coarse slot distance from the base
-// is at most 63 — at that level the distance is also at least 1 (a
-// closer level would have fit otherwise), so a slot chain is always
-// strictly ahead of the base's own slot and a cascade re-routing it can
-// never loop. Events beyond the top level (~19h) overflow into the heap.
-func (e *Engine) insert(idx int32, t Time) {
-	if e.occSum == 0 {
-		// Wheel empty: nothing pins the base, so drag it up to the clock
-		// to keep near-future events on the heap fast path.
-		if nb := e.now &^ (nearSpan - 1); nb > e.base {
-			e.base = nb
-		}
-	}
-	if t-e.base < nearSpan { // signed: also catches t < base
-		e.hpush(hnode{t, e.slab[idx].seq, idx})
-		return
-	}
-	tc, bc := uint64(t), uint64(e.base)
-	for lv := 0; lv < wheelLevels; lv++ {
-		shift := uint(nearBits + wheelBits*lv)
-		if tc>>shift-bc>>shift <= wheelSlots-1 {
-			slot := (tc >> shift) & (wheelSlots - 1)
-			ev := &e.slab[idx]
-			if e.occupied[lv]&(1<<slot) != 0 {
-				ev.next = e.buckets[lv][slot]
-			} else {
-				ev.next = noSlot
-				e.occupied[lv] |= 1 << slot
-				e.occSum |= 1 << lv
-			}
-			e.buckets[lv][slot] = idx
-			return
-		}
-	}
-	e.hpush(hnode{t, e.slab[idx].seq, idx}) // beyond the top level
 }
 
 // hpush pushes onto the 4-ary heap (sift-up with a hole, no swaps).
@@ -325,82 +257,14 @@ func (e *Engine) hpop() hnode {
 	return top
 }
 
-// wheelNext locates the occupied wheel slot with the earliest start
-// time. Ties prefer the higher level: a coarse slot sharing its start
-// with a finer one must cascade first, or dumping the finer slot would
-// advance the base past the coarse slot's start and corrupt the wheel's
-// circular-distance invariant.
-func (e *Engine) wheelNext() (start Time, lv int, slot uint64) {
-	bestLv := -1
-	for sum := e.occSum; sum != 0; sum &= sum - 1 {
-		l := bits.TrailingZeros8(sum)
-		occ := e.occupied[l]
-		shift := uint(nearBits + wheelBits*l)
-		pos := int(e.base>>shift) & (wheelSlots - 1)
-		d := Time(bits.TrailingZeros64(bits.RotateLeft64(occ, -pos)))
-		st := (e.base>>shift + d) << shift
-		if bestLv < 0 || st <= start {
-			bestLv, start = l, st
-			slot = uint64(e.base>>shift+d) & (wheelSlots - 1)
-		}
-	}
-	return start, bestLv, slot
-}
-
-// advanceWheel consumes one wheel slot. A level-0 slot is dumped: the
-// base advances past it and its whole chain joins the heap. A higher
-// slot cascades: the base advances to its start and its chain is
-// re-routed, landing in strictly lower levels or the heap.
-func (e *Engine) advanceWheel(start Time, lv int, slot uint64) {
-	head := e.buckets[lv][slot]
-	e.occupied[lv] &^= 1 << slot
-	if e.occupied[lv] == 0 {
-		e.occSum &^= 1 << lv
-	}
-	if lv == 0 {
-		if nb := start + nearSpan; nb > e.base {
-			e.base = nb
-		}
-		for head != noSlot {
-			ev := &e.slab[head]
-			next := ev.next
-			ev.next = noSlot
-			e.hpush(hnode{ev.t, ev.seq, head})
-			head = next
-		}
-		return
-	}
-	if start > e.base {
-		e.base = start
-	}
-	for head != noSlot {
-		next := e.slab[head].next
-		e.slab[head].next = noSlot
-		e.insert(head, e.slab[head].t)
-		head = next
-	}
-}
-
-// ready brings the global-minimum pending event to the queue front,
-// skipping and recycling cancelled events. That means advancing the wheel until the minimum provably sits at the heap top:
-// the heap is authoritative only once its top is earlier than the start
-// of every occupied wheel slot (a slot's start lower-bounds everything
-// chained in it). Ties advance the wheel so (time, seq) order is decided
-// in the heap. ready reports false when no live events remain.
+// ready brings the earliest live event to the heap top, skipping and
+// recycling cancelled events. It reports false when no live events
+// remain.
 func (e *Engine) ready() bool {
-	for {
-		for len(e.h4) > 0 && e.slab[e.h4[0].slot].stopped {
-			e.recycle(e.hpop().slot)
-		}
-		if e.occSum == 0 {
-			return len(e.h4) > 0
-		}
-		start, lv, slot := e.wheelNext()
-		if len(e.h4) > 0 && e.h4[0].t < start {
-			return true
-		}
-		e.advanceWheel(start, lv, slot)
+	for len(e.h4) > 0 && e.slab[e.h4[0].slot].stopped {
+		e.recycle(e.hpop().slot)
 	}
+	return len(e.h4) > 0
 }
 
 // pop removes and returns the slot of the earliest (time, seq) event, or
@@ -501,9 +365,6 @@ func (e *Engine) Reset() {
 	// outstanding handle generation, but keep the slab capacity: an engine
 	// reused across scenarios reaches steady state with zero allocations.
 	e.h4 = e.h4[:0]
-	e.occupied = [wheelLevels]uint64{}
-	e.occSum = 0
-	e.base = 0
 	e.free = noSlot
 	for i := len(e.slab) - 1; i >= 0; i-- {
 		ev := &e.slab[i]

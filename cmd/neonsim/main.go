@@ -23,6 +23,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,97 +57,49 @@ type benchRecord struct {
 	Seed       int64   `json:"seed"`
 }
 
-// parseClasses turns the -classes flag into a device-class mix; the
-// empty string keeps each experiment's default. Every name must be a
-// known cost.Class.
-func parseClasses(s string) ([]string, error) {
+// parseList parses a comma-separated list flag, one item at a time;
+// the empty string means the flag was not given. A positive want is the
+// exact number of items the flag takes.
+func parseList[T any](name, s string, want int, parse func(string) (T, error)) ([]T, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []string
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		name := strings.TrimSpace(part)
-		if _, err := cost.ClassByName(name); err != nil {
-			return nil, fmt.Errorf("bad -classes value %q: %v", name, err)
-		}
-		out = append(out, name)
-	}
-	return out, nil
-}
-
-// parseWeights turns the -weights flag into the tiers experiment's
-// premium/standard/best-effort contract; the empty string keeps the
-// default ratio sweep. Exactly three positive factors are required.
-func parseWeights(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -weights value %q (want positive factors like 4,1,1)", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) != 3 {
-		return nil, fmt.Errorf("-weights needs exactly 3 values (premium,standard,best-effort), got %d", len(out))
-	}
-	return out, nil
-}
-
-// parseTiers turns the -tiers flag into the tiers experiment's per-role
-// admission tiers; the empty string keeps each role's namesake tier.
-func parseTiers(s string) ([]workload.Tier, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []workload.Tier
-	for _, part := range strings.Split(s, ",") {
-		tier, err := workload.ParseTier(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad -tiers value %q: %v", part, err)
+			return nil, fmt.Errorf("bad -%s value %q: %v", name, part, err)
 		}
-		out = append(out, tier)
+		out = append(out, v)
 	}
-	if len(out) != 3 {
-		return nil, fmt.Errorf("-tiers needs exactly 3 values (one per premium,standard,best-effort role), got %d", len(out))
+	if want > 0 && len(out) != want {
+		return nil, fmt.Errorf("-%s needs exactly %d values, got %d", name, want, len(out))
 	}
 	return out, nil
 }
 
-// parseTenants turns the -tenants flag into the scale experiment's
-// tenant-count sweep; the empty string keeps the default 10^2..10^5.
-func parseTenants(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
+// positiveFloat parses a positive factor such as a load or a weight.
+func positiveFloat(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v > 0) {
+		return 0, errors.New("want a positive number")
 	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -tenants value %q (want positive counts like 100,10000)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return v, nil
 }
 
-// parseLoads turns the -load flag into a load-factor sweep; the empty
-// string keeps the experiment's default.
-func parseLoads(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
+// positiveInt parses a positive count.
+func positiveInt(s string) (int, error) {
+	v, err := strconv.Atoi(s)
+	if err != nil || v <= 0 {
+		return 0, errors.New("want a positive integer")
 	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -load value %q (want positive load factors like 0.8,1.0,1.2)", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return v, nil
+}
+
+// className accepts a known cost.Class name.
+func className(s string) (string, error) {
+	_, err := cost.ClassByName(s)
+	return s, err
 }
 
 func main() {
@@ -176,30 +129,25 @@ func main() {
 		os.Exit(2)
 	}
 
-	loadSweep, err := parseLoads(*loads)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "neonsim: %v\n", err)
-		os.Exit(2)
+	opts := exp.Full()
+	if *quick {
+		opts = exp.Quick()
 	}
-	classMix, err := parseClasses(*classes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "neonsim: %v\n", err)
-		os.Exit(2)
-	}
-	weightVec, err := parseWeights(*weights)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "neonsim: %v\n", err)
-		os.Exit(2)
-	}
-	tierVec, err := parseTiers(*tiers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "neonsim: %v\n", err)
-		os.Exit(2)
-	}
-	tenantSweep, err := parseTenants(*tenants)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "neonsim: %v\n", err)
-		os.Exit(2)
+	opts.Seed = *seed
+	opts.Parallel = *parallel
+	opts.Policy = *polName
+	opts.DeepScale = *deep
+	var errs [5]error
+	opts.Loads, errs[0] = parseList("load", *loads, 0, positiveFloat)
+	opts.Classes, errs[1] = parseList("classes", *classes, 0, className)
+	opts.Weights, errs[2] = parseList("weights", *weights, 3, positiveFloat)
+	opts.Tiers, errs[3] = parseList("tiers", *tiers, 3, workload.ParseTier)
+	opts.Tenants, errs[4] = parseList("tenants", *tenants, 0, positiveInt)
+	for _, err := range errs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "neonsim: %v\n", err)
+			os.Exit(2)
+		}
 	}
 
 	if *list {
@@ -208,20 +156,6 @@ func main() {
 		}
 		return
 	}
-
-	opts := exp.Full()
-	if *quick {
-		opts = exp.Quick()
-	}
-	opts.Seed = *seed
-	opts.Parallel = *parallel
-	opts.Loads = loadSweep
-	opts.Classes = classMix
-	opts.Weights = weightVec
-	opts.Tiers = tierVec
-	opts.Tenants = tenantSweep
-	opts.Policy = *polName
-	opts.DeepScale = *deep
 
 	var records []benchRecord
 	run := func(e exp.Experiment) {

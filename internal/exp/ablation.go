@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -16,8 +15,7 @@ import (
 // AblationStats isolates the cost of software usage estimation (the
 // Section 5.3 limitation and Section 6.1 proposal): the DFQ anomaly pairs
 // run under sampled-estimate DFQ and under the oracle variant that reads
-// vendor-exported per-context busy time. Each (pair, scheduler) cell is a
-// job; baselines are measured once per distinct spec.
+// vendor-exported per-context busy time.
 func AblationStats(opts Options) *report.Table {
 	pairs := []struct {
 		app string
@@ -27,33 +25,12 @@ func AblationStats(opts Options) *report.Table {
 		{"oclParticles", 425},
 		{"DCT", 425},
 	}
-	type cell struct {
-		spec, thr workload.Spec
-	}
-	var (
-		cells []cell
-		specs []workload.Spec
-	)
-	for _, pr := range pairs {
+	rows := make([][]workload.Spec, len(pairs))
+	for i, pr := range pairs {
 		spec, _ := workload.ByName(pr.app)
-		thr := workload.Throttle(time.Duration(pr.usz*float64(time.Microsecond)), 0)
-		cells = append(cells, cell{spec, thr})
-		specs = append(specs, spec, thr)
+		rows[i] = []workload.Spec{spec, throttleUS(pr.usz)}
 	}
-	alone := MeasureBaselines("ablation-stats", opts, specs...)
-
-	scheds := []Sched{DFQ, Oracle}
-	var jobs []Job
-	for i, c := range cells {
-		for j, s := range scheds {
-			jobs = append(jobs, NewJob("ablation-stats", i*len(scheds)+j,
-				fmt.Sprintf("%s vs Thr(%.0fus) under %s", pairs[i].app, pairs[i].usz, s),
-				func(o Options) any {
-					return RunMix(s, o, alone.For(c.spec, c.thr), c.spec, c.thr)
-				}))
-		}
-	}
-	res := RunJobs(opts, jobs)
+	matrix := runMatrix(opts, "ablation-stats", rows, []Sched{DFQ, Oracle})
 
 	t := report.New("Ablation: sampled estimates (prototype DFQ) vs hardware statistics (oracle)",
 		"Pair", "DFQ app/thr", "Oracle app/thr", "DFQ gap", "Oracle gap")
@@ -68,8 +45,7 @@ func AblationStats(opts Options) *report.Table {
 		return report.F(hi/lo, 2)
 	}
 	for i, pr := range pairs {
-		dfq := res[i*len(scheds)].Value.(MixResult)
-		orc := res[i*len(scheds)+1].Value.(MixResult)
+		dfq, orc := matrix[i][0], matrix[i][1]
 		t.AddRow(fmt.Sprintf("%s vs Thr(%.0fus)", pr.app, pr.usz),
 			fmt.Sprintf("%.2f/%.2f", dfq.Slowdowns[0], dfq.Slowdowns[1]),
 			fmt.Sprintf("%.2f/%.2f", orc.Slowdowns[0], orc.Slowdowns[1]),
@@ -123,62 +99,34 @@ func ablationVariants() []ablationVariant {
 }
 
 // AblationParams sweeps the parameter variants, reporting standalone
-// overhead and pair fairness. Each variant's standalone and pair rigs run
-// as separate jobs against the shared default-cost baselines.
+// overhead and pair fairness. Each variant runs DCT alone and DCT
+// against Throttle as two cells, against the default-cost baselines.
 func AblationParams(opts Options) *report.Table {
 	dct, _ := workload.ByName("DCT")
-	thr := workload.Throttle(425*time.Microsecond, 0)
-	alone := MeasureBaselines("ablation-params", opts, dct, thr)
-	aloneDCT := alone.Of(dct)
-	alonePair := alone.For(dct, thr)
+	thr := throttleUS(425)
+	alone := MeasureBaselines("ablation-params", opts, dct, thr).For(dct, thr)
 
-	variants := ablationVariants()
-	var jobs []Job
-	for i, v := range variants {
-		jobs = append(jobs, NewJob("ablation-params", 2*i, v.label+" solo",
-			func(o Options) any { return ablationRun(o, v.costs, v.mk, dct) }))
-		jobs = append(jobs, NewJob("ablation-params", 2*i+1, v.label+" pair",
-			func(o Options) any { return ablationRun(o, v.costs, v.mk, dct, thr) }))
+	type cell struct {
+		v     ablationVariant
+		specs []workload.Spec
 	}
-	res := RunJobs(opts, jobs)
+	var cells []cell
+	for _, v := range ablationVariants() {
+		cells = append(cells, cell{v, []workload.Spec{dct}}, cell{v, []workload.Spec{dct, thr}})
+	}
+	rounds := grid(opts, "ablation-params", cells, func(o Options, c cell) []sim.Duration {
+		return newRig(c.v.mk(), c.v.costs, o, c.specs...).Measure()
+	})
 
 	t := report.New("Ablation: configuration parameters",
 		"Variant", "standalone DCT overhead", "pair DCT/Thr(425us)")
-	for i, v := range variants {
-		solo := res[2*i].Value.([]sim.Duration)[0]
-		pair := res[2*i+1].Value.([]sim.Duration)
-		sd := float64(solo) / float64(aloneDCT)
-		cell := fmt.Sprintf("%.2f/%.2f",
-			float64(pair[0])/float64(alonePair[0]),
-			float64(pair[1])/float64(alonePair[1]))
-		t.AddRow(v.label, report.Pct(sd-1), cell)
+	for i := 0; i < len(cells); i += 2 {
+		solo, pair := rounds[i][0], rounds[i+1]
+		sd := float64(solo) / float64(alone[0])
+		t.AddRow(cells[i].v.label, report.Pct(sd-1), fmt.Sprintf("%.2f/%.2f",
+			float64(pair[0])/float64(alone[0]),
+			float64(pair[1])/float64(alone[1])))
 	}
 	t.AddNote("finer polling shrinks drain idleness; longer slices amortize token passing; longer free runs amortize engagement")
 	return t
-}
-
-// ablationRun builds one custom rig with explicit costs and scheduler
-// constructor, measures it, and returns each app's average round time.
-func ablationRun(opts Options, costs cost.Model, mk func() neon.Scheduler, specs ...workload.Spec) []sim.Duration {
-	eng := sim.NewEngine()
-	cfg := gpu.DefaultConfig()
-	cfg.GraphicsPenalty = opts.GraphicsPenalty
-	cfg.Costs = costs
-	dev := gpu.New(eng, cfg)
-	k := neon.NewKernel(dev, mk())
-	k.RequestRunLimit = opts.RunLimit
-	var apps []*workload.App
-	for _, s := range specs {
-		apps = append(apps, workload.Launch(k, s))
-	}
-	eng.RunFor(opts.Warmup)
-	for _, a := range apps {
-		a.ResetStats()
-	}
-	eng.RunFor(opts.Measure)
-	out := make([]sim.Duration, len(apps))
-	for i, a := range apps {
-		out[i] = a.AvgRound()
-	}
-	return out
 }

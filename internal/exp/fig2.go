@@ -12,47 +12,29 @@ var fig2Apps = []string{"glxgears", "oclParticles", "simpleTexture3D"}
 
 // Fig2 reproduces Figure 2: CDFs of request inter-arrival periods and
 // service periods for the three small-request applications, in
-// log2-microsecond bins. One job per application.
+// log2-microsecond bins. One cell per application.
 func Fig2(opts Options) *report.Table {
 	t := report.New("Figure 2: request inter-arrival and service period CDFs (% <= bin)",
 		"Application", "Series", "<2us", "<8us", "<32us", "<128us", "<512us", "<2ms")
 	cuts := []int{1, 3, 5, 7, 9, 11} // log2(us) bin upper indexes
 
-	type cdfs struct {
-		interArrival, service [18]float64
+	specs := make([]workload.Spec, len(fig2Apps))
+	for i, name := range fig2Apps {
+		specs[i], _ = workload.ByName(name)
 	}
-	var (
-		jobs  []Job
-		names []string
-	)
-	for _, name := range fig2Apps {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			continue
-		}
-		names = append(names, name)
-		jobs = append(jobs, NewJob("fig2", len(jobs), name, func(o Options) any {
-			rig := NewRig(Direct, o, spec)
-			rig.Apps[0].Observe = true
-			rig.Measure()
-			app := rig.Apps[0]
-			return cdfs{interArrival: app.InterArrival.CDF(), service: app.Service.CDF()}
-		}))
-	}
-	res := RunJobs(opts, jobs)
+	cdfs := grid(opts, "fig2", specs, func(o Options, spec workload.Spec) [2][18]float64 {
+		rig := NewRig(Direct, o, spec)
+		rig.Apps[0].Observe = true
+		rig.Measure()
+		app := rig.Apps[0]
+		return [2][18]float64{app.InterArrival.CDF(), app.Service.CDF()}
+	})
 
-	for i, name := range names {
-		c := res[i].Value.(cdfs)
-		for _, series := range []struct {
-			label string
-			cdf   [18]float64
-		}{
-			{"inter-arrival", c.interArrival},
-			{"service", c.service},
-		} {
-			row := []string{name, series.label}
+	for i, name := range fig2Apps {
+		for j, series := range []string{"inter-arrival", "service"} {
+			row := []string{name, series}
 			for _, cut := range cuts {
-				row = append(row, fmt.Sprintf("%.0f%%", series.cdf[cut]))
+				row = append(row, fmt.Sprintf("%.0f%%", cdfs[i][j][cut]))
 			}
 			t.AddRow(row...)
 		}

@@ -2,43 +2,43 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// fig4Scheds are the managed policies Figure 4 compares against direct.
+// fig4Scheds are the managed policies Figures 4 and 5 compare against
+// direct access.
 var fig4Scheds = []Sched{TS, DTS, DFQ}
 
+// standalone runs each spec alone under each of fig4Scheds and adds one
+// row per spec to t: its label, then its slowdown over its direct-access
+// baseline under each policy.
+func standalone(opts Options, exp string, t *report.Table, labels []string, specs []workload.Spec) *report.Table {
+	rows := make([][]workload.Spec, len(specs))
+	for i, s := range specs {
+		rows[i] = []workload.Spec{s}
+	}
+	for i, row := range runMatrix(opts, exp, rows, fig4Scheds) {
+		cells := []string{labels[i]}
+		for _, r := range row {
+			cells = append(cells, report.X(r.Slowdowns[0]))
+		}
+		t.AddRow(cells...)
+	}
+	return t
+}
+
 // Fig4 reproduces Figure 4: standalone slowdown of every benchmark under
-// each scheduling policy, relative to direct device access. The grid
-// (application × policy) runs as parallel jobs against cached baselines.
+// each scheduling policy, relative to direct device access.
 func Fig4(opts Options) *report.Table {
 	specs := workload.Table1()
-	alone := MeasureBaselines("fig4", opts, specs...)
-
-	var jobs []Job
-	for i, spec := range specs {
-		for j, s := range fig4Scheds {
-			jobs = append(jobs, NewJob("fig4", i*len(fig4Scheds)+j,
-				fmt.Sprintf("%s under %s", spec.Name, s),
-				func(o Options) any { return NewRig(s, o, spec).Measure()[0] }))
-		}
+	labels := make([]string, len(specs))
+	for i, s := range specs {
+		labels[i] = s.Name
 	}
-	res := RunJobs(opts, jobs)
-
-	t := report.New("Figure 4: standalone execution slowdown vs direct access",
-		"Application", "Timeslice", "Disengaged TS", "Disengaged FQ")
-	for i, spec := range specs {
-		row := []string{spec.Name}
-		for j := range fig4Scheds {
-			r := res[i*len(fig4Scheds)+j].Value.(sim.Duration)
-			row = append(row, report.X(float64(r)/float64(alone.Of(spec))))
-		}
-		t.AddRow(row...)
-	}
+	t := standalone(opts, "fig4", report.New("Figure 4: standalone execution slowdown vs direct access",
+		"Application", "Timeslice", "Disengaged TS", "Disengaged FQ"), labels, specs)
 	t.AddNote("paper: engaged Timeslice up to ~40%% on small-request apps; Disengaged Timeslice <~2%%; Disengaged FQ <~5%%")
 	return t
 }
@@ -50,31 +50,13 @@ var Fig5Sizes = []float64{19, 64, 191, 425, 850, 1700}
 // scheduler across request sizes.
 func Fig5(opts Options) *report.Table {
 	specs := make([]workload.Spec, len(Fig5Sizes))
+	labels := make([]string, len(Fig5Sizes))
 	for i, usz := range Fig5Sizes {
-		specs[i] = workload.Throttle(time.Duration(usz*float64(time.Microsecond)), 0)
+		specs[i] = throttleUS(usz)
+		labels[i] = fmt.Sprintf("%.0fus", usz)
 	}
-	alone := MeasureBaselines("fig5", opts, specs...)
-
-	var jobs []Job
-	for i, spec := range specs {
-		for j, s := range fig4Scheds {
-			jobs = append(jobs, NewJob("fig5", i*len(fig4Scheds)+j,
-				fmt.Sprintf("Throttle(%.0fus) under %s", Fig5Sizes[i], s),
-				func(o Options) any { return NewRig(s, o, spec).Measure()[0] }))
-		}
-	}
-	res := RunJobs(opts, jobs)
-
-	t := report.New("Figure 5: standalone Throttle slowdown vs request size",
-		"Request size", "Timeslice", "Disengaged TS", "Disengaged FQ")
-	for i, spec := range specs {
-		row := []string{fmt.Sprintf("%.0fus", Fig5Sizes[i])}
-		for j := range fig4Scheds {
-			r := res[i*len(fig4Scheds)+j].Value.(sim.Duration)
-			row = append(row, report.X(float64(r)/float64(alone.Of(spec))))
-		}
-		t.AddRow(row...)
-	}
+	t := standalone(opts, "fig5", report.New("Figure 5: standalone Throttle slowdown vs request size",
+		"Request size", "Timeslice", "Disengaged TS", "Disengaged FQ"), labels, specs)
 	t.AddNote("per-request interception dominates engaged Timeslice at small sizes; the disengaged schedulers stay near 1x")
 	return t
 }

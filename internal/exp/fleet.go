@@ -6,7 +6,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -41,27 +40,12 @@ type FleetResult struct {
 // runs the tenant population through warmup and measurement, and
 // reports the cell's throughput and fairness.
 func RunFleetCell(o Options, devices int, policyName, mix string) FleetResult {
-	eng := sim.NewEngine()
 	policy, err := fleet.NewPolicy(policyName)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
-	f, err := fleet.New(eng, fleet.Config{
-		Devices:  devices,
-		Policy:   policy,
-		RunLimit: o.RunLimit,
-		Seed:     o.Seed,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
 	tenants := workload.FleetPopulation(devices, mix)
-	for _, ts := range tenants {
-		f.Launch(ts)
-	}
-	eng.RunFor(o.Warmup)
-	f.ResetStats()
-	eng.RunFor(o.Measure)
+	f := runFleet(o, fleet.Config{Devices: devices, Policy: policy}, tenants)
 
 	res := FleetResult{
 		Devices: devices,
@@ -71,9 +55,6 @@ func RunFleetCell(o Options, devices int, policyName, mix string) FleetResult {
 	}
 	var rounds int64
 	for _, t := range f.Tenants() {
-		if t.SetupError() != nil {
-			panic(fmt.Sprintf("exp: fleet tenant %s setup: %v", t.Spec.Name, t.SetupError()))
-		}
 		rounds += t.Rounds
 	}
 	seconds := o.Measure.Seconds()
@@ -119,7 +100,7 @@ func worstOverMean(xs []float64) float64 {
 }
 
 // FleetExp sweeps device count × placement policy × tenant mix, every
-// cell an independent job on the worker pool.
+// cell on the grid.
 func FleetExp(opts Options) *report.Table {
 	type cell struct {
 		devs   int
@@ -139,19 +120,13 @@ func FleetExp(opts Options) *report.Table {
 			}
 		}
 	}
-	jobs := make([]Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = NewJob("fleet", i,
-			fmt.Sprintf("%d devices, %s placement, %s mix", c.devs, c.policy, c.mix),
-			func(o Options) any {
-				return RunFleetCell(o, c.devs, c.policy, c.mix)
-			})
-	}
+	results := grid(opts, "fleet", cells, func(o Options, c cell) FleetResult {
+		return RunFleetCell(o, c.devs, c.policy, c.mix)
+	})
 
 	t := report.New("Fleet: device count x placement policy (per-device DFQ, fleet-wide virtual time)",
 		"devices", "policy", "mix", "tenants", "rounds/s", "util", "Jain", "worst/mean", "migr/kround")
-	for _, r := range RunJobs(opts, jobs) {
-		res := r.Value.(FleetResult)
+	for _, res := range results {
 		t.AddRow(
 			fmt.Sprintf("%d", res.Devices),
 			res.Policy,

@@ -20,7 +20,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -92,30 +91,18 @@ type HeteroResult struct {
 // saturating population through warmup and measurement, and reports
 // normalized throughput and normalized fairness.
 func RunHeteroCell(o Options, mix HeteroMix, accounting, place string) HeteroResult {
-	eng := sim.NewEngine()
 	policy, err := fleet.NewPolicy(place)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
-	f, err := fleet.New(eng, fleet.Config{
-		Devices:  len(mix.Classes),
-		Classes:  mix.Classes,
-		Policy:   policy,
-		Sched:    "dfq",
-		DFQ:      core.DFQConfig{RawCharges: accounting == "raw"},
-		RunLimit: o.RunLimit,
-		Seed:     o.Seed,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
 	tenants := workload.FleetPopulation(len(mix.Classes), "uniform")
-	for _, ts := range tenants {
-		f.Launch(ts)
-	}
-	eng.RunFor(o.Warmup)
-	f.ResetStats()
-	eng.RunFor(o.Measure)
+	f := runFleet(o, fleet.Config{
+		Devices: len(mix.Classes),
+		Classes: mix.Classes,
+		Policy:  policy,
+		Sched:   "dfq",
+		DFQ:     core.DFQConfig{RawCharges: accounting == "raw"},
+	}, tenants)
 
 	res := HeteroResult{
 		Mix:        mix.Name,
@@ -126,9 +113,6 @@ func RunHeteroCell(o Options, mix HeteroMix, accounting, place string) HeteroRes
 	var total core.Work
 	var shares []float64
 	for _, t := range f.Tenants() {
-		if t.SetupError() != nil {
-			panic(fmt.Sprintf("exp: hetero tenant %s setup: %v", t.Spec.Name, t.SetupError()))
-		}
 		w := t.NormalizedWork()
 		total += w
 		shares = append(shares, float64(w))
@@ -142,7 +126,7 @@ func RunHeteroCell(o Options, mix HeteroMix, accounting, place string) HeteroRes
 }
 
 // HeteroExp sweeps class mix x DFQ accounting (normalized vs raw) x
-// placement policy, every cell an independent job on the worker pool.
+// placement policy, every cell on the grid.
 func HeteroExp(opts Options) *report.Table {
 	type cell struct {
 		mix   HeteroMix
@@ -157,19 +141,13 @@ func HeteroExp(opts Options) *report.Table {
 			}
 		}
 	}
-	jobs := make([]Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = NewJob("hetero", i,
-			fmt.Sprintf("%s, %s accounting, %s placement", c.mix.Name, c.acct, c.place),
-			func(o Options) any {
-				return RunHeteroCell(o, c.mix, c.acct, c.place)
-			})
-	}
+	results := grid(opts, "hetero", cells, func(o Options, c cell) HeteroResult {
+		return RunHeteroCell(o, c.mix, c.acct, c.place)
+	})
 
 	t := report.New("Hetero: mixed device classes, normalized vs raw DFQ accounting (uniform saturating tenants)",
 		"mix", "acct", "place", "tenants", "work/s", "util", "Jain", "worst/mean", "fair")
-	for _, r := range RunJobs(opts, jobs) {
-		res := r.Value.(HeteroResult)
+	for _, res := range results {
 		fair := "no"
 		if res.InBound {
 			fair = "yes"

@@ -155,36 +155,21 @@ func RunPolicyCell(o Options, c policyCell) PolicyResult {
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
-	eng := sim.NewEngine()
-	f, err := fleet.New(eng, fleet.Config{
+	specs := policyPopulation(c)
+	f := runFleet(o, fleet.Config{
 		Devices:     len(PolicyClasses()),
 		Classes:     PolicyClasses(),
 		Policy:      fleet.NewFastestFit(),
 		Sched:       "dfq",
 		DFQ:         TierShareDFQ(),
-		RunLimit:    o.RunLimit,
-		Seed:        o.Seed,
 		AllocPolicy: pol,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
-	specs := policyPopulation(c)
-	for _, ts := range specs {
-		f.Launch(ts)
-	}
-	eng.RunFor(o.Warmup)
-	f.ResetStats()
-	eng.RunFor(o.Measure)
+	}, specs)
 
 	res := PolicyResult{Probe: c.probe, Policy: c.pol, Pop: c.pop}
 	var total core.Work
 	var shares []float64
 	var acme float64
 	for i, t := range f.Tenants() {
-		if t.SetupError() != nil {
-			panic(fmt.Sprintf("exp: policy tenant %s setup: %v", t.Spec.Name, t.SetupError()))
-		}
 		w := t.NormalizedWork()
 		total += w
 		shares = append(shares, float64(w))
@@ -225,21 +210,14 @@ func costPerWork(f *fleet.Fleet) float64 {
 	return dollars / work.Duration().Seconds()
 }
 
-// PolicyExp sweeps probe x policy (x population), every cell an
-// independent job on the worker pool.
+// PolicyExp sweeps probe x policy (x population), every cell on the
+// grid.
 func PolicyExp(opts Options) *report.Table {
-	cells := policyCells()
-	jobs := make([]Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = NewJob("policy", i,
-			fmt.Sprintf("%s probe, %s policy, %s population", c.probe, c.pol, c.pop),
-			func(o Options) any { return RunPolicyCell(o, c) })
-	}
+	results := grid(opts, "policy", policyCells(), RunPolicyCell)
 
 	t := report.New("Policy: declarative allocation over the tenant x class matrix (mixed k20+consumer+nextgen fleet, one mechanism stack)",
 		"probe", "policy", "pop", "worst/eq", "acme share", "$/work", "work/s", "util")
-	for _, r := range RunJobs(opts, jobs) {
-		res := r.Value.(PolicyResult)
+	for _, res := range results {
 		org, dollars := "-", "-"
 		if res.Probe == "orgs" {
 			org = report.Pct(res.OrgShare)

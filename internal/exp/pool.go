@@ -1,15 +1,17 @@
 package exp
 
 // The parallel harness: every experiment driver enumerates its scenario
-// grid as Jobs, and RunJobs executes them on a bounded worker pool. Each
-// job builds its own sim.Engine and receives a deterministically forked
-// RNG seed keyed by (experiment ID, scenario index), so the assembled
-// tables are byte-identical at any parallelism — including -parallel 1.
+// grid as a slice of typed cells, and grid runs them on a bounded worker
+// pool. Each cell builds its own sim.Engine and receives a
+// deterministically forked RNG seed keyed by (experiment ID, cell
+// index), so the assembled tables are byte-identical at any parallelism
+// — including -parallel 1.
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,104 +20,50 @@ import (
 	"repro/internal/workload"
 )
 
-// Job is one independently runnable scenario of an experiment's grid.
-type Job struct {
-	// Exp is the experiment (or sub-stage) ID; with Index it keys the
-	// scenario's forked RNG stream.
-	Exp string
-	// Index is the scenario's position in enumeration order. Results are
-	// returned in this order regardless of completion order.
-	Index int
-	// Label names the scenario for progress output and debugging.
-	Label string
-	// Run builds the scenario's own stack and returns its measurement.
-	// The Options it receives carry the scenario's forked seed.
-	Run func(Options) any
-}
-
-// Result pairs a job with its outcome and wall-clock cost.
-type Result struct {
-	Job   Job
-	Value any
-	Wall  time.Duration
-}
-
-// NewJob returns a Job for the given experiment, index, and label.
-func NewJob(exp string, index int, label string, run func(Options) any) Job {
-	return Job{Exp: exp, Index: index, Label: label, Run: run}
-}
-
-// RunJobs executes the jobs on a bounded pool of opts.Parallel workers
-// (runtime.NumCPU when zero) and returns results in enumeration order.
-// Each job's Options get Seed = sim.StreamSeed(opts.Seed, job.Exp,
-// job.Index), so outputs depend only on scenario identity, never on
-// worker interleaving. A panic inside a job is re-raised on the caller's
-// goroutine — at every pool width — annotated with the job's identity
-// and the panicking goroutine's stack.
-func RunJobs(opts Options, jobs []Job) []Result {
-	workers := opts.Workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]Result, len(jobs))
-	run := func(i int) {
+// grid runs one experiment's cells on a pool of opts.Workers()
+// goroutines (width 1 is a pool of one) and returns their results in
+// cell order. Cell i's Options carry Seed = sim.StreamSeed(opts.Seed,
+// exp, i), so outputs depend only on the cell's identity, never on
+// worker interleaving. A panicking cell stops the pool from starting
+// more, and the panic is re-raised on the caller's goroutine with the
+// experiment, the index, the cell and the panicking goroutine's stack.
+func grid[C, R any](opts Options, exp string, cells []C, run func(Options, C) R) []R {
+	out := make([]R, len(cells))
+	var (
+		next     atomic.Int64
+		panicked atomic.Value
+		wg       sync.WaitGroup
+	)
+	cell := func(i int) {
 		defer func() {
 			if p := recover(); p != nil {
-				panic(fmt.Sprintf("exp: job %s[%d] %q: %v\n%s",
-					jobs[i].Exp, jobs[i].Index, jobs[i].Label, p, debug.Stack()))
+				panicked.CompareAndSwap(nil, fmt.Sprintf("exp: %s[%d] %+v: %v\n%s",
+					exp, i, cells[i], p, debug.Stack()))
 			}
 		}()
-		j := jobs[i]
 		o := opts
-		o.Seed = sim.StreamSeed(opts.Seed, j.Exp, j.Index)
+		o.Seed = sim.StreamSeed(opts.Seed, exp, i)
 		start := time.Now()
-		results[i] = Result{Job: j, Value: j.Run(o), Wall: time.Since(start)}
+		out[i] = run(o, cells[i])
+		poolStats.jobs.Add(1)
+		poolStats.wallNS.Add(int64(time.Since(start)))
 	}
-	if workers <= 1 {
-		for i := range jobs {
-			run(i)
-		}
-		recordJobs(results)
-		return results
-	}
-	var (
-		next     int64 = -1
-		wg       sync.WaitGroup
-		panicked atomic.Value
-	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(opts.Workers(), len(cells)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(jobs) {
+			for panicked.Load() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
 					return
 				}
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							panicked.CompareAndSwap(nil, p)
-						}
-					}()
-					run(i)
-				}()
+				cell(i)
 			}
 		}()
 	}
 	wg.Wait()
 	if p := panicked.Load(); p != nil {
 		panic(p)
-	}
-	recordJobs(results)
-	return results
-}
-
-// Durations unwraps results whose jobs returned a sim.Duration.
-func Durations(results []Result) []sim.Duration {
-	out := make([]sim.Duration, len(results))
-	for i, r := range results {
-		out[i] = r.Value.(sim.Duration)
 	}
 	return out
 }
@@ -141,29 +89,24 @@ type Baselines struct {
 }
 
 // MeasureBaselines measures each distinct spec standalone exactly once,
-// as parallel jobs under the "<exp>:alone" stream, and returns the cache.
-// Drivers that previously called MeasureAlone per grid cell share one
-// measurement per spec instead.
+// on the grid under the "<exp>:alone" stream, and returns the cache.
 func MeasureBaselines(exp string, opts Options, specs ...workload.Spec) *Baselines {
+	b := &Baselines{m: map[string]sim.Duration{}}
 	var (
-		jobs []Job
-		keys []string
-		seen = map[string]bool{}
+		keys     []string
+		distinct []workload.Spec
 	)
 	for _, s := range specs {
-		k := specKey(s)
-		if seen[k] {
-			continue
+		if k := specKey(s); !slices.Contains(keys, k) {
+			keys = append(keys, k)
+			distinct = append(distinct, s)
 		}
-		seen[k] = true
-		keys = append(keys, k)
-		jobs = append(jobs, NewJob(exp+":alone", len(jobs), s.Name, func(o Options) any {
-			return NewRig(Direct, o, s).Measure()[0]
-		}))
 	}
-	b := &Baselines{m: make(map[string]sim.Duration, len(jobs))}
-	for i, r := range RunJobs(opts, jobs) {
-		b.m[keys[i]] = r.Value.(sim.Duration)
+	rounds := grid(opts, exp+":alone", distinct, func(o Options, s workload.Spec) sim.Duration {
+		return NewRig(Direct, o, s).Measure()[0]
+	})
+	for i, k := range keys {
+		b.m[k] = rounds[i]
 	}
 	return b
 }
@@ -194,23 +137,14 @@ var poolStats struct {
 	wallNS atomic.Int64
 }
 
-func recordJobs(results []Result) {
-	poolStats.jobs.Add(int64(len(results)))
-	var wall time.Duration
-	for _, r := range results {
-		wall += r.Wall
-	}
-	poolStats.wallNS.Add(int64(wall))
-}
-
 // ResetStats clears the per-experiment scenario counters.
 func ResetStats() {
 	poolStats.jobs.Store(0)
 	poolStats.wallNS.Store(0)
 }
 
-// Stats returns the scenarios executed and their summed per-job wall
-// time since the last ResetStats. Summed job time divided by elapsed
+// Stats returns the scenarios executed and their summed per-cell wall
+// time since the last ResetStats. Summed cell time divided by elapsed
 // wall time approximates the achieved parallel speedup.
 func Stats() (jobs int, jobWall time.Duration) {
 	return int(poolStats.jobs.Load()), time.Duration(poolStats.wallNS.Load())

@@ -12,84 +12,84 @@ import (
 	"repro/internal/workload"
 )
 
-// seedJobs returns jobs that report the forked seed they received.
-func seedJobs(n int) []Job {
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = NewJob("pooltest", i, fmt.Sprintf("job %d", i),
-			func(o Options) any { return o.Seed })
-	}
-	return jobs
-}
-
-// Results must come back in enumeration order with seeds forked from
-// (base seed, exp, index), identically at every pool width.
-func TestRunJobsOrderAndForkedSeeds(t *testing.T) {
+// Results must come back in cell order with seeds forked from (base
+// seed, exp, index), identically at every pool width.
+func TestGridOrderAndForkedSeeds(t *testing.T) {
 	opts := Quick()
+	cells := make([]int, 20)
+	for i := range cells {
+		cells[i] = i
+	}
 	for _, parallel := range []int{1, 3, 8} {
 		opts.Parallel = parallel
-		res := RunJobs(opts, seedJobs(20))
+		res := grid(opts, "pooltest", cells, func(o Options, c int) [2]int64 { return [2]int64{int64(c), o.Seed} })
 		if len(res) != 20 {
 			t.Fatalf("parallel=%d: %d results, want 20", parallel, len(res))
 		}
 		for i, r := range res {
-			if r.Job.Index != i {
-				t.Fatalf("parallel=%d: result %d carries job index %d", parallel, i, r.Job.Index)
+			if r[0] != int64(i) {
+				t.Fatalf("parallel=%d: result %d carries cell %d", parallel, i, r[0])
 			}
-			want := sim.StreamSeed(opts.Seed, "pooltest", i)
-			if got := r.Value.(int64); got != want {
-				t.Errorf("parallel=%d job %d: seed %d, want %d", parallel, i, got, want)
+			if want := sim.StreamSeed(opts.Seed, "pooltest", i); r[1] != want {
+				t.Errorf("parallel=%d cell %d: seed %d, want %d", parallel, i, r[1], want)
 			}
 		}
 	}
 }
 
-// The pool must never run more goroutines than requested.
-func TestRunJobsBoundsWorkers(t *testing.T) {
+// The pool must never run more cells at once than its width.
+func TestGridBoundsWorkers(t *testing.T) {
 	opts := Quick()
 	opts.Parallel = 3
 	var inFlight, peak atomic.Int64
-	jobs := make([]Job, 12)
-	for i := range jobs {
-		jobs[i] = NewJob("bound", i, "", func(Options) any {
-			n := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	grid(opts, "bound", make([]struct{}, 12), func(Options, struct{}) bool {
+		n := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			time.Sleep(2 * time.Millisecond)
-			inFlight.Add(-1)
-			return nil
-		})
-	}
-	RunJobs(opts, jobs)
+		}
+		time.Sleep(2 * time.Millisecond)
+		inFlight.Add(-1)
+		return true
+	})
 	if got := peak.Load(); got > 3 {
-		t.Fatalf("observed %d concurrent jobs, pool width is 3", got)
+		t.Fatalf("observed %d concurrent cells, pool width is 3", got)
 	}
 }
 
-// A panicking job must surface on the caller's goroutine with the job's
-// identity attached, not crash a worker.
-func TestRunJobsPropagatesPanic(t *testing.T) {
-	opts := Quick()
-	opts.Parallel = 4
-	jobs := seedJobs(8)
-	jobs[5] = NewJob("pooltest", 5, "exploding scenario", func(Options) any {
-		panic("boom")
-	})
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("panic did not propagate")
-		}
-		msg := fmt.Sprint(p)
-		if !strings.Contains(msg, "exploding scenario") || !strings.Contains(msg, "boom") {
-			t.Fatalf("panic message %q lacks job identity", msg)
-		}
-	}()
-	RunJobs(opts, jobs)
+// A panicking cell must surface on the caller's goroutine naming the
+// experiment, the index and the cell, not crash a worker — at every
+// pool width.
+func TestGridPropagatesPanic(t *testing.T) {
+	type cell struct{ Label string }
+	cells := make([]cell, 8)
+	cells[5].Label = "exploding scenario"
+	for _, parallel := range []int{1, 4} {
+		opts := Quick()
+		opts.Parallel = parallel
+		func() {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatalf("parallel=%d: panic did not propagate", parallel)
+				}
+				msg := fmt.Sprint(p)
+				for _, want := range []string{"pooltest[5]", "Label:exploding scenario", "boom", "goroutine"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("parallel=%d: panic message %q lacks %q", parallel, msg, want)
+					}
+				}
+			}()
+			grid(opts, "pooltest", cells, func(_ Options, c cell) int {
+				if c.Label != "" {
+					panic("boom")
+				}
+				return 0
+			})
+		}()
+	}
 }
 
 // Baselines must measure each distinct spec once and key parameterized
@@ -158,12 +158,12 @@ func TestAblationParamsSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// Stats must reflect the jobs of the last experiment after a reset.
+// Stats must reflect the cells of the last experiment after a reset.
 func TestPoolStats(t *testing.T) {
 	ResetStats()
 	opts := Quick()
 	opts.Parallel = 2
-	RunJobs(opts, seedJobs(6))
+	grid(opts, "pooltest", make([]int, 6), func(o Options, _ int) int64 { return o.Seed })
 	jobs, _ := Stats()
 	if jobs != 6 {
 		t.Fatalf("Stats jobs = %d, want 6", jobs)
@@ -199,6 +199,40 @@ func TestRegistrySharesSiblingMatrices(t *testing.T) {
 		if jobs, _ := Stats(); jobs == 0 {
 			t.Errorf("%s alone ran no jobs", pair[1])
 		}
+	}
+}
+
+// One Registry pass runs a fixed number of scenarios per experiment —
+// the count neonsim prints and the benchmark reports as exp.scenarios.
+// Figures 7 and 10 run none: they render the matrices Figures 6 and 9
+// hand over.
+func TestRegistryScenarioCounts(t *testing.T) {
+	want := []struct {
+		id   string
+		jobs int
+	}{
+		{"table1", 18}, {"fig2", 3}, {"sec3", 15}, {"fig4", 72}, {"fig5", 24},
+		{"fig6", 72}, {"fig7", 0}, {"fig8", 8}, {"fig9", 21}, {"fig10", 0},
+		{"protect", 5}, {"sec63", 2}, {"ablation-stats", 11}, {"ablation-params", 20},
+		{"fleet", 18}, {"serve", 27}, {"hetero", 18}, {"tiers", 8}, {"scale", 12}, {"policy", 9},
+	}
+	reg := Registry()
+	if len(reg) != len(want) {
+		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
+	}
+	opts := poolTestOpts()
+	total := 0
+	for i, e := range reg {
+		ResetStats()
+		e.Run(opts)
+		jobs, _ := Stats()
+		total += jobs
+		if e.ID != want[i].id || jobs != want[i].jobs {
+			t.Errorf("experiment %d: %s ran %d scenarios, want %s with %d", i, e.ID, jobs, want[i].id, want[i].jobs)
+		}
+	}
+	if total != 363 {
+		t.Errorf("one pass ran %d scenarios, want 363", total)
 	}
 }
 

@@ -20,8 +20,7 @@ type Experiment struct {
 // sibling takes the matrix over instead of running it again, so a pass
 // over the list (RenderAll, neonsim -exp all) runs each matrix once.
 func Registry() []Experiment {
-	var pairs handoff[[]PairResult]
-	var nonsat handoff[[]NonsatResult]
+	var pairs, nonsat handoff[[][]MixResult]
 	fig6 := func(o Options) *report.Table { return fig6Table(pairs.give(o, runFig67(o))) }
 	fig7 := func(o Options) *report.Table { return fig7Table(pairs.take(o, runFig67)) }
 	fig9 := func(o Options) *report.Table { return fig9Table(nonsat.give(o, runFig910(o))) }

@@ -10,10 +10,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/fleet"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/neon"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 	"repro/internal/workload"
 )
 
@@ -138,18 +140,24 @@ type Rig struct {
 
 // NewRig builds a stack with the given scheduler and launches the specs.
 func NewRig(sched Sched, opts Options, specs ...workload.Spec) *Rig {
+	policy, err := core.New(string(sched))
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
+	return newRig(policy, cost.Default(), opts, specs...)
+}
+
+// newRig builds a stack around a constructed scheduler and cost model
+// and launches the specs.
+func newRig(sched neon.Scheduler, costs cost.Model, opts Options, specs ...workload.Spec) *Rig {
 	eng := sim.NewEngine()
 	cfg := gpu.DefaultConfig()
 	if opts.GraphicsPenalty > 0 {
 		cfg.GraphicsPenalty = opts.GraphicsPenalty
 	}
-	cfg.Costs = cost.Default()
+	cfg.Costs = costs
 	dev := gpu.New(eng, cfg)
-	policy, err := core.New(string(sched))
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
-	k := neon.NewKernel(dev, policy)
+	k := neon.NewKernel(dev, sched)
 	k.RequestRunLimit = opts.RunLimit
 	rig := &Rig{Engine: eng, Device: dev, Kernel: k, opts: opts}
 	for _, s := range specs {
@@ -204,4 +212,80 @@ func RunMix(sched Sched, opts Options, alone []sim.Duration, specs ...workload.S
 	}
 	res.Efficiency = metrics.Efficiency(alone, rounds)
 	return res
+}
+
+// runMatrix runs the paper's co-run matrix (its §5.3): each row's specs
+// together under each scheduler, with slowdowns against each spec's
+// standalone direct-access round time. The baselines run first, once
+// per distinct spec, on "<exp>:alone"; then one cell per (row,
+// scheduler) runs in row-major order on exp. Results are indexed
+// [row][scheduler] and drop their rigs, so the matrix holds no stack.
+func runMatrix(opts Options, exp string, rows [][]workload.Spec, scheds []Sched) [][]MixResult {
+	type cell struct {
+		specs []workload.Spec
+		sched Sched
+	}
+	var (
+		specs []workload.Spec
+		cells []cell
+	)
+	for _, row := range rows {
+		specs = append(specs, row...)
+		for _, s := range scheds {
+			cells = append(cells, cell{row, s})
+		}
+	}
+	alone := MeasureBaselines(exp, opts, specs...)
+	res := grid(opts, exp, cells, func(o Options, c cell) MixResult {
+		r := RunMix(c.sched, o, alone.For(c.specs...), c.specs...)
+		r.Rig = nil
+		return r
+	})
+	out := make([][]MixResult, len(rows))
+	for i := range rows {
+		out[i] = res[i*len(scheds) : (i+1)*len(scheds)]
+	}
+	return out
+}
+
+// runFleet builds a fleet on its own engine with o's seed and run
+// limit, launches the tenants, runs warmup, clears statistics, and runs
+// the measurement window. A tenant that failed setup is a broken
+// scenario, not a data point, so it panics.
+func runFleet(o Options, cfg fleet.Config, specs []workload.TenantSpec) *fleet.Fleet {
+	cfg.RunLimit, cfg.Seed = o.RunLimit, o.Seed
+	f, err := fleet.New(sim.NewEngine(), cfg)
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
+	for _, ts := range specs {
+		f.Launch(ts)
+	}
+	f.Engine().RunFor(o.Warmup)
+	f.ResetStats()
+	f.Engine().RunFor(o.Measure)
+	for _, t := range f.Tenants() {
+		if err := t.SetupError(); err != nil {
+			panic(fmt.Sprintf("exp: tenant %s setup: %v", t.Spec.Name, err))
+		}
+	}
+	return f
+}
+
+// serve is runFleet for open-loop traffic: it builds the server with
+// o's seed and run limit and runs it through warmup and measurement,
+// panicking on a stream whose client setup failed.
+func serve(o Options, cfg traffic.Config) *traffic.Server {
+	cfg.Fleet.RunLimit, cfg.Fleet.Seed = o.RunLimit, o.Seed
+	srv, err := traffic.New(sim.NewEngine(), cfg)
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
+	srv.Fleet().Engine().RunFor(o.Warmup)
+	srv.ResetStats()
+	srv.Fleet().Engine().RunFor(o.Measure)
+	if err := srv.SetupError(); err != nil {
+		panic(fmt.Sprintf("exp: stream setup: %v", err))
+	}
+	return srv
 }

@@ -94,7 +94,7 @@ type ScaleResult struct {
 }
 
 // RunScaleCell runs the synthetic engagement harness for one tenant
-// count under one scheduler. Every draw comes from the job's forked
+// count under one scheduler. Every draw comes from the cell's forked
 // seed, so cells are deterministic at any pool width.
 func RunScaleCell(o Options, tenants int, sched Sched) ScaleResult {
 	rng := sim.NewRNG(o.Seed)
@@ -367,7 +367,6 @@ type ScaleFullResult struct {
 // shedding it at the front door — and the staggered arrival comb keeps
 // the offered load uniform instead of a time-zero spike.
 func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
-	eng := sim.NewEngine()
 	total := o.Warmup + o.Measure
 	gap := total / scaleFullWaves
 	streams := make([]traffic.Stream, tenants)
@@ -381,7 +380,7 @@ func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
 			Arrival: &traffic.Staggered{Phase: phase, Gap: gap},
 		}
 	}
-	srv, err := traffic.New(eng, traffic.Config{
+	srv := serve(o, traffic.Config{
 		Fleet: fleet.Config{
 			Devices: 1,
 			GPU:     gpu.Config{MaxContexts: scaleFullContexts},
@@ -393,19 +392,9 @@ func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
 				SamplePeriod:   500 * time.Microsecond,
 				SampleRequests: 4,
 			},
-			Seed: o.Seed,
 		},
 		Streams: streams,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
-	eng.RunFor(o.Warmup)
-	srv.ResetStats()
-	eng.RunFor(o.Measure)
-	if err := srv.SetupError(); err != nil {
-		panic(fmt.Sprintf("exp: scale full-stack setup: %v", err))
-	}
 
 	node := srv.Fleet().Nodes()[0]
 	mux := node.Kernel.MuxStatus()
@@ -437,6 +426,48 @@ func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
 	return res
 }
 
+// row renders the cell as a scale-table row.
+func (res ScaleResult) row() []string {
+	bound := "-"
+	if res.Sched == DFQ {
+		verdict := "ok"
+		if !res.InBound {
+			verdict = "VIOL"
+		}
+		bound = fmt.Sprintf("%s %.2f", verdict, res.BoundRatio)
+	}
+	return []string{
+		fmt.Sprintf("%d", res.Tenants),
+		string(res.Sched),
+		fmt.Sprintf("%d", res.Cycles),
+		fmt.Sprintf("%d", res.Requests),
+		report.F(res.ReqPerSec, 0),
+		report.F(res.AllocsPerReq, 3),
+		bound,
+		"-", "-", "-",
+	}
+}
+
+// row renders the storm as a scale-table row.
+func (res ScaleFullResult) row() []string {
+	cyc := "-"
+	if res.Sched == DFQ {
+		cyc = fmt.Sprintf("%d", res.Cycles)
+	}
+	return []string{
+		fmt.Sprintf("%d", res.Tenants),
+		string(res.Sched) + "+mux",
+		cyc,
+		fmt.Sprintf("%d", res.Completed),
+		report.F(res.GoodputPerSec, 0),
+		"-",
+		"-",
+		fmt.Sprintf("%d", res.Tasks),
+		fmt.Sprintf("%d", res.HWContexts),
+		fmt.Sprintf("%d", res.Reattaches),
+	}
+}
+
 // The deep rows (Options.DeepScale / cmd/neonsim -deep): a 10^6-tenant
 // ledger population through the synthetic harness, and a
 // 10^5-tenant full-stack storm — another decade past each sweep's top.
@@ -450,85 +481,40 @@ const (
 	scaleDeepFullTenants = 100_000
 )
 
-// ScaleExp sweeps tenant count x scheduler, every cell an independent
-// job on the worker pool.
+// ScaleExp sweeps tenant count x scheduler through the synthetic
+// ledger harness, then runs the full-stack storm rows, every cell on
+// one grid.
 func ScaleExp(opts Options) *report.Table {
 	type cell struct {
 		tenants int
 		sched   Sched
+		full    bool // a full-stack storm, not the synthetic harness
 	}
 	var cells []cell
 	for _, n := range opts.ScaleTenants() {
 		for _, s := range ScaleScheds() {
-			cells = append(cells, cell{n, s})
+			cells = append(cells, cell{n, s, false})
 		}
-	}
-	jobs := make([]Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = NewJob("scale", i,
-			fmt.Sprintf("%d tenants, %s", c.tenants, c.sched),
-			func(o Options) any { return RunScaleCell(o, c.tenants, c.sched) })
 	}
 	for _, n := range DefaultScaleFullTenants() {
 		for _, s := range ScaleScheds() {
-			n, s := n, s
-			jobs = append(jobs, NewJob("scale", len(jobs),
-				fmt.Sprintf("%d tenants, %s+mux full stack", n, s),
-				func(o Options) any { return RunScaleFullCell(o, n, s) }))
+			cells = append(cells, cell{n, s, true})
 		}
 	}
 	if opts.DeepScale {
-		jobs = append(jobs, NewJob("scale", len(jobs),
-			fmt.Sprintf("%d tenants, %s (deep)", scaleDeepTenants, DFQ),
-			func(o Options) any { return RunScaleCell(o, scaleDeepTenants, DFQ) }))
-		jobs = append(jobs, NewJob("scale", len(jobs),
-			fmt.Sprintf("%d tenants, %s+mux full stack (deep)", scaleDeepFullTenants, DFQ),
-			func(o Options) any { return RunScaleFullCell(o, scaleDeepFullTenants, DFQ) }))
+		cells = append(cells, cell{scaleDeepTenants, DFQ, false}, cell{scaleDeepFullTenants, DFQ, true})
 	}
+	rows := grid(opts, "scale", cells, func(o Options, c cell) []string {
+		if c.full {
+			return RunScaleFullCell(o, c.tenants, c.sched).row()
+		}
+		return RunScaleCell(o, c.tenants, c.sched).row()
+	})
 
 	t := report.New("Scale: indexed fair queueing + virtual-context mux, 10^2..10^5 tenants",
 		"tenants", "sched", "cycles", "requests", "req/s(sim)", "allocs/req", "bound", "tasks", "hwctx", "reattach")
-	for _, r := range RunJobs(opts, jobs) {
-		switch res := r.Value.(type) {
-		case ScaleResult:
-			bound := "-"
-			if res.Sched == DFQ {
-				verdict := "ok"
-				if !res.InBound {
-					verdict = "VIOL"
-				}
-				bound = fmt.Sprintf("%s %.2f", verdict, res.BoundRatio)
-			}
-			t.AddRow(
-				fmt.Sprintf("%d", res.Tenants),
-				string(res.Sched),
-				fmt.Sprintf("%d", res.Cycles),
-				fmt.Sprintf("%d", res.Requests),
-				report.F(res.ReqPerSec, 0),
-				report.F(res.AllocsPerReq, 3),
-				bound,
-				"-", "-", "-",
-			)
-		case ScaleFullResult:
-			cyc := "-"
-			if res.Sched == DFQ {
-				cyc = fmt.Sprintf("%d", res.Cycles)
-			}
-			t.AddRow(
-				fmt.Sprintf("%d", res.Tenants),
-				string(res.Sched)+"+mux",
-				cyc,
-				fmt.Sprintf("%d", res.Completed),
-				report.F(res.GoodputPerSec, 0),
-				"-",
-				"-",
-				fmt.Sprintf("%d", res.Tasks),
-				fmt.Sprintf("%d", res.HWContexts),
-				fmt.Sprintf("%d", res.Reattaches),
-			)
-		default:
-			panic(fmt.Sprintf("exp: scale row of unknown type %T", r.Value))
-		}
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.AddNote("each cycle engages a %d-tenant working set per device; idle tenants must cost nothing, so allocs/req staying flat across 10^2..10^5 tenants is the sub-linear claim", scaleWorkingSet)
 	t.AddNote("allocs/req counts deterministic structural allocations (flow registrations + slab/heap growth), not runtime allocations — those are gated in BENCH_8.json (BenchmarkDFQCycleTenants*, BenchmarkBoardReconcile)")

@@ -19,33 +19,25 @@ var sec3Sizes = []float64{10, 20, 40, 60, 100}
 // throughput gain of direct device access over a stack that traps to the
 // kernel on every request, for equal-sized requests of 10-100us, both
 // with a minimal trap and with nontrivial driver processing per trap.
-// Every (size, stack) combination is an independent job.
+// Every (size, stack) combination is one cell.
 func Sec3Throughput(opts Options) *report.Table {
-	stacks := []struct {
-		name       string
+	type cell struct {
+		usz        float64
 		trap, work bool
-	}{
-		{"direct", false, false},
-		{"trap", true, false},
-		{"trap+driver", true, true},
 	}
-	var jobs []Job
-	for i, usz := range sec3Sizes {
-		size := time.Duration(usz * float64(time.Microsecond))
-		for j, st := range stacks {
-			jobs = append(jobs, NewJob("sec3", i*len(stacks)+j,
-				fmt.Sprintf("%.0fus via %s", usz, st.name),
-				func(o Options) any { return throughput(o, size, st.trap, st.work) }))
-		}
+	var cells []cell
+	for _, usz := range sec3Sizes {
+		// direct, a plain trap, and a trap with driver work
+		cells = append(cells, cell{usz, false, false}, cell{usz, true, false}, cell{usz, true, true})
 	}
-	res := RunJobs(opts, jobs)
+	tput := grid(opts, "sec3", cells, func(o Options, c cell) float64 {
+		return throughput(o, time.Duration(c.usz*float64(time.Microsecond)), c.trap, c.work)
+	})
 
 	t := report.New("Section 3: direct access vs per-request kernel traps (throughput gain of direct)",
 		"Request size", "vs plain trap", "vs trap+driver work")
 	for i, usz := range sec3Sizes {
-		direct := res[i*len(stacks)].Value.(float64)
-		trap := res[i*len(stacks)+1].Value.(float64)
-		heavy := res[i*len(stacks)+2].Value.(float64)
+		direct, trap, heavy := tput[3*i], tput[3*i+1], tput[3*i+2]
 		t.AddRow(fmt.Sprintf("%.0fus", usz),
 			fmt.Sprintf("+%.0f%%", 100*(direct/trap-1)),
 			fmt.Sprintf("+%.0f%%", 100*(direct/heavy-1)))

@@ -113,7 +113,6 @@ func (o Options) ServeFleetSize() int {
 // RunServeCell serves the open-loop population for one (load,
 // scheduler, placement, admission) point and measures it.
 func RunServeCell(o Options, load float64, sched, place string, admit bool) ServeResult {
-	eng := sim.NewEngine()
 	var policy fleet.Policy
 	switch place {
 	case "sticky":
@@ -134,27 +133,16 @@ func RunServeCell(o Options, load float64, sched, place string, admit bool) Serv
 		depth = ServeAdmitDepth * devices
 	}
 	streams := ServePopulation(devices, load)
-	srv, err := traffic.New(eng, traffic.Config{
+	srv := serve(o, traffic.Config{
 		Fleet: fleet.Config{
-			Devices:  devices,
-			Classes:  o.Classes,
-			Policy:   policy,
-			Sched:    sched,
-			RunLimit: o.RunLimit,
-			Seed:     o.Seed,
+			Devices: devices,
+			Classes: o.Classes,
+			Policy:  policy,
+			Sched:   sched,
 		},
 		AdmitDepth: depth,
 		Streams:    streams,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
-	eng.RunFor(o.Warmup)
-	srv.ResetStats()
-	eng.RunFor(o.Measure)
-	if err := srv.SetupError(); err != nil {
-		panic(fmt.Sprintf("exp: serve stream setup: %v", err))
-	}
 
 	res := ServeResult{Load: load, Sched: sched, Place: place, Admission: admit}
 	var all metrics.Digest
@@ -193,7 +181,7 @@ func fleetUtilization(f *fleet.Fleet, window sim.Duration) float64 {
 
 // ServeExp sweeps load factor x scheduler x placement with admission
 // on, plus one admission-off row per scheduler at the deepest overload
-// point, every cell an independent job on the worker pool.
+// point, every cell on the grid.
 func ServeExp(opts Options) *report.Table {
 	type cell struct {
 		load  float64
@@ -220,20 +208,14 @@ func ServeExp(opts Options) *report.Table {
 		cells = append(cells, cell{worst, sched, "sticky", false})
 	}
 
-	jobs := make([]Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = NewJob("serve", i,
-			fmt.Sprintf("load %.2f, %s, %s, admit=%v", c.load, c.sched, c.place, c.admit),
-			func(o Options) any {
-				return RunServeCell(o, c.load, c.sched, c.place, c.admit)
-			})
-	}
+	results := grid(opts, "serve", cells, func(o Options, c cell) ServeResult {
+		return RunServeCell(o, c.load, c.sched, c.place, c.admit)
+	})
 
 	t := report.New(fmt.Sprintf("Serve: open-loop traffic, load factor x scheduler x placement (%d devices)",
 		opts.ServeFleetSize()),
 		"load", "sched", "place", "adm", "p50", "p95", "p99", "victim p99", "goodput/s", "shed", "qdepth", "util")
-	for _, r := range RunJobs(opts, jobs) {
-		res := r.Value.(ServeResult)
+	for _, res := range results {
 		adm := "on"
 		shed := report.Pct(res.ShedRate)
 		if !res.Admission {

@@ -184,19 +184,18 @@ func TestFig8Shape(t *testing.T) {
 // near-direct efficiency.
 func TestFig910Shape(t *testing.T) {
 	opts := Quick()
-	results := RunNonsat(opts, []float64{0.8}, []Sched{Direct, TS, DTS, DFQ})
-	byS := map[Sched]NonsatResult{}
-	for _, r := range results {
-		byS[r.Sched] = r
+	byS := map[Sched]MixResult{}
+	for i, r := range runMatrix(opts, "nonsat", nonsatRows([]float64{0.8}), AllScheds())[0] {
+		byS[AllScheds()[i]] = r
 	}
-	if byS[DTS].DCTSlowdown < 1.8 {
-		t.Errorf("DTS DCT slowdown = %.2f, want ~2x (non-work-conserving)", byS[DTS].DCTSlowdown)
+	if dct := byS[DTS].Slowdowns[0]; dct < 1.8 {
+		t.Errorf("DTS DCT slowdown = %.2f, want ~2x (non-work-conserving)", dct)
 	}
-	if byS[DFQ].DCTSlowdown > 1.6 {
-		t.Errorf("DFQ DCT slowdown = %.2f, want well below 2x", byS[DFQ].DCTSlowdown)
+	if dct := byS[DFQ].Slowdowns[0]; dct > 1.6 {
+		t.Errorf("DFQ DCT slowdown = %.2f, want well below 2x", dct)
 	}
-	if byS[DFQ].ThrSlowdown > 1.4 {
-		t.Errorf("DFQ Throttle slowdown = %.2f, paper: it does not suffer", byS[DFQ].ThrSlowdown)
+	if thr := byS[DFQ].Slowdowns[1]; thr > 1.4 {
+		t.Errorf("DFQ Throttle slowdown = %.2f, paper: it does not suffer", thr)
 	}
 	lossDFQ := 1 - byS[DFQ].Efficiency/byS[Direct].Efficiency
 	lossDTS := 1 - byS[DTS].Efficiency/byS[Direct].Efficiency

@@ -237,39 +237,25 @@ func TierShareDFQ() core.DFQConfig {
 // tenants with the declared weights on one device under the given
 // scheduler, with nothing but the scheduler deciding the split.
 func RunTierShareCell(o Options, sched, acct string, weights [3]float64) TierResult {
-	eng := sim.NewEngine()
-	f, err := fleet.New(eng, fleet.Config{
-		Devices:     1,
-		Policy:      fleet.NewLocalitySticky(fleet.DefaultStickyDepth),
-		Sched:       sched,
-		DFQ:         TierShareDFQ(),
-		RunLimit:    o.RunLimit,
-		Seed:        o.Seed,
-		AllocPolicy: allocPolicy(o),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
 	applied := weights
 	if acct == "flat" {
 		applied = [3]float64{1, 1, 1} // the contract exists but is ignored
 	}
-	const us = time.Microsecond
+	var specs []workload.TenantSpec
 	for i, role := range tierRoles() {
-		s := workload.Throttle(300*us, 0)
+		s := workload.Throttle(300*time.Microsecond, 0)
 		s.Name = role.name
-		f.Launch(workload.TenantSpec{Spec: s, Jitter: 0.2, Weight: applied[i], Tier: role.tier})
+		specs = append(specs, workload.TenantSpec{Spec: s, Jitter: 0.2, Weight: applied[i], Tier: role.tier})
 	}
-	eng.RunFor(o.Warmup)
-	f.ResetStats()
-	eng.RunFor(o.Measure)
+	f := runFleet(o, fleet.Config{
+		Devices:     1,
+		Policy:      fleet.NewLocalitySticky(fleet.DefaultStickyDepth),
+		Sched:       sched,
+		DFQ:         TierShareDFQ(),
+		AllocPolicy: allocPolicy(o),
+	}, specs)
 
 	res := TierResult{Probe: "shares", Sched: sched, Acct: acct, Weights: weights}
-	for _, tn := range f.Tenants() {
-		if tn.SetupError() != nil {
-			panic(fmt.Sprintf("exp: tiers tenant %s setup: %v", tn.Spec.Name, tn.SetupError()))
-		}
-	}
 	res.shareTenants(f.Tenants(), weights)
 	res.Utilization = fleetUtilization(f, o.Measure)
 	return res
@@ -279,29 +265,16 @@ func RunTierShareCell(o Options, sched, acct string, weights [3]float64) TierRes
 // population against weighted DFQ and tier-aware admission at one load
 // factor.
 func RunTierServeCell(o Options, load float64, weights [3]float64) TierResult {
-	eng := sim.NewEngine()
-	streams := TierPopulation(TiersDevices, load, weights, o.tierAssignments())
-	srv, err := traffic.New(eng, traffic.Config{
+	srv := serve(o, traffic.Config{
 		Fleet: fleet.Config{
 			Devices:     TiersDevices,
 			Policy:      fleet.NewLocalitySticky(ServeAdmitDepth),
 			Sched:       "dfq",
-			RunLimit:    o.RunLimit,
-			Seed:        o.Seed,
 			AllocPolicy: allocPolicy(o),
 		},
 		AdmitDepth: ServeAdmitDepth * TiersDevices,
-		Streams:    streams,
+		Streams:    TierPopulation(TiersDevices, load, weights, o.tierAssignments()),
 	})
-	if err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
-	eng.RunFor(o.Warmup)
-	srv.ResetStats()
-	eng.RunFor(o.Measure)
-	if err := srv.SetupError(); err != nil {
-		panic(fmt.Sprintf("exp: tiers stream setup: %v", err))
-	}
 
 	res := TierResult{Probe: "serve", Load: load, Sched: "dfq", Acct: "weighted", Weights: weights}
 	res.shareTenants(srv.Fleet().Tenants(), weights)
@@ -320,8 +293,7 @@ func RunTierServeCell(o Options, load float64, weights [3]float64) TierResult {
 
 // TiersExp runs the shares probe over weight ratio x scheduler (with
 // the unweighted ablation beside every weighted DFQ cell) and the serve
-// probe over the overload sweep, every cell an independent job on the
-// worker pool.
+// probe over the overload sweep, every cell on the grid.
 func TiersExp(opts Options) *report.Table {
 	type cell struct {
 		probe   string
@@ -348,23 +320,17 @@ func TiersExp(opts Options) *report.Table {
 		cells = append(cells, cell{"serve", load, "dfq", "weighted", opts.TierServeWeights()})
 	}
 
-	jobs := make([]Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = NewJob("tiers", i,
-			fmt.Sprintf("%s: load %.2f, %s, %s, premium weight %g", c.probe, c.load, c.sched, c.acct, c.weights[0]),
-			func(o Options) any {
-				if c.probe == "shares" {
-					return RunTierShareCell(o, c.sched, c.acct, c.weights)
-				}
-				return RunTierServeCell(o, c.load, c.weights)
-			})
-	}
+	results := grid(opts, "tiers", cells, func(o Options, c cell) TierResult {
+		if c.probe == "shares" {
+			return RunTierShareCell(o, c.sched, c.acct, c.weights)
+		}
+		return RunTierServeCell(o, c.load, c.weights)
+	})
 
 	t := report.New(fmt.Sprintf("Tiers: weighted shares (closed-loop, 1 device) and SLO admission tiers (open-loop, %d devices)", TiersDevices),
 		"probe", "load", "sched", "acct", "weights", "prem/std", "entitled", "fair",
 		"prem p99", "shed prem", "shed std", "shed b-e", "util")
-	for _, r := range RunJobs(opts, jobs) {
-		res := r.Value.(TierResult)
+	for _, res := range results {
 		fair := "no"
 		if res.InBound {
 			fair = "yes"

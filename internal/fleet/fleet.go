@@ -90,9 +90,9 @@ type Config struct {
 	// Policy places tenant rounds; nil defaults to round-robin.
 	Policy Policy
 	// GPU configures every device instance. Unset fields (zero
-	// MaxContexts, MemoryBytes, GraphicsPenalty, or Costs) are filled
-	// from gpu.DefaultConfig() individually — fields the caller did set
-	// are kept. The per-instance Name and Class are set by the fleet.
+	// MaxContexts, GraphicsPenalty, or Costs) are filled from
+	// gpu.DefaultConfig() individually — fields the caller did set are
+	// kept. The per-instance Name and Class are set by the fleet.
 	GPU gpu.Config
 	// Sched names the per-device scheduling policy: "dfq" (default),
 	// "timeslice"/"ts", or "dts". Only DFQ participates in fleet-wide
@@ -183,9 +183,6 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 		def := gpu.DefaultConfig()
 		if gcfg.MaxContexts <= 0 {
 			gcfg.MaxContexts = def.MaxContexts
-		}
-		if gcfg.MemoryBytes <= 0 {
-			gcfg.MemoryBytes = def.MemoryBytes
 		}
 		if gcfg.GraphicsPenalty <= 0 {
 			gcfg.GraphicsPenalty = def.GraphicsPenalty

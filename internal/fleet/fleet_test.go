@@ -117,9 +117,6 @@ func TestFleetGPUConfigDefaultsOnlyUnsetFields(t *testing.T) {
 		if got.MaxContexts != def.MaxContexts {
 			t.Errorf("node %d: MaxContexts = %d, want default %d", i, got.MaxContexts, def.MaxContexts)
 		}
-		if got.MemoryBytes != def.MemoryBytes {
-			t.Errorf("node %d: MemoryBytes = %d, want default %d", i, got.MemoryBytes, def.MemoryBytes)
-		}
 		if got.Costs == (cost.Model{}) {
 			t.Errorf("node %d: zero cost model; default was not applied", i)
 		}

@@ -16,8 +16,8 @@
 //     of >1.0 concurrency efficiency in Figure 7);
 //   - Turing-complete requests: a request may run forever, and the only
 //     remedy is the exit protocol (killing the owning context);
-//   - finite resources: a 48-context limit and an onboard memory
-//     allocator (the Section 6.3 denial-of-service surface).
+//   - a finite 48-context limit (the Section 6.3 denial-of-service
+//     surface).
 package gpu
 
 import (
@@ -65,7 +65,6 @@ const Forever sim.Duration = 1 << 62
 // Errors returned by resource allocation.
 var (
 	ErrNoContexts   = errors.New("gpu: out of contexts")
-	ErrNoMemory     = errors.New("gpu: out of device memory")
 	ErrContextDead  = errors.New("gpu: context is dead")
 	ErrContextBusy  = errors.New("gpu: context has in-flight work")
 	ErrDeviceClosed = errors.New("gpu: device closed")
@@ -83,8 +82,6 @@ type Config struct {
 	Class cost.Class
 	// MaxContexts is the number of hardware contexts (48 on the GTX670).
 	MaxContexts int
-	// MemoryBytes is onboard RAM (2 GiB on the GTX670).
-	MemoryBytes int64
 	// GraphicsPenalty models non-uniform internal arbitration: a graphics
 	// channel is served once for every GraphicsPenalty passes over it when
 	// competing with non-graphics channels. 1 means uniform round-robin.
@@ -98,7 +95,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MaxContexts:     48,
-		MemoryBytes:     2 << 30,
 		GraphicsPenalty: 1,
 		Costs:           cost.Default(),
 	}
@@ -337,8 +333,6 @@ type Device struct {
 	execEngine *engine // compute + graphics
 	dmaEngine  *engine // copy engine
 
-	mem *MemoryPool
-
 	// reqFree is the Request free pool fed by Request.Release; Stage
 	// draws from it, reusing the object and its done gate.
 	reqFree []*Request
@@ -370,7 +364,6 @@ func New(e *sim.Engine, cfg Config) *Device {
 		cost:     cfg.Costs.ForClass(cfg.Class),
 		speed:    cfg.Class.Speed,
 		contexts: make(map[int]*Context),
-		mem:      NewMemoryPool(cfg.MemoryBytes),
 	}
 	d.execEngine = newEngine(d, "gpu-exec", true)
 	d.dmaEngine = newEngine(d, "gpu-dma", false)
@@ -407,9 +400,6 @@ func (d *Device) scaled(size sim.Duration) sim.Duration {
 
 // Costs returns the platform latency model in use.
 func (d *Device) Costs() cost.Model { return d.cost }
-
-// Memory returns the onboard memory pool.
-func (d *Device) Memory() *MemoryPool { return d.mem }
 
 // ContextCount returns the number of live contexts.
 func (d *Device) ContextCount() int { return len(d.contexts) }
@@ -508,7 +498,7 @@ func (d *Device) doorbell(ch *Channel, value uint64) {
 
 // KillContext implements the exit protocol: the context is marked dead,
 // queued requests are discarded, an in-flight request is aborted, and
-// channels plus memory return to the free pool. The paper relies on this
+// the context's channels leave the engines. The paper relies on this
 // (via killing the owning process) to recover from over-long requests.
 func (d *Device) KillContext(c *Context) {
 	if c.dead {
@@ -531,17 +521,14 @@ func (d *Device) KillContext(c *Context) {
 	}
 	d.execEngine.abortIfContext(c)
 	d.dmaEngine.abortIfContext(c)
-	d.mem.FreeAll(c.Owner)
 	delete(d.contexts, c.ID)
 }
 
 // ReleaseContext gracefully detaches a context, returning its hardware
-// slot to the pool without disturbing in-flight work or freeing the
-// owner's device memory (the working set survives a detach — that is the
-// point of virtual-context multiplexing). Every channel must be Idle;
-// otherwise ErrContextBusy is returned and nothing changes. Unlike
-// KillContext there is no abort and no memory teardown: the caller is
-// expected to recreate an equivalent context later and pay the paper's
+// slot to the pool without disturbing in-flight work. Every channel
+// must be Idle; otherwise ErrContextBusy is returned and nothing
+// changes. Unlike KillContext there is no abort: the caller is expected
+// to recreate an equivalent context later and pay the paper's
 // context-switch cost on reattach.
 func (d *Device) ReleaseContext(c *Context) error {
 	if c.dead {

@@ -356,52 +356,6 @@ func TestPropertyRefCountMonotonic(t *testing.T) {
 	}
 }
 
-func TestMemoryPool(t *testing.T) {
-	m := NewMemoryPool(1000)
-	if err := m.Alloc(1, 600, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Alloc(2, 600, 0); err != ErrNoMemory {
-		t.Fatalf("overcommit err = %v", err)
-	}
-	if err := m.Alloc(2, 300, 0); err != nil {
-		t.Fatal(err)
-	}
-	if m.Used() != 900 || m.UsedBy(1) != 600 {
-		t.Fatalf("used=%d by1=%d", m.Used(), m.UsedBy(1))
-	}
-	m.Free(1, 100)
-	if m.UsedBy(1) != 500 {
-		t.Fatalf("after free: %d", m.UsedBy(1))
-	}
-	m.FreeAll(1)
-	if m.Used() != 300 {
-		t.Fatalf("after FreeAll: %d", m.Used())
-	}
-}
-
-func TestMemoryPerTaskLimit(t *testing.T) {
-	m := NewMemoryPool(1000)
-	if err := m.Alloc(1, 400, 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Alloc(1, 200, 500); err != ErrNoMemory {
-		t.Fatalf("limit not enforced: %v", err)
-	}
-	if err := m.Alloc(1, 100, 500); err != nil {
-		t.Fatalf("within-limit alloc failed: %v", err)
-	}
-}
-
-func TestMemoryFreeClampsToHeld(t *testing.T) {
-	m := NewMemoryPool(1000)
-	_ = m.Alloc(1, 100, 0)
-	m.Free(1, 500) // more than held
-	if m.Used() != 0 || m.UsedBy(1) != 0 {
-		t.Fatalf("clamped free broken: used=%d", m.Used())
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{Compute: "compute", Graphics: "graphics", DMA: "dma"} {
 		if k.String() != want {

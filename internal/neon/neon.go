@@ -107,6 +107,7 @@ type Kernel struct {
 	taskOrder  []*Task
 	nextTaskID gpu.TaskID
 	byPage     map[*mmio.Page]*ChannelState
+	onFaultFn  mmio.FaultHandler // k.onFault, bound once for every channel page
 
 	// live is the snapshot Tasks returns, rebuilt into a new array by
 	// the first call after a task is admitted or exits (liveStale).
@@ -152,6 +153,7 @@ func NewKernel(dev *gpu.Device, sched Scheduler) *Kernel {
 		byPage: make(map[*mmio.Page]*ChannelState),
 		Label:  dev.Name(),
 	}
+	k.onFaultFn = k.onFault
 	k.admit, _ = sched.(Admitter)
 	sched.Start(k)
 	return k
@@ -257,7 +259,7 @@ func (k *Kernel) createChannel(t *Task, ctx *gpu.Context, kind gpu.Kind) (*Chann
 	cs := &ChannelState{Ch: ch, Task: t, Active: true}
 	t.channels = append(t.channels, cs)
 	k.byPage[ch.Reg] = cs
-	ch.Reg.SetHandler(k.onFault)
+	ch.Reg.SetHandler(k.onFaultFn)
 	k.sched.ChannelActivated(cs)
 	return cs, nil
 }

@@ -33,12 +33,11 @@ type Admission struct {
 	TierDepths map[workload.Tier]int
 
 	// Admitted and Shed count front-door decisions since the last
-	// ResetStats. A disabled controller counts nothing.
+	// ResetStats. A disabled controller counts nothing. Per-tier shed
+	// counts live on the streams (StreamStats.Shed): each stream has
+	// exactly one tier.
 	Admitted int64
 	Shed     int64
-
-	tierAdmitted map[workload.Tier]int64
-	tierShed     map[workload.Tier]int64
 }
 
 // Enabled reports whether the controller is making admission decisions
@@ -97,34 +96,12 @@ func (a *Admission) AdmitTier(tier workload.Tier, depth int) bool {
 	if !a.Enabled() {
 		return true
 	}
-	tier = tier.Normalize()
 	if bound := a.Bound(tier); bound > 0 && depth >= bound {
 		a.Shed++
-		if a.tierShed == nil {
-			a.tierShed = make(map[workload.Tier]int64)
-		}
-		a.tierShed[tier]++
 		return false
 	}
 	a.Admitted++
-	if a.tierAdmitted == nil {
-		a.tierAdmitted = make(map[workload.Tier]int64)
-	}
-	a.tierAdmitted[tier]++
 	return true
-}
-
-// Admit decides one arrival of the standard tier — the pre-tier entry
-// point, kept for single-tier callers.
-func (a *Admission) Admit(depth int) bool {
-	return a.AdmitTier(workload.TierStandard, depth)
-}
-
-// TierCounts returns the tier's admitted and shed decision counts since
-// the last ResetStats.
-func (a *Admission) TierCounts(tier workload.Tier) (admitted, shed int64) {
-	tier = tier.Normalize()
-	return a.tierAdmitted[tier], a.tierShed[tier]
 }
 
 // ShedRate returns the shed fraction of all counted decisions (0 when
@@ -140,5 +117,4 @@ func (a *Admission) ShedRate() float64 {
 // ResetStats clears the decision counters (warmup exclusion).
 func (a *Admission) ResetStats() {
 	a.Admitted, a.Shed = 0, 0
-	a.tierAdmitted, a.tierShed = nil, nil
 }

@@ -10,13 +10,13 @@ import (
 // first refused depth), one below is admitted.
 func TestAdmissionDepthBoundary(t *testing.T) {
 	a := Admission{MaxDepth: 4}
-	if !a.Admit(3) {
+	if !a.AdmitTier(workload.TierStandard, 3) {
 		t.Error("depth MaxDepth-1 must be admitted")
 	}
-	if a.Admit(4) {
+	if a.AdmitTier(workload.TierStandard, 4) {
 		t.Error("depth exactly MaxDepth must be shed")
 	}
-	if a.Admit(5) {
+	if a.AdmitTier(workload.TierStandard, 5) {
 		t.Error("depth past MaxDepth must be shed")
 	}
 	if a.Admitted != 1 || a.Shed != 2 {
@@ -27,13 +27,13 @@ func TestAdmissionDepthBoundary(t *testing.T) {
 	}
 }
 
-// Counter reset mid-window: ResetStats must zero every counter (global
-// and per-tier) and subsequent decisions must count from scratch.
+// Counter reset mid-window: ResetStats must zero every counter and
+// subsequent decisions must count from scratch.
 func TestAdmissionResetMidWindow(t *testing.T) {
 	a := Admission{MaxDepth: 2}
 	a.AdmitTier(workload.TierBestEffort, 0)
 	a.AdmitTier(workload.TierBestEffort, 5)
-	a.Admit(5)
+	a.AdmitTier(workload.TierStandard, 5)
 	if a.Admitted != 1 || a.Shed != 2 {
 		t.Fatalf("pre-reset admitted=%d shed=%d, want 1/2", a.Admitted, a.Shed)
 	}
@@ -41,12 +41,7 @@ func TestAdmissionResetMidWindow(t *testing.T) {
 	if a.Admitted != 0 || a.Shed != 0 || a.ShedRate() != 0 {
 		t.Errorf("reset left admitted=%d shed=%d rate=%v", a.Admitted, a.Shed, a.ShedRate())
 	}
-	for _, tier := range workload.Tiers() {
-		if adm, shed := a.TierCounts(tier); adm != 0 || shed != 0 {
-			t.Errorf("reset left %s counts %d/%d", tier, adm, shed)
-		}
-	}
-	if !a.Admit(1) || a.Admit(2) {
+	if !a.AdmitTier(workload.TierStandard, 1) || a.AdmitTier(workload.TierStandard, 2) {
 		t.Error("post-reset decisions wrong")
 	}
 	if a.Admitted != 1 || a.Shed != 1 {
@@ -63,15 +58,14 @@ func TestAdmissionDisabledCountsNothing(t *testing.T) {
 		t.Fatal("zero-value Admission must be disabled")
 	}
 	for depth := 0; depth < 1000; depth += 100 {
-		if !a.Admit(depth) {
-			t.Fatalf("disabled controller shed at depth %d", depth)
+		for _, tier := range workload.Tiers() {
+			if !a.AdmitTier(tier, depth) {
+				t.Fatalf("disabled controller shed %s at depth %d", tier, depth)
+			}
 		}
 	}
 	if a.Admitted != 0 || a.Shed != 0 {
 		t.Errorf("disabled controller counted decisions: admitted=%d shed=%d", a.Admitted, a.Shed)
-	}
-	if adm, shed := a.TierCounts(workload.TierStandard); adm != 0 || shed != 0 {
-		t.Errorf("disabled controller counted tier decisions: %d/%d", adm, shed)
 	}
 }
 
@@ -104,11 +98,8 @@ func TestAdmissionTierBoundsOrdered(t *testing.T) {
 	if a.AdmitTier(workload.TierPremium, 120) {
 		t.Error("premium admitted at its bound")
 	}
-	if adm, shed := a.TierCounts(workload.TierBestEffort); adm != 0 || shed != 1 {
-		t.Errorf("best-effort counts %d/%d, want 0/1", adm, shed)
-	}
-	if adm, shed := a.TierCounts(workload.TierPremium); adm != 2 || shed != 1 {
-		t.Errorf("premium counts %d/%d, want 2/1", adm, shed)
+	if a.Admitted != 3 || a.Shed != 3 {
+		t.Errorf("counters admitted=%d shed=%d, want 3/3", a.Admitted, a.Shed)
 	}
 	// The empty tier is the standard tier.
 	if a.Bound(workload.Tier("")) != 96 {

@@ -48,8 +48,7 @@ type Stream struct {
 type StreamStats struct {
 	// Arrivals counts open-loop arrivals; Shed the ones refused at the
 	// front door (a stream belongs to exactly one admission tier, so
-	// this is the stream's per-tier shed counter — Admission.TierCounts
-	// holds the cross-stream tier aggregates); Completed the ones that
+	// this is the stream's per-tier shed counter); Completed the ones that
 	// finished service; Aborted the ones killed with their context.
 	Arrivals  int64
 	Shed      int64

@@ -88,7 +88,8 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
 		"BENCH_15.json", "BENCH_16.json", "BENCH_17.json", "BENCH_18.json",
-		"BENCH_19.json", "BENCH_20.json", "BenchmarkDFQCycleConsumerClass",
+		"BENCH_19.json", "BENCH_20.json", "BENCH_21.json", "BenchmarkDFQCycleConsumerClass",
+		"BenchmarkScale",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -238,6 +239,10 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"BenchmarkBoardReconcile", "RunScaleFullCell",
 		"Kernel.OpenVirtualOn", "VContext.AcquireOn", "CreateContextOn",
 		"TestKillMidAttachStopsAcquire", "TestKillMidAttachRetiresItem",
+		"FuzzMuxOps", "TestReattachAllocatesNothing", "TestReattachedChannelReadsAsNew",
+		"TestUnpinWithoutPinPanics", "TestStaleChannelPanicsAtStore",
+		"TestReleasedChannelReadsAsNew", "TestContextsLiveSetAfterChurn",
+		"gpu.Channel.Generation", "mmio.Page.Quiet", "sim.Slab",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

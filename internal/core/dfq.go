@@ -165,20 +165,18 @@ type DisengagedFairQueueing struct {
 	k         *neon.Kernel
 	mode      dfqMode
 	sampled   *neon.Task
-	st        map[*neon.Task]*dfqTask
+	st        taskSlots[dfqTask]
 	ledger    *FlowIndex
 	admitGate *sim.Gate
 	speed     float64 // device class speed factor, set at Start
 
 	// The engagement/free-run cycle runs on c (see cycle). Between its
 	// steps it keeps the barrier's task snapshot, the next task to
-	// consider for sampling, the sampled task's state (kept across the
-	// sampling step: the task may die mid-sample) and the episode's
-	// timing. active and charged are maintainVirtualTime's scratch.
+	// consider for sampling and the episode's timing. active and charged
+	// are maintainVirtualTime's scratch.
 	c                     *sim.Cont
 	live, active, charged []*neon.Task
 	next, sampledCount    int
-	sampledState          *dfqTask
 	lastBarrier, engStart sim.Time
 	window                sim.Duration
 
@@ -228,7 +226,6 @@ func NewDisengagedFairQueueing(cfg DFQConfig) *DisengagedFairQueueing {
 	}
 	return &DisengagedFairQueueing{
 		cfg:    cfg,
-		st:     make(map[*neon.Task]*dfqTask),
 		ledger: NewFlowIndex(),
 	}
 }
@@ -242,7 +239,7 @@ func (d *DisengagedFairQueueing) Config() DFQConfig { return d.cfg }
 // VirtualTime returns the task's current virtual time in normalized
 // work, for tests.
 func (d *DisengagedFairQueueing) VirtualTime(t *neon.Task) Work {
-	if s := d.st[t]; s != nil {
+	if s := d.st.get(t); s != nil {
 		return d.ledger.VT(s.flow)
 	}
 	return 0
@@ -254,7 +251,7 @@ func (d *DisengagedFairQueueing) SystemVirtualTime() Work { return d.ledger.SysV
 
 // Estimate returns the task's sampled mean request size, for tests.
 func (d *DisengagedFairQueueing) Estimate(t *neon.Task) sim.Duration {
-	if s := d.st[t]; s != nil {
+	if s := d.st.get(t); s != nil {
 		return s.est
 	}
 	return 0
@@ -290,7 +287,7 @@ func (d *DisengagedFairQueueing) LeadBound() Work {
 
 // Denied reports whether the task is excluded from the current free run.
 func (d *DisengagedFairQueueing) Denied(t *neon.Task) bool {
-	s := d.st[t]
+	s := d.st.get(t)
 	return s != nil && s.denied
 }
 
@@ -318,16 +315,23 @@ func (d *DisengagedFairQueueing) chargeSpeed() float64 {
 
 // TaskAdmitted implements neon.Scheduler.
 func (d *DisengagedFairQueueing) TaskAdmitted(t *neon.Task) {
-	d.st[t] = &dfqTask{est: d.cfg.DefaultEstimate, flow: d.ledger.Add()}
+	d.admitTask(t)
 	d.admitGate.Broadcast()
+}
+
+// admitTask gives the task its record and its ledger flow.
+func (d *DisengagedFairQueueing) admitTask(t *neon.Task) *dfqTask {
+	s := d.st.add(t)
+	s.est, s.flow = d.cfg.DefaultEstimate, d.ledger.Add()
+	return s
 }
 
 // TaskExited implements neon.Scheduler.
 func (d *DisengagedFairQueueing) TaskExited(t *neon.Task) {
-	if s := d.st[t]; s != nil {
+	if s := d.st.get(t); s != nil {
 		d.ledger.Remove(s.flow)
 	}
-	delete(d.st, t)
+	d.st.remove(t)
 }
 
 // ChannelActivated implements neon.Scheduler: new channels are mapped
@@ -346,7 +350,7 @@ func (d *DisengagedFairQueueing) mayRun(t *neon.Task) bool {
 	case dfqSampling:
 		return t == d.sampled
 	case dfqFreeRun:
-		s := d.st[t]
+		s := d.st.get(t)
 		return s == nil || !s.denied
 	default: // barrier
 		return false
@@ -415,7 +419,7 @@ func (d *DisengagedFairQueueing) sampleNext() {
 			want = d.cfg.SampleRequestsMulti
 		}
 		d.mode = dfqSampling
-		d.sampled, d.sampledState = t, s
+		d.sampled = t
 		t.Gate().Broadcast()
 		d.k.SampleOn(d.c, t, d.cfg.SamplePeriod, want, d.sampleDoneFn)
 		return
@@ -426,20 +430,23 @@ func (d *DisengagedFairQueueing) sampleNext() {
 	d.c.Sleep(d.k.Costs().SchedulerCompute, d.computedFn)
 }
 
-// sampleDone updates the sampled task's estimate and moves on.
+// sampleDone updates the sampled task's estimate and moves on. A task
+// that exited mid-sample has no record left to update.
 func (d *DisengagedFairQueueing) sampleDone(res neon.SampleResult) {
-	t, s := d.sampled, d.sampledState
-	d.sampled, d.sampledState = nil, nil
+	t := d.sampled
+	d.sampled = nil
 	d.mode = dfqBarrier
-	s.sampledRequests = res.Requests
-	if m := res.Mean(); m > 0 {
-		s.est = m
-	} else if t.PendingRequests() > 0 && res.Elapsed > s.est {
-		// The task kept the device busy for the whole window
-		// without completing anything: its requests are at least
-		// as long as the window. Observable from the reference
-		// counters alone.
-		s.est = res.Elapsed
+	if s := d.st.get(t); s != nil {
+		s.sampledRequests = res.Requests
+		if m := res.Mean(); m > 0 {
+			s.est = m
+		} else if t.PendingRequests() > 0 && res.Elapsed > s.est {
+			// The task kept the device busy for the whole window
+			// without completing anything: its requests are at least
+			// as long as the window. Observable from the reference
+			// counters alone.
+			s.est = res.Elapsed
+		}
 	}
 	d.sampleNext()
 }
@@ -515,7 +522,7 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 	// down by its weight.
 	if estSum > 0 {
 		for _, t := range charged {
-			s := d.st[t]
+			s := d.st.get(t)
 			delta := PerWeight(
 				WorkFor(sim.Duration(float64(window)*float64(s.est)/float64(estSum)), speed),
 				t.ShareWeight())
@@ -543,7 +550,7 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 		d.maxWindow = episodeW
 	}
 	for _, t := range active {
-		lead := d.ledger.Lead(d.st[t].flow)
+		lead := d.ledger.Lead(d.st.get(t).flow)
 		if lead > d.MaxLead {
 			d.MaxLead = lead
 		}
@@ -601,12 +608,10 @@ func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duratio
 }
 
 func (d *DisengagedFairQueueing) state(t *neon.Task) *dfqTask {
-	s := d.st[t]
-	if s == nil {
-		s = &dfqTask{est: d.cfg.DefaultEstimate, flow: d.ledger.Add()}
-		d.st[t] = s
+	if s := d.st.get(t); s != nil {
+		return s
 	}
-	return s
+	return d.admitTask(t)
 }
 
 func maxDur(a, b sim.Duration) sim.Duration {

@@ -29,7 +29,7 @@ func TestDFQMultiChannelSampleTarget(t *testing.T) {
 		}
 	})
 	h.eng.RunFor(300 * time.Millisecond)
-	s := sched.st[multi]
+	s := sched.st.get(multi)
 	if s == nil {
 		t.Fatal("no scheduler state for the task")
 	}
@@ -159,7 +159,7 @@ func TestDFQActiveAtBarrierSeesWaitingFault(t *testing.T) {
 	stepUntil("free run", func() bool { return client != nil && sched.mode == dfqFreeRun })
 	// Deny the idle task mid free run, so its next submission faults
 	// and waits for admission through the next barrier.
-	sched.st[task].denied = true
+	sched.st.get(task).denied = true
 	h.k.Engage(task)
 	client.SubmitEngagedOn(task.NewCont(), gpu.Compute, 20*time.Microsecond, nil, func(*gpu.Request) {})
 	stepUntil("barrier", func() bool { return sched.mode == dfqBarrier })
@@ -167,7 +167,7 @@ func TestDFQActiveAtBarrierSeesWaitingFault(t *testing.T) {
 		t.Fatalf("%d requests on the device, %d faults; want the one fault still waiting",
 			task.PendingRequests(), h.k.TotalFaults)
 	}
-	if !sched.st[task].activeAtBarrier {
+	if !sched.st.get(task).activeAtBarrier {
 		t.Fatal("task with a fault waiting in the handler was not active at the barrier")
 	}
 }

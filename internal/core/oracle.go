@@ -25,7 +25,7 @@ type OracleFairQueueing struct {
 
 	k         *neon.Kernel
 	speed     float64 // device class speed factor, set at Start
-	st        map[*neon.Task]*oracleTask
+	st        taskSlots[oracleTask]
 	ledger    FlowIndex
 	admitGate *sim.Gate
 
@@ -50,7 +50,7 @@ func NewOracleFairQueueing(interval sim.Duration) *OracleFairQueueing {
 	if interval <= 0 {
 		interval = DefaultOracleInterval
 	}
-	return &OracleFairQueueing{interval: interval, st: make(map[*neon.Task]*oracleTask)}
+	return &OracleFairQueueing{interval: interval}
 }
 
 // Name implements neon.Scheduler.
@@ -59,7 +59,7 @@ func (o *OracleFairQueueing) Name() string { return "oracle-fair-queueing" }
 // VirtualTime returns the task's virtual time in normalized work, for
 // tests.
 func (o *OracleFairQueueing) VirtualTime(t *neon.Task) Work {
-	if s := o.st[t]; s != nil {
+	if s := o.st.get(t); s != nil {
 		return o.ledger.VT(s.flow)
 	}
 	return 0
@@ -67,7 +67,7 @@ func (o *OracleFairQueueing) VirtualTime(t *neon.Task) Work {
 
 // Denied reports whether the task is currently excluded.
 func (o *OracleFairQueueing) Denied(t *neon.Task) bool {
-	s := o.st[t]
+	s := o.st.get(t)
 	return s != nil && s.denied
 }
 
@@ -84,16 +84,16 @@ func (o *OracleFairQueueing) Start(k *neon.Kernel) {
 
 // TaskAdmitted implements neon.Scheduler.
 func (o *OracleFairQueueing) TaskAdmitted(t *neon.Task) {
-	o.st[t] = &oracleTask{flow: o.ledger.Add()}
+	o.st.add(t).flow = o.ledger.Add()
 	o.admitGate.Broadcast()
 }
 
 // TaskExited implements neon.Scheduler.
 func (o *OracleFairQueueing) TaskExited(t *neon.Task) {
-	if s := o.st[t]; s != nil {
+	if s := o.st.get(t); s != nil {
 		o.ledger.Remove(s.flow)
 	}
-	delete(o.st, t)
+	o.st.remove(t)
 }
 
 // ChannelActivated implements neon.Scheduler.
@@ -167,11 +167,11 @@ func (o *OracleFairQueueing) account() {
 }
 
 func (o *OracleFairQueueing) state(t *neon.Task) *oracleTask {
-	s := o.st[t]
-	if s == nil {
-		s = &oracleTask{flow: o.ledger.Add()}
-		o.st[t] = s
+	if s := o.st.get(t); s != nil {
+		return s
 	}
+	s := o.st.add(t)
+	s.flow = o.ledger.Add()
 	return s
 }
 

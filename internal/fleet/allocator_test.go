@@ -53,7 +53,7 @@ func TestAllocatorAppliesWeights(t *testing.T) {
 			t.Fatalf("tenant %s has no allocator weight", ten.Spec.Name)
 		}
 		for _, task := range ten.tasks {
-			if task.Weight != ten.EffectiveWeight() {
+			if task != nil && task.Weight != ten.EffectiveWeight() {
 				t.Fatalf("tenant %s live task weight %v != effective %v",
 					ten.Spec.Name, task.Weight, ten.EffectiveWeight())
 			}

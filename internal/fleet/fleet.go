@@ -39,6 +39,7 @@ import (
 	"repro/internal/neon"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/userlib"
 )
 
 // Node is one device instance of the fleet: a private GPU, its kernel,
@@ -128,6 +129,13 @@ type Fleet struct {
 	depth   int // fleet-wide in-flight total, kept incrementally
 	tenants []*Tenant
 	seed    int64
+
+	// Tenants, their per-node slots and their virtual clients come from
+	// doubling chunks, so a tenant costs slots, not objects.
+	tenantSlab  sim.Slab[Tenant]
+	clientSlots sim.Slab[*userlib.Client]
+	taskSlots   sim.Slab[*neon.Task]
+	clients     userlib.Clients
 
 	allocPol  policy.Policy
 	onTargets func(policy.Snapshot, policy.Targets)

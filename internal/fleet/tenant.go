@@ -28,11 +28,13 @@ type Tenant struct {
 
 	Spec workload.TenantSpec
 
-	fleet   *Fleet
-	last    *Node
-	clients map[*Node]*userlib.Client
-	tasks   map[*Node]*neon.Task
-	rng     *sim.RNG
+	fleet *Fleet
+	last  *Node
+	// clients and tasks are indexed by Node.Index: the tenant's client
+	// and kernel task on each node it has touched, nil elsewhere.
+	clients []*userlib.Client
+	tasks   []*neon.Task
+	rng     sim.RNG
 	busy0   sim.Duration
 	work0   core.Work
 
@@ -74,13 +76,11 @@ func (f *Fleet) NewTenant(spec workload.TenantSpec) *Tenant {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("fleet: %v", err))
 	}
-	t := &Tenant{
-		Spec:    spec,
-		fleet:   f,
-		clients: make(map[*Node]*userlib.Client),
-		tasks:   make(map[*Node]*neon.Task),
-		rng:     sim.NewRNG(sim.StreamSeed(f.seed, "tenant", len(f.tenants))),
-	}
+	t := f.tenantSlab.New()
+	t.Spec, t.fleet = spec, f
+	t.clients = f.clientSlots.Take(len(f.nodes))
+	t.tasks = f.taskSlots.Take(len(f.nodes))
+	t.rng = sim.MakeRNG(sim.StreamSeed(f.seed, "tenant", len(f.tenants)))
 	f.tenants = append(f.tenants, t)
 	return t
 }
@@ -107,7 +107,9 @@ func (t *Tenant) SetupError() error { return t.setupErr }
 func (t *Tenant) ServiceTime() sim.Duration {
 	var b sim.Duration
 	for _, task := range t.tasks {
-		b += task.BusyTime()
+		if task != nil {
+			b += task.BusyTime()
+		}
 	}
 	return b - t.busy0
 }
@@ -116,12 +118,14 @@ func (t *Tenant) ServiceTime() sim.Duration {
 // received across the fleet since the last ResetStats: per-device busy
 // time scaled by each device's class speed, summed. This is the unit
 // the fleet board accounts fairness in, so it is the unit per-tenant
-// shares must be compared in on a mixed fleet. (The sum is commutative,
-// so map iteration order does not affect it.)
+// shares must be compared in on a mixed fleet. It sums over nodes in
+// index order.
 func (t *Tenant) NormalizedWork() core.Work {
 	var w core.Work
-	for n, task := range t.tasks {
-		w += core.WorkFor(task.BusyTime(), n.Speed())
+	for i, task := range t.tasks {
+		if task != nil {
+			w += core.WorkFor(task.BusyTime(), t.fleet.nodes[i].Speed())
+		}
 	}
 	return w - t.work0
 }
@@ -154,7 +158,9 @@ func (t *Tenant) EffectiveWeight() float64 {
 func (t *Tenant) setAllocWeight(w float64) {
 	t.allocWeight = w
 	for _, task := range t.tasks {
-		task.Weight = t.EffectiveWeight()
+		if task != nil {
+			task.Weight = t.EffectiveWeight()
+		}
 	}
 }
 
@@ -170,7 +176,7 @@ func (t *Tenant) ResetStats() {
 
 // Task returns the tenant's kernel task on the node, nil before the
 // first client open there.
-func (t *Tenant) Task(n *Node) *neon.Task { return t.tasks[n] }
+func (t *Tenant) Task(n *Node) *neon.Task { return t.tasks[n.Index] }
 
 // ClientOn lazily opens the tenant's context and channels on the node
 // and hands the client to then, as a step of c: inline when the client
@@ -186,27 +192,31 @@ func (t *Tenant) ClientOn(c *sim.Cont, n *Node, then func(*userlib.Client, error
 	task.Weight = t.EffectiveWeight()
 	kinds := t.Spec.Channels
 	if len(kinds) == 0 {
-		kinds = []gpu.Kind{gpu.Compute}
+		kinds = computeOnly
 	}
 	// Logical (virtual-context) handle: the node's kernel multiplexes
 	// the device's fixed hardware-context pool underneath, so tenant
 	// populations are no longer capped by gpu.Config.MaxContexts.
-	userlib.OpenVirtualOn(c, n.Kernel, task, t.Spec.Name, kinds, func(cl *userlib.Client, err error) {
+	t.fleet.clients.OpenVirtualOn(c, n.Kernel, task, t.Spec.Name, kinds, func(cl *userlib.Client, err error) {
 		if err != nil {
 			then(nil, err)
 			return
 		}
-		t.tasks[n] = task
-		t.clients[n] = cl
+		t.tasks[n.Index] = task
+		t.clients[n.Index] = cl
 		then(cl, nil)
 	})
 }
 
+// computeOnly is the channel list of a spec that names none. It is
+// shared by every such tenant's clients and never written.
+var computeOnly = []gpu.Kind{gpu.Compute}
+
 // openedOn returns the tenant's client on the node if one was opened,
 // and reports whether one was.
 func (t *Tenant) openedOn(n *Node) (*userlib.Client, error, bool) {
-	c, ok := t.clients[n]
-	if !ok {
+	c := t.clients[n.Index]
+	if c == nil {
 		return nil, nil, false
 	}
 	if !c.Task.Alive {

@@ -81,11 +81,11 @@ func TestKillTenantMidLane(t *testing.T) {
 	}{
 		{"a-committed-fault", 0, false, 3, func(v *Tenant, n *Node) bool {
 			task := v.Task(n)
-			return task != nil && task.Gate().Waiters() == 1 && v.clients[n].VC.Attached()
+			return task != nil && task.Gate().Waiters() == 1 && v.clients[n.Index].VC.Attached()
 		}},
 		{"b-attach-fifo", 2, true, 2, func(v *Tenant, n *Node) bool {
 			task := v.Task(n)
-			return task != nil && task.Gate().Waiters() == 1 && !v.clients[n].VC.Attached()
+			return task != nil && task.Gate().Waiters() == 1 && !v.clients[n.Index].VC.Attached()
 		}},
 		{"c-setup-syscalls", 0, false, 3, func(v *Tenant, n *Node) bool {
 			return v.Task(n) == nil && nodeTask(n, "t0") != nil && v.fleet.QueueDepth() == 3

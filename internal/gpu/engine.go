@@ -212,23 +212,24 @@ func (en *engine) onTimer() {
 func (en *engine) doComplete() {
 	en.completePending = false
 	r := en.current
+	ch := r.ch
 	end := en.dev.eng.Now()
 	en.busy += end.Sub(r.Started)
-	r.ch.Ctx.BusyTime += end.Sub(r.Started)
+	ch.Ctx.BusyTime += end.Sub(r.Started)
 	en.current = nil
 	en.curTimer = sim.Timer{}
 	if r.Aborted {
 		r.finish()
 	} else {
 		r.Completed = end
-		r.ch.RefCount = r.Ref
-		r.ch.Completions++
+		ch.RefCount = r.Ref
+		ch.Completions++
 		r.finish()
 	}
 	if ob := en.dev.CompletionObserver; ob != nil {
 		// Between retirement and the next dispatch the ring/staged state
 		// is settled, so an observer may detach idle contexts here.
-		ob(r)
+		ob(ch)
 	}
 	en.dispatch()
 }
@@ -244,6 +245,16 @@ func (en *engine) abortIfContext(ctx *Context) {
 			en.completePending = true
 			en.dev.eng.Schedule(en.dev.eng.Now(), en.completeFn)
 		}
+	}
+}
+
+// forget drops the engine's last-context memory of a released context,
+// which a later CreateContext may reuse: a context switch toward the
+// reused context must still be paid. Nothing else in the engine can
+// name a released context (its channels are idle and removed).
+func (en *engine) forget(c *Context) {
+	if en.lastCtx == c {
+		en.lastCtx = nil
 	}
 }
 

@@ -245,7 +245,19 @@ type Channel struct {
 	staged  []*Request // constructed, doorbell not yet rung
 	nextRef uint64
 	skips   int // graphics-penalty bookkeeping
+
+	// gen counts the channel's releases (Device.ReleaseContext). A
+	// released channel is recycled by a later CreateChannel, so a holder
+	// that kept the pointer across a release checks the generation it
+	// saw against Generation before it acts.
+	gen uint64
 }
+
+// Generation returns the number of times the channel has been released.
+// A holder that captured it while the channel was its own and reads a
+// different value later holds a stale handle: the channel has since
+// been released and may now belong to another context.
+func (ch *Channel) Generation() uint64 { return ch.gen }
 
 // Pending returns the number of submitted-but-unfinished requests,
 // including one currently executing.
@@ -325,10 +337,18 @@ type Device struct {
 	cost  cost.Model
 	speed float64 // class speed factor, cached off cfg.Class
 
-	contexts  map[int]*Context
+	contexts  []*Context // live contexts in creation order, at most MaxContexts
 	nextCtxID int
 	nextChID  int
 	reqID     uint64
+
+	// ctxFree and chFree hold gracefully released contexts and channels
+	// (ReleaseContext) for reuse by CreateContext and CreateChannel, so a
+	// reattach rebuilds no hardware state: the channel keeps its doorbell
+	// page, that page's bound sink and deliver steps, and the backing
+	// arrays of its ring, staged list and deferred stores.
+	ctxFree []*Context
+	chFree  []*Channel
 
 	execEngine *engine // compute + graphics
 	dmaEngine  *engine // copy engine
@@ -343,10 +363,10 @@ type Device struct {
 
 	// CompletionObserver, if set, is informed after each request retires
 	// on either engine (completion delivered, next dispatch not yet
-	// chosen). The virtual-context mux uses it to hand freed hardware
-	// contexts to attach waiters. The observer must not retain r: pooled
-	// requests may be recycled by the completion it just saw.
-	CompletionObserver func(r *Request)
+	// chosen), with the channel the request retired from. The
+	// virtual-context mux uses it to notice channels turning idle and to
+	// hand freed hardware contexts to attach waiters.
+	CompletionObserver func(ch *Channel)
 }
 
 // New creates a device and starts its engines on e.
@@ -359,11 +379,10 @@ func New(e *sim.Engine, cfg Config) *Device {
 	}
 	cfg.Class = cfg.Class.OrReference()
 	d := &Device{
-		eng:      e,
-		cfg:      cfg,
-		cost:     cfg.Costs.ForClass(cfg.Class),
-		speed:    cfg.Class.Speed,
-		contexts: make(map[int]*Context),
+		eng:   e,
+		cfg:   cfg,
+		cost:  cfg.Costs.ForClass(cfg.Class),
+		speed: cfg.Class.Speed,
 	}
 	d.execEngine = newEngine(d, "gpu-exec", true)
 	d.dmaEngine = newEngine(d, "gpu-dma", false)
@@ -404,15 +423,22 @@ func (d *Device) Costs() cost.Model { return d.cost }
 // ContextCount returns the number of live contexts.
 func (d *Device) ContextCount() int { return len(d.contexts) }
 
-// Contexts returns the live contexts in creation order.
+// Contexts returns the live contexts in creation order, as a new slice.
 func (d *Device) Contexts() []*Context {
-	out := make([]*Context, 0, len(d.contexts))
-	for i := 0; i <= d.nextCtxID; i++ {
-		if c, ok := d.contexts[i]; ok {
-			out = append(out, c)
+	return append([]*Context(nil), d.contexts...)
+}
+
+// removeContext drops c from the live contexts, keeping creation order.
+func (d *Device) removeContext(c *Context) {
+	for i, x := range d.contexts {
+		if x == c {
+			last := len(d.contexts) - 1
+			copy(d.contexts[i:], d.contexts[i+1:])
+			d.contexts[last] = nil
+			d.contexts = d.contexts[:last]
+			return
 		}
 	}
-	return out
 }
 
 func (d *Device) nextReqID() uint64 {
@@ -437,28 +463,51 @@ func (d *Device) getRequest() *Request {
 
 // CreateContext allocates a hardware context for owner. It fails when the
 // device is out of contexts — the Section 6.3 denial-of-service surface.
+// A gracefully released context is reused when one is free; it reads as
+// new, with the next ID.
 func (d *Device) CreateContext(owner TaskID, label string) (*Context, error) {
 	if len(d.contexts) >= d.cfg.MaxContexts {
 		return nil, ErrNoContexts
 	}
-	c := &Context{ID: d.nextCtxID, Owner: owner, Label: label, dev: d}
+	var c *Context
+	if n := len(d.ctxFree); n > 0 {
+		c = d.ctxFree[n-1]
+		d.ctxFree[n-1] = nil
+		d.ctxFree = d.ctxFree[:n-1]
+		*c = Context{channels: c.channels[:0]}
+	} else {
+		c = new(Context)
+	}
+	c.ID, c.Owner, c.Label, c.dev = d.nextCtxID, owner, label, d
 	d.nextCtxID++
-	d.contexts[c.ID] = c
+	d.contexts = append(d.contexts, c)
 	return c, nil
 }
 
 // CreateChannel adds a request queue of the given kind to the context.
 // The returned channel's doorbell page is initially present (direct
-// access), matching the vendor stack's default.
+// access), matching the vendor stack's default. A released channel is
+// reused when one is free: it reads as new, with the next ID, zeroed
+// counters, empty queues and a present page without a handler.
 func (d *Device) CreateChannel(c *Context, kind Kind) (*Channel, error) {
 	if c.dead {
 		return nil, ErrContextDead
 	}
-	ch := &Channel{ID: d.nextChID, Ctx: c, Kind: kind}
+	var ch *Channel
+	if n := len(d.chFree); n > 0 {
+		ch = d.chFree[n-1]
+		d.chFree[n-1] = nil
+		d.chFree = d.chFree[:n-1]
+		*ch = Channel{Reg: ch.Reg, ring: ch.ring[:0], staged: ch.staged[:0], gen: ch.gen}
+		ch.Reg.Reset()
+	} else {
+		ch = new(Channel)
+		ch.Reg = d.regs.NewPage(d.cost, func(value uint64) {
+			d.doorbell(ch, value)
+		})
+	}
+	ch.ID, ch.Ctx, ch.Kind = d.nextChID, c, kind
 	d.nextChID++
-	ch.Reg = d.regs.NewPage(d.cost, func(value uint64) {
-		d.doorbell(ch, value)
-	})
 	c.channels = append(c.channels, ch)
 	ch.engine().addChannel(ch)
 	return ch, nil
@@ -521,7 +570,7 @@ func (d *Device) KillContext(c *Context) {
 	}
 	d.execEngine.abortIfContext(c)
 	d.dmaEngine.abortIfContext(c)
-	delete(d.contexts, c.ID)
+	d.removeContext(c)
 }
 
 // ReleaseContext gracefully detaches a context, returning its hardware
@@ -530,6 +579,13 @@ func (d *Device) KillContext(c *Context) {
 // changes. Unlike KillContext there is no abort: the caller is expected
 // to recreate an equivalent context later and pay the paper's
 // context-switch cost on reattach.
+//
+// The released context and its channels go on the device's free lists
+// for CreateContext and CreateChannel to reuse, and each channel's
+// generation advances (Channel.Generation): the caller must hold no
+// pointer to them past the release. A channel whose doorbell page
+// still has a store in flight is not reused; its context stays dead,
+// as a killed one does.
 func (d *Device) ReleaseContext(c *Context) error {
 	if c.dead {
 		return ErrContextDead
@@ -540,19 +596,33 @@ func (d *Device) ReleaseContext(c *Context) error {
 		}
 	}
 	c.dead = true
+	reuse := true
 	for _, ch := range c.channels {
 		ch.engine().removeChannel(ch)
+		ch.gen++
+		reuse = reuse && ch.Reg.Quiet()
 	}
-	delete(d.contexts, c.ID)
+	d.removeContext(c)
+	d.execEngine.forget(c)
+	d.dmaEngine.forget(c)
+	if reuse {
+		d.chFree = append(d.chFree, c.channels...)
+		clear(c.channels)
+		c.channels = c.channels[:0]
+		d.ctxFree = append(d.ctxFree, c)
+	}
 	return nil
 }
 
-// KillOwner kills every context belonging to the task.
+// KillOwner kills every context belonging to the task, in creation
+// order.
 func (d *Device) KillOwner(owner TaskID) {
-	for _, c := range d.Contexts() {
-		if c.Owner == owner {
-			d.KillContext(c)
+	for i := 0; i < len(d.contexts); {
+		if c := d.contexts[i]; c.Owner == owner {
+			d.KillContext(c) // removes c: the next context moves to i
+			continue
 		}
+		i++
 	}
 }
 

@@ -65,8 +65,10 @@ type Page struct {
 	pending   []uint64
 	deliverFn func()
 
-	// recs pools the page's store records.
-	recs *Records
+	// recs pools the page's store records, and inflight counts the ones
+	// taken and not yet delivered.
+	recs     *Records
+	inflight int
 
 	// Counters for tests and experiments.
 	DirectWrites int64
@@ -94,6 +96,23 @@ func (r *Records) NewPage(costs cost.Model, sink Sink) *Page {
 // with a record pool of its own.
 func NewPage(costs cost.Model, sink Sink) *Page {
 	return new(Records).NewPage(costs, sink)
+}
+
+// Quiet reports whether no store is under way on the page: no record
+// between its start and its delivery (an abandoned one counts for
+// ever) and no deferred StoreAsync value. Only a quiet page may be
+// Reset for another owner.
+func (pg *Page) Quiet() bool { return pg.inflight == 0 && len(pg.pending) == 0 }
+
+// Reset returns a quiet page to the state NewPage gives one (present,
+// no handler, zero counters) for a new owner, keeping its sink, its
+// record pool and its arrays.
+func (pg *Page) Reset() {
+	if !pg.Quiet() {
+		panic("mmio: Reset of a page with a store under way")
+	}
+	pg.present, pg.handler = true, nil
+	pg.DirectWrites, pg.Faults = 0, 0
 }
 
 // Present reports whether direct user-space access is currently enabled.
@@ -156,6 +175,7 @@ func (pg *Page) record(value uint64) *Fault {
 		f = &Fault{}
 	}
 	f.Page, f.Value = pg, value
+	pg.inflight++
 	return f
 }
 
@@ -204,6 +224,7 @@ func (f *Fault) Deliver() {
 	pg, value, then := f.Page, f.Value, f.then
 	f.Page, f.Cont, f.then = nil, nil, nil
 	f.next, pg.recs.free = pg.recs.free, f
+	pg.inflight--
 	pg.sink(value)
 	then()
 }

@@ -141,7 +141,10 @@ func (k *Kernel) runningTask() *Task {
 	if cur == nil {
 		return nil
 	}
-	return k.tasks[cur.Channel().Ctx.Owner]
+	if id := int(cur.Channel().Ctx.Owner); id >= 0 && id < len(k.taskOrder) {
+		return k.taskOrder[id]
+	}
+	return nil
 }
 
 // EnforceRunLimit kills the task owning the currently executing request

@@ -1,6 +1,8 @@
 package neon
 
 import (
+	"fmt"
+
 	"repro/internal/gpu"
 	"repro/internal/sim"
 )
@@ -14,7 +16,10 @@ import (
 // — its hardware slot (context plus channels) is gracefully released
 // back to the device without disturbing the task's device memory — and
 // the next attach of that logical context recreates the hardware state,
-// paying the setup syscalls plus the paper's ContextSwitch cost.
+// paying the setup syscalls plus the paper's ContextSwitch cost. On the
+// host the recreation reuses released objects: the device's contexts
+// and channels, the kernel's channel states and the context's own
+// attach record, so a reattach allocates nothing (DESIGN.md §13).
 //
 // Attach order under exhaustion is FIFO: a blocked attach enqueues a
 // waiter, and freed slots (request completions that leave a context
@@ -62,6 +67,11 @@ type muxState struct {
 	clock    uint64       // logical LRU clock, bumped per use
 	stats    MuxStats
 	free     []*attachOp // finished attaches, for reuse
+
+	// evictable counts the attached contexts that are evictable right
+	// now (VContext.counted), kept at every transition of evictable(),
+	// so a pump or an attach with nothing to evict costs O(1).
+	evictable int
 }
 
 // muxWaiter is one queued attach. The waiting attach waits on its
@@ -88,9 +98,17 @@ type VContext struct {
 	everAttached bool   // reattaches (everAttached && attach) pay ContextSwitch
 	attaching    bool   // an attach is in flight; concurrent users wait
 	closed       bool   // task exited
+	counted      bool   // counted in muxState.evictable
 	waiter       *muxWaiter
 
 	reattaches int64
+
+	// op is the context's own attach record, used by one acquire at a
+	// time (opBusy); concurrent acquires take pooled ones. chans0 is the
+	// first backing array of chans.
+	op     attachOp
+	opBusy bool
+	chans0 [1]*ChannelState
 }
 
 // OpenVirtual creates a logical context for the task with one channel
@@ -116,14 +134,16 @@ func (k *Kernel) OpenVirtualOn(c *sim.Cont, t *Task, label string, kinds []gpu.K
 	if k.mux == nil {
 		k.mux = &muxState{}
 		prev := k.dev.CompletionObserver
-		k.dev.CompletionObserver = func(r *gpu.Request) {
+		k.dev.CompletionObserver = func(ch *gpu.Channel) {
 			if prev != nil {
-				prev(r)
+				prev(ch)
 			}
-			k.muxPump()
+			k.muxRetired(ch)
 		}
 	}
-	vc := &VContext{k: k, task: t, label: label, kinds: kinds}
+	vc := k.vcSlab.New()
+	vc.k, vc.task, vc.label, vc.kinds = k, t, label, kinds
+	vc.chans = vc.chans0[:0]
 	t.vctxs = append(t.vctxs, vc)
 	k.mux.stats.Opens++
 	if k.muxFree() > 0 {
@@ -155,6 +175,10 @@ func (k *Kernel) muxFree() int {
 
 // Task returns the owning task.
 func (vc *VContext) Task() *Task { return vc.task }
+
+// Kinds returns the channel kinds the logical context was opened with,
+// in order. The slice is the one OpenVirtualOn was given.
+func (vc *VContext) Kinds() []gpu.Kind { return vc.kinds }
 
 // Attached reports whether the logical context currently holds a
 // hardware context.
@@ -225,12 +249,17 @@ func (vc *VContext) acquireNow(kind gpu.Kind) (ch *gpu.Channel, err error, done 
 	return ch, err, true
 }
 
-// pin takes one pin on an attached context and bumps the LRU clock.
+// pin takes one pin on an attached context and bumps the LRU clock. A
+// pinned context is not evictable.
 func (vc *VContext) pin() {
 	m := vc.k.mux
 	vc.pins++
 	m.clock++
 	vc.lastUsed = m.clock
+	if vc.counted {
+		vc.counted = false
+		m.evictable--
+	}
 }
 
 // channel returns the attached channel of the given kind to a caller
@@ -330,14 +359,23 @@ const (
 	phSwitch                     // sleeping the reattach's ContextSwitch
 )
 
-// attachOp takes an attach record from the mux's pool.
+// attachOp takes the context's own attach record, or one from the
+// mux's pool while the context's is in use.
 func (k *Kernel) attachOp(vc *VContext, c *sim.Cont) *attachOp {
 	m := k.mux
 	var a *attachOp
-	if n := len(m.free); n > 0 {
+	switch n := len(m.free); {
+	case !vc.opBusy:
+		vc.opBusy = true
+		a = &vc.op
+		if a.k == nil {
+			a.k = k
+			a.stepFn, a.readyFn = a.step, a.ready
+		}
+	case n > 0:
 		a = m.free[n-1]
 		m.free = m.free[:n-1]
-	} else {
+	default:
 		a = &attachOp{k: k}
 		a.stepFn, a.readyFn = a.step, a.ready
 	}
@@ -394,7 +432,7 @@ func (a *attachOp) ensure() {
 	}
 	// Another thread of this task is attaching; wait for it.
 	a.phase = phEnsure
-	a.c.WaitFor(vc.task.gate, a.readyFn, a.stepFn)
+	a.c.WaitFor(&vc.task.gate, a.readyFn, a.stepFn)
 }
 
 // attach binds the logical context to a hardware context, creating the
@@ -423,7 +461,7 @@ func (a *attachOp) slot() {
 		m.waiters = append(m.waiters, &a.w)
 		m.stats.AttachWaits++
 		a.phase = phSlot
-		a.c.WaitFor(vc.task.gate, a.readyFn, a.stepFn)
+		a.c.WaitFor(&vc.task.gate, a.readyFn, a.stepFn)
 		return
 	}
 	a.sleepSyscall(phContext)
@@ -469,7 +507,7 @@ func (a *attachOp) contextCreated(ctx *gpu.Context, err error) {
 		return
 	}
 	a.ctx = ctx
-	a.chans = make([]*ChannelState, 0, len(a.vc.kinds))
+	a.chans = a.vc.chans[:0] // the detached context's array, empty
 	a.nextChannel()
 }
 
@@ -513,6 +551,9 @@ func (a *attachOp) bind() {
 	m := a.k.mux
 	vc.hw = a.ctx
 	vc.chans = a.chans
+	for _, cs := range vc.chans {
+		cs.vc = vc
+	}
 	m.attached = append(m.attached, vc)
 	if n := len(m.attached); n > m.stats.MaxAttached {
 		m.stats.MaxAttached = n
@@ -535,6 +576,7 @@ func (a *attachOp) bind() {
 func (a *attachOp) finish(err error) {
 	vc := a.vc
 	vc.attaching = false
+	a.k.muxNote(vc)
 	vc.task.gate.Broadcast()
 	a.done(err)
 }
@@ -545,7 +587,11 @@ func (a *attachOp) done(err error) {
 	vc, kind, acquired, opened := a.vc, a.kind, a.acquired, a.opened
 	a.vc, a.c, a.acquired, a.opened, a.ctx, a.chans = nil, nil, nil, nil, nil, nil
 	a.w = muxWaiter{}
-	a.k.mux.free = append(a.k.mux.free, a)
+	if a == &vc.op {
+		vc.opBusy = false
+	} else {
+		a.k.mux.free = append(a.k.mux.free, a)
+	}
 	if opened != nil {
 		if err != nil {
 			opened(nil, err)
@@ -562,12 +608,19 @@ func (a *attachOp) done(err error) {
 	acquired(vc.channel(kind))
 }
 
+// unpin drops one pin. An unpin without a pin is a broken pin count,
+// which could let the mux evict a context a submission still uses, so
+// it panics naming the task.
 func (vc *VContext) unpin() {
-	if vc.pins > 0 {
-		vc.pins--
+	if vc.pins <= 0 {
+		panic(fmt.Sprintf("neon: task %q unpinned logical context %q without a pin", vc.task.Name, vc.label))
 	}
-	if vc.pins == 0 && len(vc.k.mux.waiters) > 0 {
-		vc.k.muxPump()
+	vc.pins--
+	if vc.pins == 0 {
+		vc.k.muxNote(vc)
+		if len(vc.k.mux.waiters) > 0 {
+			vc.k.muxPump()
+		}
 	}
 }
 
@@ -585,11 +638,45 @@ func (vc *VContext) evictable() bool {
 	return true
 }
 
+// muxNote re-reads evictable() after a transition that may change it
+// and keeps the evictable count. Every such transition calls it (pin
+// does its own O(1) part): an unpin to zero, an attach's finish, a
+// sampling run's start and end, a completion that leaves a channel
+// idle, and a detach or exit. A context that turns evictable is only
+// counted here; whoever pumps does so on its own.
+func (k *Kernel) muxNote(vc *VContext) {
+	if e := vc.evictable(); e != vc.counted {
+		vc.counted = e
+		if e {
+			k.mux.evictable++
+		} else {
+			k.mux.evictable--
+		}
+	}
+}
+
+// muxRetired follows every request's retirement on the device: a
+// channel left idle may have made its logical context evictable, and
+// the freed work may let a waiter in.
+func (k *Kernel) muxRetired(ch *gpu.Channel) {
+	if ch.Idle() {
+		if cs := k.byPage[ch.Reg]; cs != nil && cs.vc != nil {
+			k.muxNote(cs.vc)
+		}
+	}
+	k.muxPump()
+}
+
 // muxEvictLRU detaches the least-recently-used evictable logical
 // context, freeing its hardware slot. Returns false when nothing is
-// evictable.
+// evictable, at once when the count says so. The scan's pick is
+// unique: every attached context was pinned at least once, at its
+// bind, and each pin draws a new clock value.
 func (k *Kernel) muxEvictLRU() bool {
 	m := k.mux
+	if m.evictable == 0 {
+		return false
+	}
 	var victim *VContext
 	for _, vc := range m.attached {
 		if !vc.evictable() {
@@ -608,7 +695,11 @@ func (k *Kernel) muxEvictLRU() bool {
 
 // muxDetach gracefully releases an idle logical context's hardware
 // state. The task keeps its identity, accounting history, and device
-// memory; only the context and channels go back to the pool.
+// memory; only the context and channels go back to the pool, where the
+// next attach reuses them (gpu.Device.ReleaseContext), and the channel
+// states go to the kernel's, unless a drain is running: its scan may
+// still read a detached channel state (drain.scan), so that one must
+// stay dead, as a fresh attach would leave it.
 func (k *Kernel) muxDetach(vc *VContext) {
 	m := k.mux
 	for _, cs := range vc.chans {
@@ -626,8 +717,13 @@ func (k *Kernel) muxDetach(vc *VContext) {
 			break
 		}
 	}
+	if k.drain.c == nil {
+		k.csFree = append(k.csFree, vc.chans...)
+	}
+	clear(vc.chans)
 	vc.hw = nil
-	vc.chans = nil
+	vc.chans = vc.chans[:0]
+	k.muxNote(vc)
 	m.stats.Evictions++
 }
 
@@ -638,6 +734,9 @@ func (k *Kernel) muxDetach(vc *VContext) {
 func (k *Kernel) muxPump() {
 	m := k.mux
 	for len(m.waiters) > 0 {
+		if m.evictable == 0 && k.muxFree() <= 0 {
+			return // nothing to give: O(1)
+		}
 		w := m.waiters[0]
 		if w.vc.closed || !w.vc.task.Alive {
 			m.waiters = m.waiters[1:]
@@ -694,8 +793,10 @@ func (k *Kernel) muxTaskExited(t *Task) {
 					break
 				}
 			}
+			clear(vc.chans)
 			vc.hw = nil
 			vc.chans = nil
+			k.muxNote(vc)
 		}
 	}
 	t.vctxs = nil

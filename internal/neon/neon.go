@@ -84,6 +84,10 @@ type ChannelState struct {
 	sampling    bool
 	watchedRef  uint64
 	drainTarget uint64
+
+	// vc is the logical context the channel is bound to under the
+	// virtual-context mux; nil for a raw client's channel.
+	vc *VContext
 }
 
 // ChannelPolicy is the Section 6.3 protected-allocation policy: no task
@@ -103,11 +107,16 @@ type Kernel struct {
 	sched Scheduler
 	admit Admitter // sched's admission predicate; nil admits every fault
 
-	tasks      map[gpu.TaskID]*Task
-	taskOrder  []*Task
+	taskOrder  []*Task // every task admitted, indexed by ID
 	nextTaskID gpu.TaskID
 	byPage     map[*mmio.Page]*ChannelState
 	onFaultFn  mmio.FaultHandler // k.onFault, bound once for every channel page
+
+	// Tasks and logical contexts come from doubling chunks, and the
+	// channel states of contexts the mux detached are reused.
+	taskSlab sim.Slab[Task]
+	vcSlab   sim.Slab[VContext]
+	csFree   []*ChannelState
 
 	// live is the snapshot Tasks returns, rebuilt into a new array by
 	// the first call after a task is admitted or exits (liveStale).
@@ -149,7 +158,6 @@ func NewKernel(dev *gpu.Device, sched Scheduler) *Kernel {
 		dev:    dev,
 		costs:  dev.Costs(),
 		sched:  sched,
-		tasks:  make(map[gpu.TaskID]*Task),
 		byPage: make(map[*mmio.Page]*ChannelState),
 		Label:  dev.Name(),
 	}
@@ -187,17 +195,16 @@ func (k *Kernel) Tasks() []*Task {
 	return k.live
 }
 
-// NewTask admits a new resource principal (an OS process).
+// NewTask admits a new resource principal (an OS process). Task IDs
+// are dense: the n-th task a kernel admits has ID n-1.
 func (k *Kernel) NewTask(name string) *Task {
-	t := &Task{
-		ID:     k.nextTaskID,
-		Name:   name,
-		Alive:  true,
-		kernel: k,
-		gate:   k.eng.NewGate("task-" + name),
-	}
+	t := k.taskSlab.New()
+	t.ID, t.Name, t.Alive, t.kernel = k.nextTaskID, name, true, k
+	k.eng.InitGate(&t.gate, name)
+	// Most tasks hold one context, one channel and at most one logical
+	// context: the first of each needs no array of its own.
+	t.contexts, t.channels, t.vctxs = t.ctx0[:0], t.ch0[:0], t.vc0[:0]
 	k.nextTaskID++
-	k.tasks[t.ID] = t
 	k.taskOrder = append(k.taskOrder, t)
 	k.liveStale = true
 	k.sched.TaskAdmitted(t)
@@ -256,7 +263,15 @@ func (k *Kernel) createChannel(t *Task, ctx *gpu.Context, kind gpu.Kind) (*Chann
 	if err != nil {
 		return nil, err
 	}
-	cs := &ChannelState{Ch: ch, Task: t, Active: true}
+	var cs *ChannelState
+	if n := len(k.csFree); n > 0 {
+		cs = k.csFree[n-1]
+		k.csFree[n-1] = nil
+		k.csFree = k.csFree[:n-1]
+	} else {
+		cs = new(ChannelState)
+	}
+	*cs = ChannelState{Ch: ch, Task: t, Active: true}
 	t.channels = append(t.channels, cs)
 	k.byPage[ch.Reg] = cs
 	ch.Reg.SetHandler(k.onFaultFn)

@@ -86,18 +86,26 @@ func (k *Kernel) SampleOn(c *sim.Cont, t *Task, maxDur sim.Duration, maxReqs int
 	for _, cs := range t.channels {
 		cs.sampling = true
 		cs.watchedRef = cs.Ch.LastSubmittedRef
+		if cs.vc != nil {
+			k.muxNote(cs.vc)
+		}
 	}
 	c.WaitTimeout(st.gate, maxDur, st.endFn)
 }
 
 // end closes the sampling window: it stops the watchers still waiting,
-// recycles every watcher, and hands the result on.
+// recycles every watcher, and hands the result on. A logical context
+// that the window's end leaves evictable is counted, not pumped for: a
+// waiter gets its slot at the next completion, unpin or exit.
 func (st *sampleState) end() {
 	k, t := st.k, st.t
 	st.active = false
 	if t.Alive {
 		for _, cs := range t.channels {
 			cs.sampling = false
+			if cs.vc != nil {
+				k.muxNote(cs.vc)
+			}
 		}
 	}
 	t.sample = nil

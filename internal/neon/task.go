@@ -45,7 +45,12 @@ type Task struct {
 
 	// gate is broadcast whenever scheduler state affecting this task
 	// changes; faults waiting for admission re-test it.
-	gate *sim.Gate
+	gate sim.Gate
+
+	// The first backing arrays of contexts, channels and vctxs.
+	ctx0 [1]*gpu.Context
+	ch0  [1]*ChannelState
+	vc0  [1]*VContext
 
 	// sample is the in-progress sampling run, if any.
 	sample *sampleState
@@ -71,7 +76,7 @@ func (t *Task) NewCont() *sim.Cont {
 // Gate returns the task's scheduler wait gate. Faulting submissions
 // wait on it for admission (Admitter), and schedulers broadcast it when
 // their decision for the task may have changed.
-func (t *Task) Gate() *sim.Gate { return t.gate }
+func (t *Task) Gate() *sim.Gate { return &t.gate }
 
 // ShareWeight returns the task's effective fair-share weight: Weight, or
 // 1 when Weight is unset (zero or negative). Schedulers divide every

@@ -27,7 +27,7 @@ type Cont struct {
 	pred   func() bool
 	then   func()
 
-	// fireFn is the pre-bound wake-up closure, allocated once in NewCont
+	// fireFn is the pre-bound wake-up closure, allocated once in InitCont
 	// so that sleeping and waiting allocate nothing. timeoutFn is
 	// WaitTimeout's, bound on first use.
 	fireFn, timeoutFn func()
@@ -35,9 +35,17 @@ type Cont struct {
 
 // NewCont returns an idle continuation on e.
 func (e *Engine) NewCont() *Cont {
-	c := &Cont{engine: e}
-	c.fireFn = c.fire
+	c := new(Cont)
+	e.InitCont(c)
 	return c
+}
+
+// InitCont makes the zero Cont c an idle continuation on e, in place:
+// an owner that embeds its continuation (a slab-allocated record) pays
+// only for the wake-up closure.
+func (e *Engine) InitCont(c *Cont) {
+	c.engine = e
+	c.fireFn = c.fire
 }
 
 // Sleep runs then after d of virtual time. Zero and negative durations

@@ -17,7 +17,15 @@ type Gate struct {
 
 // NewGate returns a closed gate.
 func (e *Engine) NewGate(name string) *Gate {
-	return &Gate{engine: e, name: name}
+	g := new(Gate)
+	e.InitGate(g, name)
+	return g
+}
+
+// InitGate makes the zero Gate g a closed gate on e, in place, for
+// owners that embed their gate.
+func (e *Engine) InitGate(g *Gate, name string) {
+	g.engine, g.name = e, name
 }
 
 // Name returns the gate's name.

@@ -16,6 +16,10 @@ type RNG struct {
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
 
+// MakeRNG returns the generator NewRNG would, by value, for owners that
+// hold their stream in place. Copy it only before its first draw.
+func MakeRNG(seed int64) RNG { return RNG{seed: seed} }
+
 // src returns the generator's source, seeding it on first use.
 func (g *RNG) src() *rand.Rand {
 	if g.r == nil {

@@ -370,8 +370,8 @@ func TestServingDispatchersOwnNoProcs(t *testing.T) {
 	var completed int64
 	for i := range streams {
 		completed += srv.Stats(i).Completed
-		if len(srv.streams[i].disp) != 1 {
-			t.Fatalf("stream %d has %d dispatchers, want 1", i, len(srv.streams[i].disp))
+		if n := dispatchers(srv.streams[i]); n != 1 {
+			t.Fatalf("stream %d has %d dispatchers, want 1", i, n)
 		}
 	}
 	mux := srv.Fleet().Nodes()[0].Kernel.MuxStatus()
@@ -431,8 +431,8 @@ func TestKillMidAttachRetiresItem(t *testing.T) {
 			st := srv.streams[0]
 			feed := func(cold bool) {
 				srv.Fleet().PlaceRequest(st.ft)
-				st.disp[node].queue = append(st.disp[node].queue, item{arrival: eng.Now(), cold: cold})
-				st.disp[node].wake()
+				st.disp[node.Index].queue = append(st.disp[node.Index].queue, item{arrival: eng.Now(), cold: cold})
+				st.disp[node.Index].wake()
 			}
 
 			// The victim attaches eagerly and serves one request; then the
@@ -484,4 +484,15 @@ func TestKillMidAttachRetiresItem(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dispatchers counts the nodes the stream has a dispatcher on.
+func dispatchers(st *stream) int {
+	n := 0
+	for _, d := range st.disp {
+		if d != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -112,20 +112,28 @@ type Config struct {
 	Streams []Stream
 }
 
-// stream is the server's per-stream state.
+// stream is the server's per-stream state. New allocates every
+// stream's record in one array.
 type stream struct {
 	spec  Stream
 	ft    *fleet.Tenant
-	rng   *sim.RNG
+	rng   sim.RNG
 	stats StreamStats
-	disp  map[*fleet.Node]*dispatcher
 	size  sim.Duration
 	kind  gpu.Kind
 	tier  workload.Tier
 
-	// arriveFn is the stream's arrival timer callback, bound once so
-	// re-arming the chain allocates nothing.
+	// disp holds the stream's dispatcher on each node, by Node.Index
+	// (nil until a request is placed there); first is the storage of
+	// the first one the stream needs.
+	disp  []*dispatcher
+	first dispatcher
+
+	// arriveFn is the stream's one event callback, bound once so
+	// re-arming the chain allocates nothing: its first run starts the
+	// chain (started), and every later one is an arrival.
 	arriveFn func()
+	started  bool
 }
 
 // Server drives open-loop request streams through a placed, admitted,
@@ -204,25 +212,31 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			}
 		})
 	}
+	recs := make([]stream, len(cfg.Streams))
+	nodes := len(f.Nodes())
+	disp := make([]*dispatcher, len(cfg.Streams)*nodes)
+	s.streams = make([]*stream, len(cfg.Streams))
 	for i, spec := range cfg.Streams {
-		st := &stream{
-			spec: spec,
-			ft:   f.NewTenant(spec.Tenant),
-			rng:  sim.NewRNG(sim.StreamSeed(cfg.Fleet.Seed, "traffic", i)),
-			disp: make(map[*fleet.Node]*dispatcher),
-			size: spec.Tenant.Mix[0].Size,
-			kind: spec.Tenant.Mix[0].Kind,
-			tier: spec.Tenant.Tier.Normalize(),
-		}
+		st := &recs[i]
+		st.spec = spec
+		st.ft = f.NewTenant(spec.Tenant)
+		st.rng = sim.MakeRNG(sim.StreamSeed(cfg.Fleet.Seed, "traffic", i))
+		st.size = spec.Tenant.Mix[0].Size
+		st.kind = spec.Tenant.Mix[0].Kind
+		st.tier = spec.Tenant.Tier.Normalize()
+		st.disp = disp[i*nodes : (i+1)*nodes : (i+1)*nodes]
 		st.arriveFn = func() {
-			s.arrive(st)
+			if st.started {
+				s.arrive(st)
+			}
+			st.started = true
 			s.armArrival(st)
 		}
-		s.streams = append(s.streams, st)
+		s.streams[i] = st
 		// The chain starts from its own event at the current instant, not
 		// inline, so its first draw and timer come after everything
 		// queued before that event runs, in (time, seq) order.
-		eng.Schedule(eng.Now(), func() { s.armArrival(st) })
+		eng.Schedule(eng.Now(), st.arriveFn)
 	}
 	return s, nil
 }
@@ -239,8 +253,8 @@ func (s *Server) Stats(i int) *StreamStats { return &s.streams[i].stats }
 // SetupError returns the first stream client setup failure, if any.
 func (s *Server) SetupError() error {
 	for _, st := range s.streams {
-		for _, n := range s.fleet.Nodes() {
-			if d := st.disp[n]; d != nil && d.err != nil {
+		for _, d := range st.disp {
+			if d != nil && d.err != nil {
 				return d.err
 			}
 		}
@@ -267,7 +281,7 @@ func (s *Server) ResetStats() {
 // instant runs between them.
 func (s *Server) armArrival(st *stream) {
 	for {
-		gap := st.spec.Arrival.Next(s.eng.Now(), st.rng)
+		gap := st.spec.Arrival.Next(s.eng.Now(), &st.rng)
 		if gap > 0 {
 			s.eng.After(gap, st.arriveFn)
 			return
@@ -286,7 +300,7 @@ func (s *Server) arrive(st *stream) {
 		return
 	}
 	n, migrated := s.fleet.PlaceRequest(st.ft)
-	d := st.disp[n]
+	d := st.disp[n.Index]
 	if d == nil {
 		d = s.newDispatcher(st, n)
 		d.start()
@@ -342,7 +356,7 @@ type dispatcher struct {
 	client *userlib.Client
 	ready  bool // client setup finished; arrivals may wake the drain
 	idle   bool // drain waiting for an arrival (implies empty queue)
-	c      *sim.Cont
+	c      sim.Cont
 
 	// The submission in flight: the item's arrival stamp, whether it is
 	// the item's cold rebuild (the request itself follows), and whether
@@ -354,38 +368,53 @@ type dispatcher struct {
 
 	// doneFn is the completion hook, bound once: every request of this
 	// (stream, node) pair shares it, so hooking a completion allocates
-	// nothing. The steps are bound once too.
+	// nothing. The continuation's steps are bound once too: one step
+	// (the open before the client is ready, the drain after), the
+	// open's hand-back and the submission's.
 	doneFn      func(*gpu.Request)
-	openFn      func()
+	stepFn      func()
 	openedFn    func(*userlib.Client, error)
-	drainFn     func()
 	submittedFn func(*gpu.Request)
 }
 
 // newDispatcher registers the (stream, node) dispatcher, not yet
-// started.
+// started: the stream's first one lives in the stream's record.
 func (s *Server) newDispatcher(st *stream, n *fleet.Node) *dispatcher {
-	d := &dispatcher{srv: s, st: st, node: n, c: s.eng.NewCont()}
-	d.doneFn = d.onDone
-	d.openFn, d.openedFn, d.drainFn, d.submittedFn = d.open, d.opened, d.drain, d.submitted
-	st.disp[n] = d
+	d := &st.first
+	if d.srv != nil {
+		d = new(dispatcher)
+	}
+	d.srv, d.st, d.node = s, st, n
+	s.eng.InitCont(&d.c)
+	d.doneFn, d.stepFn, d.openedFn, d.submittedFn = d.onDone, d.step, d.opened, d.submitted
+	st.disp[n.Index] = d
 	return d
 }
 
 // start schedules the client open at the back of the current instant.
-func (d *dispatcher) start() { d.c.Yield(d.openFn) }
+func (d *dispatcher) start() { d.c.Yield(d.stepFn) }
 
 // wake resumes an idle drain once its client is open.
 func (d *dispatcher) wake() {
 	if d.ready && d.idle {
 		d.idle = false
-		d.c.Yield(d.drainFn)
+		d.c.Yield(d.stepFn)
 	}
+}
+
+// step is the continuation's step: the client open until the client is
+// ready, the drain from then on.
+func (d *dispatcher) step() {
+	if !d.ready {
+		d.open()
+		return
+	}
+	d.drain()
 }
 
 // open opens the tenant's client on the node; anything queued during
 // setup is drained right after.
-func (d *dispatcher) open() { d.st.ft.ClientOn(d.c, d.node, d.openedFn) }
+func (d *dispatcher) open() { d.st.ft.ClientOn(&d.c, d.node, d.openedFn) }
 
 func (d *dispatcher) opened(client *userlib.Client, err error) {
 	if err != nil {
@@ -449,7 +478,7 @@ func (d *dispatcher) drain() {
 // reports whether it landed inline.
 func (d *dispatcher) submit(size sim.Duration) bool {
 	d.submitting, d.landed = true, false
-	d.client.SubmitDetachedOn(d.c, d.st.kind, size, nil, d.submittedFn)
+	d.client.SubmitDetachedOn(&d.c, d.st.kind, size, nil, d.submittedFn)
 	d.submitting = false
 	return d.landed
 }

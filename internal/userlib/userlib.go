@@ -11,6 +11,8 @@
 package userlib
 
 import (
+	"fmt"
+
 	"repro/internal/gpu"
 	"repro/internal/neon"
 	"repro/internal/sim"
@@ -34,8 +36,11 @@ type Client struct {
 	channels map[gpu.Kind]*gpu.Channel
 	order    []gpu.Kind
 
-	// subFree lists finished SubmitDetachedOn records for reuse.
+	// subFree lists finished submission records for reuse; sub0 is the
+	// first of them, so a client with one submission in flight at a
+	// time allocates no record.
 	subFree *submission
+	sub0    submission
 
 	// TrapPerRequest switches submissions to the syscall path: every
 	// request pays a kernel trap (plus driver work if TrapDriverWork),
@@ -70,6 +75,7 @@ func OpenOn(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kinds []
 			kernel:   k,
 			channels: make(map[gpu.Kind]*gpu.Channel, len(kinds)),
 		}
+		c.init()
 		var next func()
 		next = func() {
 			if len(c.order) == len(kinds) {
@@ -106,20 +112,48 @@ func OpenVirtual(p *sim.Proc, k *neon.Kernel, t *neon.Task, label string, kinds 
 // is free the attach happens eagerly here, paying exactly the setup
 // syscalls Open would; otherwise the first submission attaches
 // (queueing for a slot if the pool is exhausted, and paying
-// cost.ContextSwitch on every re-attach).
+// cost.ContextSwitch on every re-attach). The client and the logical
+// context keep kinds: the caller must not change it afterwards.
 func OpenVirtualOn(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, then func(*Client, error)) {
+	openVirtual(lane, k, t, label, kinds, nil, then)
+}
+
+// Clients hands out the clients of many virtual opens from doubling
+// chunks (sim.Slab), for a layer that opens one per tenant: a client
+// then costs a slot in a chunk, not an object. The zero value is ready
+// to use; the clients live as long as their chunk does.
+type Clients struct {
+	slab sim.Slab[Client]
+}
+
+// OpenVirtualOn is the package's OpenVirtualOn with the client taken
+// from cs.
+func (cs *Clients) OpenVirtualOn(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, then func(*Client, error)) {
+	openVirtual(lane, k, t, label, kinds, cs, then)
+}
+
+func openVirtual(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kinds []gpu.Kind, cs *Clients, then func(*Client, error)) {
 	k.OpenVirtualOn(lane, t, label, kinds, func(vc *neon.VContext, err error) {
 		if err != nil {
 			then(nil, err)
 			return
 		}
-		then(&Client{
-			Task:   t,
-			VC:     vc,
-			kernel: k,
-			order:  append([]gpu.Kind(nil), kinds...),
-		}, nil)
+		var c *Client
+		if cs != nil {
+			c = cs.slab.New()
+		} else {
+			c = new(Client)
+		}
+		c.Task, c.VC, c.kernel, c.order = t, vc, k, vc.Kinds()
+		c.init()
+		then(c, nil)
 	})
+}
+
+// init readies the client's first submission record.
+func (c *Client) init() {
+	c.sub0.c = c
+	c.subFree = &c.sub0
 }
 
 // Channel returns the client's channel of the given kind, or nil. For a
@@ -231,6 +265,7 @@ type submission struct {
 	size   sim.Duration
 	mode   subMode
 	ch     *gpu.Channel
+	gen    uint64 // ch's generation when acquired
 	r      *gpu.Request
 	onDone func(*gpu.Request)
 	then   func(*gpu.Request)
@@ -258,7 +293,7 @@ func (s *submission) acquired(ch *gpu.Channel, err error) {
 		s.finish(nil)
 		return
 	}
-	s.ch = ch
+	s.ch, s.gen = ch, ch.Generation()
 	s.r = ch.Stage(s.size, s.kind)
 	s.r.OnDone = s.onDone
 	if c := s.c; c.TrapPerRequest {
@@ -275,8 +310,16 @@ func (s *submission) acquired(ch *gpu.Channel, err error) {
 	s.trapped()
 }
 
-// trapped rings the doorbell.
+// trapped rings the doorbell. The channel must still be the one the
+// submission acquired: a virtual context stays pinned from the acquire
+// until the store lands, so no eviction can have released it, and a
+// channel released anyway (a broken pin count) panics here, naming the
+// task, rather than ring another context's doorbell.
 func (s *submission) trapped() {
+	if g := s.ch.Generation(); g != s.gen {
+		panic(fmt.Sprintf("userlib: task %q stores to channel %d, released since its acquire (generation %d, now %d)",
+			s.c.Task.Name, s.ch.ID, s.gen, g))
+	}
 	if s.storedFn == nil {
 		s.storedFn = s.stored
 	}

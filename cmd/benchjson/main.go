@@ -85,7 +85,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   benchjson run   [-bench regex] [-benchtime d] [-count n] [-pkg path] [-baseline point.json]
-  benchjson check -old <point.json|bench.txt> -new <point.json|bench.txt|-> [-gate regex] [-threshold 0.15] [-unit ns/op]`)
+  benchjson check -old <point.json|bench.txt> -new <point.json|bench.txt|-> [-gate regex] [-threshold 0.15] [-unit ns/op|B/op|allocs/op]`)
 	os.Exit(2)
 }
 
@@ -134,7 +134,7 @@ func cmdCheck(args []string) {
 	newPath := fs.String("new", "", "candidate: BENCH_*.json, raw bench text, or - for stdin")
 	gate := fs.String("gate", "BenchmarkSimEngine$|BenchmarkRequestPath$", "benchmarks the threshold applies to")
 	threshold := fs.Float64("threshold", 0.15, "max allowed fractional regression of the median")
-	unit := fs.String("unit", "ns/op", "unit to compare (ns/op or allocs/op)")
+	unit := fs.String("unit", "ns/op", "unit to compare (ns/op, B/op or allocs/op)")
 	fs.Parse(args)
 	if *oldPath == "" || *newPath == "" {
 		usage()

@@ -88,8 +88,9 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"cmd/benchjson", "quick.golden", "BENCH_6.json", "BENCH_7.json",
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
 		"BENCH_15.json", "BENCH_16.json", "BENCH_17.json", "BENCH_18.json",
-		"BENCH_19.json", "BENCH_20.json", "BENCH_21.json", "BenchmarkDFQCycleConsumerClass",
-		"BenchmarkScale",
+		"BENCH_19.json", "BENCH_20.json", "BENCH_21.json", "BENCH_22.json",
+		"BenchmarkDFQCycleConsumerClass", "BenchmarkScale", "B/op",
+		"TestStormTenantLiveBytes", "TestSec3CellsAllocateOnlySetup",
 		"DESIGN.md §11", "DESIGN.md §12",
 		"DESIGN.md §13", "DESIGN.md §14",
 	} {
@@ -243,6 +244,28 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"TestUnpinWithoutPinPanics", "TestStaleChannelPanicsAtStore",
 		"TestReleasedChannelReadsAsNew", "TestContextsLiveSetAfterChurn",
 		"gpu.Channel.Generation", "mmio.Page.Quiet", "sim.Slab",
+		"TestSlabChunksStopDoublingAtTheCap", "TestStormTenantLiveBytes",
+		"fleet.Tenant.Spec",
+	} {
+		if !strings.Contains(doc, want) {
+			t.Errorf("DESIGN.md does not mention %s", want)
+		}
+	}
+}
+
+// TestDesignDocCoversServing pins DESIGN.md §8's anchor terms: the
+// serving layer's latency digest, admission and invariants, and every
+// test the section cites as evidence must keep their names.
+func TestDesignDocCoversServing(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	for _, want := range []string{
+		"## 8.", "metrics.Digest", "FuzzDigest", "TestDigestStoresOccupiedSpan",
+		"traffic.Admission", "TestServeShape", "TestDFQLeadBoundInvariant",
+		"core.LeadBound", "TestServingDispatchersOwnNoProcs",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

@@ -367,34 +367,7 @@ type ScaleFullResult struct {
 // shedding it at the front door — and the staggered arrival comb keeps
 // the offered load uniform instead of a time-zero spike.
 func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
-	total := o.Warmup + o.Measure
-	gap := total / scaleFullWaves
-	streams := make([]traffic.Stream, tenants)
-	for i := range streams {
-		// Phases spread evenly over one gap, so the last stream's first
-		// arrival lands at `gap` and every stream fires scaleFullWaves
-		// times (give or take one) before the run ends.
-		phase := gap * sim.Duration(i+1) / sim.Duration(tenants)
-		streams[i] = traffic.Stream{
-			Tenant:  workload.OpenLoopTenant(fmt.Sprintf("t%d", i), scaleFullSize, 0),
-			Arrival: &traffic.Staggered{Phase: phase, Gap: gap},
-		}
-	}
-	srv := serve(o, traffic.Config{
-		Fleet: fleet.Config{
-			Devices: 1,
-			GPU:     gpu.Config{MaxContexts: scaleFullContexts},
-			Sched:   string(sched),
-			// Short sampling runs: with 48 attached tasks an engagement
-			// episode at the paper's 5 ms per-task cap could not finish
-			// inside a quick measurement window.
-			DFQ: core.DFQConfig{
-				SamplePeriod:   500 * time.Microsecond,
-				SampleRequests: 4,
-			},
-		},
-		Streams: streams,
-	})
+	srv := serve(o, scaleFullConfig(o, tenants, sched))
 
 	node := srv.Fleet().Nodes()[0]
 	mux := node.Kernel.MuxStatus()
@@ -406,7 +379,7 @@ func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
 		Reattaches: mux.Reattaches,
 		Evictions:  mux.Evictions,
 	}
-	for i := range streams {
+	for i := 0; i < tenants; i++ {
 		res.Completed += srv.Stats(i).Completed
 	}
 	res.GoodputPerSec = float64(res.Completed) / o.Measure.Seconds()
@@ -424,6 +397,38 @@ func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
 			res.HWContexts, scaleFullContexts))
 	}
 	return res
+}
+
+// scaleFullConfig is the storm's serving stack: `tenants` staggered
+// open-loop streams on one 48-context device under sched.
+func scaleFullConfig(o Options, tenants int, sched Sched) traffic.Config {
+	gap := (o.Warmup + o.Measure) / scaleFullWaves
+	streams := make([]traffic.Stream, tenants)
+	for i := range streams {
+		// Phases spread evenly over one gap, so the last stream's first
+		// arrival lands at `gap` and every stream fires scaleFullWaves
+		// times (give or take one) before the run ends.
+		phase := gap * sim.Duration(i+1) / sim.Duration(tenants)
+		streams[i] = traffic.Stream{
+			Tenant:  workload.OpenLoopTenant(fmt.Sprintf("t%d", i), scaleFullSize, 0),
+			Arrival: &traffic.Staggered{Phase: phase, Gap: gap},
+		}
+	}
+	return traffic.Config{
+		Fleet: fleet.Config{
+			Devices: 1,
+			GPU:     gpu.Config{MaxContexts: scaleFullContexts},
+			Sched:   string(sched),
+			// Short sampling runs: with 48 attached tasks an engagement
+			// episode at the paper's 5 ms per-task cap could not finish
+			// inside a quick measurement window.
+			DFQ: core.DFQConfig{
+				SamplePeriod:   500 * time.Microsecond,
+				SampleRequests: 4,
+			},
+		},
+		Streams: streams,
+	}
 }
 
 // row renders the cell as a scale-table row.

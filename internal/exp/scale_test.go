@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -79,5 +80,40 @@ func TestScaleCellDeterminism(t *testing.T) {
 		if a != b {
 			t.Errorf("%s cell not deterministic:\n%+v\n%+v", sched, a, b)
 		}
+	}
+}
+
+// TestStormTenantLiveBytes pins what a hosted tenant costs in live heap:
+// the 10^4-tenant DFQ storm, built exactly as RunScaleFullCell builds it
+// and run through warmup and measurement, holds at most 2.4 KB (2,400
+// bytes) per tenant after a GC. Capped slab chunks, latency digests that
+// keep their few sojourns inline and a stream record without a copy of
+// the tenant's spec keep it there: uncapped doubling chunks, a bucket
+// window per digest and a spec copy per stream hold about 3.8 KB.
+func TestStormTenantLiveBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the live heap")
+	}
+	const tenants, limit = 10_000, 2400
+	o := Quick()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	srv := serve(o, scaleFullConfig(o, tenants, DFQ))
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	perTenant := (float64(ms.HeapAlloc) - float64(before)) / tenants
+	var completed int64
+	for i := 0; i < tenants; i++ {
+		completed += srv.Stats(i).Completed
+	}
+	runtime.KeepAlive(srv)
+	if completed == 0 {
+		t.Fatal("the storm completed nothing; nothing was measured")
+	}
+	t.Logf("%.0f live bytes per tenant (%.1f MB for %d tenants)", perTenant, perTenant*tenants/1e6, tenants)
+	if perTenant > limit {
+		t.Errorf("a storm tenant holds %.0f live bytes, want at most %d", perTenant, limit)
 	}
 }

@@ -78,9 +78,11 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 				// Trap-per-request stacks refuse the async fast path on
 				// every submission, so the classic blocking loop — trap
 				// sleep, store, wait on the done gate — is the honest
-				// model.
+				// model. The completed request goes back to the device's
+				// pool before the next one is staged.
 				var next func(*gpu.Request)
-				next = func(*gpu.Request) {
+				next = func(r *gpu.Request) {
+					r.Release()
 					*done++
 					if task.Alive {
 						client.SubmitSyncOn(lane, gpu.Compute, size, next)
@@ -91,17 +93,23 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 			}
 			// Direct access runs as a self-resubmitting continuation chain:
 			// each completion re-stages the next request from engine context,
-			// with zero proc handoffs per request.
+			// with zero proc handoffs per request. One request is in flight
+			// at a time, so the resubmit step is bound once and finds the
+			// completed request in last.
 			var submit func()
+			var last *gpu.Request
+			resubmit := func() {
+				last.Release()
+				last = nil
+				*done++
+				submit()
+			}
 			onDone := func(r *gpu.Request) {
 				if r.Aborted {
 					return
 				}
-				eng.After(0, func() {
-					r.Release()
-					*done++
-					submit()
-				})
+				last = r
+				eng.After(0, resubmit)
 			}
 			submit = func() {
 				if !task.Alive {

@@ -131,7 +131,7 @@ type Fleet struct {
 	seed    int64
 
 	// Tenants, their per-node slots and their virtual clients come from
-	// doubling chunks, so a tenant costs slots, not objects.
+	// slab chunks, so a tenant costs slots, not objects.
 	tenantSlab  sim.Slab[Tenant]
 	clientSlots sim.Slab[*userlib.Client]
 	taskSlots   sim.Slab[*neon.Task]

@@ -21,11 +21,17 @@ const digestSubCount = 1 << digestSubBits
 // no randomized compaction — so parallel and serial experiment runs
 // stay byte-identical.
 //
-// Only the occupied span of buckets is stored: a window starting at
+// A digest's first four observations are kept inline, sorted, and cost
+// no allocation; the fifth moves them into buckets. A serving
+// population of 10^4 mostly idle tenants then holds its few sojourns
+// per tenant in place instead of a bucket window each. From then on
+// only the occupied span of buckets is stored: a window starting at
 // bucket lo that covers digestBucket(min) through digestBucket(max),
 // grown geometrically as observations land outside it. A digest of
 // sojourns around 1 ms holds tens of buckets, not the ~510 a dense
-// array from bucket 0 would.
+// array from bucket 0 would. Both modes answer every query alike: an
+// inline observation reports the midpoint of the bucket it would land
+// in, with the same clamp.
 //
 // Accuracy: a reported quantile is the midpoint of the bucket holding
 // the true rank-q observation, so its relative error is at most half a
@@ -34,14 +40,20 @@ const digestSubCount = 1 << digestSubBits
 // making one-point distributions exact. TestDigestQuantileAccuracy pins
 // the bound against exact sorted-sample quantiles.
 type Digest struct {
-	counts []int64 // counts[i] is bucket lo+i
+	counts []int64 // counts[i] is bucket lo+i; nil while inline
 	lo     int
 	total  int64
 	min    int64
 	max    int64
+	// raw[:total] are the observations, ascending, while counts is nil.
+	raw [digestInline]int64
 }
 
-// digestMinSpan is the window a digest's first observation allocates.
+// digestInline is how many observations a digest keeps inline before
+// it allocates buckets.
+const digestInline = 4
+
+// digestMinSpan is the smallest window a digest allocates.
 const digestMinSpan = 16
 
 // digestBucket maps a non-negative value to its bucket index.
@@ -75,8 +87,16 @@ func (d *Digest) Add(v time.Duration) {
 	}
 	b := digestBucket(x)
 	i := b - d.lo
-	if uint(i) >= uint(len(d.counts)) { // below or above the window
-		d.cover(b, b)
+	if uint(i) >= uint(len(d.counts)) { // inline, or below or above the window
+		if d.counts == nil {
+			if d.total < digestInline {
+				d.addInline(x)
+				return
+			}
+			d.spill(b, b)
+		} else {
+			d.cover(b, b)
+		}
 		i = b - d.lo
 	}
 	d.counts[i]++
@@ -87,6 +107,29 @@ func (d *Digest) Add(v time.Duration) {
 		d.max = x
 	}
 	d.total++
+}
+
+// addInline inserts x into the sorted inline observations.
+func (d *Digest) addInline(x int64) {
+	i := d.total
+	for ; i > 0 && d.raw[i-1] > x; i-- {
+		d.raw[i] = d.raw[i-1]
+	}
+	d.raw[i] = x
+	d.total++
+	d.min, d.max = d.raw[0], d.raw[d.total-1]
+}
+
+// spill moves an inline digest's observations into a bucket window
+// that covers them and buckets first through last.
+func (d *Digest) spill(first, last int) {
+	if d.total > 0 {
+		first, last = min(first, digestBucket(d.min)), max(last, digestBucket(d.max))
+	}
+	d.cover(first, last)
+	for _, x := range d.raw[:d.total] {
+		d.counts[digestBucket(x)-d.lo]++
+	}
 }
 
 // cover widens the window to include buckets first through last. A
@@ -138,21 +181,22 @@ func (d *Digest) Quantile(q float64) time.Duration {
 	if rank > d.total {
 		rank = d.total
 	}
+	if d.counts == nil {
+		return d.midpoint(digestBucket(d.raw[rank-1]))
+	}
 	var cum int64
 	for i, c := range d.counts {
 		cum += c
 		if cum >= rank {
-			v := digestMid(d.lo + i)
-			if v < d.min {
-				v = d.min
-			}
-			if v > d.max {
-				v = d.max
-			}
-			return time.Duration(v)
+			return d.midpoint(d.lo + i)
 		}
 	}
 	return time.Duration(d.max)
+}
+
+// midpoint returns bucket b's midpoint clamped to the observed range.
+func (d *Digest) midpoint(b int) time.Duration {
+	return time.Duration(min(max(digestMid(b), d.min), d.max))
 }
 
 // Merge folds another digest's observations into this one.
@@ -160,10 +204,19 @@ func (d *Digest) Merge(o *Digest) {
 	if o.total == 0 {
 		return
 	}
+	if o.counts == nil {
+		raw, n := o.raw, o.total // a copy: o may be d
+		for _, x := range raw[:n] {
+			d.Add(time.Duration(x))
+		}
+		return
+	}
 	// o's observations lie in buckets [first, last]; its window may hold
 	// empty buckets around them.
 	first, last := digestBucket(o.min), digestBucket(o.max)
-	if first < d.lo || last >= d.lo+len(d.counts) {
+	if d.counts == nil {
+		d.spill(first, last)
+	} else if first < d.lo || last >= d.lo+len(d.counts) {
 		d.cover(first, last)
 	}
 	src := o.counts[first-o.lo : last-o.lo+1]
@@ -181,10 +234,9 @@ func (d *Digest) Merge(o *Digest) {
 	d.total += o.total
 }
 
-// Reset clears the digest for reuse (warmup exclusion).
+// Reset clears the digest for reuse (warmup exclusion). A digest that
+// has buckets keeps its window.
 func (d *Digest) Reset() {
-	for i := range d.counts {
-		d.counts[i] = 0
-	}
+	clear(d.counts)
 	d.total, d.min, d.max = 0, 0, 0
 }

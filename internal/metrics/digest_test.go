@@ -296,27 +296,132 @@ func TestDigestMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestDigestStoresOccupiedSpan pins the memory the window saves: a
-// digest of values near 1 ms holds a few dozen buckets, not the ~510 a
-// dense array from bucket 0 needs, and a two-observation digest
-// allocates once.
+// TestDigestStoresOccupiedSpan pins the memory the inline mode and the
+// window save: a digest of at most four observations allocates
+// nothing, the fifth allocates its window once, and a digest of values
+// near 1 ms holds a few dozen buckets, not the ~510 a dense array from
+// bucket 0 needs.
 func TestDigestStoresOccupiedSpan(t *testing.T) {
+	near1ms := []time.Duration{900 * time.Microsecond, time.Millisecond, 1100 * time.Microsecond,
+		950 * time.Microsecond, 1050 * time.Microsecond}
 	var d Digest
-	for _, v := range []time.Duration{900 * time.Microsecond, time.Millisecond, 1100 * time.Microsecond} {
+	for _, v := range near1ms {
 		d.Add(v)
 	}
 	if n, dense := len(d.counts), digestBucket(int64(1100*time.Microsecond))+1; n > 64 || dense < 500 {
 		t.Errorf("window holds %d buckets (dense layout %d)", n, dense)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		var d Digest
-		d.Add(100 * time.Microsecond)
-		d.Add(105 * time.Microsecond)
-		if d.N() != 2 {
-			t.Fatal("lost an observation")
+	for n := 1; n <= len(near1ms); n++ {
+		want := 0.0
+		if n > digestInline {
+			want = 1
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			var d Digest
+			for _, v := range near1ms[:n] {
+				d.Add(v)
+			}
+			if d.N() != int64(n) {
+				t.Fatal("lost an observation")
+			}
+		})
+		if allocs != want {
+			t.Errorf("%d-observation digest allocated %.1f times, want %.0f", n, allocs, want)
+		}
+	}
+}
+
+// FuzzDigest runs arbitrary sequences of Add, Merge (both ways between
+// inline and bucketed digests, and into itself), Reset and Quantile over
+// three digests, and after every operation checks the digest it touched
+// against the dense reference: N, Min, Max and the quantiles agree. It
+// also checks the mode: a digest holds buckets exactly once it has held
+// a fifth observation or merged a nonempty bucketed digest, and keeps
+// them across Reset.
+func FuzzDigest(f *testing.F) {
+	// Seeds: digests 0 and 1 filled with a few observations each, then
+	// 1 merged into 0 and p50 read, covering the four inline/bucketed
+	// directions; the last resets a bucketed digest and merges it into
+	// itself.
+	fill := func(i byte, k int) []byte {
+		var ops []byte
+		for n := 0; n < k; n++ {
+			ops = append(ops, 0, i, byte(7*n+5), byte(n), byte(31*n))
+		}
+		return ops
+	}
+	for _, c := range []struct{ dst, src int }{{2, 1}, {1, 6}, {6, 2}, {5, 7}} {
+		ops := append(fill(0, c.dst), fill(1, c.src)...)
+		f.Add(append(ops, 2, 0, 1, 4, 0, 128))
+	}
+	f.Add(append(fill(2, 9), 3, 2, 0, 0, 2, 7, 1, 2, 2, 2, 2, 4, 2, 250)) // reset, add, self-merge, p98
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var ds [3]Digest
+		var refs [3]denseDigest
+		// bucketed is the mode each digest must be in. Past 64 steps an
+		// input only repeats what shorter ones do, more slowly.
+		var bucketed [3]bool
+		for steps := 0; len(ops) >= 3 && steps < 64; steps++ {
+			op, i, arg := ops[0]%5, int(ops[1]%3), ops[2]
+			ops = ops[3:]
+			switch op {
+			case 0, 1: // Add: arg picks the octave, two more bytes the mantissa
+				if len(ops) < 2 {
+					return
+				}
+				v := time.Duration(int64(ops[0])<<8|int64(ops[1])) << (arg % 48) >> 8
+				if op == 1 && arg&1 == 1 {
+					v = -v
+				}
+				ops = ops[2:]
+				ds[i].Add(v)
+				refs[i].add(v)
+				bucketed[i] = bucketed[i] || refs[i].total > digestInline
+			case 2: // Merge digest arg%3 into i (itself included)
+				j := int(arg % 3)
+				if refs[i].total+refs[j].total > 1<<40 {
+					continue // repeated self-merges double the count toward overflow
+				}
+				fromBuckets := bucketed[j] && refs[j].total > 0
+				ds[i].Merge(&ds[j])
+				refs[i].merge(&refs[j])
+				bucketed[i] = bucketed[i] || fromBuckets || refs[i].total > digestInline
+			case 3:
+				ds[i].Reset()
+				refs[i] = denseDigest{}
+			case 4: // Quantile at q = arg/255
+				q := float64(arg) / 255
+				if g, w := ds[i].Quantile(q), refs[i].quantile(q); g != w {
+					t.Fatalf("digest %d: q=%.3f: %v, dense %v", i, q, g, w)
+				}
+			}
+			if has := ds[i].counts != nil; has != bucketed[i] {
+				t.Fatalf("digest %d: holds buckets %v, want %v (%d observations)", i, has, bucketed[i], refs[i].total)
+			}
+			checkDigest(t, i, &ds[i], &refs[i])
 		}
 	})
-	if allocs != 1 {
-		t.Errorf("two-observation digest allocated %.1f times, want 1", allocs)
+}
+
+// checkDigest fails unless d answers N, Min, Max and quantiles as the
+// dense reference does: every rank up to eight observations, the
+// quartiles, p99 and the extremes past that.
+func checkDigest(t *testing.T, i int, d *Digest, ref *denseDigest) {
+	t.Helper()
+	if d.N() != ref.total || d.Min() != time.Duration(ref.minV) || d.Max() != time.Duration(ref.maxV) {
+		t.Fatalf("digest %d: N/Min/Max = %d/%v/%v, dense %d/%v/%v", i,
+			d.N(), d.Min(), d.Max(), ref.total, time.Duration(ref.minV), time.Duration(ref.maxV))
+	}
+	qs := []float64{0, 0.25, 0.5, 0.75, 0.99, 1}
+	if n := ref.total; n > 0 && n <= 8 {
+		qs = qs[:0]
+		for k := int64(0); k <= n; k++ {
+			qs = append(qs, float64(k)/float64(n))
+		}
+	}
+	for _, q := range qs {
+		if g, w := d.Quantile(q), ref.quantile(q); g != w {
+			t.Fatalf("digest %d: q=%.3f: %v, dense %v", i, q, g, w)
+		}
 	}
 }

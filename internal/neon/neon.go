@@ -112,7 +112,7 @@ type Kernel struct {
 	byPage     map[*mmio.Page]*ChannelState
 	onFaultFn  mmio.FaultHandler // k.onFault, bound once for every channel page
 
-	// Tasks and logical contexts come from doubling chunks, and the
+	// Tasks and logical contexts come from slab chunks, and the
 	// channel states of contexts the mux detached are reused.
 	taskSlab sim.Slab[Task]
 	vcSlab   sim.Slab[VContext]

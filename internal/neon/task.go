@@ -26,9 +26,11 @@ type Task struct {
 	// ExitReason records how the task ended ("exited" or "killed: ...").
 	ExitReason string
 
-	kernel   *Kernel
-	procs    []*sim.Proc
-	conts    []*sim.Cont
+	kernel *Kernel
+	// threads are the task's registered threads, stopped when it exits:
+	// *sim.Proc from Go and *sim.Cont from NewCont. One slice holds both
+	// because most tasks, a virtual tenant's among them, have none.
+	threads  []any
 	contexts []*gpu.Context
 	channels []*ChannelState
 
@@ -60,7 +62,7 @@ type Task struct {
 // the task unwinds them.
 func (t *Task) Go(name string, body func(p *sim.Proc)) *sim.Proc {
 	p := t.kernel.eng.Spawn(t.Name+"/"+name, body)
-	t.procs = append(t.procs, p)
+	t.threads = append(t.threads, p)
 	return p
 }
 
@@ -69,7 +71,7 @@ func (t *Task) Go(name string, body func(p *sim.Proc)) *sim.Proc {
 // unwinds the task's processes, so none of its pending steps runs.
 func (t *Task) NewCont() *sim.Cont {
 	c := t.kernel.eng.NewCont()
-	t.conts = append(t.conts, c)
+	t.threads = append(t.threads, c)
 	return c
 }
 
@@ -137,11 +139,15 @@ func (t *Task) exit(reason string) {
 	t.Alive = false
 	t.ExitReason = reason
 	t.kernel.liveStale = true
-	for _, p := range t.procs {
-		p.Kill()
+	for _, th := range t.threads { // processes first, then continuations
+		if p, ok := th.(*sim.Proc); ok {
+			p.Kill()
+		}
 	}
-	for _, c := range t.conts {
-		c.Stop()
+	for _, th := range t.threads {
+		if c, ok := th.(*sim.Cont); ok {
+			c.Stop()
+		}
 	}
 	t.kernel.dev.KillOwner(t.ID)
 	for _, cs := range t.channels {

@@ -39,3 +39,36 @@ func TestSlabValuesStayPutAndTakesStayApart(t *testing.T) {
 		t.Errorf("1,000 values cost %.0f allocations, want about 10 chunks", allocs)
 	}
 }
+
+// TestSlabChunksStopDoublingAtTheCap: past 64 KiB a slab's chunks stop
+// doubling, so 10^4 values of 384 bytes (a fleet tenant's size) reserve
+// less than one chunk beyond what they use; uncapped doubling would
+// reserve 16,383 slots for them.
+func TestSlabChunksStopDoublingAtTheCap(t *testing.T) {
+	type value [384]byte
+	const n = 10_000
+	var s Slab[value]
+	var reserved, chunks int
+	var last *value
+	for i := 0; i < n; i++ {
+		v := s.New()
+		if &s.chunk[0] != last { // a new chunk
+			last = &s.chunk[0]
+			reserved += cap(s.chunk)
+			chunks++
+			if bytes := cap(s.chunk) * len(value{}); bytes > slabChunkBytes {
+				t.Fatalf("chunk %d holds %d bytes, cap is %d", chunks, bytes, slabChunkBytes)
+			}
+		}
+		v[0] = 1
+	}
+	perChunk := slabChunkBytes / len(value{})
+	if unused := reserved - n; unused >= perChunk {
+		t.Errorf("%d values reserve %d slots: %d unused, want fewer than one chunk (%d)", n, reserved, unused, perChunk)
+	}
+	// Chunks of 1, 2, ..., 128 values (8 chunks, 255 values), then
+	// chunks of 170 values (64 KiB / 384 bytes) for the rest.
+	if want := 8 + (n-255+perChunk-1)/perChunk; chunks != want {
+		t.Errorf("%d values took %d chunks, want %d", n, chunks, want)
+	}
+}

@@ -113,15 +113,17 @@ type Config struct {
 }
 
 // stream is the server's per-stream state. New allocates every
-// stream's record in one array.
+// stream's record in one array. The tenant's spec lives in its fleet
+// tenant (fleet.Tenant.Spec); the record keeps only what serving reads.
 type stream struct {
-	spec  Stream
-	ft    *fleet.Tenant
-	rng   sim.RNG
-	stats StreamStats
-	size  sim.Duration
-	kind  gpu.Kind
-	tier  workload.Tier
+	arrival    Arrival
+	ft         *fleet.Tenant
+	rng        sim.RNG
+	stats      StreamStats
+	size       sim.Duration
+	workingSet sim.Duration
+	kind       gpu.Kind
+	tier       workload.Tier
 
 	// disp holds the stream's dispatcher on each node, by Node.Index
 	// (nil until a request is placed there); first is the storage of
@@ -218,10 +220,11 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 	s.streams = make([]*stream, len(cfg.Streams))
 	for i, spec := range cfg.Streams {
 		st := &recs[i]
-		st.spec = spec
+		st.arrival = spec.Arrival
 		st.ft = f.NewTenant(spec.Tenant)
 		st.rng = sim.MakeRNG(sim.StreamSeed(cfg.Fleet.Seed, "traffic", i))
 		st.size = spec.Tenant.Mix[0].Size
+		st.workingSet = spec.Tenant.WorkingSet
 		st.kind = spec.Tenant.Mix[0].Kind
 		st.tier = spec.Tenant.Tier.Normalize()
 		st.disp = disp[i*nodes : (i+1)*nodes : (i+1)*nodes]
@@ -281,7 +284,7 @@ func (s *Server) ResetStats() {
 // instant runs between them.
 func (s *Server) armArrival(st *stream) {
 	for {
-		gap := st.spec.Arrival.Next(s.eng.Now(), &st.rng)
+		gap := st.arrival.Next(s.eng.Now(), &st.rng)
 		if gap > 0 {
 			s.eng.After(gap, st.arriveFn)
 			return
@@ -314,7 +317,7 @@ func (s *Server) arrive(st *stream) {
 	}
 	d.queue = append(d.queue, item{
 		arrival: s.eng.Now(),
-		cold:    migrated && st.spec.Tenant.WorkingSet > 0,
+		cold:    migrated && st.workingSet > 0,
 	})
 	d.wake()
 }
@@ -369,11 +372,11 @@ type dispatcher struct {
 	// doneFn is the completion hook, bound once: every request of this
 	// (stream, node) pair shares it, so hooking a completion allocates
 	// nothing. The continuation's steps are bound once too: one step
-	// (the open before the client is ready, the drain after), the
-	// open's hand-back and the submission's.
+	// (the open before the client is ready, the drain after) and the
+	// submission's hand-back. The open's hand-back runs once, so it is
+	// bound at the open and not kept.
 	doneFn      func(*gpu.Request)
 	stepFn      func()
-	openedFn    func(*userlib.Client, error)
 	submittedFn func(*gpu.Request)
 }
 
@@ -386,7 +389,7 @@ func (s *Server) newDispatcher(st *stream, n *fleet.Node) *dispatcher {
 	}
 	d.srv, d.st, d.node = s, st, n
 	s.eng.InitCont(&d.c)
-	d.doneFn, d.stepFn, d.openedFn, d.submittedFn = d.onDone, d.step, d.opened, d.submitted
+	d.doneFn, d.stepFn, d.submittedFn = d.onDone, d.step, d.submitted
 	st.disp[n.Index] = d
 	return d
 }
@@ -414,7 +417,7 @@ func (d *dispatcher) step() {
 
 // open opens the tenant's client on the node; anything queued during
 // setup is drained right after.
-func (d *dispatcher) open() { d.st.ft.ClientOn(&d.c, d.node, d.openedFn) }
+func (d *dispatcher) open() { d.st.ft.ClientOn(&d.c, d.node, d.opened) }
 
 func (d *dispatcher) opened(client *userlib.Client, err error) {
 	if err != nil {
@@ -463,7 +466,7 @@ func (d *dispatcher) drain() {
 			// (the task can die while the virtual context waits for a
 			// hardware slot).
 			d.cold = true
-			if !d.submit(d.st.spec.Tenant.WorkingSet) {
+			if !d.submit(d.st.workingSet) {
 				return
 			}
 			continue
@@ -491,7 +494,7 @@ func (d *dispatcher) submitted(r *gpu.Request) {
 	switch {
 	case d.cold:
 		if r != nil {
-			d.st.stats.ColdTime += d.st.spec.Tenant.WorkingSet
+			d.st.stats.ColdTime += d.st.workingSet
 		}
 	case r == nil:
 		d.srv.fleet.RequestDone(d.node)
@@ -532,7 +535,7 @@ func (d *dispatcher) batchDrain() bool {
 			continue
 		}
 		if it.cold {
-			ws := d.st.spec.Tenant.WorkingSet
+			ws := d.st.workingSet
 			b.Stage(ws, d.st.kind, nil)
 			d.st.stats.ColdTime += ws
 		}

@@ -118,8 +118,8 @@ func OpenVirtualOn(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, k
 	openVirtual(lane, k, t, label, kinds, nil, then)
 }
 
-// Clients hands out the clients of many virtual opens from doubling
-// chunks (sim.Slab), for a layer that opens one per tenant: a client
+// Clients hands out the clients of many virtual opens from slab chunks
+// (sim.Slab), for a layer that opens one per tenant: a client
 // then costs a slot in a chunk, not an object. The zero value is ready
 // to use; the clients live as long as their chunk does.
 type Clients struct {

@@ -171,6 +171,9 @@ func TestDesignDocCoversScaleIndex(t *testing.T) {
 		"TestBoardEagerClampDifferential", "FuzzBoardReconcile",
 		"core.OracleFairQueueing", "BenchmarkDFQCycleTenants",
 		"TestPlacementCrossClassTiesGoToLowestIndex",
+		"core.Ledger.Episode", "core.Entry", "FuzzEpisode",
+		"TestEpisodeLeadBoundCheckFires", "TestEpisodeFoldsByPrincipal",
+		"TestOracleLeadBoundInvariant",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

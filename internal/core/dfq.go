@@ -44,8 +44,8 @@ type DFQConfig struct {
 type PrincipalID uint32
 
 // EpisodeEntry is one principal's row in an episode batch. The reporter
-// fills Principal/Charge/Active/Marked; the exchange writes Lead back
-// in place.
+// (Ledger.Episode, for every scheduler) fills Principal/Charge/Active/
+// Marked; the exchange writes Lead back in place.
 type EpisodeEntry struct {
 	// Principal is the handle from FleetVT.Principal.
 	Principal PrincipalID
@@ -79,8 +79,8 @@ type EpisodeEntry struct {
 //
 // The batch is a reusable slice owned by the reporter: the exchange
 // must not retain it past the call. A batch holds at most one entry per
-// principal: reporters fold same-named tasks into one entry first (DFQ
-// sums their charges and ORs their activity). The exchange does not
+// principal: Ledger.Episode folds same-named tasks into one entry first
+// (it sums their charges and ORs their activity). The exchange does not
 // merge duplicates; their marks would apply in batch order.
 //
 // All quantities are in weighted normalized Work, not device time: each
@@ -119,10 +119,9 @@ const (
 // dfqTask is the per-task scheduler state. The task's virtual time —
 // its estimated cumulative usage in normalized work units divided by
 // its fair-share weight (probabilistically updated, per the paper) —
-// lives in the scheduler's FlowIndex, addressed by flow.
+// lives in the scheduler's Ledger, addressed by the flowTask's flow.
 type dfqTask struct {
-	// flow is the task's slot in the virtual-time ledger.
-	flow FlowID
+	flowTask
 	// est is the estimated mean request service time from the most recent
 	// successful sampling run.
 	est sim.Duration
@@ -133,15 +132,6 @@ type dfqTask struct {
 	activeAtBarrier bool
 	// sampledRequests is the last sampling run's observation count.
 	sampledRequests int
-	// denied marks the task as excluded from the next free run.
-	denied bool
-	// pid is the fleet principal handle for the task's name, interned on
-	// first fleet report (valid only when pidSet).
-	pid    PrincipalID
-	pidSet bool
-	// charge is this episode's ledger charge, kept per task so the fleet
-	// report needs no per-episode map.
-	charge Work
 }
 
 // DisengagedFairQueueing is the paper's Section 3.3 scheduler: a fair
@@ -160,22 +150,20 @@ type dfqTask struct {
 // estimate is wrong in exactly the ways Section 5.3 reports. See
 // OracleFairQueueing for the vendor-statistics alternative.
 type DisengagedFairQueueing struct {
+	fairQueue[dfqTask, *dfqTask]
 	cfg DFQConfig
 
 	k         *neon.Kernel
 	mode      dfqMode
 	sampled   *neon.Task
-	st        taskSlots[dfqTask]
-	ledger    *FlowIndex
 	admitGate *sim.Gate
-	speed     float64 // device class speed factor, set at Start
+	speed     float64 // charge speed: the device's class speed, or 1 under RawCharges
 
 	// The engagement/free-run cycle runs on c (see cycle). Between its
 	// steps it keeps the barrier's task snapshot, the next task to
-	// consider for sampling and the episode's timing. active and charged
-	// are maintainVirtualTime's scratch.
+	// consider for sampling and the episode's timing.
 	c                     *sim.Cont
-	live, active, charged []*neon.Task
+	live                  []*neon.Task
 	next, sampledCount    int
 	lastBarrier, engStart sim.Time
 	window                sim.Duration
@@ -187,26 +175,11 @@ type DisengagedFairQueueing struct {
 	Cycles int64
 	// Denials counts task-intervals denied, for tests.
 	Denials int64
-
-	// Lead-bound instrumentation (see LeadBound): the largest
-	// virtual-time lead any backlogged task has held over the system
-	// virtual time, and the count of episodes where a lead exceeded the
-	// bound — zero unless fairness is broken. All in normalized work.
-	MaxLead        Work
-	LeadViolations int64
-	maxFreeRun     Work
-	maxWindow      Work
-
-	// batch and batchIdx are the reusable fleet episode report: one
-	// entry per distinct principal, rebuilt in place every episode so
-	// the steady-state exchange allocates nothing.
-	batch    []EpisodeEntry
-	batchIdx map[PrincipalID]int32
 }
 
 // NewDisengagedFairQueueing returns the scheduler with the given
 // configuration; zero fields are replaced by defaults. Virtual-time
-// state lives in a FlowIndex.
+// state lives in a Ledger.
 func NewDisengagedFairQueueing(cfg DFQConfig) *DisengagedFairQueueing {
 	def := DefaultDFQConfig()
 	if cfg.SamplePeriod <= 0 {
@@ -224,10 +197,9 @@ func NewDisengagedFairQueueing(cfg DFQConfig) *DisengagedFairQueueing {
 	if cfg.DefaultEstimate <= 0 {
 		cfg.DefaultEstimate = def.DefaultEstimate
 	}
-	return &DisengagedFairQueueing{
-		cfg:    cfg,
-		ledger: NewFlowIndex(),
-	}
+	d := &DisengagedFairQueueing{cfg: cfg}
+	d.fleet = cfg.Fleet
+	return d
 }
 
 // Name implements neon.Scheduler.
@@ -235,15 +207,6 @@ func (d *DisengagedFairQueueing) Name() string { return "disengaged-fair-queuein
 
 // Config returns the active configuration.
 func (d *DisengagedFairQueueing) Config() DFQConfig { return d.cfg }
-
-// VirtualTime returns the task's current virtual time in normalized
-// work, for tests.
-func (d *DisengagedFairQueueing) VirtualTime(t *neon.Task) Work {
-	if s := d.st.get(t); s != nil {
-		return d.ledger.VT(s.flow)
-	}
-	return 0
-}
 
 // SystemVirtualTime returns the system-wide virtual time in normalized
 // work.
@@ -257,45 +220,14 @@ func (d *DisengagedFairQueueing) Estimate(t *neon.Task) sim.Duration {
 	return 0
 }
 
-// LeadBound returns the fairness bound the denial rule enforces: a
-// backlogged task's virtual time may lead the system virtual time by at
-// most one free-run horizon (past which it is denied and stops being
-// charged) plus one engagement window divided by the lightest charged
-// weight (the most any task's ledger can advance in the episode that
-// pushes it over), both converted to normalized work at this device's
-// class speed. Both terms vary per episode, so the bound is stated over
-// the largest observed values. The property tests
-// TestDFQLeadBoundInvariant and TestWeightedDFQLeadBoundInvariant
-// assert MaxLead never exceeds it.
-//
-// Dynamic-weight contract: the bound stays valid when weights change
-// mid-run (the policy layer's round-based allocator rewrites
-// neon.Task.Weight between rounds). Weights are read afresh at every
-// charging step — nothing here caches them — each episode's window
-// term uses that episode's own lightest *charged* weight and joins
-// maxWindow before the episode's lead check, and past charges are
-// never restated: a re-weight changes future charging rates only.
-// Writers must keep weights positive and finite
-// (workload.TenantSpec.Validate; the policy layer's min-1
-// normalization additionally keeps the lightest weight at 1, so the
-// window term never exceeds the unweighted scheduler's).
-// TestReweightingPreservesLeadBound churns weights through the live
-// allocator and asserts the invariant end to end.
-func (d *DisengagedFairQueueing) LeadBound() Work {
-	return d.maxFreeRun + d.maxWindow
-}
-
-// Denied reports whether the task is excluded from the current free run.
-func (d *DisengagedFairQueueing) Denied(t *neon.Task) bool {
-	s := d.st.get(t)
-	return s != nil && s.denied
-}
-
 // Start implements neon.Scheduler: the engagement/free-run cycle
 // starts at the back of the current instant.
 func (d *DisengagedFairQueueing) Start(k *neon.Kernel) {
 	d.k = k
-	d.speed = k.Device().ClassSpeed()
+	d.speed = 1
+	if !d.cfg.RawCharges {
+		d.speed = k.Device().ClassSpeed()
+	}
 	d.admitGate = k.Engine().NewGate("dfq-admit")
 	d.c = k.Engine().NewCont()
 	d.cycleFn, d.admittedFn, d.sampleNextFn, d.computedFn = d.cycle, d.admitted, d.sampleNext, d.computed
@@ -304,34 +236,10 @@ func (d *DisengagedFairQueueing) Start(k *neon.Kernel) {
 	d.c.Yield(d.cycleFn)
 }
 
-// chargeSpeed is the device-time-to-work conversion factor the ledger
-// uses: the device's class speed, or 1 under the RawCharges ablation.
-func (d *DisengagedFairQueueing) chargeSpeed() float64 {
-	if d.cfg.RawCharges {
-		return 1
-	}
-	return d.speed
-}
-
 // TaskAdmitted implements neon.Scheduler.
 func (d *DisengagedFairQueueing) TaskAdmitted(t *neon.Task) {
-	d.admitTask(t)
+	d.admit(t).est = d.cfg.DefaultEstimate
 	d.admitGate.Broadcast()
-}
-
-// admitTask gives the task its record and its ledger flow.
-func (d *DisengagedFairQueueing) admitTask(t *neon.Task) *dfqTask {
-	s := d.st.add(t)
-	s.est, s.flow = d.cfg.DefaultEstimate, d.ledger.Add()
-	return s
-}
-
-// TaskExited implements neon.Scheduler.
-func (d *DisengagedFairQueueing) TaskExited(t *neon.Task) {
-	if s := d.st.get(t); s != nil {
-		d.ledger.Remove(s.flow)
-	}
-	d.st.remove(t)
 }
 
 // ChannelActivated implements neon.Scheduler: new channels are mapped
@@ -350,8 +258,7 @@ func (d *DisengagedFairQueueing) mayRun(t *neon.Task) bool {
 	case dfqSampling:
 		return t == d.sampled
 	case dfqFreeRun:
-		s := d.st.get(t)
-		return s == nil || !s.denied
+		return !d.Denied(t)
 	default: // barrier
 		return false
 	}
@@ -376,7 +283,7 @@ func (d *DisengagedFairQueueing) cycle() {
 	d.mode = dfqBarrier
 	d.k.EngageAll()
 	for _, t := range live {
-		s := d.state(t)
+		s := d.st.get(t)
 		s.activeAtBarrier = t.PendingRequests() > 0 || t.Gate().Waiters() > 0
 	}
 	d.live, d.next, d.sampledCount = live, 0, 0
@@ -400,7 +307,7 @@ func (d *DisengagedFairQueueing) sampleNext() {
 		if !t.Alive {
 			continue
 		}
-		s := d.state(t)
+		s := d.st.get(t)
 		completed := t.CompletedRequests()
 		issued := completed > s.lastCompleted
 		s.lastCompleted = completed
@@ -451,18 +358,40 @@ func (d *DisengagedFairQueueing) sampleDone(res neon.SampleResult) {
 	d.sampleNext()
 }
 
-// computed decides the next interval and starts the disengaged free run.
+// computed ends the engagement episode and starts the disengaged free
+// run. The episode (Ledger.Episode) charges each active task that was
+// permitted to run its estimated share of the interval, in proportion
+// to the mean sampled request sizes — the round-robin arbitration
+// assumption — converted to normalized work at the device's class
+// speed and divided by the task's fair-share weight, so ledgers stay
+// comparable across a mixed fleet and service under contention is
+// proportional to weight. Tasks that spent the interval denied
+// consumed nothing and are charged nothing, but still count as active
+// (they are waiting, not idle), so they neither forfeit nor accrue
+// credit. A task whose lead reaches the free run (fleet-wide with a
+// fleet exchange) sits the free run out: even an exclusive interval
+// would not let the slowest task catch past it, and the free run in
+// work is what the device could retire while it waits.
 func (d *DisengagedFairQueueing) computed() {
 	engElapsed := d.k.Engine().Now().Sub(d.engStart)
 	nominal := d.cfg.SamplePeriod * sim.Duration(max(1, d.sampledCount))
-	freeRun := sim.Duration(d.cfg.FreeRunMultiplier) * maxDur(engElapsed, nominal)
-	d.maintainVirtualTime(d.window, freeRun)
+	freeRun := sim.Duration(d.cfg.FreeRunMultiplier) * max(engElapsed, nominal)
+	tasks := d.k.Tasks()
+	es := d.entries[:0]
+	for _, t := range tasks {
+		s := d.st.get(t)
+		es = append(es, Entry{Flow: s.flow, Principal: s.pid, Weight: t.ShareWeight(),
+			Active: s.activeAtBarrier, Denied: s.denied, Use: s.est})
+	}
+	d.entries = es
+	d.ledger.Episode(es, EpisodeParams{Window: d.window, Horizon: freeRun, Speed: d.speed,
+		Fleet: d.fleet, Device: d.k.Label})
 
 	// --- Disengaged free run. ---
 	d.mode = dfqFreeRun
-	for _, t := range d.k.Tasks() {
-		s := d.state(t)
-		if s.denied {
+	for i, t := range tasks {
+		s := d.st.get(t)
+		if s.denied = es[i].Denied; s.denied {
 			d.Denials++
 			continue
 		}
@@ -471,154 +400,6 @@ func (d *DisengagedFairQueueing) computed() {
 	}
 	d.Cycles++
 	d.c.Sleep(freeRun, d.cycleFn)
-}
-
-// maintainVirtualTime performs the paper's three per-engagement steps:
-// advance active tasks' virtual times, advance the system virtual time
-// and catch idle tasks up to it, and deny the next interval to tasks too
-// far ahead.
-//
-// Active tasks that were permitted to run are charged the interval in
-// proportion to their mean sampled request sizes — the round-robin
-// arbitration assumption. The device-time charge is converted to
-// normalized work at the device's class speed (see Work) and divided by
-// the task's fair-share weight (see PerWeight), so ledgers stay
-// comparable across a mixed fleet and service under contention is
-// proportional to weight. Tasks that spent the interval denied consumed
-// nothing and are charged nothing, but still count as active (they are
-// waiting, not idle), so they neither forfeit nor accrue credit.
-//
-// The bookkeeping itself — where virtual times live, how the active
-// minimum is found, when idle flows catch up — is the FlowIndex's: each
-// step is O(log active), and TestDifferentialDFQIndex pins that it
-// produces the virtual times of the pre-index linear scan.
-func (d *DisengagedFairQueueing) maintainVirtualTime(window, freeRun sim.Duration) {
-	speed := d.chargeSpeed()
-	windowW := WorkFor(window, speed)
-	freeRunW := WorkFor(freeRun, speed)
-
-	var estSum sim.Duration
-	active, charged := d.active[:0], d.charged[:0]
-	minWeight := 1.0
-	for _, t := range d.k.Tasks() {
-		s := d.state(t)
-		s.charge = 0
-		d.ledger.SetActive(s.flow, s.activeAtBarrier)
-		if s.activeAtBarrier {
-			active = append(active, t)
-			if !s.denied { // denial state still reflects the last interval
-				if len(charged) == 0 || t.ShareWeight() < minWeight {
-					minWeight = t.ShareWeight()
-				}
-				charged = append(charged, t)
-				estSum += s.est
-			}
-		}
-	}
-	d.active, d.charged = active, charged
-
-	// Step 1: advance each running task's virtual time by its estimated
-	// share of the elapsed interval, normalized to work units and scaled
-	// down by its weight.
-	if estSum > 0 {
-		for _, t := range charged {
-			s := d.st.get(t)
-			delta := PerWeight(
-				WorkFor(sim.Duration(float64(window)*float64(s.est)/float64(estSum)), speed),
-				t.ShareWeight())
-			d.ledger.Charge(s.flow, delta)
-			s.charge = delta
-		}
-	}
-
-	// Steps 1b and 2: the system virtual time advances to the oldest
-	// virtual time among active flows, and idle flows forfeit unused
-	// credit — lazily, at next read or activation, which is observably
-	// identical to an eager catch-up because the system virtual time is
-	// monotone.
-	d.ledger.AdvanceSysVT()
-
-	// Instrumentation: after charging and system-virtual-time advance,
-	// every backlogged task's lead must sit within LeadBound — it was
-	// under the previous free-run horizon when last charged (or it would
-	// have been denied), and one episode charges a task at most one
-	// window divided by its weight, so the episode's bound contribution
-	// is the window over the lightest charged weight. The current window
-	// joins the bound before the check; the upcoming free run only
-	// after, since no task has run under it yet.
-	if episodeW := PerWeight(windowW, minWeight); episodeW > d.maxWindow {
-		d.maxWindow = episodeW
-	}
-	for _, t := range active {
-		lead := d.ledger.Lead(d.st.get(t).flow)
-		if lead > d.MaxLead {
-			d.MaxLead = lead
-		}
-		if lead > d.maxFreeRun+d.maxWindow {
-			d.LeadViolations++
-		}
-	}
-	if freeRunW > d.maxFreeRun {
-		d.maxFreeRun = freeRunW
-	}
-
-	// Step 3: deny the next interval to tasks so far ahead that even an
-	// exclusive interval would not let the slowest catch past them. The
-	// horizon is the free run converted to this device's work rate: what
-	// the device could retire while the task sits out. With a fleet
-	// exchange attached, the decision uses fleet-wide leads — this
-	// device's charges folded with every other device's — so a principal
-	// cannot gain extra shares by spreading across devices.
-	if d.cfg.Fleet != nil {
-		// Build the reusable episode batch: one entry per distinct
-		// principal name (same-named tasks fold — charges sum, activity
-		// ORs), zero steady-state allocations.
-		if d.batchIdx == nil {
-			d.batchIdx = make(map[PrincipalID]int32)
-		}
-		d.batch = d.batch[:0]
-		for _, t := range d.k.Tasks() {
-			s := d.state(t)
-			if !s.pidSet {
-				s.pid = d.cfg.Fleet.Principal(t.Name)
-				s.pidSet = true
-			}
-			idx, ok := d.batchIdx[s.pid]
-			if !ok {
-				idx = int32(len(d.batch))
-				d.batch = append(d.batch, EpisodeEntry{Principal: s.pid, Marked: true})
-				d.batchIdx[s.pid] = idx
-			}
-			e := &d.batch[idx]
-			e.Charge += s.charge
-			e.Active = e.Active || s.activeAtBarrier
-		}
-		d.cfg.Fleet.ReconcileEpisodeBatch(d.k.Label, d.batch)
-		for _, t := range d.k.Tasks() {
-			s := d.state(t)
-			s.denied = d.batch[d.batchIdx[s.pid]].Lead >= freeRunW
-		}
-		clear(d.batchIdx)
-		return
-	}
-	for _, t := range d.k.Tasks() {
-		s := d.state(t)
-		s.denied = d.ledger.Lead(s.flow) >= freeRunW
-	}
-}
-
-func (d *DisengagedFairQueueing) state(t *neon.Task) *dfqTask {
-	if s := d.st.get(t); s != nil {
-		return s
-	}
-	return d.admitTask(t)
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var (

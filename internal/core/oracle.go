@@ -15,18 +15,18 @@ const DefaultOracleInterval = 30 * time.Millisecond
 // per-context busy time (gpu.Context.BusyTime), so the scheduler needs no
 // barriers, no draining, and no sampling runs — it simply reads the
 // counters every interval, updates virtual times with *true* usage, and
-// denies tasks that have run too far ahead. The virtual times live in a
-// FlowIndex, the ledger DisengagedFairQueueing keeps, so the two differ
-// only in where the charges come from. Comparing it with
+// denies tasks that have run too far ahead. It keeps the Ledger
+// DisengagedFairQueueing keeps and ends its intervals with the same
+// episode routine, so the two differ only in where the charges come
+// from: Use as measured here, an estimated split there. Comparing it with
 // DisengagedFairQueueing isolates the cost of software estimation: the
 // glxgears and oclParticles anomalies disappear.
 type OracleFairQueueing struct {
+	fairQueue[oracleTask, *oracleTask]
 	interval sim.Duration
 
 	k         *neon.Kernel
 	speed     float64 // device class speed factor, set at Start
-	st        taskSlots[oracleTask]
-	ledger    FlowIndex
 	admitGate *sim.Gate
 
 	// The accounting loop runs on c (see cycle).
@@ -40,9 +40,8 @@ type OracleFairQueueing struct {
 }
 
 type oracleTask struct {
-	flow     FlowID // the task's slot in the virtual-time ledger
+	flowTask
 	lastBusy sim.Duration
-	denied   bool
 }
 
 // NewOracleFairQueueing returns the hardware-statistics scheduler.
@@ -55,21 +54,6 @@ func NewOracleFairQueueing(interval sim.Duration) *OracleFairQueueing {
 
 // Name implements neon.Scheduler.
 func (o *OracleFairQueueing) Name() string { return "oracle-fair-queueing" }
-
-// VirtualTime returns the task's virtual time in normalized work, for
-// tests.
-func (o *OracleFairQueueing) VirtualTime(t *neon.Task) Work {
-	if s := o.st.get(t); s != nil {
-		return o.ledger.VT(s.flow)
-	}
-	return 0
-}
-
-// Denied reports whether the task is currently excluded.
-func (o *OracleFairQueueing) Denied(t *neon.Task) bool {
-	s := o.st.get(t)
-	return s != nil && s.denied
-}
 
 // Start implements neon.Scheduler: the accounting loop starts at the
 // back of the current instant.
@@ -84,16 +68,8 @@ func (o *OracleFairQueueing) Start(k *neon.Kernel) {
 
 // TaskAdmitted implements neon.Scheduler.
 func (o *OracleFairQueueing) TaskAdmitted(t *neon.Task) {
-	o.st.add(t).flow = o.ledger.Add()
+	o.admit(t)
 	o.admitGate.Broadcast()
-}
-
-// TaskExited implements neon.Scheduler.
-func (o *OracleFairQueueing) TaskExited(t *neon.Task) {
-	if s := o.st.get(t); s != nil {
-		o.ledger.Remove(s.flow)
-	}
-	o.st.remove(t)
 }
 
 // ChannelActivated implements neon.Scheduler.
@@ -122,35 +98,33 @@ func (o *OracleFairQueueing) elapsed() {
 	o.c.Sleep(o.k.Costs().SchedulerCompute, o.accountFn)
 }
 
-// account charges the interval's usage, denies tasks too far ahead and
-// starts the next interval.
+// account ends the interval's episode (Ledger.Episode): each task is
+// charged the busy time the device measured for it, normalized to work
+// units at the device's class speed and divided by its fair-share
+// weight, and a task that used the device or has work waiting is
+// active. The window is the interval and the compute since the last
+// account, the most device time a task can have used. Tasks whose lead
+// reaches the interval are denied the next one; the rest are admitted.
 func (o *OracleFairQueueing) account() {
 	o.Intervals++
 	o.k.EnforceRunLimit()
 
-	// Step 1: charge true per-task usage, read from the device,
-	// normalized to work units at the device's class speed, and
-	// divided by the task's fair-share weight. A task that used the
-	// device or has work waiting is active.
-	for _, t := range o.k.Tasks() {
-		s := o.state(t)
+	tasks := o.k.Tasks()
+	es := o.entries[:0]
+	for _, t := range tasks {
+		s := o.st.get(t)
 		busy := t.BusyTime()
-		delta := busy - s.lastBusy
+		es = append(es, Entry{Flow: s.flow, Weight: t.ShareWeight(), Denied: s.denied, Use: busy - s.lastBusy,
+			Active: busy > s.lastBusy || t.PendingRequests() > 0 || t.Gate().Waiters() > 0})
 		s.lastBusy = busy
-		o.ledger.Charge(s.flow, PerWeight(WorkFor(delta, o.speed), t.ShareWeight()))
-		o.ledger.SetActive(s.flow, delta > 0 || t.PendingRequests() > 0 || t.Gate().Waiters() > 0)
 	}
+	o.entries = es
+	o.ledger.Episode(es, EpisodeParams{Window: o.interval + o.k.Costs().SchedulerCompute,
+		Horizon: o.interval, Speed: o.speed, Measured: true})
 
-	// Step 2: the system virtual time advances to the oldest active
-	// virtual time, and idle tasks forfeit unused credit (lazily, in the
-	// ledger).
-	o.ledger.AdvanceSysVT()
-
-	// Step 3: deny tasks too far ahead; admit the rest.
-	horizon := WorkFor(o.interval, o.speed)
-	for _, t := range o.k.Tasks() {
-		s := o.state(t)
-		denied := o.ledger.Lead(s.flow) >= horizon
+	for i, t := range tasks {
+		s := o.st.get(t)
+		denied := es[i].Denied
 		if denied && !s.denied {
 			o.Denials++
 			o.k.Engage(t)
@@ -164,15 +138,6 @@ func (o *OracleFairQueueing) account() {
 		}
 	}
 	o.cycle()
-}
-
-func (o *OracleFairQueueing) state(t *neon.Task) *oracleTask {
-	if s := o.st.get(t); s != nil {
-		return s
-	}
-	s := o.st.add(t)
-	s.flow = o.ledger.Add()
-	return s
 }
 
 var (

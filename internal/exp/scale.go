@@ -4,20 +4,22 @@ package exp
 // The paper's DFQ keeps per-tenant virtual-time state for a handful of
 // applications; 10^5 tenants is more than the simulated GPU stack can
 // host directly (a device exposes 48 channels). So this experiment
-// drives the scheduling *state machinery* itself — a core.FlowIndex per
+// drives the scheduling *state machinery* itself — a core.Ledger per
 // device reconciling through a fleet.Board, which keeps its own
 // FlowIndex — with a synthetic open-loop engagement cycle: each cycle a
-// bounded working set of tenants is activated, charged its estimated
-// share of the engagement window, folded into the fleet-wide system
-// virtual time, and denied when its fleet lead reaches the free-run
-// horizon, exactly the per-cycle bookkeeping of
-// core.DisengagedFairQueueing. Tenant count sweeps 10²→10⁵ while the
-// per-cycle working set stays fixed, so any O(tenants) step in the
-// ledger or the board would surface as allocations (and wall time)
-// growing with the population; the table pins allocs/request flat and
-// the weighted lead bound holding at every scale. Wall-clock scaling is
-// benchmarked separately (BenchmarkDFQCycleTenants*, BENCH_7.json) — the
-// golden table only carries deterministic columns.
+// bounded working set of tenants is activated and handed to the
+// production episode routine, core.Ledger.Episode, the one
+// core.DisengagedFairQueueing and core.OracleFairQueueing call. It
+// charges each granted tenant its estimated share of the engagement
+// window, folds the charges into the fleet-wide system virtual time,
+// and denies a tenant whose fleet lead reaches the free-run horizon.
+// Tenant count sweeps 10²→10⁵ while the per-cycle working set stays
+// fixed, so any O(tenants) step in the ledger or the board would
+// surface as allocations (and wall time) growing with the population;
+// the table pins allocs/request flat and the weighted lead bound
+// holding at every scale. Wall-clock scaling is benchmarked separately
+// (BenchmarkDFQCycleTenants*, BENCH_7.json) — the golden table only
+// carries deterministic columns.
 
 import (
 	"fmt"
@@ -149,26 +151,24 @@ func RunScaleCell(o Options, tenants int, sched Sched) ScaleResult {
 	return res
 }
 
-// runScaleDFQ is the DFQ arm: per-device ledgers, a fleet board, and
-// the paper's charge/advance/deny cycle over a rolling active set.
+// runScaleDFQ is the DFQ arm: per-device ledgers and a fleet board,
+// each device cycle one core.Ledger.Episode over a rolling active set.
 func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 	weight func(int) float64, est func(int) sim.Duration) ScaleResult {
 	board := fleet.NewBoard()
 	board.Grow(tenants)
-	names := make([]string, tenants)
 	pids := make([]core.PrincipalID, tenants)
-	for i := range names {
-		names[i] = fmt.Sprintf("t%d", i)
+	for i := range pids {
 		// Interning upfront instead of on first charge is equivalent: a
 		// principal stays heap-idle until first activated, and every idle
 		// read/charge/activation clamps its virtual time up to the system
 		// virtual time — the same value late registration would start at.
-		pids[i] = board.Principal(names[i])
+		pids[i] = board.Principal(fmt.Sprintf("t%d", i))
 	}
 
 	type device struct {
 		name       string
-		ledger     *core.FlowIndex
+		ledger     core.Ledger
 		ids        []core.FlowID
 		lastPicked []int32 // cycle a tenant was last engaged on this device
 		expire     [][]int // ring of past working sets, for idling out
@@ -177,7 +177,6 @@ func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 	for d := range devs {
 		dev := &device{
 			name:       fmt.Sprintf("dev%d", d),
-			ledger:     core.NewFlowIndex(),
 			ids:        make([]core.FlowID, tenants),
 			lastPicked: make([]int32, tenants),
 			expire:     make([][]int, scaleActiveCycles),
@@ -199,64 +198,30 @@ func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 	bound := freeRunW + core.Work(scaleDevices)*windowW
 
 	denied := make([]bool, tenants)
-	picks := make([]int, 0, working)
-	var maxLead core.Work
-
-	// The reusable episode batch (one entry per distinct tenant touched
-	// this episode) replaces the old per-episode charge/active maps —
-	// the board exchange allocates nothing in steady state. Entry lookup
-	// uses an episode-stamped index instead of a map clear.
-	batch := make([]core.EpisodeEntry, 0, 2*working)
-	batchTenant := make([]int, 0, 2*working)
-	entryAt := make([]int32, tenants)
-	stamp := make([]int64, tenants)
-	episode := int64(0)
-	addEntry := func(i int) int32 {
-		if stamp[i] == episode {
-			return entryAt[i]
-		}
-		stamp[i] = episode
-		j := int32(len(batch))
-		entryAt[i] = j
-		batch = append(batch, core.EpisodeEntry{Principal: pids[i]})
-		batchTenant = append(batchTenant, i)
-		return j
+	// The episode's entries and their tenants: this cycle's picks, then
+	// the tenants idling out.
+	es := make([]core.Entry, 0, 2*working)
+	who := make([]int, 0, 2*working)
+	entry := func(dev *device, i int, active bool) core.Entry {
+		return core.Entry{Flow: dev.ids[i], Principal: pids[i], Weight: weight(i),
+			Active: active, Denied: denied[i], Use: est(i)}
 	}
+	var maxLead core.Work
 
 	for c := 0; c < cycles; c++ {
 		for _, dev := range devs {
-			// Engage this cycle's working set (duplicates collapse; the
-			// ledger's SetActive is a no-op on an already-active flow).
-			picks = picks[:0]
-			var estSum sim.Duration
+			// Engage this cycle's working set. A tenant picked twice is
+			// charged twice, each time its estimated share of the window;
+			// a denied pick is charged nothing.
+			es, who = es[:0], who[:0]
 			for k := 0; k < working; k++ {
 				i := rng.Intn(tenants)
-				picks = append(picks, i)
-				dev.ledger.SetActive(dev.ids[i], true)
+				es = append(es, entry(dev, i, true))
+				who = append(who, i)
 				dev.lastPicked[i] = int32(c)
 				if !denied[i] {
-					estSum += est(i)
+					res.Requests++
 				}
-			}
-
-			// Charge granted tenants their estimated share of the window,
-			// weighted — the arithmetic of maintainVirtualTime.
-			episode++
-			batch = batch[:0]
-			batchTenant = batchTenant[:0]
-			for _, i := range picks {
-				j := addEntry(i)
-				batch[j].Marked = true
-				batch[j].Active = true
-				if denied[i] || estSum == 0 {
-					continue
-				}
-				delta := core.PerWeight(
-					core.WorkFor(sim.Duration(float64(scaleWindow)*float64(est(i))/float64(estSum)), 1),
-					weight(i))
-				dev.ledger.Charge(dev.ids[i], delta)
-				batch[j].Charge += delta
-				res.Requests++
 			}
 
 			// Tenants unseen for scaleActiveCycles cycles idle out and
@@ -264,22 +229,17 @@ func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 			slot := c % scaleActiveCycles
 			for _, i := range dev.expire[slot] {
 				if dev.lastPicked[i] <= int32(c-scaleActiveCycles) {
-					dev.ledger.SetActive(dev.ids[i], false)
-					if j := addEntry(i); !batch[j].Active {
-						batch[j].Marked = true
-					}
+					es = append(es, entry(dev, i, false))
+					who = append(who, i)
 				}
 			}
-			dev.expire[slot] = append(dev.expire[slot][:0], picks...)
+			dev.expire[slot] = append(dev.expire[slot][:0], who[:working]...)
 
-			dev.ledger.AdvanceSysVT()
-			board.ReconcileEpisodeBatch(dev.name, batch)
-			for j := range batch {
-				lead := batch[j].Lead
-				if lead > maxLead {
-					maxLead = lead
-				}
-				denied[batchTenant[j]] = lead >= freeRunW
+			dev.ledger.Episode(es, core.EpisodeParams{Window: scaleWindow, Horizon: scaleFreeRun,
+				Speed: 1, Fleet: board, Device: dev.name})
+			for j, i := range who {
+				denied[i] = es[j].Denied
+				maxLead = max(maxLead, es[j].Lead)
 			}
 		}
 

@@ -22,12 +22,13 @@
 //     when the class speedup outweighs the reconstruction cost.
 //   - fleet-wide virtual-time reconciliation (Board): each per-device
 //     DFQ instance folds the usage it charges at every engagement
-//     episode into a shared board keyed by tenant name, and takes its
-//     denial decisions against fleet-wide leads. A tenant consuming on
-//     several devices at once is throttled everywhere, so fairness
-//     holds across the fleet, not just within one device. Charges are
-//     in normalized core.Work (device time x class speed), so the
-//     board compares like with like across device generations.
+//     episode (core.Ledger.Episode) into a shared board keyed by
+//     tenant name, and takes its denial decisions against fleet-wide
+//     leads. A tenant consuming on several devices at once is
+//     throttled everywhere, so fairness holds across the fleet, not
+//     just within one device. Charges are in normalized core.Work
+//     (device time x class speed), so the board compares like with
+//     like across device generations.
 package fleet
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -93,14 +94,14 @@ func TestNormalizedDFQLeadBoundMixedFleet(t *testing.T) {
 					t.Fatal("node scheduler is not DFQ")
 				}
 				cycles += dfq.Cycles
-				if dfq.LeadViolations != 0 {
+				if dfq.LeadViolations() != 0 {
 					t.Errorf("%s (%s, load %.2f): %d lead-bound violations (max lead %v, bound %v)",
 						node.Device.Name(), node.Class.Name, load,
-						dfq.LeadViolations, dfq.MaxLead, dfq.LeadBound())
+						dfq.LeadViolations(), dfq.MaxLead(), dfq.LeadBound())
 				}
-				if dfq.MaxLead > dfq.LeadBound() {
+				if dfq.MaxLead() > dfq.LeadBound() {
 					t.Errorf("%s: max observed lead %v exceeds bound %v",
-						node.Device.Name(), dfq.MaxLead, dfq.LeadBound())
+						node.Device.Name(), dfq.MaxLead(), dfq.LeadBound())
 				}
 			}
 			if cycles < 3 {
@@ -161,12 +162,12 @@ func TestWeightedDFQLeadBoundInvariant(t *testing.T) {
 			if dfq.Cycles < 3 {
 				t.Fatalf("only %d engagement episodes; scenario too idle to test anything", dfq.Cycles)
 			}
-			if dfq.LeadViolations != 0 {
+			if dfq.LeadViolations() != 0 {
 				t.Errorf("load %.2f: %d weighted lead-bound violations (max lead %v, bound %v)",
-					load, dfq.LeadViolations, dfq.MaxLead, dfq.LeadBound())
+					load, dfq.LeadViolations(), dfq.MaxLead(), dfq.LeadBound())
 			}
-			if dfq.MaxLead > dfq.LeadBound() {
-				t.Errorf("max observed lead %v exceeds weighted bound %v", dfq.MaxLead, dfq.LeadBound())
+			if dfq.MaxLead() > dfq.LeadBound() {
+				t.Errorf("max observed lead %v exceeds weighted bound %v", dfq.MaxLead(), dfq.LeadBound())
 			}
 			for j := range streams {
 				if srv.Stats(j).Completed == 0 {
@@ -185,7 +186,23 @@ func TestWeightedDFQLeadBoundInvariant(t *testing.T) {
 // free-run horizon plus one engagement window (core's LeadBound), and
 // the device must never sit idle while work is queued in its rings
 // (work conservation).
-func TestDFQLeadBoundInvariant(t *testing.T) {
+func TestDFQLeadBoundInvariant(t *testing.T) { leadBoundInvariant(t, "dfq") }
+
+// TestOracleLeadBoundInvariant runs TestDFQLeadBoundInvariant's
+// scenarios under the oracle. Its intervals end in the same episode
+// routine (core.Ledger.Episode), so it keeps the same record: no lead
+// may pass one interval (the horizon) plus one interval and scheduler
+// compute (the window).
+func TestOracleLeadBoundInvariant(t *testing.T) { leadBoundInvariant(t, "oracle") }
+
+// leadRecord is the lead-bound record DFQ and the oracle keep.
+type leadRecord interface {
+	MaxLead() core.Work
+	LeadViolations() int64
+	LeadBound() core.Work
+}
+
+func leadBoundInvariant(t *testing.T, sched string) {
 	const scenarios = 6
 	for i := 0; i < scenarios; i++ {
 		i := i
@@ -194,7 +211,7 @@ func TestDFQLeadBoundInvariant(t *testing.T) {
 			streams, load := randomScenario(rng)
 			eng := sim.NewEngine()
 			srv, err := New(eng, Config{
-				Fleet:      fleet.Config{Devices: 1, Sched: "dfq", RunLimit: time.Second, Seed: int64(rng.Intn(1 << 30))},
+				Fleet:      fleet.Config{Devices: 1, Sched: sched, RunLimit: time.Second, Seed: int64(rng.Intn(1 << 30))},
 				AdmitDepth: 256,
 				Streams:    streams,
 			})
@@ -235,19 +252,26 @@ func TestDFQLeadBoundInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			dfq := node.DFQ()
-			if dfq == nil {
-				t.Fatal("node scheduler is not DFQ")
+			var rec leadRecord
+			var episodes int64
+			switch s := node.Sched.(type) {
+			case *core.DisengagedFairQueueing:
+				rec, episodes = s, s.Cycles
+			case *core.OracleFairQueueing:
+				rec, episodes = s, s.Intervals
+			default:
+				t.Fatalf("node scheduler is %T", node.Sched)
 			}
-			if dfq.Cycles < 3 {
-				t.Fatalf("only %d engagement episodes; scenario too idle to test anything", dfq.Cycles)
+			if episodes < 3 {
+				t.Fatalf("only %d episodes; scenario too idle to test anything", episodes)
 			}
-			if dfq.LeadViolations != 0 {
+			t.Logf("%s, load %.2f: max lead %v, bound %v", sched, load, rec.MaxLead(), rec.LeadBound())
+			if rec.LeadViolations() != 0 {
 				t.Errorf("load %.2f: %d lead-bound violations (max lead %v, bound %v)",
-					load, dfq.LeadViolations, dfq.MaxLead, dfq.LeadBound())
+					load, rec.LeadViolations(), rec.MaxLead(), rec.LeadBound())
 			}
-			if dfq.MaxLead > dfq.LeadBound() {
-				t.Errorf("max observed lead %v exceeds bound %v", dfq.MaxLead, dfq.LeadBound())
+			if rec.MaxLead() > rec.LeadBound() {
+				t.Errorf("max observed lead %v exceeds bound %v", rec.MaxLead(), rec.LeadBound())
 			}
 			if violations != 0 {
 				t.Errorf("work conservation: device idle with ring work at %d consecutive probes", violations)

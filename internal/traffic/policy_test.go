@@ -74,13 +74,13 @@ func TestReweightingPreservesLeadBound(t *testing.T) {
 			if dfq.Cycles < 3 {
 				t.Fatalf("only %d engagement episodes; scenario too idle to test anything", dfq.Cycles)
 			}
-			if dfq.LeadViolations != 0 {
+			if dfq.LeadViolations() != 0 {
 				t.Errorf("load %.2f: %d lead-bound violations under re-weighting (max lead %v, bound %v)",
-					load, dfq.LeadViolations, dfq.MaxLead, dfq.LeadBound())
+					load, dfq.LeadViolations(), dfq.MaxLead(), dfq.LeadBound())
 			}
-			if dfq.MaxLead > dfq.LeadBound() {
+			if dfq.MaxLead() > dfq.LeadBound() {
 				t.Errorf("max observed lead %v exceeds bound %v under re-weighting",
-					dfq.MaxLead, dfq.LeadBound())
+					dfq.MaxLead(), dfq.LeadBound())
 			}
 			for j := range streams {
 				if srv.Stats(j).Completed == 0 {

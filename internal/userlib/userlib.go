@@ -382,17 +382,7 @@ func (c *Client) SubmitAsync(e *sim.Engine, kind gpu.Kind, size sim.Duration, on
 	if c.TrapPerRequest {
 		return nil, false
 	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		// Peek, don't pin: a refused submission must leave the mux LRU
-		// clock untouched so the blocking retry's Acquire is the one use
-		// the submission charges (see VContext.Peek).
-		var ok bool
-		ch, ok = c.VC.Peek(kind)
-		if !ok {
-			return nil, false
-		}
-	}
+	ch := c.peek(kind)
 	if ch == nil || !ch.Reg.Present() {
 		return nil, false
 	}
@@ -423,15 +413,23 @@ func (c *Client) Engaged(kind gpu.Kind) bool {
 	if c.TrapPerRequest {
 		return false
 	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var ok bool
-		ch, ok = c.VC.Peek(kind)
-		if !ok {
-			return false
-		}
-	}
+	ch := c.peek(kind)
 	return ch != nil && !ch.Reg.Present()
+}
+
+// peek returns the kind's channel if a submission can reach it without
+// blocking: a raw client's own, or the channel of a virtual client's
+// attached logical context. It returns nil otherwise. Only a raw
+// client's channel map is read; a virtual client has none. A virtual
+// client peeks and does not pin: a refused submission must leave the
+// mux LRU clock untouched, so that the blocking retry's Acquire is the
+// one use the submission charges (see VContext.Peek).
+func (c *Client) peek(kind gpu.Kind) *gpu.Channel {
+	if c.VC != nil {
+		ch, _ := c.VC.Peek(kind)
+		return ch
+	}
+	return c.channels[kind]
 }
 
 // SubmitSync submits a request and blocks until it completes, like a
@@ -485,14 +483,7 @@ func (c *Client) BeginBatch(kind gpu.Kind) (Batch, bool) {
 	if c.TrapPerRequest {
 		return Batch{}, false
 	}
-	ch := c.channels[kind]
-	if c.VC != nil {
-		var ok bool
-		ch, ok = c.VC.Peek(kind)
-		if !ok {
-			return Batch{}, false
-		}
-	}
+	ch := c.peek(kind)
 	if ch == nil || !ch.Reg.Present() {
 		return Batch{}, false
 	}

@@ -12,7 +12,9 @@
 //
 // `benchjson check` compares two results — each either a BENCH_*.json
 // file or raw `go test -bench` text — and fails (exit 1) when any
-// gated benchmark's median regresses by more than the threshold. CI
+// gated benchmark's median regresses by more than the threshold, or
+// when a gated benchmark of the baseline is missing from the new
+// result. CI
 // uses it twice: an allocs/op check against the committed trajectory
 // point (allocation counts are machine-independent), and an ns/op
 // check of HEAD against the baseline commit re-run on the same runner
@@ -24,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -151,27 +154,43 @@ func cmdCheck(args []string) {
 	if err != nil {
 		fatalf("gate: %v", err)
 	}
-	failed := false
-	checked := 0
-	for _, nb := range newRes.Benchmarks {
-		if !re.MatchString(nb.Name) {
+	checked, failed := check(os.Stdout, oldRes, newRes, re, *unit, *threshold)
+	if checked == 0 {
+		fatalf("gate %q matched no benchmark present in both results", *gate)
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// check compares, on one unit, every benchmark of the baseline that the
+// gate matches with the same benchmark of the new result, and writes one
+// verdict line each to w. A gated baseline benchmark missing from the
+// new result fails, so a renamed or deleted benchmark cannot pass the
+// gate; a gated benchmark only the new result has is skipped. It
+// returns how many benchmarks were compared and whether any failed.
+func check(w io.Writer, oldRes, newRes *Result, gate *regexp.Regexp, unit string, threshold float64) (checked int, failed bool) {
+	for i := range oldRes.Benchmarks {
+		ob := &oldRes.Benchmarks[i]
+		if !gate.MatchString(ob.Name) {
 			continue
 		}
-		ob := findBench(oldRes, nb.Name)
-		if ob == nil {
-			fmt.Printf("SKIP %s: not in baseline\n", nb.Name)
+		nb := findBench(newRes, ob.Name)
+		if nb == nil {
+			fmt.Fprintf(w, "FAIL %s: in the baseline, missing from the new result\n", ob.Name)
+			failed = true
 			continue
 		}
-		oldV, okOld := statFor(ob, *unit)
-		newV, okNew := statFor(&nb, *unit)
+		oldV, okOld := statFor(ob, unit)
+		newV, okNew := statFor(nb, unit)
 		if !okOld || !okNew {
-			fmt.Printf("SKIP %s: no %s samples\n", nb.Name, *unit)
+			fmt.Fprintf(w, "SKIP %s: no %s samples\n", ob.Name, unit)
 			continue
 		}
 		checked++
 		// A zero baseline (e.g. 0 allocs/op) gates absolutely: any
 		// nonzero candidate is a regression.
-		ok := newV <= oldV*(1+*threshold)
+		ok := newV <= oldV*(1+threshold)
 		if oldV == 0 {
 			ok = newV == 0
 		}
@@ -184,15 +203,15 @@ func cmdCheck(args []string) {
 			verdict = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s %s: %s %.6g -> %.6g (%s, threshold %.0f%%)\n",
-			verdict, nb.Name, *unit, oldV, newV, delta, *threshold*100)
+		fmt.Fprintf(w, "%s %s: %s %.6g -> %.6g (%s, threshold %.0f%%)\n",
+			verdict, ob.Name, unit, oldV, newV, delta, threshold*100)
 	}
-	if checked == 0 {
-		fatalf("gate %q matched no benchmark present in both results", *gate)
+	for _, nb := range newRes.Benchmarks {
+		if gate.MatchString(nb.Name) && findBench(oldRes, nb.Name) == nil {
+			fmt.Fprintf(w, "SKIP %s: not in baseline\n", nb.Name)
+		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return checked, failed
 }
 
 func findBench(r *Result, name string) *Bench {

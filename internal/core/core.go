@@ -46,7 +46,7 @@ func New(name string) (neon.Scheduler, error) {
 	case "dfq", "disengaged-fair-queueing":
 		return NewDisengagedFairQueueing(DefaultDFQConfig()), nil
 	case "oracle", "oracle-fq":
-		return NewOracleFairQueueing(DefaultOracleInterval), nil
+		return NewOracleFairQueueing(), nil
 	default:
 		return nil, fmt.Errorf("core: unknown scheduler policy %q (valid: %s)",
 			name, strings.Join(Names(), ", "))

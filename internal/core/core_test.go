@@ -379,7 +379,7 @@ func TestDFQConfigDefaultsFilled(t *testing.T) {
 // --- Oracle Fair Queueing ---
 
 func TestOracleFairSharing(t *testing.T) {
-	sched := NewOracleFairQueueing(DefaultOracleInterval)
+	sched := NewOracleFairQueueing()
 	h := newHarness(t, sched)
 	small := h.startWorker("small", 20*time.Microsecond)
 	big := h.startWorker("big", 800*time.Microsecond)
@@ -394,7 +394,7 @@ func TestOracleFairSharing(t *testing.T) {
 }
 
 func TestOracleZeroOverheadStandalone(t *testing.T) {
-	sched := NewOracleFairQueueing(DefaultOracleInterval)
+	sched := NewOracleFairQueueing()
 	h := newHarness(t, sched)
 	w := h.startWorker("w", 50*time.Microsecond)
 	h.eng.RunFor(500 * time.Millisecond)
@@ -436,7 +436,7 @@ func TestSchedulerNames(t *testing.T) {
 		"timeslice":                NewTimeslice(DefaultSlice),
 		"disengaged-timeslice":     NewDisengagedTimeslice(DefaultSlice),
 		"disengaged-fair-queueing": NewDisengagedFairQueueing(DefaultDFQConfig()),
-		"oracle-fair-queueing":     NewOracleFairQueueing(0),
+		"oracle-fair-queueing":     NewOracleFairQueueing(),
 	}
 	for want, s := range cases {
 		if s.Name() != want {

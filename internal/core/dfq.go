@@ -13,17 +13,12 @@ type DFQConfig struct {
 	// SamplePeriod caps each task's sampling run.
 	SamplePeriod sim.Duration
 	// SampleRequests ends a sampling run early once this many requests
-	// have been observed.
+	// have been observed (SampleRequestsMulti for a task with more than
+	// one channel).
 	SampleRequests int
-	// SampleRequestsMulti is the request target for tasks with multiple
-	// channels (combined compute/graphics applications).
-	SampleRequestsMulti int
 	// FreeRunMultiplier scales the disengaged free-run period relative to
 	// the engagement episode.
 	FreeRunMultiplier int
-	// DefaultEstimate seeds a task's request-size estimate before its
-	// first successful sampling run.
-	DefaultEstimate sim.Duration
 	// Fleet, when non-nil, reconciles this device's virtual times with a
 	// fleet-wide board at every engagement episode (see FleetVT). Single-
 	// device operation leaves it nil and denial stays purely local.
@@ -96,14 +91,22 @@ type FleetVT interface {
 	ReconcileEpisodeBatch(device string, batch []EpisodeEntry)
 }
 
+// The paper's fixed Section 5.2 calibration.
+const (
+	// SampleRequestsMulti is the sampling run's request target for tasks
+	// with multiple channels (combined compute/graphics applications).
+	SampleRequestsMulti = 96
+	// DefaultEstimate seeds a task's request-size estimate before its
+	// first successful sampling run.
+	DefaultEstimate = 100 * time.Microsecond
+)
+
 // DefaultDFQConfig returns the paper's configuration.
 func DefaultDFQConfig() DFQConfig {
 	return DFQConfig{
-		SamplePeriod:        5 * time.Millisecond,
-		SampleRequests:      32,
-		SampleRequestsMulti: 96,
-		FreeRunMultiplier:   5,
-		DefaultEstimate:     100 * time.Microsecond,
+		SamplePeriod:      5 * time.Millisecond,
+		SampleRequests:    32,
+		FreeRunMultiplier: 5,
 	}
 }
 
@@ -188,14 +191,8 @@ func NewDisengagedFairQueueing(cfg DFQConfig) *DisengagedFairQueueing {
 	if cfg.SampleRequests <= 0 {
 		cfg.SampleRequests = def.SampleRequests
 	}
-	if cfg.SampleRequestsMulti <= 0 {
-		cfg.SampleRequestsMulti = def.SampleRequestsMulti
-	}
 	if cfg.FreeRunMultiplier <= 0 {
 		cfg.FreeRunMultiplier = def.FreeRunMultiplier
-	}
-	if cfg.DefaultEstimate <= 0 {
-		cfg.DefaultEstimate = def.DefaultEstimate
 	}
 	d := &DisengagedFairQueueing{cfg: cfg}
 	d.fleet = cfg.Fleet
@@ -238,7 +235,7 @@ func (d *DisengagedFairQueueing) Start(k *neon.Kernel) {
 
 // TaskAdmitted implements neon.Scheduler.
 func (d *DisengagedFairQueueing) TaskAdmitted(t *neon.Task) {
-	d.admit(t).est = d.cfg.DefaultEstimate
+	d.admit(t).est = DefaultEstimate
 	d.admitGate.Broadcast()
 }
 
@@ -323,7 +320,7 @@ func (d *DisengagedFairQueueing) sampleNext() {
 		d.sampledCount++
 		want := d.cfg.SampleRequests
 		if len(t.Channels()) > 1 {
-			want = d.cfg.SampleRequestsMulti
+			want = SampleRequestsMulti
 		}
 		d.mode = dfqSampling
 		d.sampled = t
@@ -385,7 +382,7 @@ func (d *DisengagedFairQueueing) computed() {
 	}
 	d.entries = es
 	d.ledger.Episode(es, EpisodeParams{Window: d.window, Horizon: freeRun, Speed: d.speed,
-		Fleet: d.fleet, Device: d.k.Label})
+		Fleet: d.fleet, Device: d.k.Device().Name()})
 
 	// --- Disengaged free run. ---
 	d.mode = dfqFreeRun

@@ -37,10 +37,10 @@ func TestDFQMultiChannelSampleTarget(t *testing.T) {
 	// early-stop target must have been the multi-channel one.
 	if s.sampledRequests <= cfg.SampleRequests {
 		t.Fatalf("sampled %d requests; multi-channel tasks should use the %d target",
-			s.sampledRequests, cfg.SampleRequestsMulti)
+			s.sampledRequests, SampleRequestsMulti)
 	}
-	if s.sampledRequests > cfg.SampleRequestsMulti {
-		t.Fatalf("sampled %d > %d", s.sampledRequests, cfg.SampleRequestsMulti)
+	if s.sampledRequests > SampleRequestsMulti {
+		t.Fatalf("sampled %d > %d", s.sampledRequests, SampleRequestsMulti)
 	}
 }
 

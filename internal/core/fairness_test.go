@@ -61,7 +61,7 @@ func TestDFQIdleTaskForfeitsCredit(t *testing.T) {
 // TestOracleKillsInfiniteKernel: the barrier-free scheduler still
 // enforces the run limit.
 func TestOracleKillsInfiniteKernel(t *testing.T) {
-	sched := NewOracleFairQueueing(10 * time.Millisecond)
+	sched := NewOracleFairQueueing()
 	h := newHarness(t, sched)
 	h.k.RequestRunLimit = 20 * time.Millisecond
 	attacker := h.k.NewTask("attacker")

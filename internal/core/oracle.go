@@ -7,7 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultOracleInterval matches one full DFQ engagement+free-run cycle.
+// DefaultOracleInterval is the oracle's accounting interval, a fixed
+// constant: one full DFQ engagement+free-run cycle.
 const DefaultOracleInterval = 30 * time.Millisecond
 
 // OracleFairQueueing is the Section 6.1 ablation: disengaged fair
@@ -23,7 +24,6 @@ const DefaultOracleInterval = 30 * time.Millisecond
 // glxgears and oclParticles anomalies disappear.
 type OracleFairQueueing struct {
 	fairQueue[oracleTask, *oracleTask]
-	interval sim.Duration
 
 	k         *neon.Kernel
 	speed     float64 // device class speed factor, set at Start
@@ -44,13 +44,9 @@ type oracleTask struct {
 	lastBusy sim.Duration
 }
 
-// NewOracleFairQueueing returns the hardware-statistics scheduler.
-func NewOracleFairQueueing(interval sim.Duration) *OracleFairQueueing {
-	if interval <= 0 {
-		interval = DefaultOracleInterval
-	}
-	return &OracleFairQueueing{interval: interval}
-}
+// NewOracleFairQueueing returns the hardware-statistics scheduler,
+// accounting every DefaultOracleInterval.
+func NewOracleFairQueueing() *OracleFairQueueing { return &OracleFairQueueing{} }
 
 // Name implements neon.Scheduler.
 func (o *OracleFairQueueing) Name() string { return "oracle-fair-queueing" }
@@ -90,7 +86,7 @@ func (o *OracleFairQueueing) cycle() {
 		o.c.Wait(o.admitGate, o.cycleFn)
 		return
 	}
-	o.c.Sleep(o.interval, o.elapsedFn)
+	o.c.Sleep(DefaultOracleInterval, o.elapsedFn)
 }
 
 // elapsed follows the interval's sleep.
@@ -119,8 +115,8 @@ func (o *OracleFairQueueing) account() {
 		s.lastBusy = busy
 	}
 	o.entries = es
-	o.ledger.Episode(es, EpisodeParams{Window: o.interval + o.k.Costs().SchedulerCompute,
-		Horizon: o.interval, Speed: o.speed, Measured: true})
+	o.ledger.Episode(es, EpisodeParams{Window: DefaultOracleInterval + o.k.Costs().SchedulerCompute,
+		Horizon: DefaultOracleInterval, Speed: o.speed, Measured: true})
 
 	for i, t := range tasks {
 		s := o.st.get(t)

@@ -83,14 +83,8 @@ func (ts *Timeslice) Name() string {
 	return "timeslice"
 }
 
-// Slice returns the configured timeslice length.
-func (ts *Timeslice) Slice() sim.Duration { return ts.slice }
-
 // Holder returns the current token holder (nil between slices).
 func (ts *Timeslice) Holder() *neon.Task { return ts.holder }
-
-// Overuse returns the task's accrued overuse charge in normalized work.
-func (ts *Timeslice) Overuse(t *neon.Task) Work { return ts.overuse[t] }
 
 // Start implements neon.Scheduler: the first slice is granted at the
 // back of the current instant.

@@ -136,7 +136,7 @@ func TestOptionsScale(t *testing.T) {
 	if f.Measure <= q.Measure || f.Warmup <= q.Warmup {
 		t.Fatal("Full should use longer windows than Quick")
 	}
-	if f.GraphicsPenalty != q.GraphicsPenalty || f.RunLimit != q.RunLimit || f.Seed != q.Seed {
+	if f.RunLimit != q.RunLimit || f.Seed != q.Seed {
 		t.Fatal("non-window options should match")
 	}
 }

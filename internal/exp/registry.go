@@ -92,12 +92,11 @@ type handoff[T any] struct {
 // not change it.
 type matrixKey struct {
 	warmup, measure, runLimit sim.Duration
-	penalty                   int
 	seed                      int64
 }
 
 func keyOf(o Options) matrixKey {
-	return matrixKey{o.Warmup, o.Measure, o.RunLimit, o.GraphicsPenalty, o.Seed}
+	return matrixKey{o.Warmup, o.Measure, o.RunLimit, o.Seed}
 }
 
 func (h *handoff[T]) give(o Options, v T) T {

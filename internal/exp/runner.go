@@ -25,9 +25,6 @@ type Options struct {
 	// Warmup and Measure are the settle and measurement windows.
 	Warmup  sim.Duration
 	Measure sim.Duration
-	// GraphicsPenalty is the device's internal arbitration bias
-	// (DefaultPenalty reproduces the paper's observations).
-	GraphicsPenalty int
 	// RunLimit is the kernel's over-long request kill threshold.
 	RunLimit sim.Duration
 	// Seed feeds the deterministic RNG.
@@ -73,18 +70,17 @@ type Options struct {
 	DeepScale bool
 }
 
-// DefaultPenalty is the graphics arbitration bias observed in Section
-// 5.3 ("almost one third the rate").
+// DefaultPenalty is the graphics arbitration bias of every closed-loop
+// rig's device, observed in Section 5.3 ("almost one third the rate").
 const DefaultPenalty = 3
 
 // Full returns the paper-scale options.
 func Full() Options {
 	return Options{
-		Warmup:          200 * time.Millisecond,
-		Measure:         2 * time.Second,
-		GraphicsPenalty: DefaultPenalty,
-		RunLimit:        time.Second,
-		Seed:            1,
+		Warmup:   200 * time.Millisecond,
+		Measure:  2 * time.Second,
+		RunLimit: time.Second,
+		Seed:     1,
 	}
 }
 
@@ -152,9 +148,7 @@ func NewRig(sched Sched, opts Options, specs ...workload.Spec) *Rig {
 func newRig(sched neon.Scheduler, costs cost.Model, opts Options, specs ...workload.Spec) *Rig {
 	eng := sim.NewEngine()
 	cfg := gpu.DefaultConfig()
-	if opts.GraphicsPenalty > 0 {
-		cfg.GraphicsPenalty = opts.GraphicsPenalty
-	}
+	cfg.GraphicsPenalty = DefaultPenalty
 	cfg.Costs = costs
 	dev := gpu.New(eng, cfg)
 	k := neon.NewKernel(dev, sched)

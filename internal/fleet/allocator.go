@@ -7,25 +7,24 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultAllocEvery is the allocator's round period: long against the
-// DFQ sampling period (so the mechanism settles between rounds), short
-// against experiment measurement windows (so targets take effect well
-// inside warmup).
+// DefaultAllocEvery is the allocator's fixed round period: long against
+// the DFQ sampling period (so the mechanism settles between rounds),
+// short against experiment measurement windows (so targets take effect
+// well inside warmup).
 const DefaultAllocEvery = 5 * sim.Duration(time.Millisecond)
 
 // allocator is the round-based enforcement half of the policy/mechanism
-// split: every AllocEvery it snapshots the tenant×class matrix, asks
-// the policy for targets, and pushes them into the existing machinery —
-// effective DFQ weights through Tenant.setAllocWeight (the ledgers read
-// Task.Weight at every charging step, so re-weighting is a plain store;
-// see the dynamic-weight contract in core/dfq.go) and class-preference
-// hints the fastest-fit placement consumes. It computes nothing itself:
-// policies decide, the weighted-DFQ/placement/admission mechanisms the
-// repo already had enforce.
+// split: every DefaultAllocEvery it snapshots the tenant×class matrix,
+// asks the policy for targets, and pushes them into the existing
+// machinery — effective DFQ weights through Tenant.setAllocWeight (the
+// ledgers read Task.Weight at every charging step, so re-weighting is a
+// plain store; see the dynamic-weight contract in core/dfq.go) and
+// class-preference hints the fastest-fit placement consumes. It
+// computes nothing itself: policies decide, the weighted-DFQ/placement/
+// admission mechanisms the repo already had enforce.
 type allocator struct {
-	f     *Fleet
-	pol   policy.Policy
-	every sim.Duration
+	f   *Fleet
+	pol policy.Policy
 }
 
 // start schedules the recurring allocation rounds. The first round runs
@@ -35,9 +34,9 @@ func (a *allocator) start() {
 	var tick func()
 	tick = func() {
 		a.round()
-		a.f.eng.After(a.every, tick)
+		a.f.eng.After(DefaultAllocEvery, tick)
 	}
-	a.f.eng.After(a.every, tick)
+	a.f.eng.After(DefaultAllocEvery, tick)
 }
 
 // round recomputes targets and applies them. It runs in engine context

@@ -91,10 +91,8 @@ type Config struct {
 	Classes []string
 	// Policy places tenant rounds; nil defaults to round-robin.
 	Policy Policy
-	// GPU configures every device instance. Unset fields (zero
-	// MaxContexts, GraphicsPenalty, or Costs) are filled from
-	// gpu.DefaultConfig() individually — fields the caller did set are
-	// kept. The per-instance Name and Class are set by the fleet.
+	// GPU configures every device instance; gpu.New fills its unset
+	// fields. The per-instance Name and Class are set by the fleet.
 	GPU gpu.Config
 	// Sched names the per-device scheduling policy: "dfq" (default),
 	// "timeslice"/"ts", or "dts". Only DFQ participates in fleet-wide
@@ -111,14 +109,11 @@ type Config struct {
 	// launch index so populations are order-independent.
 	Seed int64
 	// AllocPolicy, when set, installs the round-based allocator: every
-	// AllocEvery the policy recomputes target allocations over the
+	// DefaultAllocEvery the policy recomputes target allocations over the
 	// tenant×class matrix and the fleet translates them into effective
 	// DFQ weights and placement hints (see allocator.go). Nil keeps the
 	// pre-policy behavior: spec weights, unhinted placement.
 	AllocPolicy policy.Policy
-	// AllocEvery is the allocator round period; <= 0 takes
-	// DefaultAllocEvery. Ignored unless AllocPolicy is set.
-	AllocEvery sim.Duration
 }
 
 // Fleet is a set of device instances behind one placement interface.
@@ -185,20 +180,7 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 		seed:   cfg.Seed,
 	}
 	for i := 0; i < cfg.Devices; i++ {
-		// Default only the unset GPU fields: a caller that sets, say,
-		// GraphicsPenalty but leaves MaxContexts zero must keep its
-		// penalty, not have the whole config silently replaced.
 		gcfg := cfg.GPU
-		def := gpu.DefaultConfig()
-		if gcfg.MaxContexts <= 0 {
-			gcfg.MaxContexts = def.MaxContexts
-		}
-		if gcfg.GraphicsPenalty <= 0 {
-			gcfg.GraphicsPenalty = def.GraphicsPenalty
-		}
-		if gcfg.Costs == (cost.Model{}) {
-			gcfg.Costs = def.Costs
-		}
 		gcfg.Name = fmt.Sprintf("dev%d", i)
 		class := cost.ReferenceClass()
 		if len(classes) > 0 {
@@ -224,11 +206,7 @@ func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
 	}
 	if cfg.AllocPolicy != nil {
 		f.allocPol = cfg.AllocPolicy
-		every := cfg.AllocEvery
-		if every <= 0 {
-			every = DefaultAllocEvery
-		}
-		(&allocator{f: f, pol: cfg.AllocPolicy, every: every}).start()
+		(&allocator{f: f, pol: cfg.AllocPolicy}).start()
 	}
 	return f, nil
 }

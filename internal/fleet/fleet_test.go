@@ -35,8 +35,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("got %d nodes, want 3", len(f.Nodes()))
 	}
 	for i, n := range f.Nodes() {
-		if n.Device.Name() == "" || n.Kernel.Label != n.Device.Name() {
-			t.Fatalf("node %d: device name %q, kernel label %q", i, n.Device.Name(), n.Kernel.Label)
+		if n.Device.Name() == "" || n.Kernel.Device() != n.Device {
+			t.Fatalf("node %d: device name %q, kernel on device %q", i, n.Device.Name(), n.Kernel.Device().Name())
 		}
 	}
 	if f.Nodes()[0].Device.Name() == f.Nodes()[1].Device.Name() {

@@ -51,7 +51,7 @@ func NewPolicy(name string) (Policy, error) {
 	case "fastest-fit", "ff":
 		return NewFastestFit(), nil
 	case "class-sticky", "class-aware-sticky":
-		return NewClassAwareSticky(DefaultStickyDepth, DefaultClassSpeedup), nil
+		return NewClassAwareSticky(), nil
 	default:
 		return nil, fmt.Errorf("fleet: unknown placement policy %q (valid: %s)",
 			name, strings.Join(PolicyNames(), ", "))
@@ -203,41 +203,26 @@ func bestEffective(nodes []*Node, accept func(*Node) bool) *Node {
 
 // ClassAwareSticky extends locality-sticky placement with class
 // awareness: a tenant stays on its warm device while that device's
-// queue depth is under Depth, unless another node's class is at least
-// Speedup times faster *and* has room under the same depth bound — the
-// point where the class speedup outweighs the one-time working-set
-// reconstruction the move costs. Congested or first-round tenants
-// spill through fastest-fit rather than least-loaded, so spilled work
-// also lands by effective throughput.
+// queue depth is under DefaultStickyDepth, unless another node's class
+// is at least DefaultClassSpeedup times faster *and* has room under the
+// same depth bound — the point where the class speedup outweighs the
+// one-time working-set reconstruction the move costs. Congested or
+// first-round tenants spill through fastest-fit rather than
+// least-loaded, so spilled work also lands by effective throughput.
 type ClassAwareSticky struct {
-	// Depth is the stick-while-below queue-depth threshold.
-	Depth int
-	// Speedup is the minimum class speed ratio (candidate over warm)
-	// that justifies abandoning warm state.
-	Speedup float64
-
 	spill FastestFit
 }
 
-// NewClassAwareSticky returns the class-aware sticky policy; depth <= 0
-// takes DefaultStickyDepth, speedup <= 1 takes DefaultClassSpeedup.
-func NewClassAwareSticky(depth int, speedup float64) *ClassAwareSticky {
-	if depth <= 0 {
-		depth = DefaultStickyDepth
-	}
-	if speedup <= 1 {
-		speedup = DefaultClassSpeedup
-	}
-	return &ClassAwareSticky{Depth: depth, Speedup: speedup}
-}
+// NewClassAwareSticky returns the class-aware sticky policy.
+func NewClassAwareSticky() *ClassAwareSticky { return &ClassAwareSticky{} }
 
 // Name implements Policy.
 func (*ClassAwareSticky) Name() string { return "class-aware-sticky" }
 
 // Pick implements Policy.
 func (p *ClassAwareSticky) Pick(f *Fleet, t *Tenant) *Node {
-	if t.last != nil && t.last.Load() < p.Depth {
-		if up := p.upgrade(f, t.last); up != nil {
+	if t.last != nil && t.last.Load() < DefaultStickyDepth {
+		if up := upgrade(f, t.last); up != nil {
 			return up
 		}
 		return t.last
@@ -246,13 +231,14 @@ func (p *ClassAwareSticky) Pick(f *Fleet, t *Tenant) *Node {
 }
 
 // upgrade returns the best node worth migrating warm state to: at least
-// Speedup times the warm node's class speed, queue depth under the
-// stick threshold, and the highest effective throughput among such
-// candidates (ties to the lowest index). Nil when staying warm wins.
-// Speedup above 1 means the warm node's own class never qualifies.
-func (p *ClassAwareSticky) upgrade(f *Fleet, warm *Node) *Node {
-	bar := p.Speedup * warm.Speed()
+// DefaultClassSpeedup times the warm node's class speed, queue depth
+// under the stick threshold, and the highest effective throughput among
+// such candidates (ties to the lowest index). Nil when staying warm
+// wins. A speedup above 1 means the warm node's own class never
+// qualifies.
+func upgrade(f *Fleet, warm *Node) *Node {
+	bar := DefaultClassSpeedup * warm.Speed()
 	return bestEffective(f.nodes, func(n *Node) bool {
-		return n.Speed() >= bar && n.Load() < p.Depth
+		return n.Speed() >= bar && n.Load() < DefaultStickyDepth
 	})
 }

@@ -153,7 +153,7 @@ func TestPlacementCrossClassTiesGoToLowestIndex(t *testing.T) {
 		up := heteroFleet(t, append([]string{"consumer"}, classes...)...)
 		loadNextgen(up)
 		warm := &Tenant{fleet: up, last: up.nodes[0]}
-		if got := NewClassAwareSticky(3, 2.0).Pick(up, warm); got.Index != 1 {
+		if got := NewClassAwareSticky().Pick(up, warm); got.Index != 1 {
 			t.Errorf("consumer,%s: upgrade picked node %d, want 1", fleetName, got.Index)
 		}
 	}
@@ -173,7 +173,7 @@ func TestFastestFitHomogeneousIsLeastLoaded(t *testing.T) {
 
 func TestClassAwareStickyMigratesUpOnly(t *testing.T) {
 	f := heteroFleet(t, "consumer", "k20", "nextgen")
-	p := NewClassAwareSticky(3, 2.0)
+	p := NewClassAwareSticky()
 
 	// Warm on the consumer node (0.5): both k20 (2x) and nextgen (4x)
 	// clear the speedup bar; the higher effective throughput wins.
@@ -189,7 +189,7 @@ func TestClassAwareStickyMigratesUpOnly(t *testing.T) {
 	}
 
 	// A congested upgrade target is not worth queueing for: stick.
-	f.setLoad(f.nodes[2], p.Depth)
+	f.setLoad(f.nodes[2], DefaultStickyDepth)
 	if got := p.Pick(f, tn); got.Index != 1 {
 		t.Fatalf("congested upgrade: got node %d, want warm node 1", got.Index)
 	}
@@ -202,7 +202,7 @@ func TestClassAwareStickyMigratesUpOnly(t *testing.T) {
 	}
 
 	// Congested warm node spills by effective throughput.
-	f.setLoad(f.nodes[2], p.Depth)
+	f.setLoad(f.nodes[2], DefaultStickyDepth)
 	if got := p.Pick(f, tn); got.Index != 1 {
 		t.Fatalf("spill: got node %d, want k20 node 1", got.Index)
 	}
@@ -212,13 +212,13 @@ func TestClassAwareStickyHomogeneousSticks(t *testing.T) {
 	// With every class equal the speedup bar is unreachable, so the
 	// policy behaves exactly like locality-sticky.
 	f := testFleet(t, 2)
-	p := NewClassAwareSticky(3, 2.0)
+	p := NewClassAwareSticky()
 	tn := &Tenant{fleet: f, last: f.nodes[1]}
-	f.setLoad(f.nodes[1], p.Depth-1)
+	f.setLoad(f.nodes[1], DefaultStickyDepth-1)
 	if got := p.Pick(f, tn); got.Index != 1 {
 		t.Fatalf("got node %d, want sticky node 1", got.Index)
 	}
-	f.setLoad(f.nodes[1], p.Depth)
+	f.setLoad(f.nodes[1], DefaultStickyDepth)
 	if got := p.Pick(f, tn); got.Index != 0 {
 		t.Fatalf("got node %d, want spill node 0", got.Index)
 	}

@@ -64,10 +64,9 @@ const Forever sim.Duration = 1 << 62
 
 // Errors returned by resource allocation.
 var (
-	ErrNoContexts   = errors.New("gpu: out of contexts")
-	ErrContextDead  = errors.New("gpu: context is dead")
-	ErrContextBusy  = errors.New("gpu: context has in-flight work")
-	ErrDeviceClosed = errors.New("gpu: device closed")
+	ErrNoContexts  = errors.New("gpu: out of contexts")
+	ErrContextDead = errors.New("gpu: context is dead")
+	ErrContextBusy = errors.New("gpu: context has in-flight work")
 )
 
 // Config sets the device's capacity and arbitration behaviour.
@@ -369,13 +368,19 @@ type Device struct {
 	CompletionObserver func(ch *Channel)
 }
 
-// New creates a device and starts its engines on e.
+// New creates a device and starts its engines on e. Unset fields of cfg
+// (zero MaxContexts, GraphicsPenalty or Costs) take DefaultConfig's
+// values; the fields the caller set are kept.
 func New(e *sim.Engine, cfg Config) *Device {
+	def := DefaultConfig()
 	if cfg.MaxContexts <= 0 {
-		cfg.MaxContexts = 48
+		cfg.MaxContexts = def.MaxContexts
 	}
 	if cfg.GraphicsPenalty <= 0 {
-		cfg.GraphicsPenalty = 1
+		cfg.GraphicsPenalty = def.GraphicsPenalty
+	}
+	if cfg.Costs == (cost.Model{}) {
+		cfg.Costs = def.Costs
 	}
 	cfg.Class = cfg.Class.OrReference()
 	d := &Device{
@@ -630,9 +635,6 @@ func (d *Device) KillOwner(owner TaskID) {
 // partially executed in-flight request). Experiments snapshot this at
 // window boundaries to compute utilization.
 func (d *Device) TotalBusy() sim.Duration { return d.execEngine.totalBusy() }
-
-// DMABusy returns cumulative copy-engine busy time.
-func (d *Device) DMABusy() sim.Duration { return d.dmaEngine.totalBusy() }
 
 // CurrentRequest returns the request executing on the main engine, if any.
 func (d *Device) CurrentRequest() *Request { return d.execEngine.current }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/sim"
 )
 
@@ -12,6 +13,19 @@ func testDev(t *testing.T) (*sim.Engine, *Device) {
 	t.Helper()
 	e := sim.NewEngine()
 	return e, New(e, DefaultConfig())
+}
+
+// TestNewFillsUnsetConfig: New fills every unset Config field from
+// DefaultConfig, the cost model included, so a zero Config builds the
+// default device.
+func TestNewFillsUnsetConfig(t *testing.T) {
+	got := New(sim.NewEngine(), Config{}).Config()
+	if got.MaxContexts != 48 || got.GraphicsPenalty != 1 {
+		t.Errorf("zero config reads %d contexts, penalty %d; want 48 and 1", got.MaxContexts, got.GraphicsPenalty)
+	}
+	if got.Costs != cost.Default() {
+		t.Errorf("zero config reads cost model %+v, want cost.Default()", got.Costs)
+	}
 }
 
 // submit stages a request and rings the doorbell from a helper process.

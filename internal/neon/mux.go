@@ -19,7 +19,8 @@ import (
 // paying the setup syscalls plus the paper's ContextSwitch cost. On the
 // host the recreation reuses released objects: the device's contexts
 // and channels, the kernel's channel states and the context's own
-// attach record, so a reattach allocates nothing (DESIGN.md §13).
+// attach record, so a reattach allocates nothing (DESIGN.md §13). A
+// logical context has one acquire or eager open in flight at a time.
 //
 // Attach order under exhaustion is FIFO: a blocked attach enqueues a
 // waiter, and freed slots (request completions that leave a context
@@ -66,7 +67,6 @@ type muxState struct {
 	reserved int          // slots granted to waiters not yet consumed
 	clock    uint64       // logical LRU clock, bumped per use
 	stats    MuxStats
-	free     []*attachOp // finished attaches, for reuse
 
 	// evictable counts the attached contexts that are evictable right
 	// now (VContext.counted), kept at every transition of evictable(),
@@ -96,16 +96,16 @@ type VContext struct {
 	pins         int    // active users; a pinned context is not evictable
 	lastUsed     uint64 // mux clock at last Acquire
 	everAttached bool   // reattaches (everAttached && attach) pay ContextSwitch
-	attaching    bool   // an attach is in flight; concurrent users wait
+	attaching    bool   // an attach is in flight
 	closed       bool   // task exited
 	counted      bool   // counted in muxState.evictable
 	waiter       *muxWaiter
 
 	reattaches int64
 
-	// op is the context's own attach record, used by one acquire at a
-	// time (opBusy); concurrent acquires take pooled ones. chans0 is the
-	// first backing array of chans.
+	// op is the context's attach record, busy (opBusy) while its one
+	// acquire or eager open is in flight. chans0 is the first backing
+	// array of chans.
 	op     attachOp
 	opBusy bool
 	chans0 [1]*ChannelState
@@ -133,13 +133,7 @@ func (k *Kernel) OpenVirtualOn(c *sim.Cont, t *Task, label string, kinds []gpu.K
 	}
 	if k.mux == nil {
 		k.mux = &muxState{}
-		prev := k.dev.CompletionObserver
-		k.dev.CompletionObserver = func(ch *gpu.Channel) {
-			if prev != nil {
-				prev(ch)
-			}
-			k.muxRetired(ch)
-		}
+		k.dev.CompletionObserver = k.muxRetired
 	}
 	vc := k.vcSlab.New()
 	vc.k, vc.task, vc.label, vc.kinds = k, t, label, kinds
@@ -218,11 +212,12 @@ func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
 // channel of the given kind (or the error) to then, pinned until the
 // matching Release. When the logical context is attached, then runs
 // inline, with the LRU bump AcquireIf would charge; otherwise the
-// attach runs as steps of c — the wait for another attach of the same
-// context, the FIFO slot wait, the setup syscalls, the rollback, and
-// the reattach's ContextSwitch — and then runs as the last of them.
-// Stopping c abandons the attach between steps; the task's exit then
-// cleans up what it left (muxTaskExited).
+// attach runs as steps of c — the FIFO slot wait, the setup syscalls,
+// the rollback, and the reattach's ContextSwitch — and then runs as the
+// last of them. The context must have no other acquire or eager open
+// in flight (Kernel.attachOp panics). Stopping c abandons the attach
+// between steps; the task's exit then cleans up what it left
+// (muxTaskExited).
 func (vc *VContext) AcquireOn(c *sim.Cont, kind gpu.Kind, then func(*gpu.Channel, error)) {
 	if ch, err, ok := vc.acquireNow(kind); ok {
 		then(ch, err)
@@ -230,13 +225,13 @@ func (vc *VContext) AcquireOn(c *sim.Cont, kind gpu.Kind, then func(*gpu.Channel
 	}
 	a := vc.k.attachOp(vc, c)
 	a.kind, a.acquired = kind, then
-	a.ensure()
+	a.attach()
 }
 
 // acquireNow is the acquire that needs no step: it reports done when
 // the context is dead (an error) or attached (pinned, with the LRU bump,
 // and the channel of the given kind), and not done when an attach must
-// run or be waited for.
+// run.
 func (vc *VContext) acquireNow(kind gpu.Kind) (ch *gpu.Channel, err error, done bool) {
 	if vc.closed || !vc.task.Alive {
 		return nil, gpu.ErrContextDead, true
@@ -283,16 +278,11 @@ func (vc *VContext) channel(kind gpu.Kind) (*gpu.Channel, error) {
 // mid-attach, or dead, and callers fall back to Acquire or AcquireOn on
 // their slow lane.
 func (vc *VContext) AcquireIf(kind gpu.Kind) (*gpu.Channel, bool) {
-	if vc.closed || !vc.task.Alive || vc.hw == nil || vc.attaching {
-		return nil, false
+	ch, ok := vc.Peek(kind)
+	if ok {
+		vc.pin()
 	}
-	for _, cs := range vc.chans {
-		if cs.Ch.Kind == kind {
-			vc.pin()
-			return cs.Ch, true
-		}
-	}
-	return nil, false
+	return ch, ok
 }
 
 // Peek is the side-effect-free form of AcquireIf: it reports whether the
@@ -322,11 +312,11 @@ func (vc *VContext) Peek(kind gpu.Kind) (*gpu.Channel, bool) {
 func (vc *VContext) Release() { vc.unpin() }
 
 // attachOp is one acquire or eager open in flight on a continuation:
-// the ensure loop, the attach (FIFO slot wait, setup syscalls, rollback,
-// reattach ContextSwitch) and the hand-back to the caller. Records are
-// pooled on the mux, and their one step and one wait predicate are
-// bound once and dispatch on the phase, so an attach allocates no
-// closure; an op whose continuation is stopped abandons its record.
+// the attach (FIFO slot wait, setup syscalls, rollback, reattach
+// ContextSwitch) and the hand-back to the caller. Each logical context
+// owns one record, and its one step and one wait predicate are bound
+// once and dispatch on the phase, so an attach allocates no closure; an
+// op whose continuation is stopped abandons its record.
 type attachOp struct {
 	k     *Kernel
 	vc    *VContext
@@ -352,42 +342,33 @@ type attachOp struct {
 type attachPhase uint8
 
 const (
-	phEnsure  attachPhase = iota // waiting for another attach of the context
-	phSlot                       // waiting in the FIFO for a hardware slot
+	phSlot    attachPhase = iota // waiting in the FIFO for a hardware slot
 	phContext                    // sleeping the context syscall
 	phChannel                    // sleeping a channel syscall
 	phSwitch                     // sleeping the reattach's ContextSwitch
 )
 
-// attachOp takes the context's own attach record, or one from the
-// mux's pool while the context's is in use.
+// attachOp takes the context's attach record. A second acquire or
+// eager open while the record is busy is a caller's bug, one lane
+// racing another for the same context, so it panics naming the task
+// and the context.
 func (k *Kernel) attachOp(vc *VContext, c *sim.Cont) *attachOp {
-	m := k.mux
-	var a *attachOp
-	switch n := len(m.free); {
-	case !vc.opBusy:
-		vc.opBusy = true
-		a = &vc.op
-		if a.k == nil {
-			a.k = k
-			a.stepFn, a.readyFn = a.step, a.ready
-		}
-	case n > 0:
-		a = m.free[n-1]
-		m.free = m.free[:n-1]
-	default:
-		a = &attachOp{k: k}
+	if vc.opBusy {
+		panic(fmt.Sprintf("neon: task %q acquired logical context %q while its attach is in flight", vc.task.Name, vc.label))
+	}
+	vc.opBusy = true
+	a := &vc.op
+	if a.k == nil {
+		a.k, a.vc = k, vc
 		a.stepFn, a.readyFn = a.step, a.ready
 	}
-	a.vc, a.c = vc, c
+	a.c = c
 	return a
 }
 
 // step runs the attach's next step once its wait or sleep is over.
 func (a *attachOp) step() {
 	switch a.phase {
-	case phEnsure:
-		a.ensure()
 	case phSlot:
 		a.granted()
 	case phContext:
@@ -399,40 +380,11 @@ func (a *attachOp) step() {
 	}
 }
 
-// ready is the wait predicate: the other attach of the context has
-// finished (phEnsure) or a slot was granted (phSlot), or the context
-// is dead.
+// ready is the slot wait's predicate: a slot was granted, or the
+// context is dead.
 func (a *attachOp) ready() bool {
 	vc := a.vc
-	if vc.closed || !vc.task.Alive {
-		return true
-	}
-	if a.phase == phSlot {
-		return a.w.granted
-	}
-	return !vc.attaching
-}
-
-// ensure attaches (or joins an in-flight attach of the same context by
-// another thread of its task) and pins.
-func (a *attachOp) ensure() {
-	vc := a.vc
-	if vc.closed || !vc.task.Alive {
-		a.done(gpu.ErrContextDead)
-		return
-	}
-	if vc.hw != nil {
-		vc.pin()
-		a.done(nil)
-		return
-	}
-	if !vc.attaching {
-		a.attach()
-		return
-	}
-	// Another thread of this task is attaching; wait for it.
-	a.phase = phEnsure
-	a.c.WaitFor(&vc.task.gate, a.readyFn, a.stepFn)
+	return vc.closed || !vc.task.Alive || a.w.granted
 }
 
 // attach binds the logical context to a hardware context, creating the
@@ -572,7 +524,7 @@ func (a *attachOp) bind() {
 }
 
 // finish ends the attach: the attaching flag clears and the task's gate
-// is broadcast, so threads of the task waiting on this attach re-test.
+// is broadcast.
 func (a *attachOp) finish(err error) {
 	vc := a.vc
 	vc.attaching = false
@@ -581,17 +533,13 @@ func (a *attachOp) finish(err error) {
 	a.done(err)
 }
 
-// done recycles the record and hands the outcome to the caller's
+// done frees the record and hands the outcome to the caller's
 // continuation: the channel for an acquire, the context for an open.
 func (a *attachOp) done(err error) {
 	vc, kind, acquired, opened := a.vc, a.kind, a.acquired, a.opened
-	a.vc, a.c, a.acquired, a.opened, a.ctx, a.chans = nil, nil, nil, nil, nil, nil
+	a.c, a.acquired, a.opened, a.ctx, a.chans = nil, nil, nil, nil, nil
 	a.w = muxWaiter{}
-	if a == &vc.op {
-		vc.opBusy = false
-	} else {
-		a.k.mux.free = append(a.k.mux.free, a)
-	}
+	vc.opBusy = false
 	if opened != nil {
 		if err != nil {
 			opened(nil, err)

@@ -2,6 +2,7 @@ package neon
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,6 +173,55 @@ func TestMuxKillMidBacklogRecyclesSlot(t *testing.T) {
 	}
 	if k.mux.reserved != 0 {
 		t.Errorf("%d slots left reserved", k.mux.reserved)
+	}
+}
+
+// TestSecondAcquireInFlightPanics: a logical context has one acquire
+// or eager open in flight at a time. On a one-context device whose slot
+// a pinned task holds, the victim's first acquire queues for the slot;
+// a second acquire of the same context, from another lane, is a
+// caller's bug and panics naming the task and the context.
+func TestSecondAcquireInFlightPanics(t *testing.T) {
+	e, _, k := muxKernel(t, 1)
+	open := func(name, label string) *VContext {
+		var vc *VContext
+		task := k.NewTask(name)
+		k.OpenVirtualOn(task.NewCont(), task, label, []gpu.Kind{gpu.Compute}, func(v *VContext, err error) {
+			if err != nil {
+				t.Fatalf("open %s: %v", name, err)
+			}
+			vc = v
+		})
+		e.Run()
+		return vc
+	}
+	hog := open("hog", "h")
+	hog.AcquireOn(hog.Task().NewCont(), gpu.Compute, func(_ *gpu.Channel, err error) {
+		if err != nil {
+			t.Fatalf("hog acquire: %v", err)
+		}
+	})
+	victim := open("victim", "vctx")
+	victim.AcquireOn(victim.Task().NewCont(), gpu.Compute, func(*gpu.Channel, error) {
+		t.Error("the victim's first acquire finished while the hog held the only slot")
+	})
+	e.Run()
+	if n := k.MuxStatus().Waiting; n != 1 || victim.Attached() {
+		t.Fatalf("%d attaches waiting, victim attached %v; want the victim's first acquire queued", n, victim.Attached())
+	}
+
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		victim.AcquireOn(victim.Task().NewCont(), gpu.Compute, func(*gpu.Channel, error) {})
+		return nil
+	}()
+	if r == nil {
+		t.Fatal("a second acquire while the first was queued did not panic")
+	}
+	for _, want := range []string{`"victim"`, `"vctx"`} {
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not name %s", msg, want)
+		}
 	}
 }
 

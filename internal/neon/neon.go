@@ -74,10 +74,6 @@ type ChannelState struct {
 	Ch   *gpu.Channel
 	Task *Task
 
-	// Active is set when the initialization state machine has identified
-	// the channel's three VMAs and can intercept it.
-	Active bool
-
 	// Faults counts intercepted submissions on this channel.
 	Faults int64
 
@@ -134,11 +130,6 @@ type Kernel struct {
 	faultFree []*kfault
 	watchFree []*watcher
 
-	// Label identifies this kernel instance in multi-device fleets; it
-	// defaults to the device's configured name and is what per-device
-	// schedulers report to fleet-wide reconciliation.
-	Label string
-
 	// Policy, when non-nil, enables protected channel allocation.
 	Policy *ChannelPolicy
 
@@ -159,7 +150,6 @@ func NewKernel(dev *gpu.Device, sched Scheduler) *Kernel {
 		costs:  dev.Costs(),
 		sched:  sched,
 		byPage: make(map[*mmio.Page]*ChannelState),
-		Label:  dev.Name(),
 	}
 	k.onFaultFn = k.onFault
 	k.admit, _ = sched.(Admitter)
@@ -271,7 +261,7 @@ func (k *Kernel) createChannel(t *Task, ctx *gpu.Context, kind gpu.Kind) (*Chann
 	} else {
 		cs = new(ChannelState)
 	}
-	*cs = ChannelState{Ch: ch, Task: t, Active: true}
+	*cs = ChannelState{Ch: ch, Task: t}
 	t.channels = append(t.channels, cs)
 	k.byPage[ch.Reg] = cs
 	ch.Reg.SetHandler(k.onFaultFn)

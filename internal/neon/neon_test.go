@@ -88,8 +88,8 @@ func TestInitializationPhaseTracksChannels(t *testing.T) {
 	if len(sched.activated) != 1 || sched.activated[0] != cs {
 		t.Fatal("ChannelActivated not delivered")
 	}
-	if !cs.Active {
-		t.Fatal("channel not marked active after init phase")
+	if k.byPage[cs.Ch.Reg] != cs {
+		t.Fatal("channel page not routed to the kernel after init phase")
 	}
 	if len(task.Channels()) != 1 || len(task.Contexts()) != 1 {
 		t.Fatal("task bookkeeping wrong")

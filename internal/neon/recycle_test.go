@@ -151,7 +151,7 @@ func TestReattachedChannelReadsAsNew(t *testing.T) {
 			ch.Reg.Present(), ch.Reg.DirectWrites, ch.Reg.Faults)
 	}
 	cs := a.Task().Channels()[0]
-	if cs.Ch != ch || cs.Task != a.Task() || !cs.Active || cs.Faults != 0 || cs.sampling || cs.drainTarget != 0 || cs.vc != a {
+	if cs.Ch != ch || cs.Task != a.Task() || cs.Faults != 0 || cs.sampling || cs.drainTarget != 0 || cs.vc != a {
 		t.Errorf("reused channel state: %+v", *cs)
 	}
 	if got := a.Task().BusyTime(); got != busy {

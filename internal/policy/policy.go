@@ -144,23 +144,17 @@ type Policy interface {
 	Allocate(s Snapshot) Targets
 }
 
-// TierBounder is optionally implemented by policies that derive
-// admission tier bounds from their targets. A nil return keeps the
-// mechanism's own MaxDepth-derived bounds (what static does, for exact
-// legacy behavior).
-type TierBounder interface {
-	TierBounds(s Snapshot, t Targets, maxDepth int) map[workload.Tier]int
-}
-
 // TierBounds returns the per-tier admission depth bounds the policy
-// implies: the policy's own TierBounds when it implements TierBounder,
-// otherwise bounds proportional to each tier's aggregate target share —
-// a tier holding twice the allocation gets twice the queue headroom.
-// Nil means "leave the mechanism's derived bounds in place"; maxDepth
-// <= 0 (admission disabled) always returns nil.
+// implies: nil for Static, which keeps the mechanism's own
+// MaxDepth-derived bounds (premium 1.25×, best-effort half) for exact
+// legacy behavior, and otherwise bounds proportional to each tier's
+// aggregate target share — a tier holding twice the allocation gets
+// twice the queue headroom. Nil means "leave the mechanism's derived
+// bounds in place"; maxDepth <= 0 (admission disabled) always returns
+// nil.
 func TierBounds(p Policy, s Snapshot, t Targets, maxDepth int) map[workload.Tier]int {
-	if b, ok := p.(TierBounder); ok {
-		return b.TierBounds(s, t, maxDepth)
+	if _, ok := p.(Static); ok {
+		return nil
 	}
 	return shareTierBounds(s, t, maxDepth)
 }
@@ -314,10 +308,6 @@ func (Static) Allocate(s Snapshot) Targets {
 	}
 	return Targets{Alloc: proportionalAlloc(s, shares), Weight: weights}
 }
-
-// TierBounds implements TierBounder: nil keeps the mechanism's
-// MaxDepth-derived bounds exactly (premium 1.25×, best-effort half).
-func (Static) TierBounds(Snapshot, Targets, int) map[workload.Tier]int { return nil }
 
 // MaxMin is heterogeneity-aware weighted max-min fairness: water-fill
 // the fleet's normalized-work capacity over tenant demands, each tenant
@@ -502,22 +492,16 @@ func DefaultPrices() map[string]float64 {
 // tracks offered load. Under slack this concentrates work on cheap
 // devices — the opposite placement of max-min's fastest-first — which
 // is exactly the policy disagreement the policy experiment shows.
-type CostMin struct {
-	// Prices overrides DefaultPrices; classes absent from the map cost
-	// their speed (price per work 1).
-	Prices map[string]float64
-}
+type CostMin struct{}
 
 // Name implements Policy.
 func (CostMin) Name() string { return "cost" }
 
-// price returns the class's price per device-second.
-func (p CostMin) price(c Class) float64 {
-	prices := p.Prices
-	if prices == nil {
-		prices = DefaultPrices()
-	}
-	if pr, ok := prices[c.Name]; ok {
+// price returns the class's price per device-second from
+// DefaultPrices; a class absent from it costs its speed (price per
+// work 1).
+func (CostMin) price(c Class) float64 {
+	if pr, ok := DefaultPrices()[c.Name]; ok {
 		return pr
 	}
 	return c.Speed

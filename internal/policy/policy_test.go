@@ -264,7 +264,7 @@ func TestShareTierBounds(t *testing.T) {
 	tg := MaxMin{}.Allocate(s)
 	b := TierBounds(MaxMin{}, s, tg, 64)
 	if b == nil {
-		t.Fatal("no bounds for a non-TierBounder policy")
+		t.Fatal("no bounds for a non-static policy")
 	}
 	// Shares 3/4 and 1/4 over two tiers: 64×0.75×2 = 96, 64×0.25×2 = 32.
 	if b[workload.TierPremium] != 96 || b[workload.TierStandard] != 32 {

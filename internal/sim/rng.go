@@ -28,22 +28,6 @@ func (g *RNG) src() *rand.Rand {
 	return g.r
 }
 
-// Fork derives an independent deterministic stream, keyed by id, from
-// this generator's seed sequence. Use one stream per task so adding a
-// task does not perturb the others' draws.
-func (g *RNG) Fork(id int64) *RNG {
-	return NewRNG(g.src().Int63() ^ id*0x6A09E667F3BCC909)
-}
-
-// ForkNamed derives an independent stream keyed by (name, index) from
-// this generator's construction seed, without consuming any state. Unlike
-// Fork, the result depends only on the key, never on how many draws this
-// generator has made — so work scheduled in any order (e.g. scenarios on
-// a parallel worker pool) receives identical streams.
-func (g *RNG) ForkNamed(name string, index int) *RNG {
-	return NewRNG(StreamSeed(g.seed, name, index))
-}
-
 // StreamSeed deterministically derives a child seed for a named stream
 // (FNV-1a over the base seed, the name, and the index). Experiment
 // scenarios use it so serial and parallel runs are byte-identical.

@@ -13,14 +13,10 @@ func TestNewRNGIsLazy(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { rngSink = NewRNG(7) }); a != 1 {
 		t.Fatalf("NewRNG allocates %.0f objects, want 1", a)
 	}
-	rngSink.ForkNamed("s", 1)
-	if rngSink.r != nil {
-		t.Fatal("ForkNamed built the parent's source")
-	}
 }
 
-// Building the source on the first draw changes no sequence: draws and
-// Fork match an eagerly seeded math/rand source.
+// Building the source on the first draw changes no sequence: draws
+// match an eagerly seeded math/rand source.
 func TestLazyRNGMatchesEagerSource(t *testing.T) {
 	const seed = 42
 	g, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
@@ -31,14 +27,6 @@ func TestLazyRNGMatchesEagerSource(t *testing.T) {
 			}
 		} else if a, b := g.Intn(1000), ref.Intn(1000); a != b {
 			t.Fatalf("draw %d: Intn %d, want %d", i, a, b)
-		}
-	}
-	id := int64(3)
-	f := NewRNG(seed).Fork(id)
-	want := rand.New(rand.NewSource(rand.New(rand.NewSource(seed)).Int63() ^ id*0x6A09E667F3BCC909))
-	for i := 0; i < 100; i++ {
-		if a, b := f.Float64(), want.Float64(); a != b {
-			t.Fatalf("fork draw %d: %v, want %v", i, a, b)
 		}
 	}
 }
@@ -64,31 +52,5 @@ func TestStreamSeedKeySensitivity(t *testing.T) {
 		if other == base {
 			t.Errorf("changing %s did not change the stream seed", name)
 		}
-	}
-}
-
-// ForkNamed must depend only on the construction seed and the key, never
-// on how many draws the parent has made — that is what makes scenario
-// streams identical regardless of worker-pool execution order.
-func TestForkNamedIgnoresParentState(t *testing.T) {
-	g := NewRNG(42)
-	fresh := g.ForkNamed("scenario", 7).Float64()
-	for i := 0; i < 100; i++ {
-		g.Float64()
-	}
-	again := g.ForkNamed("scenario", 7).Float64()
-	if fresh != again {
-		t.Fatalf("ForkNamed stream changed after parent draws: %v vs %v", fresh, again)
-	}
-}
-
-// Fork, by contrast, consumes parent state: two successive forks with the
-// same id must differ (one stream per task).
-func TestForkConsumesParentState(t *testing.T) {
-	g := NewRNG(42)
-	a := g.Fork(1).Float64()
-	b := g.Fork(1).Float64()
-	if a == b {
-		t.Fatal("successive Fork(1) calls produced the same stream")
 	}
 }

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -21,8 +20,6 @@ const never = sim.Duration(1) << 55
 // Next must be deterministic given (now, the stream's RNG state, the
 // process's own state); all randomness must come from rng.
 type Arrival interface {
-	// Name identifies the process family in reports.
-	Name() string
 	// MeanRate returns the long-run average arrival rate, in requests
 	// per second — the quantity load-factor calibration divides by.
 	MeanRate() float64
@@ -53,9 +50,6 @@ type Deterministic struct {
 	Rate float64 // arrivals per second
 }
 
-// Name implements Arrival.
-func (Deterministic) Name() string { return "deterministic" }
-
 // MeanRate implements Arrival.
 func (d Deterministic) MeanRate() float64 { return d.Rate }
 
@@ -76,9 +70,6 @@ func (d Deterministic) Next(now sim.Time, rng *sim.RNG) sim.Duration {
 type Poisson struct {
 	Rate float64 // arrivals per second
 }
-
-// Name implements Arrival.
-func (Poisson) Name() string { return "poisson" }
 
 // MeanRate implements Arrival.
 func (p Poisson) MeanRate() float64 { return p.Rate }
@@ -110,9 +101,6 @@ type MMPP struct {
 func NewMMPP(baseRate, burstRate float64, baseDwell, burstDwell sim.Duration) *MMPP {
 	return &MMPP{BaseRate: baseRate, BurstRate: burstRate, BaseDwell: baseDwell, BurstDwell: burstDwell}
 }
-
-// Name implements Arrival.
-func (*MMPP) Name() string { return "mmpp" }
 
 // MeanRate implements Arrival: the dwell-weighted average of the two
 // state rates.
@@ -176,9 +164,6 @@ type Staggered struct {
 	started bool
 }
 
-// Name implements Arrival.
-func (*Staggered) Name() string { return "staggered" }
-
 // MeanRate implements Arrival: the steady rate once past the phase-in.
 func (s *Staggered) MeanRate() float64 {
 	if s.Gap <= 0 {
@@ -213,9 +198,6 @@ type Diurnal struct {
 	Period    sim.Duration // cycle length
 }
 
-// Name implements Arrival.
-func (Diurnal) Name() string { return "diurnal" }
-
 // MeanRate implements Arrival: the sinusoid integrates to zero over a
 // period, so the mean is Base.
 func (d Diurnal) MeanRate() float64 { return d.Base }
@@ -242,9 +224,4 @@ func (d Diurnal) Next(now sim.Time, rng *sim.RNG) sim.Duration {
 			return t.Sub(now)
 		}
 	}
-}
-
-// Describe renders an arrival process for notes and debugging.
-func Describe(a Arrival) string {
-	return fmt.Sprintf("%s(%.0f/s)", a.Name(), a.MeanRate())
 }

@@ -53,14 +53,15 @@ func TestReweightingPreservesLeadBound(t *testing.T) {
 			srv, err := New(eng, Config{
 				Fleet: fleet.Config{Devices: 1, Sched: "dfq", RunLimit: time.Second,
 					Seed:        int64(rng.Intn(1 << 30)),
-					AllocPolicy: pol, AllocEvery: 2 * sim.Duration(time.Millisecond)},
+					AllocPolicy: pol},
 				AdmitDepth: 256,
 				Streams:    streams,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.RunFor(600 * time.Millisecond)
+			// 1.5 s at the 5 ms allocator period: about 300 rounds.
+			eng.RunFor(1500 * time.Millisecond)
 			if err := srv.SetupError(); err != nil {
 				t.Fatal(err)
 			}
@@ -95,9 +96,8 @@ func TestReweightingPreservesLeadBound(t *testing.T) {
 // TestNewRejectsInvalidConfig: the serving front door validates its
 // configuration with a proper error that names the culprit — a
 // malformed weight must never reach the fleet's panic or the ledgers'
-// silent clamp, a stream without an arrival process must not reach the
-// engine's first event, and a negative tier depth must not read as
-// "never shed".
+// silent clamp, and a stream without an arrival process must not reach
+// the engine's first event.
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	good := workload.OpenLoopTenant("ok", 100*us, 0)
 	bad := workload.OpenLoopTenant("bad", 100*us, 0)
@@ -116,11 +116,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 				{Tenant: workload.OpenLoopTenant("silent", 100*us, 0)},
 			},
 		}, []string{"stream 1", `"silent"`, "arrival"}},
-		{"negative-tier-depth", Config{
-			AdmitDepth: 8,
-			TierDepths: map[workload.Tier]int{workload.TierPremium: 16, workload.TierBestEffort: -1},
-			Streams:    []Stream{{Tenant: good, Arrival: Deterministic{Rate: 100}}},
-		}, []string{`"best-effort"`, "-1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

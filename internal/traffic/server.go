@@ -20,7 +20,6 @@ package traffic
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/fleet"
 	"repro/internal/gpu"
@@ -93,8 +92,7 @@ type Config struct {
 	// AdmitDepth is the standard tier's fleet queue-depth bound; each
 	// stream is admitted against its tenant's tier bound derived from it
 	// (best-effort sheds at half this depth, premium at 1.25x — see
-	// Admission.Bound). <= 0 disables admission control unless
-	// TierDepths is set.
+	// Admission.Bound). <= 0 disables admission control.
 	AdmitDepth int
 	// BatchDrain switches the dispatchers' backlog drain to batch
 	// staging: a whole queued backlog is staged on the channel in one
@@ -105,9 +103,6 @@ type Config struct {
 	// per-request doorbell timeline for submission cost; the default
 	// (off) reproduces the per-request event sequence exactly.
 	BatchDrain bool
-	// TierDepths overrides the derived per-tier admission bounds; zero
-	// means the tier is never shed, and a negative depth is an error.
-	TierDepths map[workload.Tier]int
 	// Streams is the tenant population, one open-loop source each.
 	Streams []Stream
 }
@@ -190,22 +185,12 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("traffic: stream %d (tenant %q) has no arrival process", i, spec.Tenant.Name)
 		}
 	}
-	tiers := make([]workload.Tier, 0, len(cfg.TierDepths))
-	for tier := range cfg.TierDepths {
-		tiers = append(tiers, tier)
-	}
-	slices.Sort(tiers)
-	for _, tier := range tiers {
-		if d := cfg.TierDepths[tier]; d < 0 {
-			return nil, fmt.Errorf("traffic: tier %q has negative depth %d (0 means never shed)", tier.Normalize(), d)
-		}
-	}
 	f, err := fleet.New(eng, cfg.Fleet)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{eng: eng, fleet: f, batch: cfg.BatchDrain,
-		adm: Admission{MaxDepth: cfg.AdmitDepth, TierDepths: cfg.TierDepths}}
+		adm: Admission{MaxDepth: cfg.AdmitDepth}}
 	s.flushFn = s.flushDone
 	if pol := f.AllocPolicy(); pol != nil {
 		f.OnTargets(func(snap policy.Snapshot, tg policy.Targets) {

@@ -51,7 +51,6 @@ type scriptedDraw struct {
 	arrivals int64
 }
 
-func (*scripted) Name() string      { return "scripted" }
 func (*scripted) MeanRate() float64 { return 0 }
 
 func (a *scripted) Next(now sim.Time, _ *sim.RNG) sim.Duration {

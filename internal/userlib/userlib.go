@@ -213,22 +213,16 @@ func (c *Client) SubmitEngagedOn(lane *sim.Cont, kind gpu.Kind, size sim.Duratio
 
 // SubmitSyncOn is SubmitSync in continuation form: it submits a request
 // and hands it to then, as a step of lane, once it has completed or
-// aborted. On the fast path (SubmitAsync) lane only waits on the done
-// gate. Otherwise it keeps the blocking order of a synchronous launch:
-// acquire a virtual context (AcquireOn), stage, trap in
+// aborted. It keeps the blocking order of a synchronous launch: acquire
+// a virtual context (AcquireOn, inline when attached), stage, trap in
 // trap-per-request mode, store — asynchronously when the page is
-// present, unpinning at once, and otherwise through the store's steps
-// (mmio.Page.StoreOn), which fault on an engaged register, unpinning
-// once it lands — then wait on the done gate. On a virtual client then
-// receives nil, staging nothing, if the task dies before the context
-// can attach. Stopping lane abandons the submission.
+// present, unpinning at once, which is SubmitAsync's store, and
+// otherwise through the store's steps (mmio.Page.StoreOn), which fault
+// on an engaged register, unpinning once it lands — then wait on the
+// done gate. On a virtual client then receives nil, staging nothing, if
+// the task dies before the context can attach. Stopping lane abandons
+// the submission.
 func (c *Client) SubmitSyncOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, then func(*gpu.Request)) {
-	if r, ok := c.SubmitAsync(c.kernel.Engine(), kind, size, nil); ok {
-		s := c.submission()
-		s.lane, s.r, s.then = lane, r, then
-		s.wait()
-		return
-	}
 	c.submitOn(lane, kind, size, subSync, nil, then)
 }
 

@@ -145,7 +145,7 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 		"Proc.Await", "Engine.InProcContext", "Request.Unpin",
 		"TestGateStormProcsAndCallbacksAgree", "TestContWaitForRechecks",
 		"TestProcAwaitResumesInline", "TestKillStopsAwaitedChain",
-		"TestPinnedRequestRecyclesOnce",
+		"TestPinnedRequestRecyclesOnce", "FuzzRequestPool", "OnDone",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)
@@ -248,7 +248,7 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"TestReleasedChannelReadsAsNew", "TestContextsLiveSetAfterChurn",
 		"gpu.Channel.Generation", "mmio.Page.Quiet", "sim.Slab",
 		"TestSlabChunksStopDoublingAtTheCap", "TestStormTenantLiveBytes",
-		"fleet.Tenant.Spec",
+		"fleet.Tenant.Spec", "TestSecondSubmissionInFlightPanics",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

@@ -368,7 +368,7 @@ func (d *DisengagedFairQueueing) sampleDone(res neon.SampleResult) {
 // credit. A task whose lead reaches the free run (fleet-wide with a
 // fleet exchange) sits the free run out: even an exclusive interval
 // would not let the slowest task catch past it, and the free run in
-// work is what the device could retire while it waits.
+// work is what the device could complete while it waits.
 func (d *DisengagedFairQueueing) computed() {
 	engElapsed := d.k.Engine().Now().Sub(d.engStart)
 	nominal := d.cfg.SamplePeriod * sim.Duration(max(1, d.sampledCount))

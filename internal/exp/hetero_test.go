@@ -65,7 +65,7 @@ func TestHeteroShape(t *testing.T) {
 	}
 
 	// Sanity on the normalized-throughput unit: a k20+consumer pair can
-	// retire at most 1.5 reference-device-seconds per second.
+	// complete at most 1.5 reference-device-seconds per second.
 	for _, res := range []HeteroResult{sticky, ff} {
 		if res.WorkPerSec <= 0 || res.WorkPerSec > 1.5 {
 			t.Errorf("%s work/s = %.2f, want in (0, 1.5]", res.Place, res.WorkPerSec)

@@ -243,7 +243,7 @@ func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 			}
 		}
 
-		// Churn: retire and re-register a few tenants so slot recycling
+		// Churn: unregister and re-register a few tenants so slot recycling
 		// and stale-handle rejection stay on the measured path.
 		if (c+1)%scaleChurnEvery == 0 {
 			for k := 0; k < scaleChurnCount; k++ {

@@ -93,14 +93,10 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 			}
 			// Direct access runs as a self-resubmitting continuation chain:
 			// each completion re-stages the next request from engine context,
-			// with zero proc handoffs per request. One request is in flight
-			// at a time, so the resubmit step is bound once and finds the
-			// completed request in last.
+			// with zero proc handoffs per request. The hook releases the
+			// completed request, and the resubmit step is bound once.
 			var submit func()
-			var last *gpu.Request
 			resubmit := func() {
-				last.Release()
-				last = nil
 				*done++
 				submit()
 			}
@@ -108,7 +104,7 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 				if r.Aborted {
 					return
 				}
-				last = r
+				r.Release()
 				eng.After(0, resubmit)
 			}
 			submit = func() {

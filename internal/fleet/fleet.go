@@ -254,7 +254,7 @@ func (f *Fleet) PlaceRequest(t *Tenant) (n *Node, migrated bool) {
 
 // RequestDone retires a placed work unit from the node's in-flight
 // count (a round once fenced; a request on completion, abort, or
-// shed-after-placement). A retire without a matching placement would
+// shed-after-placement). A RequestDone without a matching placement would
 // silently corrupt the queue-depth signal that admission control and
 // every placement policy read, so it panics — naming the node —
 // instead.

@@ -92,7 +92,7 @@ func TestRequestDoneUnderflowPanicsWithNodeName(t *testing.T) {
 		f.RequestDone(n)
 	}()
 	if n.Load() != 0 {
-		t.Fatalf("load = %d after the refused retire, want 0", n.Load())
+		t.Fatalf("load = %d after the refused RequestDone, want 0", n.Load())
 	}
 }
 

@@ -120,24 +120,31 @@ type Request struct {
 	// the request completes or aborts — immediately before the done gate
 	// opens. It is the completion hook open-loop serving layers use to
 	// stamp latencies without dedicating a waiter process per request.
-	// Install it before the request can finish (for a request of nonzero
-	// size, any time up to its completion instant).
+	// The hook may Release the request: finish holds a pin across the
+	// hook and the gate's opening, so the request recycles once its gate
+	// has opened, and a request the hook stages next is a different
+	// object. Install it before the request can finish (for a request of
+	// nonzero size, any time up to its completion instant).
 	OnDone func(*Request)
 
 	ch       *Channel
 	done     *sim.Gate
-	pins     int32 // holds beyond completion (sampling watchers)
+	pins     int32 // holds beyond completion (sampling watchers, finish itself)
 	released bool  // owner released while pinned: recycle at the last Unpin
 	pooled   bool  // currently on the device free list
 }
 
-// finish invokes the completion hook (once) and opens the done gate.
+// finish invokes the completion hook (once) and opens the done gate,
+// pinned throughout, so a hook that releases the request recycles it
+// only after the gate has opened.
 func (r *Request) finish() {
+	r.pins++
 	if fn := r.OnDone; fn != nil {
 		r.OnDone = nil
 		fn(r)
 	}
 	r.done.Open()
+	r.Unpin()
 }
 
 // Channel returns the channel the request was submitted to.
@@ -171,8 +178,9 @@ func (r *Request) Unpin() {
 
 // Release returns the request to its device's free pool for reuse by a
 // later Stage. The caller asserts that no other component still holds
-// the pointer: completion has been fully processed (the done gate opened
-// and its waiters ran, or the submitter owned the only reference). A
+// the pointer: completion has been processed (the done gate opened and
+// its waiters ran, or the submitter owned the only reference), or the
+// caller is the request's own OnDone hook, which finish's pin covers. A
 // pinned request recycles at its last Unpin instead. Double releases
 // are no-ops.
 func (r *Request) Release() {

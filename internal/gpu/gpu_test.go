@@ -378,37 +378,58 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestPinnedRequestRecyclesOnce pins the sampled-request lifetime: a
-// pinned request recycles at the later of its owner's Release and its
-// last Unpin, exactly once, and a double Release stays a no-op.
+// TestPinnedRequestRecyclesOnce pins the request lifetime: a pinned
+// request recycles at the later of its owner's Release and its last
+// Unpin, exactly once, and a double Release stays a no-op. A completion
+// hook that releases its own request and stages the next one on the
+// same channel is the third case: finish's pin keeps the released
+// request out of the pool until its gate has opened, so the hook gets a
+// new object, which reads not done with a closed gate.
 func TestPinnedRequestRecyclesOnce(t *testing.T) {
-	for _, ownerFirst := range []bool{true, false} {
+	for _, order := range []string{"owner first", "watcher first", "hook restages"} {
 		e, d := testDev(t)
 		ch := mustChan(t, d, mustCtx(t, d, 1), Compute)
 		r := submit(e, ch, 10*time.Microsecond, Compute)
-		r.Pin()
-		e.Run()
-		if ownerFirst {
+		switch order {
+		case "owner first":
+			r.Pin()
+			e.Run()
 			r.Release()
 			r.Release()
 			if len(d.reqFree) != 0 {
-				t.Fatalf("owner first: recycled while pinned (pool %d)", len(d.reqFree))
+				t.Fatalf("%s: recycled while pinned (pool %d)", order, len(d.reqFree))
 			}
 			r.Unpin()
-		} else {
+		case "watcher first":
+			r.Pin()
+			e.Run()
 			r.Unpin()
 			if len(d.reqFree) != 0 {
-				t.Fatalf("watcher first: recycled before the owner released (pool %d)", len(d.reqFree))
+				t.Fatalf("%s: recycled before the owner released (pool %d)", order, len(d.reqFree))
 			}
 			r.Release()
+		case "hook restages":
+			var next *Request
+			r.OnDone = func(done *Request) {
+				done.Release()
+				if len(d.reqFree) != 0 {
+					t.Fatalf("%s: recycled inside its own hook (pool %d)", order, len(d.reqFree))
+				}
+				next = ch.Stage(time.Microsecond, Compute)
+			}
+			e.Run()
+			if next == r || next.IsDone() || next.DoneGate().IsOpen() {
+				t.Fatalf("%s: next %p (released %p), done %v, gate open %v; want a new request, not done, gate closed",
+					order, next, r, next.IsDone(), next.DoneGate().IsOpen())
+			}
 		}
 		r.Release() // double release after recycling: a no-op
 		if len(d.reqFree) != 1 || d.reqFree[0] != r {
-			t.Fatalf("ownerFirst=%v: pool %v, want exactly the request once", ownerFirst, d.reqFree)
+			t.Fatalf("%s: pool %v, want exactly the request once", order, d.reqFree)
 		}
 		a, b := ch.Stage(time.Microsecond, Compute), ch.Stage(time.Microsecond, Compute)
 		if a != r || b == r {
-			t.Fatalf("ownerFirst=%v: Stage reused %p then %p, want %p exactly once", ownerFirst, a, b, r)
+			t.Fatalf("%s: Stage reused %p then %p, want %p exactly once", order, a, b, r)
 		}
 	}
 }

@@ -96,16 +96,14 @@ type VContext struct {
 	pins         int    // active users; a pinned context is not evictable
 	lastUsed     uint64 // mux clock at last Acquire
 	everAttached bool   // reattaches (everAttached && attach) pay ContextSwitch
-	attaching    bool   // an attach is in flight
-	closed       bool   // task exited
 	counted      bool   // counted in muxState.evictable
 	waiter       *muxWaiter
 
 	reattaches int64
 
 	// op is the context's attach record, busy (opBusy) while its one
-	// acquire or eager open is in flight. chans0 is the first backing
-	// array of chans.
+	// acquire or eager open is in flight: the context is attaching.
+	// chans0 is the first backing array of chans.
 	op     attachOp
 	opBusy bool
 	chans0 [1]*ChannelState
@@ -143,7 +141,7 @@ func (k *Kernel) OpenVirtualOn(c *sim.Cont, t *Task, label string, kinds []gpu.K
 	if k.muxFree() > 0 {
 		a := k.attachOp(vc, c)
 		a.opened = then
-		a.attach()
+		a.slot()
 		return
 	}
 	then(vc, nil)
@@ -225,7 +223,7 @@ func (vc *VContext) AcquireOn(c *sim.Cont, kind gpu.Kind, then func(*gpu.Channel
 	}
 	a := vc.k.attachOp(vc, c)
 	a.kind, a.acquired = kind, then
-	a.attach()
+	a.slot()
 }
 
 // acquireNow is the acquire that needs no step: it reports done when
@@ -233,7 +231,7 @@ func (vc *VContext) AcquireOn(c *sim.Cont, kind gpu.Kind, then func(*gpu.Channel
 // and the channel of the given kind), and not done when an attach must
 // run.
 func (vc *VContext) acquireNow(kind gpu.Kind) (ch *gpu.Channel, err error, done bool) {
-	if vc.closed || !vc.task.Alive {
+	if !vc.task.Alive {
 		return nil, gpu.ErrContextDead, true
 	}
 	if vc.hw == nil {
@@ -295,7 +293,7 @@ func (vc *VContext) AcquireIf(kind gpu.Kind) (*gpu.Channel, bool) {
 // drifts from the blocking-only timeline. The channel pointer is only
 // valid within the current engine instant.
 func (vc *VContext) Peek(kind gpu.Kind) (*gpu.Channel, bool) {
-	if vc.closed || !vc.task.Alive || vc.hw == nil || vc.attaching {
+	if !vc.task.Alive || vc.hw == nil || vc.opBusy {
 		return nil, false
 	}
 	for _, cs := range vc.chans {
@@ -382,27 +380,18 @@ func (a *attachOp) step() {
 
 // ready is the slot wait's predicate: a slot was granted, or the
 // context is dead.
-func (a *attachOp) ready() bool {
-	vc := a.vc
-	return vc.closed || !vc.task.Alive || a.w.granted
-}
+func (a *attachOp) ready() bool { return !a.vc.task.Alive || a.w.granted }
 
-// attach binds the logical context to a hardware context, creating the
-// context and its channels through the setup syscalls. It waits while
-// the pool is exhausted and nothing is evictable. On success the
-// context is pinned once and, if this is a reattach, the paper's
-// ContextSwitch cost has been charged. Whatever the outcome, finish
-// clears the attaching flag and broadcasts the task's gate.
-func (a *attachOp) attach() {
-	a.vc.attaching = true
-	a.slot()
-}
-
-// slot is the head of the attach loop: find a free hardware slot,
-// evicting or queueing for one, then sleep the context syscall.
+// slot is the head of the attach, which binds the logical context to a
+// hardware context, creating the context and its channels through the
+// setup syscalls: find a free hardware slot, evicting or queueing for
+// one, then sleep the context syscall. The attach waits while the pool
+// is exhausted and nothing is evictable. On success the context is
+// pinned once and, if this is a reattach, the paper's ContextSwitch
+// cost has been charged. Whatever the outcome, finish frees the record.
 func (a *attachOp) slot() {
 	k, vc := a.k, a.vc
-	if vc.closed || !vc.task.Alive {
+	if !vc.task.Alive {
 		a.finish(gpu.ErrContextDead)
 		return
 	}
@@ -437,7 +426,7 @@ func (a *attachOp) granted() {
 		return
 	}
 	k.mux.reserved--
-	if vc.closed || !vc.task.Alive {
+	if !vc.task.Alive {
 		k.muxPump() // hand the slot on
 		a.finish(gpu.ErrContextDead)
 		return
@@ -523,23 +512,15 @@ func (a *attachOp) bind() {
 	a.finish(nil)
 }
 
-// finish ends the attach: the attaching flag clears and the task's gate
-// is broadcast.
-func (a *attachOp) finish(err error) {
-	vc := a.vc
-	vc.attaching = false
-	a.k.muxNote(vc)
-	vc.task.gate.Broadcast()
-	a.done(err)
-}
-
-// done frees the record and hands the outcome to the caller's
+// finish ends the attach: it frees the record, re-reads whether the
+// context is evictable, and hands the outcome to the caller's
 // continuation: the channel for an acquire, the context for an open.
-func (a *attachOp) done(err error) {
+func (a *attachOp) finish(err error) {
 	vc, kind, acquired, opened := a.vc, a.kind, a.acquired, a.opened
 	a.c, a.acquired, a.opened, a.ctx, a.chans = nil, nil, nil, nil, nil
 	a.w = muxWaiter{}
 	vc.opBusy = false
+	a.k.muxNote(vc)
 	if opened != nil {
 		if err != nil {
 			opened(nil, err)
@@ -575,7 +556,7 @@ func (vc *VContext) unpin() {
 // evictable reports whether the attached logical context can be
 // detached right now: unpinned, every channel quiescent, none sampling.
 func (vc *VContext) evictable() bool {
-	if vc.hw == nil || vc.pins > 0 || vc.attaching {
+	if vc.hw == nil || vc.pins > 0 || vc.opBusy {
 		return false
 	}
 	for _, cs := range vc.chans {
@@ -686,7 +667,7 @@ func (k *Kernel) muxPump() {
 			return // nothing to give: O(1)
 		}
 		w := m.waiters[0]
-		if w.vc.closed || !w.vc.task.Alive {
+		if !w.vc.task.Alive {
 			m.waiters = m.waiters[1:]
 			continue
 		}
@@ -720,10 +701,9 @@ func (k *Kernel) muxTaskExited(t *Task) {
 		return
 	}
 	for _, vc := range t.vctxs {
-		vc.closed = true
 		// An attach stopped with its task's threads never finishes, so
-		// the exit clears its flag; one still running finishes dead.
-		vc.attaching = false
+		// the exit frees its record; one still running finishes dead.
+		vc.opBusy = false
 		if w := vc.waiter; w != nil {
 			if w.granted {
 				// Granted but never consumed; the slot goes back.

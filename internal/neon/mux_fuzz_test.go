@@ -180,9 +180,9 @@ func (z *muxFuzz) run(ops []byte) {
 	for _, vc := range z.vcs {
 		switch {
 		case vc == nil:
-		case vc.closed && (len(vc.chans) != 0 || vc.ChannelIf(gpu.Compute) != nil):
+		case !vc.task.Alive && (len(vc.chans) != 0 || vc.ChannelIf(gpu.Compute) != nil):
 			z.t.Fatalf("%s's closed logical context still hands out a channel", vc.task.Name)
-		case !vc.closed && !vc.Attached() && (len(vc.chans) != 0 || vc.chans0[0] != nil || vc.opBusy || vc.op.ctx != nil || vc.op.chans != nil):
+		case vc.task.Alive && !vc.Attached() && (len(vc.chans) != 0 || vc.chans0[0] != nil || vc.opBusy || vc.op.ctx != nil || vc.op.chans != nil):
 			z.t.Fatalf("%s's detached logical context still reaches a channel", vc.task.Name)
 		}
 	}
@@ -256,7 +256,7 @@ func (z *muxFuzz) step() bool {
 	// (Evictions are the last thing a pump, an attach's slot search or
 	// an exit does in its event, so nothing turned evictable after.)
 	for vc := range attached {
-		if vc.Attached() || vc.closed {
+		if vc.Attached() || !vc.task.Alive {
 			continue
 		}
 		for _, other := range m.attached {
@@ -275,7 +275,7 @@ func (z *muxFuzz) step() bool {
 	}
 	blocked := false
 	for _, w := range queued {
-		live := !w.vc.closed && w.vc.task.Alive
+		live := w.vc.task.Alive
 		switch {
 		case still[w] && live:
 			blocked = true
@@ -330,7 +330,7 @@ func (z *muxFuzz) check(when string) {
 // attached context with no pin, no attach in flight, and every channel
 // idle and not sampling.
 func refEvictable(vc *VContext) bool {
-	if vc.hw == nil || vc.pins != 0 || vc.attaching {
+	if vc.hw == nil || vc.pins != 0 || vc.opBusy {
 		return false
 	}
 	for _, cs := range vc.chans {

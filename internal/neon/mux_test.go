@@ -353,8 +353,8 @@ func TestKillMidAttachStopsAcquire(t *testing.T) {
 			if len(k.mux.waiters) != 0 || k.mux.reserved != 0 {
 				t.Errorf("%d attaches queued and %d slots reserved after the kill, want none", len(k.mux.waiters), k.mux.reserved)
 			}
-			if !vc.closed || vc.attaching || vc.Attached() {
-				t.Errorf("context closed %v, attaching %v, attached %v; want closed only", vc.closed, vc.attaching, vc.Attached())
+			if vc.task.Alive || vc.opBusy || vc.Attached() {
+				t.Errorf("context's task alive %v, attaching %v, attached %v; want a dead task only", vc.task.Alive, vc.opBusy, vc.Attached())
 			}
 			if k.mux.stats.Attaches != attaches || e.Pending() != 0 {
 				t.Errorf("the dead attach went on: %d attaches (was %d), %d events pending", k.mux.stats.Attaches, attaches, e.Pending())

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -37,7 +38,10 @@ func (c *churnPolicy) Allocate(s policy.Snapshot) policy.Targets {
 // read at every charging step, each episode's window term uses that
 // episode's own lightest charged weight, and past charges are never
 // restated (the dynamic-weight contract in core/dfq.go). Nobody may
-// starve either: a churning weight is still a positive share.
+// starve either: a churning weight is still a positive share. DFQ runs
+// at a short cycle (1 ms sampling, free run of one period), so every
+// scenario charges churned weights over at least 9 engagement episodes
+// (up to 260).
 func TestReweightingPreservesLeadBound(t *testing.T) {
 	const scenarios = 6
 	for i := 0; i < scenarios; i++ {
@@ -53,7 +57,8 @@ func TestReweightingPreservesLeadBound(t *testing.T) {
 			srv, err := New(eng, Config{
 				Fleet: fleet.Config{Devices: 1, Sched: "dfq", RunLimit: time.Second,
 					Seed:        int64(rng.Intn(1 << 30)),
-					AllocPolicy: pol},
+					AllocPolicy: pol,
+					DFQ:         core.DFQConfig{SamplePeriod: time.Millisecond, FreeRunMultiplier: 1}},
 				AdmitDepth: 256,
 				Streams:    streams,
 			})
@@ -72,7 +77,7 @@ func TestReweightingPreservesLeadBound(t *testing.T) {
 			if dfq == nil {
 				t.Fatal("node scheduler is not DFQ")
 			}
-			if dfq.Cycles < 3 {
+			if dfq.Cycles < 9 {
 				t.Fatalf("only %d engagement episodes; scenario too idle to test anything", dfq.Cycles)
 			}
 			if dfq.LeadViolations() != 0 {

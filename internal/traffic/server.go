@@ -141,24 +141,6 @@ type Server struct {
 	adm     Admission
 	batch   bool
 	streams []*stream
-
-	// Same-tick completion coalescing: completion hooks append to
-	// doneBuf and the first append of an instant schedules one flush
-	// event at the back of that instant, so N same-tick completions cost
-	// one digest/stats delivery pass instead of N callback hops. Only
-	// commutative per-stream accounting is deferred; fleet queue-depth
-	// release stays inline in the hook because same-tick admission
-	// decisions read it.
-	doneBuf     []doneRec
-	flushQueued bool
-	flushFn     func()
-}
-
-// doneRec is one completed request awaiting the tick-end stats flush.
-type doneRec struct {
-	st  *stream
-	r   *gpu.Request
-	lat sim.Duration
 }
 
 // New builds the fleet, registers one tenant per stream, and starts each
@@ -191,7 +173,6 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 	}
 	s := &Server{eng: eng, fleet: f, batch: cfg.BatchDrain,
 		adm: Admission{MaxDepth: cfg.AdmitDepth}}
-	s.flushFn = s.flushDone
 	if pol := f.AllocPolicy(); pol != nil {
 		f.OnTargets(func(snap policy.Snapshot, tg policy.Targets) {
 			if b := policy.TierBounds(pol, snap, tg, cfg.AdmitDepth); b != nil {
@@ -332,7 +313,7 @@ type item struct {
 // DirectWrite or fault. Each acquire thus runs in the event that orders
 // the mux's LRU clock and attach queue. The continuation belongs to
 // the engine, not to the tenant's task, because the task's death must
-// wake it to retire its queue. Config.BatchDrain turns a drained
+// wake it to abort its queue. Config.BatchDrain turns a drained
 // backlog into one staged batch with a single doorbell.
 type dispatcher struct {
 	srv    *Server
@@ -549,44 +530,17 @@ func (d *dispatcher) pop() item {
 
 // onDone is the completion hook: it runs in engine context the instant
 // the device finishes (or aborts) the request — no polling process per
-// request. The fleet's queue-depth release and the abort counter are
-// immediate; completed-request stats are batched into the server's
-// tick-end flush.
+// request. It releases the fleet's queue depth, counts the completion
+// with its sojourn, and recycles the request (gpu.Request.OnDone).
 func (d *dispatcher) onDone(r *gpu.Request) {
 	d.srv.fleet.RequestDone(d.node)
 	if r.Aborted {
 		d.st.stats.Aborted++
 		return
 	}
-	d.srv.enqueueDone(d.st, r)
-}
-
-// enqueueDone buffers a completed request for the tick-end stats flush,
-// scheduling the flush event on the first completion of the instant.
-func (s *Server) enqueueDone(st *stream, r *gpu.Request) {
-	s.doneBuf = append(s.doneBuf, doneRec{st: st, r: r, lat: r.Completed.Sub(r.Stamp)})
-	if !s.flushQueued {
-		s.flushQueued = true
-		s.eng.After(0, s.flushFn)
-	}
-}
-
-// flushDone delivers the instant's coalesced completions: per-stream
-// goodput counters and latency digest adds, in completion order. The
-// requests are then recycled to their device pools — every holder is
-// done with them by the end of the completion instant (sampling
-// watchers pin theirs, which exempts them from recycling).
-func (s *Server) flushDone() {
-	s.flushQueued = false
-	buf := s.doneBuf
-	for i := range buf {
-		rec := &buf[i]
-		rec.st.stats.Completed++
-		rec.st.stats.Latency.Add(rec.lat)
-		rec.r.Release()
-		*rec = doneRec{}
-	}
-	s.doneBuf = buf[:0]
+	d.st.stats.Completed++
+	d.st.stats.Latency.Add(r.Completed.Sub(r.Stamp))
+	r.Release()
 }
 
 // drainFailed retires items queued before a client setup failure so

@@ -36,11 +36,9 @@ type Client struct {
 	channels map[gpu.Kind]*gpu.Channel
 	order    []gpu.Kind
 
-	// subFree lists finished submission records for reuse; sub0 is the
-	// first of them, so a client with one submission in flight at a
-	// time allocates no record.
-	subFree *submission
-	sub0    submission
+	// sub is the client's submission record: a client has one lane
+	// submission in flight at a time, so it allocates no record.
+	sub submission
 
 	// TrapPerRequest switches submissions to the syscall path: every
 	// request pays a kernel trap (plus driver work if TrapDriverWork),
@@ -150,11 +148,8 @@ func openVirtual(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kin
 	})
 }
 
-// init readies the client's first submission record.
-func (c *Client) init() {
-	c.sub0.c = c
-	c.subFree = &c.sub0
-}
+// init readies the client's submission record.
+func (c *Client) init() { c.sub.c = c }
 
 // Channel returns the client's channel of the given kind, or nil. For a
 // virtual client this is the currently attached hardware channel; nil
@@ -250,8 +245,9 @@ const (
 	subSync                    // StoreAsync if present, else StoreOn; then wait for completion
 )
 
-// submission is one lane-form submission in flight. Records are pooled
-// per client; a submission whose lane is stopped abandons its record.
+// submission is one lane-form submission in flight, in its client's
+// one record; a submission whose lane is stopped abandons the record,
+// which stays busy (a lane is stopped when its task exits).
 type submission struct {
 	c      *Client
 	lane   *sim.Cont
@@ -263,20 +259,20 @@ type submission struct {
 	r      *gpu.Request
 	onDone func(*gpu.Request)
 	then   func(*gpu.Request)
-	next   *submission // the client's free list
 
 	// Steps, bound on first use.
 	acquiredFn                  func(*gpu.Channel, error)
 	trappedFn, storedFn, doneFn func()
 }
 
-// submission takes a record from the client's pool.
+// submission takes the client's record. A second lane submission while
+// the record is busy is a caller's bug, two lanes racing on one client,
+// so it panics naming the task.
 func (c *Client) submission() *submission {
-	s := c.subFree
-	if s == nil {
-		return &submission{c: c}
+	s := &c.sub
+	if s.lane != nil {
+		panic(fmt.Sprintf("userlib: task %q submitted on a lane while its submission is in flight", c.Task.Name))
 	}
-	c.subFree, s.next = s.next, nil
 	return s
 }
 
@@ -348,11 +344,10 @@ func (s *submission) wait() {
 	s.lane.Wait(s.r.DoneGate(), s.doneFn)
 }
 
-// finish recycles the record and runs the caller's continuation.
+// finish frees the record and runs the caller's continuation.
 func (s *submission) finish(r *gpu.Request) {
 	then := s.then
 	s.lane, s.ch, s.r, s.onDone, s.then = nil, nil, nil, nil, nil
-	s.next, s.c.subFree = s.c.subFree, s
 	then(r)
 }
 

@@ -1,6 +1,8 @@
 package userlib
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,5 +131,47 @@ func TestOpenFailsOverQuota(t *testing.T) {
 	e.RunFor(time.Millisecond)
 	if err != neon.ErrChannelQuota {
 		t.Fatalf("err = %v, want quota violation", err)
+	}
+}
+
+// TestSecondSubmissionInFlightPanics: a client has one submission record
+// and one lane submission in flight at a time, so a second lane
+// submission while the first waits for its completion is a caller's bug,
+// and it panics naming the task. Once the first has finished, the record
+// serves the next submission.
+func TestSecondSubmissionInFlightPanics(t *testing.T) {
+	e, k := stack(t)
+	task := k.NewTask("racer")
+	lane := task.NewCont()
+	var c *Client
+	OpenOn(lane, k, task, "r", []gpu.Kind{gpu.Compute}, func(cl *Client, err error) {
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		c = cl
+	})
+	e.Run()
+	var first *gpu.Request
+	c.SubmitSyncOn(lane, gpu.Compute, 40*time.Microsecond, func(r *gpu.Request) { first = r })
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		c.SubmitDetachedOn(task.NewCont(), gpu.Compute, 40*time.Microsecond, nil, func(*gpu.Request) {})
+		return nil
+	}()
+	if r == nil {
+		t.Fatal("a second lane submission while the first was in flight did not panic")
+	}
+	if msg := fmt.Sprint(r); !strings.Contains(msg, `"racer"`) {
+		t.Errorf("panic %q does not name the task", msg)
+	}
+	e.Run()
+	if first == nil || !first.IsDone() {
+		t.Fatal("the first submission never completed")
+	}
+	var second *gpu.Request
+	c.SubmitSyncOn(lane, gpu.Compute, 40*time.Microsecond, func(r *gpu.Request) { second = r })
+	e.Run()
+	if second == nil || !second.IsDone() {
+		t.Fatal("the record did not serve a submission after the first finished")
 	}
 }

@@ -20,7 +20,10 @@ import (
 // fire-and-forget submission chains the next step After(DirectWrite),
 // the clock a blocking store's sleep would advance, and a completion
 // re-enters via After(0), the queue position a done-gate broadcast
-// would give a woken process.
+// would give a woken process. A fire-and-forget request goes back to
+// its device's pool from its own completion hook
+// (gpu.Request.OnDone), a blocking one once the machine has stepped
+// past it, so the fence waits on a count alone.
 //
 // Anything that must block runs on the lane, a continuation: the
 // steps a Round takes on it (a first-touch client open), and every
@@ -59,14 +62,13 @@ type machine struct {
 	dw         sim.Duration // the client's cost.Model.DirectWrite, the doorbell latency
 	pre        Req          // the round's preliminary blocking request, if Size > 0
 	phase      uint8
-	idx        int            // next request in the round's sequence
-	commit     bool           // the refused submission is committed to the fault path
-	fencing    bool           // machine parked at the frame fence
-	stopped    bool           // Stop was called
-	beginning  bool           // Round.Begin is running inline in a step
-	pending    int            // fire-and-forget submissions not yet completed
-	awaiting   *gpu.Request   // blocking request whose completion resumes the machine
-	retire     []*gpu.Request // completed fire-and-forget requests to recycle
+	idx        int          // next request in the round's sequence
+	commit     bool         // the refused submission is committed to the fault path
+	fencing    bool         // machine parked at the frame fence
+	stopped    bool         // Stop was called
+	beginning  bool         // Round.Begin is running inline in a step
+	pending    int          // fire-and-forget submissions not yet completed
+	awaiting   *gpu.Request // blocking request whose completion resumes the machine
 	roundStart sim.Time
 
 	// Pre-bound steps and completion hooks; the lane's are bound at its
@@ -218,17 +220,12 @@ func (m *machine) step(lane bool) {
 			return
 		case phFence:
 			// Frame fence: wait for every fire-and-forget completion of
-			// the round, then recycle the retired requests.
+			// the round.
 			if m.pending > 0 {
 				m.fencing = true
 				return
 			}
 			m.fencing = false
-			for i, r := range m.retire {
-				r.Release()
-				m.retire[i] = nil
-			}
-			m.retire = m.retire[:0]
 			m.round.Fenced()
 			// Off-period for nonsaturating specs: a fixed per-round think
 			// time derived from the standalone active time, so contention
@@ -348,16 +345,15 @@ func (m *machine) blockingDone(r *gpu.Request) {
 
 // oneDone is the completion continuation of fire-and-forget submissions
 // (trivial and pipelined requests). It runs in engine context inside the
-// request's finish; the request is retired later, from step context,
-// because the device's completion observer still reads it after the
-// hook returns.
+// request's finish, which lets it release the request
+// (gpu.Request.OnDone).
 func (m *machine) oneDone(r *gpu.Request, observe bool) {
 	m.pending--
 	if !r.Aborted {
 		if observe {
 			m.round.Served(r)
 		}
-		m.retire = append(m.retire, r)
+		r.Release()
 	}
 	if m.fencing && m.pending == 0 && m.alive() {
 		m.eng.After(0, m.stepFn)

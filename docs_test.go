@@ -146,6 +146,7 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 		"TestGateStormProcsAndCallbacksAgree", "TestContWaitForRechecks",
 		"TestProcAwaitResumesInline", "TestKillStopsAwaitedChain",
 		"TestPinnedRequestRecyclesOnce", "FuzzRequestPool", "OnDone",
+		"Device.KillContext",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)
@@ -249,6 +250,7 @@ func TestDesignDocCoversMux(t *testing.T) {
 		"gpu.Channel.Generation", "mmio.Page.Quiet", "sim.Slab",
 		"TestSlabChunksStopDoublingAtTheCap", "TestStormTenantLiveBytes",
 		"fleet.Tenant.Spec", "TestSecondSubmissionInFlightPanics",
+		"TestSecondAcquireInFlightPanics", "TestEvictableCountDisagreementPanics",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

@@ -41,13 +41,6 @@ func runFig67(opts Options) [][]MixResult {
 	return runMatrix(opts, "pairs", rows, AllScheds())
 }
 
-// Fig6 reproduces Figure 6: fairness of concurrent executions — per-pair
-// normalized runtimes under each scheduler.
-func Fig6(opts Options) *report.Table { return fig6Table(runFig67(opts)) }
-
-// Fig7 reproduces Figure 7: concurrency efficiency for the same pairs.
-func Fig7(opts Options) *report.Table { return fig7Table(runFig67(opts)) }
-
 func fig6Table(matrix [][]MixResult) *report.Table {
 	t := report.New("Figure 6: pairwise fairness (slowdown vs running alone, app/Throttle)",
 		"Pair", "direct", "Timeslice", "Disengaged TS", "Disengaged FQ")

@@ -28,13 +28,6 @@ func runFig910(opts Options) [][]MixResult {
 	return runMatrix(opts, "nonsat", nonsatRows(fig9Ratios), AllScheds())
 }
 
-// Fig9 reproduces Figure 9: fairness for DCT vs a nonsaturating Throttle.
-func Fig9(opts Options) *report.Table { return fig9Table(runFig910(opts)) }
-
-// Fig10 reproduces Figure 10: efficiency for the same scenarios, plus the
-// loss relative to direct access the paper quotes.
-func Fig10(opts Options) *report.Table { return fig10Table(runFig910(opts)) }
-
 func fig9Table(matrix [][]MixResult) *report.Table {
 	t := report.New("Figure 9: nonsaturating workloads — fairness (DCT vs Throttle(425us) with off periods)",
 		"Off ratio", "direct", "Timeslice", "Disengaged TS", "Disengaged FQ")

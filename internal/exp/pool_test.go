@@ -138,9 +138,9 @@ func poolTestOpts() Options {
 func TestFig6SerialParallelIdentical(t *testing.T) {
 	opts := poolTestOpts()
 	opts.Parallel = 1
-	serial := Fig6(opts).String()
+	serial := fig6Table(runFig67(opts)).String()
 	opts.Parallel = 4
-	parallel := Fig6(opts).String()
+	parallel := fig6Table(runFig67(opts)).String()
 	if serial != parallel {
 		t.Fatalf("fig6 serial vs parallel diverged:\n%s\nvs\n%s", serial, parallel)
 	}

@@ -265,8 +265,8 @@ func TestAblationStatsShape(t *testing.T) {
 func TestExperimentsDeterministic(t *testing.T) {
 	opts := Quick()
 	opts.Measure = 100 * time.Millisecond
-	a := Fig9(opts).String()
-	b := Fig9(opts).String()
+	a := fig9Table(runFig910(opts)).String()
+	b := fig9Table(runFig910(opts)).String()
 	if a != b {
 		t.Fatalf("fig9 not deterministic:\n%s\nvs\n%s", a, b)
 	}

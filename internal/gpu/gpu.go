@@ -23,6 +23,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/mmio"
@@ -332,6 +333,19 @@ func (ch *Channel) Stage(size sim.Duration, kind Kind) *Request {
 	return r
 }
 
+// abortStaged aborts the staged requests up to reference value, in
+// order, on a dead context. A request a completion hook stages
+// meanwhile joins the list, and it aborts too if value covers it.
+func (ch *Channel) abortStaged(value uint64) {
+	for len(ch.staged) > 0 && ch.staged[0].Ref <= value {
+		r := ch.staged[0]
+		ch.staged[0] = nil
+		ch.staged = ch.staged[1:]
+		r.Aborted = true
+		r.finish()
+	}
+}
+
 // StagedRequests returns requests constructed in the command buffer whose
 // doorbell has not yet been rung. The kernel may inspect this — it is the
 // command-buffer scan of paper Section 4 (costed via cost.FaultScan).
@@ -527,9 +541,12 @@ func (d *Device) CreateChannel(c *Context, kind Kind) (*Channel, error) {
 }
 
 // doorbell is the device-side effect of a store to a channel register:
-// staged requests up to the stored reference value enter the ring.
+// staged requests up to the stored reference value enter the ring. On a
+// dead context they abort instead: a completion hook may have staged
+// them after the kill.
 func (d *Device) doorbell(ch *Channel, value uint64) {
 	if ch.Ctx.dead {
+		ch.abortStaged(value)
 		return
 	}
 	now := d.eng.Now()
@@ -559,9 +576,13 @@ func (d *Device) doorbell(ch *Channel, value uint64) {
 }
 
 // KillContext implements the exit protocol: the context is marked dead,
-// queued requests are discarded, an in-flight request is aborted, and
-// the context's channels leave the engines. The paper relies on this
-// (via killing the owning process) to recover from over-long requests.
+// queued and staged requests are aborted, an in-flight request is
+// aborted, and the context's channels leave the engines. The paper
+// relies on this (via killing the owning process) to recover from
+// over-long requests. A request that a completion hook stages on the
+// channel being swept aborts in the sweep, which runs until the
+// channel's staged list stays empty; one staged after the kill aborts
+// at its doorbell.
 func (d *Device) KillContext(c *Context) {
 	if c.dead {
 		return
@@ -574,11 +595,7 @@ func (d *Device) KillContext(c *Context) {
 		}
 		ch.ring = nil
 		ch.head = 0
-		for _, r := range ch.staged {
-			r.Aborted = true
-			r.finish()
-		}
-		ch.staged = nil
+		ch.abortStaged(math.MaxUint64)
 		ch.engine().removeChannel(ch)
 	}
 	d.execEngine.abortIfContext(c)

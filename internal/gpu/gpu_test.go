@@ -384,9 +384,13 @@ func TestKindString(t *testing.T) {
 // hook that releases its own request and stages the next one on the
 // same channel is the third case: finish's pin keeps the released
 // request out of the pool until its gate has opened, so the hook gets a
-// new object, which reads not done with a closed gate.
+// new object, which reads not done with a closed gate. The last two
+// cases kill the context under such a hook: the hook of a staged
+// request stages inside the kill, and the hook of the executing one
+// stages and rings its doorbell after it. Either next request finishes
+// exactly once, aborted with its gate open.
 func TestPinnedRequestRecyclesOnce(t *testing.T) {
-	for _, order := range []string{"owner first", "watcher first", "hook restages"} {
+	for _, order := range []string{"owner first", "watcher first", "hook restages", "hook stages in the kill", "hook stages after the kill"} {
 		e, d := testDev(t)
 		ch := mustChan(t, d, mustCtx(t, d, 1), Compute)
 		r := submit(e, ch, 10*time.Microsecond, Compute)
@@ -421,6 +425,28 @@ func TestPinnedRequestRecyclesOnce(t *testing.T) {
 			if next == r || next.IsDone() || next.DoneGate().IsOpen() {
 				t.Fatalf("%s: next %p (released %p), done %v, gate open %v; want a new request, not done, gate closed",
 					order, next, r, next.IsDone(), next.DoneGate().IsOpen())
+			}
+		case "hook stages in the kill", "hook stages after the kill":
+			if order == "hook stages after the kill" {
+				for d.CurrentRequest() != r {
+					if !e.Step() {
+						t.Fatalf("%s: the request never started", order)
+					}
+				}
+			}
+			var next *Request
+			finished := 0
+			r.OnDone = func(done *Request) {
+				done.Release()
+				next = ch.Stage(time.Microsecond, Compute)
+				next.OnDone = func(*Request) { finished++ }
+				ch.Reg.StoreAsync(e, next.Ref)
+			}
+			d.KillContext(ch.Ctx)
+			e.Run()
+			if next == nil || next == r || finished != 1 || !next.Aborted || !next.DoneGate().IsOpen() {
+				t.Fatalf("%s: next %p (released %p), hook ran %d times, aborted %v, gate open %v; want a new request finished once, aborted",
+					order, next, r, finished, next != nil && next.Aborted, next != nil && next.DoneGate().IsOpen())
 			}
 		}
 		r.Release() // double release after recycling: a no-op

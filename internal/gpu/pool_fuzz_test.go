@@ -23,7 +23,8 @@ const (
 // with one or two channels, each on its own context: Stage, the
 // doorbell store, engine steps, Release outside a hook and inside the
 // next completion's hook (which may stage the next request on the same
-// channel), Pin and Unpin, and KillContext. After every operation, and
+// channel, and rings its doorbell if the context is dead), Pin and
+// Unpin, and KillContext. After every operation, and
 // at every Stage, it checks the device's free pool against a
 // test-local reference of each request's lifetime:
 //   - no object that Stage hands out is pinned, staged, queued,
@@ -33,7 +34,8 @@ const (
 //   - a staged request reads not done, with a closed gate.
 //
 // The wind-down kills every context, runs the engine dry, releases and
-// unpins everything, and then the pool holds every object once.
+// unpins everything, and then every request has finished and the pool
+// holds every object once.
 func FuzzRequestPool(f *testing.F) {
 	// A hook that releases and restages (BenchmarkRequestPathAsync's
 	// shape) on both channels, a pinned watcher, and a kill mid-flight.
@@ -53,7 +55,7 @@ func FuzzRequestPool(f *testing.F) {
 // object by Stage, until the pool takes the object back.
 type life struct {
 	r       *Request
-	ch      int
+	ch      *Channel
 	hooked  bool // the completion hook has run: the request is finishing or finished
 	done    bool // finish has returned (the hook ran and the gate opened)
 	owned   bool // the owner has not released it yet
@@ -119,7 +121,7 @@ func (z *poolFuzz) run(ops []byte) {
 		pick := int(b >> 4)
 		switch z.kind {
 		case fpStage:
-			z.stage(ci, sizeOf(b))
+			z.stage(z.chans[ci], sizeOf(b))
 		case fpDoorbell:
 			if st := z.chans[ci].StagedRequests(); len(st) > 0 {
 				z.chans[ci].Reg.StoreAsync(z.d.eng, st[len(st)-1].Ref)
@@ -202,10 +204,10 @@ func (z *poolFuzz) pickLife(pick int, ok func(*life) bool) *life {
 	return cands[pick%len(cands)]
 }
 
-// stage stages a request on channel ci and checks the object Stage hands
-// out against the reference.
-func (z *poolFuzz) stage(ci int, size time.Duration) *Request {
-	r := z.chans[ci].Stage(size, Compute)
+// stage stages a request on ch and checks the object Stage hands out
+// against the reference.
+func (z *poolFuzz) stage(ch *Channel, size time.Duration) *Request {
+	r := ch.Stage(size, Compute)
 	if prev := z.cur[r]; prev == nil {
 		z.objects++
 	} else if !prev.pooled {
@@ -214,7 +216,7 @@ func (z *poolFuzz) stage(ci int, size time.Duration) *Request {
 	if r.IsDone() || r.DoneGate().IsOpen() || r.OnDone != nil {
 		z.fail("staged request reads done %v, gate open %v, hooked %v", r.IsDone(), r.DoneGate().IsOpen(), r.OnDone != nil)
 	}
-	l := &life{r: r, ch: ci, owned: true}
+	l := &life{r: r, ch: ch, owned: true}
 	z.cur[r] = l
 	z.lives = append(z.lives, l)
 	r.OnDone = z.hook
@@ -240,11 +242,17 @@ func (z *poolFuzz) onDone(r *Request) {
 		if r.pooled || inPool(z.d, r) {
 			z.fail("request %d recycled inside its own hook", r.ID)
 		}
-		// Restage as BenchmarkRequestPathAsync does, unless the request
-		// aborted with its context.
-		if l.restage && !r.ch.Ctx.Dead() {
-			if next := z.stage(l.ch, time.Microsecond); next == r {
+		// Restage as BenchmarkRequestPathAsync does, on the request's
+		// own channel. On a dead context, inside its kill or after it,
+		// ring the doorbell too, so that the request finishes aborted:
+		// the fuzzer's doorbell op reaches only live channels.
+		if l.restage {
+			next := z.stage(l.ch, time.Microsecond)
+			if next == r {
 				z.fail("the hook of request %d staged the same object", r.ID)
+			}
+			if l.ch.Ctx.Dead() {
+				l.ch.Reg.StoreAsync(z.d.eng, next.Ref)
 			}
 		}
 	}

@@ -72,24 +72,6 @@ func (h *Log2Hist) CDF() [18]float64 {
 	return out
 }
 
-// FractionBelow returns the fraction of observations strictly below the
-// bin containing d (i.e. with bin index < bin(d)).
-func (h *Log2Hist) FractionBelow(d time.Duration) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	us := float64(d) / float64(time.Microsecond)
-	limit := 0
-	if us >= 1 {
-		limit = int(math.Log2(us))
-	}
-	var cum int64
-	for i := 0; i < limit && i < len(h.Bins); i++ {
-		cum += h.Bins[i]
-	}
-	return float64(cum) / float64(h.Total)
-}
-
 // Slowdown is the paper's per-application degradation metric: the ratio
 // of the application's per-round time in the evaluated scenario to its
 // per-round time running alone with direct access.

@@ -63,19 +63,6 @@ func TestEmptyCDFAllZero(t *testing.T) {
 			t.Fatal("empty CDF nonzero")
 		}
 	}
-	if h.FractionBelow(time.Second) != 0 {
-		t.Fatal("empty FractionBelow nonzero")
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	var h Log2Hist
-	h.Add(2 * time.Microsecond)   // bin 1
-	h.Add(100 * time.Microsecond) // bin 6
-	// Below 10us = bins < log2(10)=3: only the 2us one.
-	if got := h.FractionBelow(10 * time.Microsecond); got != 0.5 {
-		t.Fatalf("FractionBelow(10us) = %v", got)
-	}
 }
 
 func TestSlowdown(t *testing.T) {

@@ -19,22 +19,23 @@ import (
 // paying the setup syscalls plus the paper's ContextSwitch cost. On the
 // host the recreation reuses released objects: the device's contexts
 // and channels, the kernel's channel states and the context's own
-// attach record, so a reattach allocates nothing (DESIGN.md §13). A
-// logical context has one acquire or eager open in flight at a time.
+// record, so a reattach allocates nothing (DESIGN.md §13). A logical
+// context has one acquire or eager open in flight at a time, and it is
+// that attach's record.
 //
-// Attach order under exhaustion is FIFO: a blocked attach enqueues a
-// waiter, and freed slots (request completions that leave a context
-// idle, or task exits) are granted to waiters in arrival order. Waiters
-// wait on their task's gate, so the machinery adds no simulation
-// events unless it is actually exercised — kernels whose clients all
-// fit in the hardware pool run an event sequence byte-identical to the
-// un-multiplexed stack.
+// Attach order under exhaustion is FIFO: a blocked attach enqueues its
+// context, and freed slots (request completions that leave a context
+// idle, or task exits) are granted to queued contexts in arrival order.
+// Queued contexts wait on their task's gate, so the machinery adds no
+// simulation events unless it is actually exercised — kernels whose
+// clients all fit in the hardware pool run an event sequence
+// byte-identical to the un-multiplexed stack.
 //
 // The attach path exists once, in continuation form (OpenVirtualOn,
 // AcquireOn): each step is scheduled where a parked process's wake-up
 // would sit, so a continuation and a process attach on the same
-// timeline. The blocking forms (OpenVirtual, Acquire) are Proc.Await
-// wrappers over it.
+// timeline. The blocking form OpenVirtual is a Proc.Await wrapper over
+// it.
 
 // MuxStats are the kernel's virtual-context multiplexing counters.
 type MuxStats struct {
@@ -62,10 +63,10 @@ type MuxStats struct {
 // muxState is the kernel's multiplexing state, nil until the first
 // OpenVirtual call so non-multiplexed kernels pay nothing.
 type muxState struct {
-	attached []*VContext  // attach order (unordered set; LRU is by lastUsed)
-	waiters  []*muxWaiter // FIFO attach queue
-	reserved int          // slots granted to waiters not yet consumed
-	clock    uint64       // logical LRU clock, bumped per use
+	attached []*VContext // attach order (unordered set; LRU is by lastUsed)
+	waiters  []*VContext // FIFO attach queue
+	reserved int         // slots granted to queued contexts not yet consumed
+	clock    uint64      // logical LRU clock, bumped per use
 	stats    MuxStats
 
 	// evictable counts the attached contexts that are evictable right
@@ -74,16 +75,16 @@ type muxState struct {
 	evictable int
 }
 
-// muxWaiter is one queued attach. The waiting attach waits on its
-// task's gate until granted (or the task dies).
-type muxWaiter struct {
-	vc      *VContext
-	granted bool
-}
-
 // VContext is a logical (virtual) GPU context: the handle user-level
 // clients hold instead of a raw *gpu.Context. It is created once per
 // client and survives detach/reattach cycles transparently.
+//
+// It is also the record of its one acquire or eager open in flight
+// (opBusy): the attach's continuation, phase and caller, and the
+// hardware context being built, whose channels collect in chans. Its
+// one step and one wait predicate are bound once and dispatch on the
+// phase, so an attach allocates no closure; an attach whose
+// continuation is stopped abandons the record to its task's exit.
 type VContext struct {
 	k     *Kernel
 	task  *Task
@@ -91,22 +92,31 @@ type VContext struct {
 	kinds []gpu.Kind
 
 	hw    *gpu.Context    // nil while detached
-	chans []*ChannelState // hardware channels while attached, one per kind
+	chans []*ChannelState // one per kind while attached; those built so far while attaching
 
-	pins         int    // active users; a pinned context is not evictable
-	lastUsed     uint64 // mux clock at last Acquire
-	everAttached bool   // reattaches (everAttached && attach) pay ContextSwitch
-	counted      bool   // counted in muxState.evictable
-	waiter       *muxWaiter
+	pins     int    // active users; a pinned context is not evictable
+	lastUsed uint64 // mux clock at the last pin
 
-	reattaches int64
+	c    *sim.Cont    // the attach's continuation
+	kind gpu.Kind     // the kind an acquire asked for
+	ctx  *gpu.Context // the hardware context being built
 
-	// op is the context's attach record, busy (opBusy) while its one
-	// acquire or eager open is in flight: the context is attaching.
-	// chans0 is the first backing array of chans.
-	op     attachOp
-	opBusy bool
-	chans0 [1]*ChannelState
+	// The caller's continuation: acquired for AcquireOn, opened for
+	// OpenVirtualOn's eager attach.
+	acquired func(*gpu.Channel, error)
+	opened   func(*VContext, error)
+
+	stepFn  func()
+	readyFn func() bool
+
+	chans0 [1]*ChannelState // the first backing array of chans
+
+	phase        attachPhase
+	opBusy       bool // an acquire or eager open is in flight: the context is attaching
+	queued       bool // in the FIFO attach queue
+	granted      bool // granted a slot it has not consumed yet
+	everAttached bool // reattaches (everAttached && attach) pay ContextSwitch
+	counted      bool // counted in muxState.evictable
 }
 
 // OpenVirtual creates a logical context for the task with one channel
@@ -139,9 +149,9 @@ func (k *Kernel) OpenVirtualOn(c *sim.Cont, t *Task, label string, kinds []gpu.K
 	t.vctxs = append(t.vctxs, vc)
 	k.mux.stats.Opens++
 	if k.muxFree() > 0 {
-		a := k.attachOp(vc, c)
-		a.opened = then
-		a.slot()
+		vc.begin(c)
+		vc.opened = then
+		vc.slot()
 		return
 	}
 	then(vc, nil)
@@ -160,13 +170,10 @@ func (k *Kernel) MuxStatus() MuxStats {
 
 // muxFree returns the number of hardware context slots available to the
 // mux: pool size minus live contexts minus slots already granted to
-// queued waiters.
+// queued contexts.
 func (k *Kernel) muxFree() int {
 	return k.dev.Config().MaxContexts - k.dev.ContextCount() - k.mux.reserved
 }
-
-// Task returns the owning task.
-func (vc *VContext) Task() *Task { return vc.task }
 
 // Kinds returns the channel kinds the logical context was opened with,
 // in order. The slice is the one OpenVirtualOn was given.
@@ -176,44 +183,15 @@ func (vc *VContext) Kinds() []gpu.Kind { return vc.kinds }
 // hardware context.
 func (vc *VContext) Attached() bool { return vc.hw != nil }
 
-// Reattaches counts how many times this logical context was re-attached
-// after an eviction.
-func (vc *VContext) Reattaches() int64 { return vc.reattaches }
-
-// ChannelIf returns the attached hardware channel of the given kind
-// without attaching or pinning; nil while detached.
-func (vc *VContext) ChannelIf(kind gpu.Kind) *gpu.Channel {
-	for _, cs := range vc.chans {
-		if cs.Ch.Kind == kind {
-			return cs.Ch
-		}
-	}
-	return nil
-}
-
-// Acquire returns the hardware channel of the given kind, attaching the
-// logical context first if necessary (which may park p waiting for a
-// slot): the blocking form of AcquireOn. The context is pinned —
-// ineligible for eviction — until the matching Release. Returns an
-// error only when the task is dead or a protection policy denies the
-// attach.
-func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
-	if ch, err, ok := vc.acquireNow(kind); ok {
-		return ch, err
-	}
-	return sim.AwaitResult(p, func(c *sim.Cont, then func(*gpu.Channel, error)) {
-		vc.AcquireOn(c, kind, then)
-	})
-}
-
-// AcquireOn is Acquire in continuation form: it hands the hardware
-// channel of the given kind (or the error) to then, pinned until the
-// matching Release. When the logical context is attached, then runs
-// inline, with the LRU bump AcquireIf would charge; otherwise the
-// attach runs as steps of c — the FIFO slot wait, the setup syscalls,
-// the rollback, and the reattach's ContextSwitch — and then runs as the
-// last of them. The context must have no other acquire or eager open
-// in flight (Kernel.attachOp panics). Stopping c abandons the attach
+// AcquireOn hands the hardware channel of the given kind (or the error)
+// to then, pinned — ineligible for eviction — until the matching
+// Release. When the logical context is attached, then runs inline, with
+// the LRU bump AcquireIf would charge; otherwise the attach runs as
+// steps of c — the FIFO slot wait, the setup syscalls, the rollback,
+// and the reattach's ContextSwitch — and then runs as the last of them.
+// It hands out an error only when the task is dead or a protection
+// policy denies the attach. The context must have no other acquire or
+// eager open in flight (begin panics). Stopping c abandons the attach
 // between steps; the task's exit then cleans up what it left
 // (muxTaskExited).
 func (vc *VContext) AcquireOn(c *sim.Cont, kind gpu.Kind, then func(*gpu.Channel, error)) {
@@ -221,9 +199,9 @@ func (vc *VContext) AcquireOn(c *sim.Cont, kind gpu.Kind, then func(*gpu.Channel
 		then(ch, err)
 		return
 	}
-	a := vc.k.attachOp(vc, c)
-	a.kind, a.acquired = kind, then
-	a.slot()
+	vc.begin(c)
+	vc.kind, vc.acquired = kind, then
+	vc.slot()
 }
 
 // acquireNow is the acquire that needs no step: it reports done when
@@ -268,12 +246,12 @@ func (vc *VContext) channel(kind gpu.Kind) (*gpu.Channel, error) {
 	return nil, gpu.ErrContextDead
 }
 
-// AcquireIf is the non-blocking form of Acquire for the engine-driven
-// submission fast path: if the logical context is currently attached and
-// usable it pins it — bumping the LRU clock exactly as Acquire would —
-// and returns the hardware channel of the given kind. It never attaches
-// and never waits; it reports false when the context is detached,
-// mid-attach, or dead, and callers fall back to Acquire or AcquireOn on
+// AcquireIf is the non-blocking form of AcquireOn for the engine-driven
+// submission fast path: if the logical context is currently attached
+// and usable it pins it — bumping the LRU clock exactly as AcquireOn
+// would — and returns the hardware channel of the given kind. It never
+// attaches and never waits; it reports false when the context is
+// detached, mid-attach, or dead, and callers fall back to AcquireOn on
 // their slow lane.
 func (vc *VContext) AcquireIf(kind gpu.Kind) (*gpu.Channel, bool) {
 	ch, ok := vc.Peek(kind)
@@ -288,8 +266,8 @@ func (vc *VContext) AcquireIf(kind gpu.Kind) (*gpu.Channel, bool) {
 // hardware channel of the given kind, without pinning and — critically —
 // without bumping the LRU clock. Refusal checks (is the fast path even
 // available? is the register engaged?) must use Peek, not AcquireIf:
-// a submission that ends up on the blocking path must charge exactly one
-// LRU use, the Acquire it retries with, or the mux's eviction order
+// a submission that ends up on the slow lane must charge exactly one
+// LRU use, the AcquireOn it retries with, or the mux's eviction order
 // drifts from the blocking-only timeline. The channel pointer is only
 // valid within the current engine instant.
 func (vc *VContext) Peek(kind gpu.Kind) (*gpu.Channel, bool) {
@@ -304,83 +282,54 @@ func (vc *VContext) Peek(kind gpu.Kind) (*gpu.Channel, bool) {
 	return nil, false
 }
 
-// Release unpins the logical context after an Acquire. Channel pointers
-// obtained from Acquire must not be stored across a Release: the next
-// attach may produce fresh ones.
+// Release unpins the logical context after an acquire. Channel pointers
+// obtained from an acquire must not be stored across a Release: the
+// next attach may produce fresh ones.
 func (vc *VContext) Release() { vc.unpin() }
-
-// attachOp is one acquire or eager open in flight on a continuation:
-// the attach (FIFO slot wait, setup syscalls, rollback, reattach
-// ContextSwitch) and the hand-back to the caller. Each logical context
-// owns one record, and its one step and one wait predicate are bound
-// once and dispatch on the phase, so an attach allocates no closure; an
-// op whose continuation is stopped abandons its record.
-type attachOp struct {
-	k     *Kernel
-	vc    *VContext
-	c     *sim.Cont
-	kind  gpu.Kind
-	phase attachPhase
-
-	// The caller's continuation: acquired for AcquireOn, opened for
-	// OpenVirtualOn's eager attach.
-	acquired func(*gpu.Channel, error)
-	opened   func(*VContext, error)
-
-	w     muxWaiter       // the queued attach, while waiting for a slot
-	ctx   *gpu.Context    // the hardware context being built
-	chans []*ChannelState // its channels so far
-
-	stepFn  func()
-	readyFn func() bool
-}
 
 // attachPhase is where an attach waits or sleeps: what its next step
 // does.
 type attachPhase uint8
 
 const (
-	phSlot    attachPhase = iota // waiting in the FIFO for a hardware slot
+	phSlot    attachPhase = iota // queued in the FIFO for a hardware slot
 	phContext                    // sleeping the context syscall
 	phChannel                    // sleeping a channel syscall
 	phSwitch                     // sleeping the reattach's ContextSwitch
 )
 
-// attachOp takes the context's attach record. A second acquire or
-// eager open while the record is busy is a caller's bug, one lane
-// racing another for the same context, so it panics naming the task
-// and the context.
-func (k *Kernel) attachOp(vc *VContext, c *sim.Cont) *attachOp {
+// begin starts the context's attach on c. A second acquire or eager
+// open while one is in flight is a caller's bug, one lane racing
+// another for the same context, so it panics naming the task and the
+// context.
+func (vc *VContext) begin(c *sim.Cont) {
 	if vc.opBusy {
 		panic(fmt.Sprintf("neon: task %q acquired logical context %q while its attach is in flight", vc.task.Name, vc.label))
 	}
 	vc.opBusy = true
-	a := &vc.op
-	if a.k == nil {
-		a.k, a.vc = k, vc
-		a.stepFn, a.readyFn = a.step, a.ready
+	if vc.stepFn == nil {
+		vc.stepFn, vc.readyFn = vc.step, vc.ready
 	}
-	a.c = c
-	return a
+	vc.c = c
 }
 
 // step runs the attach's next step once its wait or sleep is over.
-func (a *attachOp) step() {
-	switch a.phase {
+func (vc *VContext) step() {
+	switch vc.phase {
 	case phSlot:
-		a.granted()
+		vc.take()
 	case phContext:
-		a.contextCreated(a.k.createContext(a.vc.task, a.vc.label))
+		vc.contextCreated(vc.k.createContext(vc.task, vc.label))
 	case phChannel:
-		a.channelCreated(a.k.createChannel(a.vc.task, a.ctx, a.vc.kinds[len(a.chans)]))
+		vc.channelCreated(vc.k.createChannel(vc.task, vc.ctx, vc.kinds[len(vc.chans)]))
 	case phSwitch:
-		a.finish(nil)
+		vc.finish(nil)
 	}
 }
 
 // ready is the slot wait's predicate: a slot was granted, or the
 // context is dead.
-func (a *attachOp) ready() bool { return !a.vc.task.Alive || a.w.granted }
+func (vc *VContext) ready() bool { return !vc.task.Alive || vc.granted }
 
 // slot is the head of the attach, which binds the logical context to a
 // hardware context, creating the context and its channels through the
@@ -388,110 +337,95 @@ func (a *attachOp) ready() bool { return !a.vc.task.Alive || a.w.granted }
 // one, then sleep the context syscall. The attach waits while the pool
 // is exhausted and nothing is evictable. On success the context is
 // pinned once and, if this is a reattach, the paper's ContextSwitch
-// cost has been charged. Whatever the outcome, finish frees the record.
-func (a *attachOp) slot() {
-	k, vc := a.k, a.vc
+// cost has been charged. Whatever the outcome, finish ends the attach.
+func (vc *VContext) slot() {
+	k := vc.k
 	if !vc.task.Alive {
-		a.finish(gpu.ErrContextDead)
+		vc.finish(gpu.ErrContextDead)
 		return
 	}
 	if k.muxFree() <= 0 && !k.muxEvictLRU() {
 		m := k.mux
-		a.w = muxWaiter{vc: vc}
-		vc.waiter = &a.w
-		m.waiters = append(m.waiters, &a.w)
+		vc.queued = true
+		m.waiters = append(m.waiters, vc)
 		m.stats.AttachWaits++
-		a.phase = phSlot
-		a.c.WaitFor(&vc.task.gate, a.readyFn, a.stepFn)
+		vc.phase = phSlot
+		vc.c.WaitFor(&vc.task.gate, vc.readyFn, vc.stepFn)
 		return
 	}
-	a.sleepSyscall(phContext)
+	vc.sleepSyscall(phContext)
 }
 
 // sleepSyscall sleeps the trap and driver work of the next setup
 // syscall; its effect is the step after.
-func (a *attachOp) sleepSyscall(ph attachPhase) {
-	a.phase = ph
-	a.c.Sleep(a.k.setupCost(), a.stepFn)
+func (vc *VContext) sleepSyscall(ph attachPhase) {
+	vc.phase = ph
+	vc.c.Sleep(vc.k.setupCost(), vc.stepFn)
 }
 
-// granted follows the slot wait: take the granted slot, or give it up
-// if the task died.
-func (a *attachOp) granted() {
-	k, vc := a.k, a.vc
-	vc.waiter = nil
-	if !a.w.granted {
-		k.muxRemoveWaiter(&a.w)
-		a.finish(gpu.ErrContextDead)
+// take follows the slot wait: consume the granted slot. A wait that
+// ends without a grant ended with the task, whose exit has already
+// taken the context out of the queue.
+func (vc *VContext) take() {
+	if !vc.granted {
+		vc.finish(gpu.ErrContextDead)
 		return
 	}
-	k.mux.reserved--
-	if !vc.task.Alive {
-		k.muxPump() // hand the slot on
-		a.finish(gpu.ErrContextDead)
-		return
-	}
-	a.sleepSyscall(phContext)
+	vc.granted = false
+	vc.k.mux.reserved--
+	vc.sleepSyscall(phContext)
 }
 
 // contextCreated follows the context syscall.
-func (a *attachOp) contextCreated(ctx *gpu.Context, err error) {
+func (vc *VContext) contextCreated(ctx *gpu.Context, err error) {
 	if err == gpu.ErrNoContexts {
-		// A non-multiplexed client took the slot during the syscall
-		// sleep; go around again.
-		a.slot()
+		// Another context took the slot during the syscall sleep. An
+		// attach sleeping its context syscall holds no reservation, so
+		// meanwhile another mux attach may pass its slot search, or a
+		// pump may grant the slot to a queued context (a raw client's
+		// context creation would take it too); go around again.
+		vc.slot()
 		return
 	}
 	if err != nil {
-		a.k.muxPump()
-		a.finish(err)
+		vc.k.muxPump()
+		vc.finish(err)
 		return
 	}
-	a.ctx = ctx
-	a.chans = a.vc.chans[:0] // the detached context's array, empty
-	a.nextChannel()
+	vc.ctx = ctx
+	vc.nextChannel()
 }
 
 // nextChannel sleeps the next channel syscall, or binds the context
 // once every kind has a channel.
-func (a *attachOp) nextChannel() {
-	if len(a.chans) < len(a.vc.kinds) {
-		a.sleepSyscall(phChannel)
+func (vc *VContext) nextChannel() {
+	if len(vc.chans) < len(vc.kinds) {
+		vc.sleepSyscall(phChannel)
 		return
 	}
-	a.bind()
+	vc.bind()
 }
 
 // channelCreated follows a channel syscall; a failure rolls the partial
 // attach back and releases the slot.
-func (a *attachOp) channelCreated(cs *ChannelState, err error) {
+func (vc *VContext) channelCreated(cs *ChannelState, err error) {
 	if err == nil {
-		a.chans = append(a.chans, cs)
-		a.nextChannel()
+		vc.chans = append(vc.chans, cs)
+		vc.nextChannel()
 		return
 	}
-	k, vc, ctx := a.k, a.vc, a.ctx
-	for _, cs := range a.chans {
-		delete(k.byPage, cs.Ch.Reg)
-		vc.task.removeChannel(cs)
-	}
-	vc.task.removeContext(ctx)
-	if !ctx.Dead() {
-		if err := k.dev.ReleaseContext(ctx); err != nil {
-			panic("neon: mux rollback of busy context: " + err.Error())
-		}
-	}
+	k := vc.k
+	k.muxUnbind(vc, vc.ctx)
+	k.muxLeave(vc)
 	k.muxPump()
-	a.finish(err)
+	vc.finish(err)
 }
 
 // bind installs the built hardware state and pins it; a reattach then
 // sleeps the ContextSwitch.
-func (a *attachOp) bind() {
-	vc := a.vc
-	m := a.k.mux
-	vc.hw = a.ctx
-	vc.chans = a.chans
+func (vc *VContext) bind() {
+	m := vc.k.mux
+	vc.hw = vc.ctx
 	for _, cs := range vc.chans {
 		cs.vc = vc
 	}
@@ -502,25 +436,23 @@ func (a *attachOp) bind() {
 	m.stats.Attaches++
 	vc.pin()
 	if vc.everAttached {
-		vc.reattaches++
 		m.stats.Reattaches++
-		a.phase = phSwitch
-		a.c.Sleep(a.k.costs.ContextSwitch, a.stepFn)
+		vc.phase = phSwitch
+		vc.c.Sleep(vc.k.costs.ContextSwitch, vc.stepFn)
 		return
 	}
 	vc.everAttached = true
-	a.finish(nil)
+	vc.finish(nil)
 }
 
 // finish ends the attach: it frees the record, re-reads whether the
 // context is evictable, and hands the outcome to the caller's
 // continuation: the channel for an acquire, the context for an open.
-func (a *attachOp) finish(err error) {
-	vc, kind, acquired, opened := a.vc, a.kind, a.acquired, a.opened
-	a.c, a.acquired, a.opened, a.ctx, a.chans = nil, nil, nil, nil, nil
-	a.w = muxWaiter{}
+func (vc *VContext) finish(err error) {
+	acquired, opened := vc.acquired, vc.opened
+	vc.c, vc.acquired, vc.opened, vc.ctx = nil, nil, nil, nil
 	vc.opBusy = false
-	a.k.muxNote(vc)
+	vc.k.muxNote(vc)
 	if opened != nil {
 		if err != nil {
 			opened(nil, err)
@@ -534,7 +466,7 @@ func (a *attachOp) finish(err error) {
 		acquired(nil, err)
 		return
 	}
-	acquired(vc.channel(kind))
+	acquired(vc.channel(vc.kind))
 }
 
 // unpin drops one pin. An unpin without a pin is a broken pin count,
@@ -586,7 +518,7 @@ func (k *Kernel) muxNote(vc *VContext) {
 
 // muxRetired follows every request's retirement on the device: a
 // channel left idle may have made its logical context evictable, and
-// the freed work may let a waiter in.
+// the freed work may let a queued context in.
 func (k *Kernel) muxRetired(ch *gpu.Channel) {
 	if ch.Idle() {
 		if cs := k.byPage[ch.Reg]; cs != nil && cs.vc != nil {
@@ -598,9 +530,12 @@ func (k *Kernel) muxRetired(ch *gpu.Channel) {
 
 // muxEvictLRU detaches the least-recently-used evictable logical
 // context, freeing its hardware slot. Returns false when nothing is
-// evictable, at once when the count says so. The scan's pick is
-// unique: every attached context was pinned at least once, at its
-// bind, and each pin draws a new clock value.
+// evictable, at once when the count says so. A nonzero count with no
+// evictable context in the table is a broken count, which would leave
+// a queued attach waiting on a slot nobody frees, so it panics naming
+// the device. The scan's pick is unique: every attached context was
+// pinned at least once, at its bind, and each pin draws a new clock
+// value.
 func (k *Kernel) muxEvictLRU() bool {
 	m := k.mux
 	if m.evictable == 0 {
@@ -608,15 +543,13 @@ func (k *Kernel) muxEvictLRU() bool {
 	}
 	var victim *VContext
 	for _, vc := range m.attached {
-		if !vc.evictable() {
-			continue
-		}
-		if victim == nil || vc.lastUsed < victim.lastUsed {
+		if vc.evictable() && (victim == nil || vc.lastUsed < victim.lastUsed) {
 			victim = vc
 		}
 	}
 	if victim == nil {
-		return false
+		panic(fmt.Sprintf("neon: device %q counts %d evictable logical contexts, and none of its %d attached is",
+			k.dev.Name(), m.evictable, len(m.attached)))
 	}
 	k.muxDetach(victim)
 	return true
@@ -630,71 +563,76 @@ func (k *Kernel) muxEvictLRU() bool {
 // still read a detached channel state (drain.scan), so that one must
 // stay dead, as a fresh attach would leave it.
 func (k *Kernel) muxDetach(vc *VContext) {
-	m := k.mux
-	for _, cs := range vc.chans {
-		vc.task.retiredDone += cs.Ch.Completions
-		delete(k.byPage, cs.Ch.Reg)
-		vc.task.removeChannel(cs)
-	}
-	vc.task.removeContext(vc.hw)
-	if err := k.dev.ReleaseContext(vc.hw); err != nil {
-		panic("neon: mux detach of busy context: " + err.Error())
-	}
-	for i, x := range m.attached {
-		if x == vc {
-			m.attached = append(m.attached[:i], m.attached[i+1:]...)
-			break
-		}
-	}
+	k.muxUnbind(vc, vc.hw)
 	if k.drain.c == nil {
 		k.csFree = append(k.csFree, vc.chans...)
 	}
-	clear(vc.chans)
-	vc.hw = nil
-	vc.chans = vc.chans[:0]
-	k.muxNote(vc)
-	m.stats.Evictions++
+	k.muxLeave(vc)
+	k.mux.stats.Evictions++
 }
 
-// muxPump grants freed hardware slots to queued attach waiters in FIFO
-// order, evicting idle LRU contexts as needed. Called after request
-// completions, task exits, and unpins; a kernel with no waiters returns
-// immediately.
-func (k *Kernel) muxPump() {
-	m := k.mux
-	for len(m.waiters) > 0 {
-		if m.evictable == 0 && k.muxFree() <= 0 {
-			return // nothing to give: O(1)
-		}
-		w := m.waiters[0]
-		if !w.vc.task.Alive {
-			m.waiters = m.waiters[1:]
-			continue
-		}
-		if k.muxFree() <= 0 && !k.muxEvictLRU() {
-			return
-		}
-		m.waiters = m.waiters[1:]
-		m.reserved++
-		w.granted = true
-		w.vc.task.gate.Broadcast()
+// muxUnbind takes a hardware context and the logical context's channel
+// states off the task — banking their completions, unmapping their
+// pages — and gives the context back to the device, unless the task's
+// exit has already killed it. Both a detach and the rollback of a
+// failed attach end here.
+func (k *Kernel) muxUnbind(vc *VContext, ctx *gpu.Context) {
+	t := vc.task
+	for _, cs := range vc.chans {
+		t.retiredDone += cs.Ch.Completions
+		delete(k.byPage, cs.Ch.Reg)
+		t.removeChannel(cs)
+	}
+	t.removeContext(ctx)
+	if ctx.Dead() {
+		return
+	}
+	if err := k.dev.ReleaseContext(ctx); err != nil {
+		panic(fmt.Sprintf("neon: mux release of task %q's busy context: %v", t.Name, err))
 	}
 }
 
-// muxRemoveWaiter drops a cancelled waiter from the queue, if present.
-func (k *Kernel) muxRemoveWaiter(w *muxWaiter) {
+// muxLeave drops the logical context's hold on hardware: it leaves the
+// attached set, if it is in it, and forgets its channels. A detach, a
+// rollback and the task's exit end here.
+func (k *Kernel) muxLeave(vc *VContext) {
+	if vc.hw != nil {
+		m := k.mux
+		for i, x := range m.attached {
+			if x == vc {
+				m.attached = append(m.attached[:i], m.attached[i+1:]...)
+				break
+			}
+		}
+		vc.hw = nil
+	}
+	clear(vc.chans)
+	vc.chans = vc.chans[:0]
+	k.muxNote(vc)
+}
+
+// muxPump grants freed hardware slots to queued contexts in FIFO order,
+// evicting idle LRU contexts as needed. Called after request
+// completions, task exits, and unpins; a kernel with nothing queued, or
+// with no free slot and nothing evictable, returns at once.
+func (k *Kernel) muxPump() {
 	m := k.mux
-	for i, x := range m.waiters {
-		if x == w {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
+	for len(m.waiters) > 0 {
+		if k.muxFree() <= 0 && !k.muxEvictLRU() {
 			return
 		}
+		vc := m.waiters[0]
+		m.waiters = m.waiters[1:]
+		m.reserved++
+		vc.queued, vc.granted = false, true
+		vc.task.gate.Broadcast()
 	}
 }
 
 // muxTaskExited unlinks a dead task's logical contexts (their hardware
 // contexts were already destroyed by the device exit protocol) and
-// recycles any slots or grants the task held.
+// recycles any slots or grants the task held. A dead task's context is
+// never queued, so no pump meets one.
 func (k *Kernel) muxTaskExited(t *Task) {
 	m := k.mux
 	if m == nil {
@@ -704,28 +642,21 @@ func (k *Kernel) muxTaskExited(t *Task) {
 		// An attach stopped with its task's threads never finishes, so
 		// the exit frees its record; one still running finishes dead.
 		vc.opBusy = false
-		if w := vc.waiter; w != nil {
-			if w.granted {
-				// Granted but never consumed; the slot goes back.
-				m.reserved--
-				w.granted = false
-			} else {
-				k.muxRemoveWaiter(w)
-			}
-			vc.waiter = nil
+		if vc.granted {
+			// Granted but never consumed; the slot goes back.
+			m.reserved--
+			vc.granted = false
 		}
-		if vc.hw != nil {
-			for i, x := range m.attached {
+		if vc.queued {
+			for i, x := range m.waiters {
 				if x == vc {
-					m.attached = append(m.attached[:i], m.attached[i+1:]...)
+					m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
 					break
 				}
 			}
-			clear(vc.chans)
-			vc.hw = nil
-			vc.chans = nil
-			k.muxNote(vc)
+			vc.queued = false
 		}
+		k.muxLeave(vc)
 	}
 	t.vctxs = nil
 	k.muxPump()

@@ -29,10 +29,11 @@ const (
 // the evictable count is exact, every eviction took the least recently
 // used evictable context, grants leave the attach queue in FIFO order,
 // no open or acquire fails with ErrNoContexts, the device never
-// exceeds its pool, and the reserved slots are the granted waiters'. At
-// the end, with every pin
-// released and the engine quiet, nothing waits or stays reserved, and
-// no closed or detached logical context reaches a channel.
+// exceeds its pool, exactly the queued contexts are in the queue, and
+// the reserved slots are the granted contexts'. At the end, with every
+// pin released and the engine quiet, nothing waits or stays reserved,
+// no closed or detached logical context reaches a channel, and no dead
+// task's context is still attaching, queued or granted.
 func FuzzMuxOps(f *testing.F) {
 	// The tight-pool storm's shape (TestMuxTightPoolStorm): a 4-context
 	// pool, more tasks than slots, every task opening, then rounds of
@@ -71,6 +72,8 @@ type muxFuzz struct {
 	lanes    []*sim.Cont // each task's lane; busy while a step is outstanding
 	busy     []bool
 	vcs      []*VContext
+	all      []*VContext // every logical context opened, in open order
+	known    map[*VContext]bool
 	held     []int // pins kept by completed acquires
 	sample   *sim.Cont
 	sampling bool
@@ -81,7 +84,7 @@ func newMuxFuzz(t *testing.T, ctxs, tasks int) *muxFuzz {
 	cfg := gpu.DefaultConfig()
 	cfg.MaxContexts = ctxs
 	d := gpu.New(e, cfg)
-	z := &muxFuzz{t: t, e: e, d: d, k: NewKernel(d, quietSched{}), ctxs: ctxs, sample: e.NewCont()}
+	z := &muxFuzz{t: t, e: e, d: d, k: NewKernel(d, quietSched{}), ctxs: ctxs, sample: e.NewCont(), known: map[*VContext]bool{}}
 	for i := 0; i < tasks; i++ {
 		task := z.k.NewTask(fmt.Sprintf("t%d", i))
 		z.tasks = append(z.tasks, task)
@@ -175,14 +178,16 @@ func (z *muxFuzz) run(ops []byte) {
 			z.t.Fatalf("t%d's lane never finished its step", i)
 		}
 	}
-	// A closed context hands out no channel; a detached one holds none
-	// at all, the released ones having gone back for reuse.
-	for _, vc := range z.vcs {
+	// A closed context hands out no channel and no attach of it is left
+	// in flight; a detached one holds no channel at all, the released
+	// ones having gone back for reuse.
+	for _, vc := range z.all {
 		switch {
-		case vc == nil:
-		case !vc.task.Alive && (len(vc.chans) != 0 || vc.ChannelIf(gpu.Compute) != nil):
+		case !vc.task.Alive && (len(vc.chans) != 0 || vc.chans0[0] != nil || vc.Attached()):
 			z.t.Fatalf("%s's closed logical context still hands out a channel", vc.task.Name)
-		case vc.task.Alive && !vc.Attached() && (len(vc.chans) != 0 || vc.chans0[0] != nil || vc.opBusy || vc.op.ctx != nil || vc.op.chans != nil):
+		case !vc.task.Alive && (vc.opBusy || vc.queued || vc.granted):
+			z.t.Fatalf("%s's closed logical context is attaching %v, queued %v, granted %v", vc.task.Name, vc.opBusy, vc.queued, vc.granted)
+		case vc.task.Alive && !vc.Attached() && (len(vc.chans) != 0 || vc.chans0[0] != nil || vc.opBusy || vc.ctx != nil || vc.queued || vc.granted):
 			z.t.Fatalf("%s's detached logical context still reaches a channel", vc.task.Name)
 		}
 	}
@@ -236,7 +241,7 @@ func (z *muxFuzz) runFor(d sim.Duration) {
 // step runs one event and checks the mux's transitions across it.
 func (z *muxFuzz) step() bool {
 	m := z.k.mux
-	var queued []*muxWaiter
+	var queued []*VContext
 	attached := map[*VContext]bool{}
 	if m != nil {
 		queued = append(queued, m.waiters...)
@@ -267,20 +272,20 @@ func (z *muxFuzz) step() bool {
 		}
 	}
 
-	// Grants are FIFO: a waiter leaves the queue alive only when every
-	// live waiter ahead of it has left too.
-	still := map[*muxWaiter]bool{}
-	for _, w := range m.waiters {
-		still[w] = true
+	// Grants are FIFO: a context leaves the queue alive only when every
+	// live context ahead of it has left too.
+	still := map[*VContext]bool{}
+	for _, vc := range m.waiters {
+		still[vc] = true
 	}
 	blocked := false
-	for _, w := range queued {
-		live := w.vc.task.Alive
+	for _, vc := range queued {
+		live := vc.task.Alive
 		switch {
-		case still[w] && live:
+		case still[vc] && live:
 			blocked = true
-		case !still[w] && live && blocked:
-			z.t.Fatalf("t%s granted ahead of an earlier waiter", w.vc.task.Name)
+		case !still[vc] && live && blocked:
+			z.t.Fatalf("t%s granted ahead of an earlier queued context", vc.task.Name)
 		}
 	}
 	z.check("event")
@@ -306,23 +311,42 @@ func (z *muxFuzz) check(when string) {
 		z.t.Fatalf("after an %s: evictable count %d, reference %d", when, m.evictable, n)
 	}
 	// The device never exceeds its pool, and every reserved slot belongs
-	// to a granted waiter that has not consumed it yet. (Live contexts
+	// to a granted context that has not consumed it yet. (Live contexts
 	// plus reserved slots may exceed the pool for a while: an attach that
 	// passed its slot search sleeps its context syscall holding no
 	// reservation, so a pump may grant the same free slot meanwhile, and
 	// whichever creates its context second goes around again,
-	// attachOp.contextCreated.)
-	granted := 0
+	// VContext.contextCreated.)
 	for _, task := range z.tasks {
 		for _, vc := range task.vctxs {
-			if w := vc.waiter; w != nil && w.granted {
-				granted++
+			if !z.known[vc] {
+				z.known[vc] = true
+				z.all = append(z.all, vc)
 			}
 		}
 	}
-	if n := z.d.ContextCount(); n > z.ctxs || m.reserved != granted {
-		z.t.Fatalf("after an %s: %d live contexts on a %d-context pool, %d reserved for %d granted waiters",
-			when, n, z.ctxs, m.reserved, granted)
+	granted := 0
+	for _, vc := range z.all {
+		if vc.granted {
+			granted++
+		}
+	}
+	if n, reserved := z.d.ContextCount(), z.k.MuxStatus().Reserved; n > z.ctxs || reserved != granted {
+		z.t.Fatalf("after an %s: %d live contexts on a %d-context pool, %d reserved for %d granted contexts",
+			when, n, z.ctxs, reserved, granted)
+	}
+	// The queue holds exactly the queued contexts, each once.
+	inQueue := map[*VContext]bool{}
+	for _, vc := range m.waiters {
+		if inQueue[vc] || !vc.queued {
+			z.t.Fatalf("after an %s: t%s in the queue twice or unflagged (queued %v)", when, vc.task.Name, vc.queued)
+		}
+		inQueue[vc] = true
+	}
+	for _, vc := range z.all {
+		if vc.queued != inQueue[vc] {
+			z.t.Fatalf("after an %s: t%s queued %v, in the queue %v", when, vc.task.Name, vc.queued, inQueue[vc])
+		}
 	}
 }
 

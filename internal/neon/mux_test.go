@@ -196,13 +196,13 @@ func TestSecondAcquireInFlightPanics(t *testing.T) {
 		return vc
 	}
 	hog := open("hog", "h")
-	hog.AcquireOn(hog.Task().NewCont(), gpu.Compute, func(_ *gpu.Channel, err error) {
+	hog.AcquireOn(hog.task.NewCont(), gpu.Compute, func(_ *gpu.Channel, err error) {
 		if err != nil {
 			t.Fatalf("hog acquire: %v", err)
 		}
 	})
 	victim := open("victim", "vctx")
-	victim.AcquireOn(victim.Task().NewCont(), gpu.Compute, func(*gpu.Channel, error) {
+	victim.AcquireOn(victim.task.NewCont(), gpu.Compute, func(*gpu.Channel, error) {
 		t.Error("the victim's first acquire finished while the hog held the only slot")
 	})
 	e.Run()
@@ -212,7 +212,7 @@ func TestSecondAcquireInFlightPanics(t *testing.T) {
 
 	r := func() (r any) {
 		defer func() { r = recover() }()
-		victim.AcquireOn(victim.Task().NewCont(), gpu.Compute, func(*gpu.Channel, error) {})
+		victim.AcquireOn(victim.task.NewCont(), gpu.Compute, func(*gpu.Channel, error) {})
 		return nil
 	}()
 	if r == nil {
@@ -290,7 +290,7 @@ func TestKillMidAttachStopsAcquire(t *testing.T) {
 		{"a-attach-fifo", true, func(k *Kernel, _ *VContext) bool { return len(k.mux.waiters) == 1 }},
 		{"b-context-syscall", false, func(k *Kernel, _ *VContext) bool { return k.mux.stats.Evictions == 2 }},
 		{"b-channel-syscall", false, func(_ *Kernel, vc *VContext) bool { return len(vc.task.contexts) == 1 }},
-		{"c-context-switch", false, func(_ *Kernel, vc *VContext) bool { return vc.reattaches == 1 }},
+		{"c-context-switch", false, func(k *Kernel, _ *VContext) bool { return k.mux.stats.Reattaches == 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, d, k := muxKernel(t, 1)

@@ -37,6 +37,15 @@ func (k *Kernel) CreateChannel(p *sim.Proc, t *Task, ctx *gpu.Context, kind gpu.
 	})
 }
 
+// Acquire is AcquireOn's blocking form: it returns the pinned channel
+// of the given kind, attaching first if need be, which may park p
+// waiting for a slot.
+func (vc *VContext) Acquire(p *sim.Proc, kind gpu.Kind) (*gpu.Channel, error) {
+	return sim.AwaitResult(p, func(c *sim.Cont, then func(*gpu.Channel, error)) {
+		vc.AcquireOn(c, kind, then)
+	})
+}
+
 func (r *recordingSched) Name() string         { return "recording" }
 func (r *recordingSched) Start(*Kernel)        {}
 func (r *recordingSched) TaskAdmitted(t *Task) { r.admitted = append(r.admitted, t) }

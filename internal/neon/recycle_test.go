@@ -117,9 +117,9 @@ func TestReattachedChannelReadsAsNew(t *testing.T) {
 	if a.Attached() || !b.Attached() {
 		t.Fatalf("after a round: a attached %v, b attached %v", a.Attached(), b.Attached())
 	}
-	chB := b.ChannelIf(gpu.Compute)
+	chB := b.chans[0].Ch
 	oldID, oldGen := chB.ID, chB.Generation()
-	busy, done := a.Task().BusyTime(), a.Task().CompletedRequests()
+	busy, done := a.task.BusyTime(), a.task.CompletedRequests()
 	if busy == 0 || done != 2 {
 		t.Fatalf("a before: busy %v, %d completed", busy, done)
 	}
@@ -150,14 +150,14 @@ func TestReattachedChannelReadsAsNew(t *testing.T) {
 		t.Errorf("reused page: present %v (the scheduler engaged it), %d writes, %d faults",
 			ch.Reg.Present(), ch.Reg.DirectWrites, ch.Reg.Faults)
 	}
-	cs := a.Task().Channels()[0]
-	if cs.Ch != ch || cs.Task != a.Task() || cs.Faults != 0 || cs.sampling || cs.drainTarget != 0 || cs.vc != a {
+	cs := a.task.Channels()[0]
+	if cs.Ch != ch || cs.Task != a.task || cs.Faults != 0 || cs.sampling || cs.drainTarget != 0 || cs.vc != a {
 		t.Errorf("reused channel state: %+v", *cs)
 	}
-	if got := a.Task().BusyTime(); got != busy {
+	if got := a.task.BusyTime(); got != busy {
 		t.Errorf("a's busy time went from %v to %v across the reattach", busy, got)
 	}
-	if got := a.Task().CompletedRequests(); got != done {
+	if got := a.task.CompletedRequests(); got != done {
 		t.Errorf("a's completions went from %d to %d across the reattach", done, got)
 	}
 	a.Release()
@@ -178,4 +178,45 @@ func TestUnpinWithoutPinPanics(t *testing.T) {
 		}
 	}()
 	vcs[0].Release()
+}
+
+// TestEvictableCountDisagreementPanics: the evictable count stands in
+// for a scan of the attached contexts. A count that disagrees with the
+// table, here one evictable context on a device whose only context is
+// pinned, would send a slot search after a victim that is not there,
+// so the search panics naming the device.
+func TestEvictableCountDisagreementPanics(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := gpu.DefaultConfig()
+	cfg.Name, cfg.MaxContexts = "gpu7", 1
+	k := NewKernel(gpu.New(e, cfg), quietSched{})
+	c := e.NewCont()
+	open := func(name string) *VContext {
+		var vc *VContext
+		k.OpenVirtualOn(c, k.NewTask(name), "v", []gpu.Kind{gpu.Compute}, func(got *VContext, err error) {
+			if err != nil {
+				t.Fatalf("open %s: %v", name, err)
+			}
+			vc = got
+		})
+		e.Run()
+		return vc
+	}
+	held, waiting := open("held"), open("waiting")
+	if _, ok := held.AcquireIf(gpu.Compute); !ok || waiting.Attached() {
+		t.Fatalf("setup: held acquired %v, waiting attached %v", ok, waiting.Attached())
+	}
+	k.mux.evictable++ // the broken count
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a slot search with a broken evictable count did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, `"gpu7"`) {
+			t.Errorf("panic %q does not name the device", msg)
+		}
+	}()
+	waiting.AcquireOn(c, gpu.Compute, func(*gpu.Channel, error) {
+		t.Error("the acquire went on past the broken count")
+	})
 }

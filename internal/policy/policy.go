@@ -561,21 +561,3 @@ func (p CostMin) Allocate(s Snapshot) Targets {
 	}
 	return Targets{Alloc: rows, Weight: normalizeWeights(shares)}
 }
-
-// FleetCost returns the dollar cost per second of the capacity the
-// targets actually reserve: per class, the allocated fraction times
-// devices times price. The policy experiment's cost column divides it
-// by delivered work.
-func (p CostMin) FleetCost(s Snapshot, t Targets) float64 {
-	var cost float64
-	for c, class := range s.Classes {
-		var frac float64
-		for i := range t.Alloc {
-			if c < len(t.Alloc[i]) {
-				frac += t.Alloc[i][c]
-			}
-		}
-		cost += frac * float64(class.Devices) * p.price(class)
-	}
-	return cost
-}

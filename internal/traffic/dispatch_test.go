@@ -283,7 +283,13 @@ func hogHolds(t *testing.T, srv *Server, node *fleet.Node, pinned bool) {
 			t.Errorf("hog client: %v", err)
 			return
 		}
-		if _, err := c.VC.Acquire(p, gpu.Compute); err != nil {
+		p.Await(func(lane *sim.Cont, resume func()) {
+			c.VC.AcquireOn(lane, gpu.Compute, func(_ *gpu.Channel, e error) {
+				err = e
+				resume()
+			})
+		})
+		if err != nil {
 			t.Errorf("hog acquire: %v", err)
 			return
 		}
@@ -399,19 +405,21 @@ func TestKillMidAttachRetiresItem(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		hog  bool // the hog keeps the only slot pinned
-		at   func(vc *neon.VContext, task *neon.Task, mux neon.MuxStats) bool
+		at   func(task *neon.Task, mux neon.MuxStats) bool
 	}{
-		{"a-attach-fifo", true, func(_ *neon.VContext, _ *neon.Task, mux neon.MuxStats) bool {
+		{"a-attach-fifo", true, func(_ *neon.Task, mux neon.MuxStats) bool {
 			return mux.Waiting == 1
 		}},
-		{"b-context-syscall", false, func(_ *neon.VContext, _ *neon.Task, mux neon.MuxStats) bool {
+		{"b-context-syscall", false, func(_ *neon.Task, mux neon.MuxStats) bool {
 			return mux.Evictions == 2
 		}},
-		{"b-channel-syscall", false, func(_ *neon.VContext, task *neon.Task, _ neon.MuxStats) bool {
+		{"b-channel-syscall", false, func(task *neon.Task, _ neon.MuxStats) bool {
 			return len(task.Contexts()) == 1
 		}},
-		{"c-context-switch", false, func(vc *neon.VContext, _ *neon.Task, _ neon.MuxStats) bool {
-			return vc.Reattaches() == 1
+		{"c-context-switch", false, func(_ *neon.Task, mux neon.MuxStats) bool {
+			// The hog's attach was its first; the victim's is the
+			// device's first reattach.
+			return mux.Reattaches == 1
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -454,7 +462,7 @@ func TestKillMidAttachRetiresItem(t *testing.T) {
 			// A cold item sends the dispatcher into the attach; step to
 			// the kill point and kill the task there.
 			eng.After(0, func() { feed(true) })
-			for !tc.at(vc, task, k.MuxStatus()) {
+			for !tc.at(task, k.MuxStatus()) {
 				if !eng.Step() {
 					t.Fatal("the attach never reached the kill point")
 				}

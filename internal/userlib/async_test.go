@@ -53,7 +53,7 @@ func TestSubmitAsyncRefusesEngagedChannel(t *testing.T) {
 	task.Go("main", func(p *sim.Proc) {
 		c, _ := Open(p, k, task, "t", gpu.Compute)
 		c.SubmitSync(p, gpu.Compute, 10*time.Microsecond) // absorb first context switch
-		reg := c.Channel(gpu.Compute).Reg
+		reg := c.peek(gpu.Compute).Reg
 		reg.SetPresent(false)
 
 		faultsBefore, writesBefore := reg.Faults, reg.DirectWrites
@@ -126,7 +126,7 @@ func TestSubmitEngagedOnCommitsFault(t *testing.T) {
 			}
 			c, _ := open(p, k, task, "t", gpu.Compute)
 			c.SubmitSync(p, gpu.Compute, 10*time.Microsecond)
-			reg := c.Channel(gpu.Compute).Reg
+			reg := c.peek(gpu.Compute).Reg
 
 			// The machine observes the engagement at the refusal instant...
 			reg.SetPresent(false)

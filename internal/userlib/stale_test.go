@@ -51,9 +51,9 @@ func TestStaleChannelPanicsAtStore(t *testing.T) {
 	var got *gpu.Request
 	b.SubmitSyncOn(e.NewCont(), gpu.Compute, time.Microsecond, func(r *gpu.Request) { got = r })
 	e.Run()
-	if got == nil || a.VC.Attached() || b.Channel(gpu.Compute) != ch {
+	if got == nil || a.VC.Attached() || b.peek(gpu.Compute) != ch {
 		t.Fatalf("other's submission %v, victim attached %v, channel reused %v",
-			got != nil, a.VC.Attached(), b.Channel(gpu.Compute) == ch)
+			got != nil, a.VC.Attached(), b.peek(gpu.Compute) == ch)
 	}
 
 	defer func() {

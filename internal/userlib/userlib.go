@@ -26,7 +26,6 @@ import (
 // nil request when the task dies mid-attach.
 type Client struct {
 	Task *neon.Task
-	Ctx  *gpu.Context
 
 	// VC is the logical context backing a virtual client; nil for raw
 	// clients opened with Open.
@@ -69,7 +68,6 @@ func OpenOn(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kinds []
 		}
 		c := &Client{
 			Task:     t,
-			Ctx:      ctx,
 			kernel:   k,
 			channels: make(map[gpu.Kind]*gpu.Channel, len(kinds)),
 		}
@@ -150,16 +148,6 @@ func openVirtual(lane *sim.Cont, k *neon.Kernel, t *neon.Task, label string, kin
 
 // init readies the client's submission record.
 func (c *Client) init() { c.sub.c = c }
-
-// Channel returns the client's channel of the given kind, or nil. For a
-// virtual client this is the currently attached hardware channel; nil
-// while detached.
-func (c *Client) Channel(kind gpu.Kind) *gpu.Channel {
-	if c.VC != nil {
-		return c.VC.ChannelIf(kind)
-	}
-	return c.channels[kind]
-}
 
 // Kinds returns the channel kinds the client opened, in creation order.
 func (c *Client) Kinds() []gpu.Kind { return c.order }
@@ -411,7 +399,7 @@ func (c *Client) Engaged(kind gpu.Kind) bool {
 // attached logical context. It returns nil otherwise. Only a raw
 // client's channel map is read; a virtual client has none. A virtual
 // client peeks and does not pin: a refused submission must leave the
-// mux LRU clock untouched, so that the blocking retry's Acquire is the
+// mux LRU clock untouched, so that the slow lane's AcquireOn is the
 // one use the submission charges (see VContext.Peek).
 func (c *Client) peek(kind gpu.Kind) *gpu.Channel {
 	if c.VC != nil {

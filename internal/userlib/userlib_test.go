@@ -45,10 +45,10 @@ func TestOpenCreatesChannelsInOrder(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != gpu.Compute || kinds[1] != gpu.Graphics {
 		t.Fatalf("Kinds = %v", kinds)
 	}
-	if c.Channel(gpu.Compute) == nil || c.Channel(gpu.Graphics) == nil {
+	if c.peek(gpu.Compute) == nil || c.peek(gpu.Graphics) == nil {
 		t.Fatal("channels missing")
 	}
-	if c.Channel(gpu.DMA) != nil {
+	if c.peek(gpu.DMA) != nil {
 		t.Fatal("unrequested channel present")
 	}
 }

@@ -185,9 +185,10 @@ func TestAppObserveHistograms(t *testing.T) {
 	if app.Service.Total == 0 || app.InterArrival.Total == 0 {
 		t.Fatal("no observations")
 	}
-	// Figure 2's property: at least half the requests are small.
-	if frac := app.Service.FractionBelow(10 * time.Microsecond); frac < 0.4 {
-		t.Fatalf("only %.0f%% of glxgears requests below 10us", 100*frac)
+	// Figure 2's property: at least half the requests are small. Bins
+	// 0-2 hold the requests under 8us.
+	if pct := app.Service.CDF()[2]; pct < 40 {
+		t.Fatalf("only %.0f%% of glxgears requests below 8us", pct)
 	}
 }
 

@@ -89,6 +89,7 @@ func TestPerformanceDocCoversGateBenchmarks(t *testing.T) {
 		"BENCH_8.json", "BENCH_9.json", "BENCH_13.json", "BENCH_14.json",
 		"BENCH_15.json", "BENCH_16.json", "BENCH_17.json", "BENCH_18.json",
 		"BENCH_19.json", "BENCH_20.json", "BENCH_21.json", "BENCH_22.json",
+		"BENCH_29.json", "BenchmarkServeSerial",
 		"BenchmarkDFQCycleConsumerClass", "BenchmarkScale", "B/op",
 		"TestStormTenantLiveBytes", "TestSec3CellsAllocateOnlySetup",
 		"DESIGN.md §11", "DESIGN.md §12",
@@ -146,7 +147,10 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 		"TestGateStormProcsAndCallbacksAgree", "TestContWaitForRechecks",
 		"TestProcAwaitResumesInline", "TestKillStopsAwaitedChain",
 		"TestPinnedRequestRecyclesOnce", "FuzzRequestPool", "OnDone",
-		"Device.KillContext",
+		"Device.KillContext", "Engine.InitGate", "TestGateFirstWaiterInline",
+		"FuzzGate", "TestFreshRequestsComeFromSlab", "TestRecycledRequestGate",
+		"TestColdRebuildReturnsToPool", "TestKilledTenantRequestsReturnToPool",
+		"TestKilledLoopRequestsReturnToPool",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

@@ -23,6 +23,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -158,12 +159,12 @@ func runScaleDFQ(res ScaleResult, rng *sim.RNG, tenants, working, cycles int,
 	board := fleet.NewBoard()
 	board.Grow(tenants)
 	pids := make([]core.PrincipalID, tenants)
-	for i := range pids {
+	for i, name := range tenantNames(tenants) {
 		// Interning upfront instead of on first charge is equivalent: a
 		// principal stays heap-idle until first activated, and every idle
 		// read/charge/activation clamps its virtual time up to the system
 		// virtual time — the same value late registration would start at.
-		pids[i] = board.Principal(fmt.Sprintf("t%d", i))
+		pids[i] = board.Principal(name)
 	}
 
 	type device struct {
@@ -364,13 +365,14 @@ func RunScaleFullCell(o Options, tenants int, sched Sched) ScaleFullResult {
 func scaleFullConfig(o Options, tenants int, sched Sched) traffic.Config {
 	gap := (o.Warmup + o.Measure) / scaleFullWaves
 	streams := make([]traffic.Stream, tenants)
+	names := tenantNames(tenants)
 	for i := range streams {
 		// Phases spread evenly over one gap, so the last stream's first
 		// arrival lands at `gap` and every stream fires scaleFullWaves
 		// times (give or take one) before the run ends.
 		phase := gap * sim.Duration(i+1) / sim.Duration(tenants)
 		streams[i] = traffic.Stream{
-			Tenant:  workload.OpenLoopTenant(fmt.Sprintf("t%d", i), scaleFullSize, 0),
+			Tenant:  workload.OpenLoopTenant(names[i], scaleFullSize, 0),
 			Arrival: &traffic.Staggered{Phase: phase, Gap: gap},
 		}
 	}
@@ -389,6 +391,26 @@ func scaleFullConfig(o Options, tenants int, sched Sched) traffic.Config {
 		},
 		Streams: streams,
 	}
+}
+
+// tenantNames returns the names "t0" … "t<n-1>" as substrings of one
+// string: a handful of allocations for the lot, where formatting each
+// name costs two.
+func tenantNames(n int) []string {
+	buf := make([]byte, 0, n*(1+len(strconv.Itoa(n))))
+	ends := make([]int, n)
+	for i := range ends {
+		buf = append(buf, 't')
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	names := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	return names
 }
 
 // row renders the cell as a scale-table row.

@@ -94,18 +94,18 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 			// Direct access runs as a self-resubmitting continuation chain:
 			// each completion re-stages the next request from engine context,
 			// with zero proc handoffs per request. The hook releases the
-			// completed request, and the resubmit step is bound once.
+			// request, completed or aborted, and the resubmit step is
+			// bound once.
 			var submit func()
 			resubmit := func() {
 				*done++
 				submit()
 			}
 			onDone := func(r *gpu.Request) {
-				if r.Aborted {
-					return
+				if !r.Aborted {
+					eng.After(0, resubmit)
 				}
 				r.Release()
-				eng.After(0, resubmit)
 			}
 			submit = func() {
 				if !task.Alive {

@@ -78,13 +78,17 @@ func NewBoard() *Board {
 }
 
 // Grow pre-allocates principal capacity, so a known population (the
-// scale experiment's) registers without a doubling cascade.
+// scale experiment's) registers without a doubling cascade. A board
+// that has no principal yet sizes its name map for n too.
 func (b *Board) Grow(n int) {
 	b.ledger.Grow(n)
 	if cap(b.slab) < n {
 		slab := make([]principal, len(b.slab), n)
 		copy(slab, b.slab)
 		b.slab = slab
+	}
+	if len(b.byName) == 0 {
+		b.byName = make(map[string]uint32, n)
 	}
 }
 

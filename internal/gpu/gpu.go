@@ -129,7 +129,7 @@ type Request struct {
 	OnDone func(*Request)
 
 	ch       *Channel
-	done     *sim.Gate
+	done     sim.Gate
 	pins     int32 // holds beyond completion (sampling watchers, finish itself)
 	released bool  // owner released while pinned: recycle at the last Unpin
 	pooled   bool  // currently on the device free list
@@ -155,7 +155,7 @@ func (r *Request) Channel() *Channel { return r.ch }
 // User-space completion polling is modeled as waiting on this gate: it
 // costs nothing and involves no kernel interaction, exactly like spinning
 // on the reference counter in shared memory.
-func (r *Request) DoneGate() *sim.Gate { return r.done }
+func (r *Request) DoneGate() *sim.Gate { return &r.done }
 
 // IsDone reports whether the request has completed or been aborted.
 func (r *Request) IsDone() bool { return r.Completed != 0 || r.Aborted }
@@ -375,8 +375,10 @@ type Device struct {
 	dmaEngine  *engine // copy engine
 
 	// reqFree is the Request free pool fed by Request.Release; Stage
-	// draws from it, reusing the object and its done gate.
+	// draws from it, reusing the object and its done gate, and takes a
+	// fresh request from reqSlab when it is empty.
 	reqFree []*Request
+	reqSlab sim.Slab[Request]
 
 	// regs pools the store records of every channel register, so a
 	// channel recreated by a reattach stores without allocating.
@@ -473,18 +475,23 @@ func (d *Device) nextReqID() uint64 {
 	return d.reqID
 }
 
-// getRequest returns a zeroed request from the free pool, or a fresh one
-// (with its done gate) when the pool is empty.
+// getRequest returns a request from the free pool, or a fresh one from
+// the slab when the pool is empty. Stage sets the identity fields; a
+// recycled request's other fields are zeroed one by one, since its
+// embedded gate must not be copied, and the gate, whose waiters were
+// released before the request was, closes.
 func (d *Device) getRequest() *Request {
 	n := len(d.reqFree)
 	if n == 0 {
-		return &Request{done: d.eng.NewGate("reqdone")}
+		r := d.reqSlab.New()
+		d.eng.InitGate(&r.done, "reqdone")
+		return r
 	}
 	r := d.reqFree[n-1]
 	d.reqFree = d.reqFree[:n-1]
-	done := r.done
-	done.Close() // reopen on next completion; waiters drained before Release
-	*r = Request{done: done}
+	r.Submitted, r.Started, r.Completed, r.Aborted = 0, 0, 0, false
+	r.Stamp, r.OnDone, r.pooled = 0, nil, false
+	r.done.Close()
 	return r
 }
 

@@ -459,3 +459,57 @@ func TestPinnedRequestRecyclesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshRequestsComeFromSlab: a request is one object with its done
+// gate embedded, and an empty pool hands out requests from the device's
+// slab, so staging 1,000 requests costs a few slab chunks (and the
+// staged list's growth), where a request and a gate of their own cost
+// 2,000 objects.
+func TestFreshRequestsComeFromSlab(t *testing.T) {
+	_, d := testDev(t)
+	ch := mustChan(t, d, mustCtx(t, d, 1), Compute)
+	ch.staged = make([]*Request, 0, 4096) // room for every run: count the requests alone
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 1000; i++ {
+			ch.Stage(time.Microsecond, Compute)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("staging 1,000 requests on an empty pool took %.0f allocations, want at most 8 (slab chunks)", allocs)
+	}
+}
+
+// TestRecycledRequestGate: a recycled request's embedded done gate,
+// reset in place, closes for its next use, queues waiters while closed
+// (its first in the inline slot, more in a heap array) and opens at the
+// next completion, waking them all once.
+func TestRecycledRequestGate(t *testing.T) {
+	e, d := testDev(t)
+	ch := mustChan(t, d, mustCtx(t, d, 1), Compute)
+	r := submit(e, ch, 10*time.Microsecond, Compute)
+	e.Run()
+	if !r.DoneGate().IsOpen() {
+		t.Fatal("first use: gate closed after completion")
+	}
+	r.Release()
+	again := submit(e, ch, 10*time.Microsecond, Compute)
+	if again != r {
+		t.Fatalf("Stage handed out %p, want the released %p", again, r)
+	}
+	g := again.DoneGate()
+	if g.IsOpen() || again.IsDone() {
+		t.Fatalf("recycled request: gate open %v, done %v; want closed and not done", g.IsOpen(), again.IsDone())
+	}
+	woke := 0
+	for i := 0; i < 3; i++ {
+		c := e.NewCont()
+		c.Wait(g, func() { woke++ })
+	}
+	if g.Waiters() != 3 {
+		t.Fatalf("recycled gate holds %d waiters, want 3", g.Waiters())
+	}
+	e.Run()
+	if !g.IsOpen() || woke != 3 || g.Waiters() != 0 {
+		t.Fatalf("after the second completion: gate open %v, %d of 3 waiters woke, %d still queued", g.IsOpen(), woke, g.Waiters())
+	}
+}

@@ -126,9 +126,11 @@ type Kernel struct {
 	// until the first OpenVirtual call.
 	mux *muxState
 
-	// Pools of delivered fault records and finished sampling watchers.
+	// Pools of delivered fault records and finished sampling watchers;
+	// a watcher the pool cannot give comes from watchSlab.
 	faultFree []*kfault
 	watchFree []*watcher
+	watchSlab sim.Slab[watcher]
 
 	// Policy, when non-nil, enables protected channel allocation.
 	Policy *ChannelPolicy

@@ -41,9 +41,10 @@ type sampleState struct {
 // watcher observes one sampled request's completion: a continuation
 // that queues on the request's done gate and records its service time.
 // It holds a pin on the request until it has observed it or the
-// sampling run ends. Watchers are pooled on the kernel.
+// sampling run ends. Watchers come from a kernel slab and are pooled on
+// the kernel.
 type watcher struct {
-	c   *sim.Cont
+	c   sim.Cont
 	st  *sampleState
 	req *gpu.Request
 
@@ -146,7 +147,8 @@ func (k *Kernel) watchStaged(cs *ChannelState) {
 			w = k.watchFree[n-1]
 			k.watchFree = k.watchFree[:n-1]
 		} else {
-			w = &watcher{c: k.eng.NewCont()}
+			w = k.watchSlab.New()
+			k.eng.InitCont(&w.c)
 			w.armFn, w.observeFn = w.arm, w.observe
 		}
 		w.st, w.req = st, r

@@ -343,3 +343,30 @@ func TestWaitTimeoutStopCancelsBoth(t *testing.T) {
 		t.Fatalf("inline cases ran %d steps, left %d events; want 2 and none", ran, e.Pending())
 	}
 }
+
+// TestGateFirstWaiterInline: a gate made by InitGate keeps its first
+// waiter inline, so queuing it allocates nothing; a second waiter at
+// once moves the queue to one heap array.
+func TestGateFirstWaiterInline(t *testing.T) {
+	e := NewEngine()
+	a, b := e.NewCont(), e.NewCont()
+	var g Gate
+	then := func() {}
+	for waiters, want := range []float64{0, 0, 1} {
+		allocs := testing.AllocsPerRun(100, func() {
+			g = Gate{} // a fresh gate each run
+			e.InitGate(&g, "inline")
+			if waiters > 0 {
+				a.Wait(&g, then)
+			}
+			if waiters > 1 {
+				b.Wait(&g, then)
+			}
+			a.Stop()
+			b.Stop()
+		})
+		if allocs != want {
+			t.Errorf("a fresh gate queuing %d waiters: %v allocations, want %v", waiters, allocs, want)
+		}
+	}
+}

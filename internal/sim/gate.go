@@ -8,11 +8,18 @@ package sim
 // (level-triggered: while open, waits pass immediately). Wakeups are
 // delivered as events at the current virtual time, so a waker never
 // runs a waiter's code inline.
+//
+// The first waiter is stored inline: a gate that never holds two
+// waiters at once allocates no waiter array. A second waiter moves the
+// queue to a heap array, which the gate keeps, as it keeps any
+// capacity. An initialized gate points into itself, so it must not be
+// copied.
 type Gate struct {
 	engine  *Engine
 	name    string
 	open    bool
 	waiters []*Cont
+	first   [1]*Cont // waiters' backing array until a second waiter queues
 }
 
 // NewGate returns a closed gate.
@@ -26,6 +33,7 @@ func (e *Engine) NewGate(name string) *Gate {
 // owners that embed their gate.
 func (e *Engine) InitGate(g *Gate, name string) {
 	g.engine, g.name = e, name
+	g.waiters = g.first[:0]
 }
 
 // Name returns the gate's name.

@@ -504,3 +504,113 @@ func dispatchers(st *stream) int {
 	}
 	return n
 }
+
+// TestColdRebuildReturnsToPool: a migrating tenant's cold rebuild goes
+// back to its device's pool once it completes, through the per-request
+// drain and the batched one alike, so the rebuild is one of the next
+// two objects the device's Stage hands out (the request behind it is
+// the other).
+func TestColdRebuildReturnsToPool(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		eng := sim.NewEngine()
+		srv, err := New(eng, Config{
+			Fleet:      fleet.Config{Devices: 1, Sched: "direct", Seed: 1},
+			BatchDrain: batch,
+			Streams: []Stream{
+				// Arrival far beyond the horizon: the queue is fed by hand.
+				{Tenant: workload.OpenLoopTenant("migrant", 100*us, 400*us), Arrival: Deterministic{Rate: 1}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := srv.Fleet().Nodes()[0]
+		st := srv.streams[0]
+		d := srv.newDispatcher(st, node)
+		srv.Fleet().PlaceRequest(st.ft)
+		d.queue = append(d.queue, item{arrival: eng.Now(), cold: true})
+		d.start()
+		// The rebuild is staged ahead of the request, so it runs first.
+		var rebuild *gpu.Request
+		for rebuild == nil && eng.Step() {
+			rebuild = node.Device.CurrentRequest()
+		}
+		if rebuild == nil || rebuild.Size != 400*us {
+			t.Fatalf("batch %v: the first request to run is %+v, want the 400 µs rebuild", batch, rebuild)
+		}
+		ch := rebuild.Channel()
+		eng.RunFor(10 * time.Millisecond)
+		if st.stats.Completed != 1 || st.stats.ColdTime != 400*us {
+			t.Fatalf("batch %v: completed %d, cold time %v; want the request served behind its 400 µs rebuild",
+				batch, st.stats.Completed, st.stats.ColdTime)
+		}
+		if a, b := ch.Stage(us, gpu.Compute), ch.Stage(us, gpu.Compute); a != rebuild && b != rebuild {
+			t.Errorf("batch %v: Stage handed out %p and %p after the rebuild completed, want the rebuild %p back",
+				batch, a, b, rebuild)
+		}
+	}
+}
+
+// TestKilledTenantRequestsReturnToPool: a killed tenant's aborted
+// requests, the executing one and those queued behind it, go back to
+// the device's pool through the dispatcher's completion hook, so the
+// device's next Stages hand back exactly those objects.
+func TestKilledTenantRequestsReturnToPool(t *testing.T) {
+	const backlog = 6
+	eng := sim.NewEngine()
+	srv, err := New(eng, Config{
+		Fleet:      fleet.Config{Devices: 1, Sched: "direct", Seed: 1},
+		BatchDrain: true,
+		Streams: []Stream{
+			{Tenant: workload.OpenLoopTenant("doomed", 100*us, 0), Arrival: Deterministic{Rate: 1}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := srv.Fleet().Nodes()[0]
+	dev := node.Device
+	st := srv.streams[0]
+	d := srv.newDispatcher(st, node)
+	for i := 0; i < backlog; i++ {
+		srv.Fleet().PlaceRequest(st.ft)
+		d.queue = append(d.queue, item{arrival: eng.Now()})
+	}
+	d.start()
+	// The batched drain stages the whole backlog before its doorbell
+	// lands: take the objects from the staged list.
+	sent := map[*gpu.Request]bool{}
+	for len(sent) == 0 && eng.Step() {
+		for _, ctx := range dev.Contexts() {
+			for _, ch := range ctx.Channels() {
+				for _, r := range ch.StagedRequests() {
+					sent[r] = true
+				}
+			}
+		}
+	}
+	if len(sent) != backlog {
+		t.Fatalf("staged %d requests, want the backlog of %d", len(sent), backlog)
+	}
+	for dev.CurrentRequest() == nil && eng.Step() {
+	}
+	node.Kernel.KillTask(st.ft.Task(node), "test: killed with a backlog on the device")
+	eng.RunFor(time.Millisecond)
+	if st.stats.Aborted != backlog || st.stats.Completed != 0 {
+		t.Fatalf("aborted %d, completed %d; want all %d aborted", st.stats.Aborted, st.stats.Completed, backlog)
+	}
+
+	ctx, err := dev.CreateContext(99, "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := dev.CreateChannel(ctx, gpu.Compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < backlog; i++ {
+		if r := ch.Stage(us, gpu.Compute); !sent[r] {
+			t.Fatalf("Stage %d after the kill handed out %p, not one of the aborted requests", i, r)
+		}
+	}
+}

@@ -461,17 +461,14 @@ func (d *dispatcher) submitted(r *gpu.Request) {
 	case d.cold:
 		if r != nil {
 			d.st.stats.ColdTime += d.st.workingSet
+			hookDone(r, releaseRequest)
 		}
 	case r == nil:
 		d.srv.fleet.RequestDone(d.node)
 		d.st.stats.Aborted++
 	default:
 		r.Stamp = d.arrival
-		if r.IsDone() {
-			d.onDone(r)
-		} else {
-			r.OnDone = d.doneFn
-		}
+		hookDone(r, d.doneFn)
 	}
 	if d.submitting {
 		d.landed = true
@@ -502,7 +499,7 @@ func (d *dispatcher) batchDrain() bool {
 		}
 		if it.cold {
 			ws := d.st.workingSet
-			b.Stage(ws, d.st.kind, nil)
+			b.Stage(ws, d.st.kind, releaseRequest)
 			d.st.stats.ColdTime += ws
 		}
 		r := b.Stage(d.st.size, d.st.kind, d.doneFn)
@@ -531,16 +528,32 @@ func (d *dispatcher) pop() item {
 // onDone is the completion hook: it runs in engine context the instant
 // the device finishes (or aborts) the request — no polling process per
 // request. It releases the fleet's queue depth, counts the completion
-// with its sojourn, and recycles the request (gpu.Request.OnDone).
+// with its sojourn or the abort, and recycles the request
+// (gpu.Request.OnDone).
 func (d *dispatcher) onDone(r *gpu.Request) {
 	d.srv.fleet.RequestDone(d.node)
 	if r.Aborted {
 		d.st.stats.Aborted++
-		return
+	} else {
+		d.st.stats.Completed++
+		d.st.stats.Latency.Add(r.Completed.Sub(r.Stamp))
 	}
-	d.st.stats.Completed++
-	d.st.stats.Latency.Add(r.Completed.Sub(r.Stamp))
 	r.Release()
+}
+
+// releaseRequest is a cold rebuild's completion hook: nothing waits on
+// the rebuild, so it goes back to its device's pool once it completes
+// or aborts.
+func releaseRequest(r *gpu.Request) { r.Release() }
+
+// hookDone hooks fn on a landed request, or runs it now if the request
+// has already finished: it aborted while its store was in flight.
+func hookDone(r *gpu.Request, fn func(*gpu.Request)) {
+	if r.IsDone() {
+		fn(r)
+	} else {
+		r.OnDone = fn
+	}
 }
 
 // drainFailed retires items queued before a client setup failure so

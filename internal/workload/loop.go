@@ -349,12 +349,10 @@ func (m *machine) blockingDone(r *gpu.Request) {
 // (gpu.Request.OnDone).
 func (m *machine) oneDone(r *gpu.Request, observe bool) {
 	m.pending--
-	if !r.Aborted {
-		if observe {
-			m.round.Served(r)
-		}
-		r.Release()
+	if observe && !r.Aborted {
+		m.round.Served(r)
 	}
+	r.Release()
 	if m.fencing && m.pending == 0 && m.alive() {
 		m.eng.After(0, m.stepFn)
 	}

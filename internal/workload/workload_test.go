@@ -270,3 +270,38 @@ func TestPipelinedAppKeepsChannelBusy(t *testing.T) {
 		t.Fatalf("frame time %.0fus, want near %.0f (pipelining broken?)", avg, spec.PaperRoundUS)
 	}
 }
+
+// TestKilledLoopRequestsReturnToPool: a killed app's fire-and-forget
+// requests abort, and the round machine's completion hook returns each
+// to the device's pool, the executing one included, so the device's
+// next Stages hand it back.
+func TestKilledLoopRequestsReturnToPool(t *testing.T) {
+	e, k := stack(t)
+	spec, _ := ByName("glxgears") // every round request is pipelined
+	app := Launch(k, spec)
+	e.RunFor(5 * time.Millisecond)
+	dev := k.Device()
+	for dev.CurrentRequest() == nil && e.Step() {
+	}
+	running := dev.CurrentRequest()
+	if running == nil {
+		t.Fatal("no request running")
+	}
+	k.KillTask(app.Task, "test: killed with pipelined requests in flight")
+	e.RunFor(time.Millisecond)
+
+	ctx, err := dev.CreateContext(99, "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := dev.CreateChannel(ctx, gpu.Compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if ch.Stage(time.Microsecond, gpu.Compute) == running {
+			return
+		}
+	}
+	t.Fatalf("the request aborted while executing (%p) is not among the device's next 64 Stages", running)
+}

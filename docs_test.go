@@ -150,7 +150,10 @@ func TestDesignDocCoversEngineInternals(t *testing.T) {
 		"Device.KillContext", "Engine.InitGate", "TestGateFirstWaiterInline",
 		"FuzzGate", "TestFreshRequestsComeFromSlab", "TestRecycledRequestGate",
 		"TestColdRebuildReturnsToPool", "TestKilledTenantRequestsReturnToPool",
-		"TestKilledLoopRequestsReturnToPool",
+		"TestKilledLoopRequestsReturnToPool", "sim.Pool", "Device.RequestsOut",
+		"TestKilledLoopFastPathRequestReturnsToPool",
+		"TestKilledLoopLaneRequestReturnsToPool",
+		"TestKilledInfiniteKernelReturnsToPool", "TestTornDownStacksHoldNoRequest",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DESIGN.md does not mention %s", want)

@@ -12,10 +12,6 @@ type FlowID struct {
 	gen uint32
 }
 
-// NoFlow is the zero FlowID; it never names a live flow (slot 0 starts
-// at generation 1).
-var NoFlow = FlowID{}
-
 // flowSlot is one flow's compact per-tenant state: a fixed-size record
 // in the index's flat slab. No per-flow maps, no boxed pointers — at
 // ~1M tenants the slab is a few tens of megabytes of contiguous memory
@@ -249,35 +245,6 @@ func (x *FlowIndex) slot(id FlowID) *flowSlot {
 		return nil
 	}
 	return s
-}
-
-// checkInvariants panics if the heap ordering or the population
-// accounting is broken; the fuzz target calls it after every op.
-func (x *FlowIndex) checkInvariants() {
-	for i := 1; i < len(x.heap); i++ {
-		parent := (i - 1) / 4
-		if x.flowLess(x.heap[i], x.heap[parent]) {
-			panic(fmt.Sprintf("core: flow heap order violated at %d", i))
-		}
-	}
-	live := 0
-	for i := range x.slab {
-		s := &x.slab[i]
-		switch {
-		case s.heapPos == flowFree:
-		case s.heapPos == flowIdle:
-			live++
-		default:
-			live++
-			if int(s.heapPos) >= len(x.heap) || x.heap[s.heapPos] != uint32(i) {
-				panic(fmt.Sprintf("core: flow %d heap position %d is inconsistent", i, s.heapPos))
-			}
-		}
-	}
-	if live != x.Len() || len(x.slab)-live != len(x.free) {
-		panic(fmt.Sprintf("core: flow accounting leak: %d live, Len %d, %d slab, %d free",
-			live, x.Len(), len(x.slab), len(x.free)))
-	}
 }
 
 // flowLess is the heap order: by virtual time, ties to the lower slot

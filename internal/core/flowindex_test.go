@@ -186,6 +186,35 @@ func TestFlowIndexCorruptHeapPanics(t *testing.T) {
 	}
 }
 
+// checkInvariants panics if the heap ordering or the population
+// accounting is broken; the fuzz target calls it after every op.
+func (x *FlowIndex) checkInvariants() {
+	for i := 1; i < len(x.heap); i++ {
+		parent := (i - 1) / 4
+		if x.flowLess(x.heap[i], x.heap[parent]) {
+			panic(fmt.Sprintf("core: flow heap order violated at %d", i))
+		}
+	}
+	live := 0
+	for i := range x.slab {
+		s := &x.slab[i]
+		switch {
+		case s.heapPos == flowFree:
+		case s.heapPos == flowIdle:
+			live++
+		default:
+			live++
+			if int(s.heapPos) >= len(x.heap) || x.heap[s.heapPos] != uint32(i) {
+				panic(fmt.Sprintf("core: flow %d heap position %d is inconsistent", i, s.heapPos))
+			}
+		}
+	}
+	if live != x.Len() || len(x.slab)-live != len(x.free) {
+		panic(fmt.Sprintf("core: flow accounting leak: %d live, Len %d, %d slab, %d free",
+			live, x.Len(), len(x.slab), len(x.free)))
+	}
+}
+
 // FuzzDFQIndexOps drives the FlowIndex through an arbitrary encoded
 // op-sequence (two bytes per op: opcode, argument) and checks the
 // structural invariants after every step: heap ordering, heap-position

@@ -56,8 +56,6 @@ type Timeslice struct {
 	deadline                       sim.Time
 	grantFn, sliceEndFn, drainedFn func()
 
-	// SlicesGranted counts slices actually granted, for tests.
-	SlicesGranted int64
 	// TurnsSkipped counts turns forfeited to overuse, for tests.
 	TurnsSkipped int64
 }
@@ -146,7 +144,6 @@ func (ts *Timeslice) grant() {
 	}
 
 	ts.holder, ts.cur = t, t
-	ts.SlicesGranted++
 	if ts.disengaged {
 		ts.k.Disengage(t)
 	}

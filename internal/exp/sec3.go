@@ -85,10 +85,10 @@ func sec3Stack(size sim.Duration, trap, driverWork bool) (eng *sim.Engine, done 
 					r.Release()
 					*done++
 					if task.Alive {
-						client.SubmitSyncOn(lane, gpu.Compute, size, next)
+						client.SubmitSyncOn(lane, gpu.Compute, size, nil, next)
 					}
 				}
-				client.SubmitSyncOn(lane, gpu.Compute, size, next)
+				client.SubmitSyncOn(lane, gpu.Compute, size, nil, next)
 				return
 			}
 			// Direct access runs as a self-resubmitting continuation chain:

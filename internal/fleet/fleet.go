@@ -227,9 +227,6 @@ func (f *Fleet) Nodes() []*Node { return f.nodes }
 // Board returns the fleet-wide virtual-time board.
 func (f *Fleet) Board() *Board { return f.board }
 
-// Policy returns the placement policy in use.
-func (f *Fleet) Policy() Policy { return f.policy }
-
 // Tenants returns launched tenants in launch order.
 func (f *Fleet) Tenants() []*Tenant { return f.tenants }
 

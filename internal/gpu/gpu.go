@@ -132,7 +132,7 @@ type Request struct {
 	done     sim.Gate
 	pins     int32 // holds beyond completion (sampling watchers, finish itself)
 	released bool  // owner released while pinned: recycle at the last Unpin
-	pooled   bool  // currently on the device free list
+	pooled   bool  // currently in the device's pool
 }
 
 // finish invokes the completion hook (once) and opens the done gate,
@@ -177,7 +177,7 @@ func (r *Request) Unpin() {
 	}
 }
 
-// Release returns the request to its device's free pool for reuse by a
+// Release returns the request to its device's pool for reuse by a
 // later Stage. The caller asserts that no other component still holds
 // the pointer: completion has been processed (the done gate opened and
 // its waiters ran, or the submitter owned the only reference), or the
@@ -197,8 +197,7 @@ func (r *Request) Release() {
 
 func (r *Request) recycle() {
 	r.pooled = true
-	d := r.ch.Ctx.dev
-	d.reqFree = append(d.reqFree, r)
+	r.ch.Ctx.dev.reqs.Put(r)
 }
 
 // Context is a GPU address space holding channels whose requests may be
@@ -318,7 +317,7 @@ func (ch *Channel) engine() *engine {
 
 // Stage constructs a request in the command buffer: user-space work that
 // costs nothing at the device. Ring the doorbell (store to Reg) to submit.
-// Request objects come from the device's free pool (see Request.Release)
+// Request objects come from the device's pool (see Request.Release)
 // so the steady-state submit path does not allocate.
 func (ch *Channel) Stage(size sim.Duration, kind Kind) *Request {
 	d := ch.Ctx.dev
@@ -363,26 +362,24 @@ type Device struct {
 	nextChID  int
 	reqID     uint64
 
-	// ctxFree and chFree hold gracefully released contexts and channels
-	// (ReleaseContext) for reuse by CreateContext and CreateChannel, so a
+	// ctxs and chans pool gracefully released contexts and channels
+	// (ReleaseContext) for CreateContext and CreateChannel, so a
 	// reattach rebuilds no hardware state: the channel keeps its doorbell
 	// page, that page's bound sink and deliver steps, and the backing
 	// arrays of its ring, staged list and deferred stores.
-	ctxFree []*Context
-	chFree  []*Channel
+	ctxs  sim.Pool[Context]
+	chans sim.Pool[Channel]
 
 	execEngine *engine // compute + graphics
 	dmaEngine  *engine // copy engine
 
-	// reqFree is the Request free pool fed by Request.Release; Stage
-	// draws from it, reusing the object and its done gate, and takes a
-	// fresh request from reqSlab when it is empty.
-	reqFree []*Request
-	reqSlab sim.Slab[Request]
+	// reqs pools requests, fed by Request.Release; Stage reuses the
+	// object and its done gate.
+	reqs sim.Pool[Request]
 
-	// regs pools the store records of every channel register, so a
+	// stores pools the store records of every channel register, so a
 	// channel recreated by a reattach stores without allocating.
-	regs mmio.Records
+	stores sim.Pool[mmio.Fault]
 
 	// CompletionObserver, if set, is informed after each request retires
 	// on either engine (completion delivered, next dispatch not yet
@@ -428,9 +425,6 @@ func (d *Device) Name() string { return d.cfg.Name }
 // construction-time defaulting).
 func (d *Device) Config() Config { return d.cfg }
 
-// Class returns the device's generation class.
-func (d *Device) Class() cost.Class { return d.cfg.Class }
-
 // ClassSpeed returns the class's relative speed factor: the rate this
 // device retires nominal work relative to the reference class. Observed
 // device time times ClassSpeed is normalized work.
@@ -475,20 +469,22 @@ func (d *Device) nextReqID() uint64 {
 	return d.reqID
 }
 
-// getRequest returns a request from the free pool, or a fresh one from
-// the slab when the pool is empty. Stage sets the identity fields; a
-// recycled request's other fields are zeroed one by one, since its
-// embedded gate must not be copied, and the gate, whose waiters were
-// released before the request was, closes.
+// RequestsOut returns the number of requests out of the device's pool:
+// staged or in flight, finished and not yet released, or pinned. A
+// device whose contexts are all gone and whose requests have all been
+// released reads 0; anything more is a leak.
+func (d *Device) RequestsOut() int { return d.reqs.Made() - len(d.reqs.Free()) }
+
+// getRequest returns a request from the pool. Stage sets the identity
+// fields; a recycled request's other fields are zeroed one by one,
+// since its embedded gate must not be copied, and the gate, whose
+// waiters were released before the request was, closes.
 func (d *Device) getRequest() *Request {
-	n := len(d.reqFree)
-	if n == 0 {
-		r := d.reqSlab.New()
+	r, fresh := d.reqs.Get()
+	if fresh {
 		d.eng.InitGate(&r.done, "reqdone")
 		return r
 	}
-	r := d.reqFree[n-1]
-	d.reqFree = d.reqFree[:n-1]
 	r.Submitted, r.Started, r.Completed, r.Aborted = 0, 0, 0, false
 	r.Stamp, r.OnDone, r.pooled = 0, nil, false
 	r.done.Close()
@@ -503,14 +499,9 @@ func (d *Device) CreateContext(owner TaskID, label string) (*Context, error) {
 	if len(d.contexts) >= d.cfg.MaxContexts {
 		return nil, ErrNoContexts
 	}
-	var c *Context
-	if n := len(d.ctxFree); n > 0 {
-		c = d.ctxFree[n-1]
-		d.ctxFree[n-1] = nil
-		d.ctxFree = d.ctxFree[:n-1]
+	c, fresh := d.ctxs.Get()
+	if !fresh {
 		*c = Context{channels: c.channels[:0]}
-	} else {
-		c = new(Context)
 	}
 	c.ID, c.Owner, c.Label, c.dev = d.nextCtxID, owner, label, d
 	d.nextCtxID++
@@ -527,18 +518,14 @@ func (d *Device) CreateChannel(c *Context, kind Kind) (*Channel, error) {
 	if c.dead {
 		return nil, ErrContextDead
 	}
-	var ch *Channel
-	if n := len(d.chFree); n > 0 {
-		ch = d.chFree[n-1]
-		d.chFree[n-1] = nil
-		d.chFree = d.chFree[:n-1]
+	ch, fresh := d.chans.Get()
+	if fresh {
+		ch.Reg = mmio.NewPage(d.cost, func(value uint64) {
+			d.doorbell(ch, value)
+		}, &d.stores)
+	} else {
 		*ch = Channel{Reg: ch.Reg, ring: ch.ring[:0], staged: ch.staged[:0], gen: ch.gen}
 		ch.Reg.Reset()
-	} else {
-		ch = new(Channel)
-		ch.Reg = d.regs.NewPage(d.cost, func(value uint64) {
-			d.doorbell(ch, value)
-		})
 	}
 	ch.ID, ch.Ctx, ch.Kind = d.nextChID, c, kind
 	d.nextChID++
@@ -617,7 +604,7 @@ func (d *Device) KillContext(c *Context) {
 // to recreate an equivalent context later and pay the paper's
 // context-switch cost on reattach.
 //
-// The released context and its channels go on the device's free lists
+// The released context and its channels go back to the device's pools
 // for CreateContext and CreateChannel to reuse, and each channel's
 // generation advances (Channel.Generation): the caller must hold no
 // pointer to them past the release. A channel whose doorbell page
@@ -643,10 +630,12 @@ func (d *Device) ReleaseContext(c *Context) error {
 	d.execEngine.forget(c)
 	d.dmaEngine.forget(c)
 	if reuse {
-		d.chFree = append(d.chFree, c.channels...)
+		for _, ch := range c.channels {
+			d.chans.Put(ch)
+		}
 		clear(c.channels)
 		c.channels = c.channels[:0]
-		d.ctxFree = append(d.ctxFree, c)
+		d.ctxs.Put(c)
 	}
 	return nil
 }

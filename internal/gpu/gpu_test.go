@@ -400,24 +400,24 @@ func TestPinnedRequestRecyclesOnce(t *testing.T) {
 			e.Run()
 			r.Release()
 			r.Release()
-			if len(d.reqFree) != 0 {
-				t.Fatalf("%s: recycled while pinned (pool %d)", order, len(d.reqFree))
+			if len(d.reqs.Free()) != 0 {
+				t.Fatalf("%s: recycled while pinned (pool %d)", order, len(d.reqs.Free()))
 			}
 			r.Unpin()
 		case "watcher first":
 			r.Pin()
 			e.Run()
 			r.Unpin()
-			if len(d.reqFree) != 0 {
-				t.Fatalf("%s: recycled before the owner released (pool %d)", order, len(d.reqFree))
+			if len(d.reqs.Free()) != 0 {
+				t.Fatalf("%s: recycled before the owner released (pool %d)", order, len(d.reqs.Free()))
 			}
 			r.Release()
 		case "hook restages":
 			var next *Request
 			r.OnDone = func(done *Request) {
 				done.Release()
-				if len(d.reqFree) != 0 {
-					t.Fatalf("%s: recycled inside its own hook (pool %d)", order, len(d.reqFree))
+				if len(d.reqs.Free()) != 0 {
+					t.Fatalf("%s: recycled inside its own hook (pool %d)", order, len(d.reqs.Free()))
 				}
 				next = ch.Stage(time.Microsecond, Compute)
 			}
@@ -450,8 +450,8 @@ func TestPinnedRequestRecyclesOnce(t *testing.T) {
 			}
 		}
 		r.Release() // double release after recycling: a no-op
-		if len(d.reqFree) != 1 || d.reqFree[0] != r {
-			t.Fatalf("%s: pool %v, want exactly the request once", order, d.reqFree)
+		if len(d.reqs.Free()) != 1 || d.reqs.Free()[0] != r {
+			t.Fatalf("%s: pool %v, want exactly the request once", order, d.reqs.Free())
 		}
 		a, b := ch.Stage(time.Microsecond, Compute), ch.Stage(time.Microsecond, Compute)
 		if a != r || b == r {

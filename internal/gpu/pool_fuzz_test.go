@@ -175,8 +175,8 @@ func (z *poolFuzz) run(ops []byte) {
 		z.settle(l)
 	}
 	z.check()
-	if len(z.lives) != 0 || len(z.d.reqFree) != z.objects {
-		z.fail("%d requests outside the pool, pool %d of %d objects", len(z.lives), len(z.d.reqFree), z.objects)
+	if len(z.lives) != 0 || len(z.d.reqs.Free()) != z.objects || z.d.RequestsOut() != 0 {
+		z.fail("%d requests outside the pool, pool %d of %d objects, %d out", len(z.lives), len(z.d.reqs.Free()), z.objects, z.d.RequestsOut())
 	}
 }
 
@@ -299,7 +299,7 @@ func (z *poolFuzz) settle(l *life) {
 func (z *poolFuzz) check() {
 	z.t.Helper()
 	seen := map[*Request]bool{}
-	for _, r := range z.d.reqFree {
+	for _, r := range z.d.reqs.Free() {
 		l := z.cur[r]
 		if seen[r] {
 			z.fail("the object of request %d is in the pool twice", r.ID)
@@ -326,9 +326,9 @@ func (z *poolFuzz) check() {
 	}
 }
 
-// inPool reports whether r is on the device's free list.
+// inPool reports whether r is in the device's pool.
 func inPool(d *Device, r *Request) bool {
-	for _, x := range d.reqFree {
+	for _, x := range d.reqs.Free() {
 		if x == r {
 			return true
 		}

@@ -13,7 +13,7 @@ import (
 // reference list of the live contexts. After every operation Contexts
 // must return exactly the live set in creation order, ContextCount its
 // size, and KillOwner must have killed exactly the owner's contexts.
-// Released contexts come back from the free list; killed ones never do.
+// Released contexts come back from the pool; killed ones never do.
 func TestContextsLiveSetAfterChurn(t *testing.T) {
 	e, _ := testDev(t)
 	cfg := DefaultConfig()

@@ -24,7 +24,8 @@ import (
 // between its trap and its single-stepped delivery, or a direct store
 // pacing its DirectWrite. It carries the page, the stored value, and the
 // continuation that carries the storing thread through the store.
-// Records are pooled (Records) and reused once delivered.
+// Records come from a pool a set of pages shares (NewPage) and go back
+// to it once delivered.
 type Fault struct {
 	Page  *Page
 	Value uint64
@@ -34,7 +35,6 @@ type Fault struct {
 	Cont *sim.Cont
 
 	then func()
-	next *Fault // the pool's free list
 
 	// Steps and the Proc.Await start, bound on first use so that a
 	// record costs only what its callers use of it.
@@ -67,7 +67,7 @@ type Page struct {
 
 	// recs pools the page's store records, and inflight counts the ones
 	// taken and not yet delivered.
-	recs     *Records
+	recs     *sim.Pool[Fault]
 	inflight int
 
 	// Counters for tests and experiments.
@@ -75,27 +75,16 @@ type Page struct {
 	Faults       int64
 }
 
-// Records pools the store records of a set of pages, such as a
-// device's channel registers: a page made to replace another (a
+// NewPage returns a page that is initially present (direct access) and
+// draws its store records from recs. A set of pages, such as a device's
+// channel registers, shares one pool: a page made to replace another (a
 // channel recreated on a reattach) starts with the records its
 // predecessors returned, so a store in flight allocates nothing once
 // the set has warmed.
-type Records struct {
-	free *Fault
-}
-
-// NewPage returns a page that is initially present (direct access) and
-// draws its store records from r.
-func (r *Records) NewPage(costs cost.Model, sink Sink) *Page {
-	pg := &Page{costs: costs, present: true, sink: sink, recs: r}
+func NewPage(costs cost.Model, sink Sink, recs *sim.Pool[Fault]) *Page {
+	pg := &Page{costs: costs, present: true, sink: sink, recs: recs}
 	pg.deliverFn = pg.deliver
 	return pg
-}
-
-// NewPage returns a page that is initially present (direct access),
-// with a record pool of its own.
-func NewPage(costs cost.Model, sink Sink) *Page {
-	return new(Records).NewPage(costs, sink)
 }
 
 // Quiet reports whether no store is under way on the page: no record
@@ -167,13 +156,7 @@ func (pg *Page) FaultOn(c *sim.Cont, value uint64, then func()) {
 
 // record takes a store record from the page's pool.
 func (pg *Page) record(value uint64) *Fault {
-	r := pg.recs
-	f := r.free
-	if f != nil {
-		r.free, f.next = f.next, nil
-	} else {
-		f = &Fault{}
-	}
+	f, _ := pg.recs.Get()
 	f.Page, f.Value = pg, value
 	pg.inflight++
 	return f
@@ -223,7 +206,7 @@ func (f *Fault) trapped() {
 func (f *Fault) Deliver() {
 	pg, value, then := f.Page, f.Value, f.then
 	f.Page, f.Cont, f.then = nil, nil, nil
-	f.next, pg.recs.free = pg.recs.free, f
+	pg.recs.Put(f)
 	pg.inflight--
 	pg.sink(value)
 	then()

@@ -10,7 +10,7 @@ import (
 
 func testPage(e *sim.Engine) (*Page, *[]uint64) {
 	var delivered []uint64
-	pg := NewPage(cost.Default(), func(v uint64) { delivered = append(delivered, v) })
+	pg := NewPage(cost.Default(), func(v uint64) { delivered = append(delivered, v) }, new(sim.Pool[Fault]))
 	return pg, &delivered
 }
 
@@ -173,28 +173,28 @@ func TestStoreOnDirectAndStopped(t *testing.T) {
 	}
 }
 
-// TestRecordsSharedAcrossPages: pages made from one Records share its
-// store records, so a page created to replace another (a channel
+// TestRecordsSharedAcrossPages: pages made on one pool share its store
+// records, so a page created to replace another (a channel
 // recreated on a reattach) stores without allocating once the pool is
 // warm.
 func TestRecordsSharedAcrossPages(t *testing.T) {
 	e := sim.NewEngine()
-	var recs Records
+	var recs sim.Pool[Fault]
 	sink := func(uint64) {}
 	c := e.NewCont()
 	then := func() {}
-	pg := recs.NewPage(cost.Default(), sink)
+	pg := NewPage(cost.Default(), sink, &recs)
 	pg.StoreOn(c, 1, then)
 	e.Run()
 	fresh := func() {
-		pg := recs.NewPage(cost.Default(), sink)
+		pg := NewPage(cost.Default(), sink, &recs)
 		pg.StoreOn(c, 2, then)
 		e.Run()
 	}
 	// A fresh page costs its own allocations (page, deferred-delivery
 	// closure), but its store takes a pooled record.
 	perPage := testing.AllocsPerRun(20, func() {
-		recs.NewPage(cost.Default(), sink)
+		NewPage(cost.Default(), sink, &recs)
 	})
 	if allocs := testing.AllocsPerRun(20, fresh); allocs > perPage {
 		t.Errorf("a store on a fresh page allocated %.0f times beyond the page's own %.0f", allocs-perPage, perPage)

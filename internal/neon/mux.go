@@ -565,7 +565,9 @@ func (k *Kernel) muxEvictLRU() bool {
 func (k *Kernel) muxDetach(vc *VContext) {
 	k.muxUnbind(vc, vc.hw)
 	if k.drain.c == nil {
-		k.csFree = append(k.csFree, vc.chans...)
+		for _, cs := range vc.chans {
+			k.states.Put(cs)
+		}
 	}
 	k.muxLeave(vc)
 	k.mux.stats.Evictions++

@@ -108,11 +108,11 @@ type Kernel struct {
 	byPage     map[*mmio.Page]*ChannelState
 	onFaultFn  mmio.FaultHandler // k.onFault, bound once for every channel page
 
-	// Tasks and logical contexts come from slab chunks, and the
-	// channel states of contexts the mux detached are reused.
+	// Tasks and logical contexts come from slab chunks, and channel
+	// states from a pool the mux's detaches feed.
 	taskSlab sim.Slab[Task]
 	vcSlab   sim.Slab[VContext]
-	csFree   []*ChannelState
+	states   sim.Pool[ChannelState]
 
 	// live is the snapshot Tasks returns, rebuilt into a new array by
 	// the first call after a task is admitted or exits (liveStale).
@@ -126,11 +126,9 @@ type Kernel struct {
 	// until the first OpenVirtual call.
 	mux *muxState
 
-	// Pools of delivered fault records and finished sampling watchers;
-	// a watcher the pool cannot give comes from watchSlab.
-	faultFree []*kfault
-	watchFree []*watcher
-	watchSlab sim.Slab[watcher]
+	// Pools of delivered fault records and finished sampling watchers.
+	faults   sim.Pool[kfault]
+	watchers sim.Pool[watcher]
 
 	// Policy, when non-nil, enables protected channel allocation.
 	Policy *ChannelPolicy
@@ -255,14 +253,7 @@ func (k *Kernel) createChannel(t *Task, ctx *gpu.Context, kind gpu.Kind) (*Chann
 	if err != nil {
 		return nil, err
 	}
-	var cs *ChannelState
-	if n := len(k.csFree); n > 0 {
-		cs = k.csFree[n-1]
-		k.csFree[n-1] = nil
-		k.csFree = k.csFree[:n-1]
-	} else {
-		cs = new(ChannelState)
-	}
+	cs, _ := k.states.Get()
 	*cs = ChannelState{Ch: ch, Task: t}
 	t.channels = append(t.channels, cs)
 	k.byPage[ch.Reg] = cs
@@ -297,12 +288,9 @@ func (k *Kernel) onFault(f *mmio.Fault) {
 	}
 	k.TotalFaults++
 	cs.Faults++
-	var h *kfault
-	if n := len(k.faultFree); n > 0 {
-		h = k.faultFree[n-1]
-		k.faultFree = k.faultFree[:n-1]
-	} else {
-		h = &kfault{k: k}
+	h, fresh := k.faults.Get()
+	if fresh {
+		h.k = k
 		h.scannedFn, h.admitsFn, h.deliverFn = h.scanned, h.admits, h.deliver
 	}
 	h.f, h.cs = f, cs
@@ -348,7 +336,7 @@ func (h *kfault) admits() bool {
 func (h *kfault) deliver() {
 	f := h.f
 	h.f, h.cs = nil, nil
-	h.k.faultFree = append(h.k.faultFree, h)
+	h.k.faults.Put(h)
 	f.Deliver()
 }
 

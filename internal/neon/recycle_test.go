@@ -90,7 +90,7 @@ func reattachRig(t *testing.T, sched Scheduler, ctxs, n int) (*Kernel, []*VConte
 func TestReattachAllocatesNothing(t *testing.T) {
 	const ctxs, clients, rounds = 2, 8, 5
 	k, _, round := reattachRig(t, quietSched{}, ctxs, clients)
-	round() // warm-up: the pool, the free lists and the records fill
+	round() // warm-up: the pools and the records fill
 
 	before := k.MuxStatus().Reattaches
 	allocs := testing.AllocsPerRun(rounds, round)

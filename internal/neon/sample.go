@@ -41,8 +41,7 @@ type sampleState struct {
 // watcher observes one sampled request's completion: a continuation
 // that queues on the request's done gate and records its service time.
 // It holds a pin on the request until it has observed it or the
-// sampling run ends. Watchers come from a kernel slab and are pooled on
-// the kernel.
+// sampling run ends. Watchers come from the kernel's pool.
 type watcher struct {
 	c   sim.Cont
 	st  *sampleState
@@ -116,7 +115,7 @@ func (st *sampleState) end() {
 			w.req.Unpin()
 		}
 		w.st, w.req = nil, nil
-		k.watchFree = append(k.watchFree, w)
+		k.watchers.Put(w)
 	}
 	st.watchers = st.watchers[:0]
 	res, then := st.res, st.then
@@ -142,12 +141,8 @@ func (k *Kernel) watchStaged(cs *ChannelState) {
 		// The watcher reads timing fields after the done gate opens, so
 		// the request must not recycle before the watcher is done with it.
 		r.Pin()
-		var w *watcher
-		if n := len(k.watchFree); n > 0 {
-			w = k.watchFree[n-1]
-			k.watchFree = k.watchFree[:n-1]
-		} else {
-			w = k.watchSlab.New()
+		w, fresh := k.watchers.Get()
+		if fresh {
 			k.eng.InitCont(&w.c)
 			w.armFn, w.observeFn = w.arm, w.observe
 		}

@@ -125,9 +125,6 @@ func (t *Task) removeContext(ctx *gpu.Context) {
 // Contexts returns the task's GPU contexts.
 func (t *Task) Contexts() []*gpu.Context { return t.contexts }
 
-// Kernel returns the owning kernel.
-func (t *Task) Kernel() *Kernel { return t.kernel }
-
 // Exit ends the task voluntarily, releasing all its resources.
 func (t *Task) Exit() { t.exit("exited") }
 

@@ -101,9 +101,9 @@ type Engine struct {
 	// top.
 	h4 []hnode
 
-	procs  int     // live (unfinished) procs, for leak detection
-	inProc int     // >0 while process code may be on the stack (Cont.fire)
-	idle   []*coro // finished procs' coroutines, reused by Spawn
+	procs  int        // live (unfinished) procs, for leak detection
+	inProc int        // >0 while process code may be on the stack (Cont.fire)
+	coros  Pool[coro] // finished procs' coroutines, reused by Spawn
 
 	// stepping guards against re-entrant Run calls.
 	running bool
@@ -352,8 +352,8 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 // can never cancel an event of the new run). Reset refuses to run while
 // procs are live — their coroutines are parked awaiting engine wakeups
 // and would be stranded forever — so models must finish (or Kill) every
-// proc before the engine can be reused. The idle coroutine pool
-// survives Reset.
+// proc before the engine can be reused. The coroutine pool survives
+// Reset.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("sim: Reset during Run")

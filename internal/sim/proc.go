@@ -41,10 +41,10 @@ type Proc struct {
 // coro is a pooled coroutine: an iter.Pull pair whose sequence function
 // runs one proc body after another, and the Cont its procs park on.
 // next resumes it from engine context; the body suspends through yield.
-// Between bodies it parks in its engine's idle list with no proc
-// attached, and its Cont drops the engine, so an idle coroutine keeps
-// no simulation reachable. Nothing stops an idle coroutine: like the
-// coroutine of a proc that never finishes, it stays parked for the
+// Between bodies it parks in its engine's pool (Engine.coros) with no
+// proc attached, and its Cont drops the engine, so an idle coroutine
+// keeps no simulation reachable. Nothing stops an idle coroutine: like
+// the coroutine of a proc that never finishes, it stays parked for the
 // life of the process, so the pool holds at most as many coroutines as
 // the engine ever had procs live at once.
 type coro struct {
@@ -70,7 +70,7 @@ func (co *coro) loop(yield func(struct{}) bool) {
 		co.c.Stop()
 		co.c.engine = nil
 		co.p, co.body, p.co = nil, nil, nil
-		p.engine.idle = append(p.engine.idle, co)
+		p.engine.coros.Put(co)
 		yield(struct{}{})
 	}
 }
@@ -80,16 +80,13 @@ func (co *coro) loop(yield func(struct{}) bool) {
 // back to the engine.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{engine: e, name: name, state: procReady}
-	var co *coro
-	if n := len(e.idle); n > 0 {
-		co = e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-		co.c.engine = e
-	} else {
-		co = &coro{c: e.NewCont()}
+	co, fresh := e.coros.Get()
+	if fresh {
+		co.c = e.NewCont()
 		co.resumeFn = co.resume
 		co.next, _ = iter.Pull(co.loop)
+	} else {
+		co.c.engine = e
 	}
 	co.p, co.body = p, body
 	p.co = co

@@ -263,8 +263,8 @@ func TestProcSpawnParkFinishAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, life); a > 1 {
 		t.Fatalf("spawn/park/finish allocates %.0f objects, want <= 1 (the Proc)", a)
 	}
-	if e.LiveProcs() != 0 || len(e.idle) != 1 {
-		t.Fatalf("LiveProcs = %d, idle coroutines = %d; want 0 and 1", e.LiveProcs(), len(e.idle))
+	if e.LiveProcs() != 0 || len(e.coros.Free()) != 1 {
+		t.Fatalf("LiveProcs = %d, idle coroutines = %d; want 0 and 1", e.LiveProcs(), len(e.coros.Free()))
 	}
 }
 

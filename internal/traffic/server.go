@@ -68,14 +68,6 @@ type StreamStats struct {
 	Batched int64
 }
 
-// GoodputPerSec returns completed requests per second over the window.
-func (s *StreamStats) GoodputPerSec(window sim.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(s.Completed) / window.Seconds()
-}
-
 // ShedRate returns the stream's shed fraction of arrivals.
 func (s *StreamStats) ShedRate() float64 {
 	if s.Arrivals == 0 {

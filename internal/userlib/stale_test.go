@@ -49,7 +49,7 @@ func TestStaleChannelPanicsAtStore(t *testing.T) {
 	a.VC.Release()                    // the record outlives the pin
 
 	var got *gpu.Request
-	b.SubmitSyncOn(e.NewCont(), gpu.Compute, time.Microsecond, func(r *gpu.Request) { got = r })
+	b.SubmitSyncOn(e.NewCont(), gpu.Compute, time.Microsecond, nil, func(r *gpu.Request) { got = r })
 	e.Run()
 	if got == nil || a.VC.Attached() || b.peek(gpu.Compute) != ch {
 		t.Fatalf("other's submission %v, victim attached %v, channel reused %v",

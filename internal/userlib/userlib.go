@@ -202,11 +202,13 @@ func (c *Client) SubmitEngagedOn(lane *sim.Cont, kind gpu.Kind, size sim.Duratio
 // present, unpinning at once, which is SubmitAsync's store, and
 // otherwise through the store's steps (mmio.Page.StoreOn), which fault
 // on an engaged register, unpinning once it lands — then wait on the
-// done gate. On a virtual client then receives nil, staging nothing, if
-// the task dies before the context can attach. Stopping lane abandons
-// the submission.
-func (c *Client) SubmitSyncOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, then func(*gpu.Request)) {
-	c.submitOn(lane, kind, size, subSync, nil, then)
+// done gate. onDone, if non-nil, is hooked at staging, as for
+// SubmitDetachedOn: it runs even when the task's exit stops lane, so
+// then never runs, and aborts the request. On a virtual client then
+// receives nil, staging nothing, if the task dies before the context
+// can attach. Stopping lane abandons the submission.
+func (c *Client) SubmitSyncOn(lane *sim.Cont, kind gpu.Kind, size sim.Duration, onDone, then func(*gpu.Request)) {
+	c.submitOn(lane, kind, size, subSync, onDone, then)
 }
 
 // submitOn starts a submission record on lane: acquire, stage, trap,
@@ -426,7 +428,7 @@ func (c *Client) SubmitSync(p *sim.Proc, kind gpu.Kind, size sim.Duration) *gpu.
 		return r
 	}
 	r, _ := sim.AwaitResult(p, func(lane *sim.Cont, then func(*gpu.Request, error)) {
-		c.SubmitSyncOn(lane, kind, size, func(r *gpu.Request) { then(r, nil) })
+		c.SubmitSyncOn(lane, kind, size, nil, func(r *gpu.Request) { then(r, nil) })
 	})
 	return r
 }

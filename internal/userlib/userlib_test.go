@@ -152,7 +152,7 @@ func TestSecondSubmissionInFlightPanics(t *testing.T) {
 	})
 	e.Run()
 	var first *gpu.Request
-	c.SubmitSyncOn(lane, gpu.Compute, 40*time.Microsecond, func(r *gpu.Request) { first = r })
+	c.SubmitSyncOn(lane, gpu.Compute, 40*time.Microsecond, nil, func(r *gpu.Request) { first = r })
 	r := func() (r any) {
 		defer func() { r = recover() }()
 		c.SubmitDetachedOn(task.NewCont(), gpu.Compute, 40*time.Microsecond, nil, func(*gpu.Request) {})
@@ -169,7 +169,7 @@ func TestSecondSubmissionInFlightPanics(t *testing.T) {
 		t.Fatal("the first submission never completed")
 	}
 	var second *gpu.Request
-	c.SubmitSyncOn(lane, gpu.Compute, 40*time.Microsecond, func(r *gpu.Request) { second = r })
+	c.SubmitSyncOn(lane, gpu.Compute, 40*time.Microsecond, nil, func(r *gpu.Request) { second = r })
 	e.Run()
 	if second == nil || !second.IsDone() {
 		t.Fatal("the record did not serve a submission after the first finished")

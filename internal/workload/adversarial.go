@@ -32,7 +32,8 @@ type infiniteKernel struct {
 }
 
 // Begin runs the warmup rounds, then attacks: an infinite loop on the
-// device, submitted from the lane.
+// device, submitted from the lane. The request goes back to its
+// device's pool from its hook when the task's kill aborts it.
 func (x *infiniteKernel) Begin(l *Loop, lane bool) {
 	if x.rounds < x.warmup {
 		x.rounds++
@@ -44,7 +45,7 @@ func (x *infiniteKernel) Begin(l *Loop, lane bool) {
 		return
 	}
 	l.Stop()
-	x.client.SubmitDetachedOn(l.Lane(), gpu.Compute, gpu.Forever, nil, func(*gpu.Request) {})
+	x.client.SubmitDetachedOn(l.Lane(), gpu.Compute, gpu.Forever, (*gpu.Request).Release, func(*gpu.Request) {})
 }
 
 // Think submits each warmup round at once.

@@ -23,7 +23,10 @@ import (
 // would give a woken process. A fire-and-forget request goes back to
 // its device's pool from its own completion hook
 // (gpu.Request.OnDone), a blocking one once the machine has stepped
-// past it, so the fence waits on a count alone.
+// past it, so the fence waits on a count alone. A loop whose task has
+// died steps no further, so its blocking request goes back from the
+// dead loop's last step or, when the lane submitted it, from its hook:
+// the task's exit stops the lane.
 //
 // Anything that must block runs on the lane, a continuation: the
 // steps a Round takes on it (a first-touch client open), and every
@@ -69,6 +72,7 @@ type machine struct {
 	beginning  bool         // Round.Begin is running inline in a step
 	pending    int          // fire-and-forget submissions not yet completed
 	awaiting   *gpu.Request // blocking request whose completion resumes the machine
+	laneWaits  bool         // the lane submitted the blocking request and resumes the machine
 	roundStart sim.Time
 
 	// Pre-bound steps and completion hooks; the lane's are bound at its
@@ -127,7 +131,17 @@ func (l *Loop) Start(r Round, eng *sim.Engine, lane *sim.Cont, task *neon.Task, 
 	m.stepFn = func() { m.step(false) }
 	m.trivDone = func(r *gpu.Request) { m.oneDone(r, false) }
 	m.pipeDone = func(r *gpu.Request) { m.oneDone(r, true) }
-	m.blockDone = func(*gpu.Request) { m.eng.After(0, m.stepFn) }
+	// A blocking request's hook. The fast path's request steps the
+	// machine on from here; the lane's wakes the lane, which retires it,
+	// unless the task has died: its exit stopped the lane.
+	m.blockDone = func(r *gpu.Request) {
+		if !m.laneWaits {
+			m.eng.After(0, m.stepFn)
+		} else if !m.alive() {
+			m.awaiting, m.laneWaits = nil, false
+			r.Release()
+		}
+	}
 	m.phase = phBegin
 	m.step(true)
 }
@@ -181,14 +195,19 @@ func (m *machine) alive() bool { return m.task == nil || m.task.Alive }
 // work hands off to the lane.
 func (m *machine) step(lane bool) {
 	if m.stopped || !m.alive() {
+		if r := m.awaiting; r != nil {
+			// A dead loop's last step: nothing will retire the request.
+			m.awaiting = nil
+			r.Release()
+		}
 		return
 	}
 	if r := m.awaiting; r != nil {
 		// A blocking request's completion brought us here: completion
-		// processing finished before this After(0) step ran. A sampling
-		// watcher's pin, if any, defers the recycle until the watcher has
-		// observed it.
-		m.awaiting = nil
+		// processing finished before this step ran. A sampling watcher's
+		// pin, if any, defers the recycle until the watcher has observed
+		// it.
+		m.awaiting, m.laneWaits = nil, false
 		m.blockingDone(r)
 	}
 	for {
@@ -287,9 +306,11 @@ func (m *machine) submit(lane bool) {
 }
 
 // laneSubmit submits the current request as steps of the lane, in the
-// form the refusal committed it to.
+// form the refusal committed it to. A blocking request carries the
+// blocking hook, which leaves it to the lane while the task lives.
 func (m *machine) laneSubmit() {
 	rq, blocking := m.current()
+	m.laneWaits = blocking
 	switch {
 	case !blocking:
 		m.pending++
@@ -299,9 +320,9 @@ func (m *machine) laneSubmit() {
 			m.client.SubmitDetachedOn(m.lane, rq.Kind, rq.Size, m.hook(rq), m.firedFn)
 		}
 	case m.commit:
-		m.client.SubmitEngagedOn(m.lane, rq.Kind, rq.Size, nil, m.storedFn)
+		m.client.SubmitEngagedOn(m.lane, rq.Kind, rq.Size, m.blockDone, m.storedFn)
 	default:
-		m.client.SubmitSyncOn(m.lane, rq.Kind, rq.Size, m.storedFn)
+		m.client.SubmitSyncOn(m.lane, rq.Kind, rq.Size, m.blockDone, m.storedFn)
 	}
 }
 
@@ -325,6 +346,7 @@ func (m *machine) bindLane() {
 	// request completed: the lane steps on once it has completed.
 	m.storedFn = func(r *gpu.Request) {
 		if r == nil {
+			m.laneWaits = false
 			m.advance()
 			m.step(true)
 			return

@@ -305,3 +305,93 @@ func TestKilledLoopRequestsReturnToPool(t *testing.T) {
 	}
 	t.Fatalf("the request aborted while executing (%p) is not among the device's next 64 Stages", running)
 }
+
+// returnsToPool reports whether r is among dev's next 64 Stages, on a
+// probe context of its own: a request released to the pool comes back
+// from it, and one that leaked never does.
+func returnsToPool(t *testing.T, dev *gpu.Device, r *gpu.Request) bool {
+	t.Helper()
+	ctx, err := dev.CreateContext(99, "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := dev.CreateChannel(ctx, gpu.Compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if ch.Stage(time.Microsecond, gpu.Compute) == r {
+			return true
+		}
+	}
+	return false
+}
+
+// runUntilExecuting steps e until dev executes a request that want
+// accepts, and returns it.
+func runUntilExecuting(t *testing.T, e *sim.Engine, dev *gpu.Device, want func(*gpu.Request) bool) *gpu.Request {
+	t.Helper()
+	for {
+		if r := dev.CurrentRequest(); r != nil && want(r) {
+			return r
+		}
+		if !e.Step() {
+			t.Fatal("the engine ran dry before the request executed")
+		}
+	}
+}
+
+// TestKilledLoopFastPathRequestReturnsToPool: a killed app's blocking
+// request, submitted on the fast path, aborts, and the dead loop's last
+// step returns it to the device's pool.
+func TestKilledLoopFastPathRequestReturnsToPool(t *testing.T) {
+	e, k := stack(t)
+	app := Launch(k, Throttle(500*time.Microsecond, 0))
+	e.RunFor(5 * time.Millisecond)
+	dev := k.Device()
+	running := runUntilExecuting(t, e, dev, func(*gpu.Request) bool { return true })
+	if f := app.Task.Channels()[0].Ch.Reg.Faults; f != 0 {
+		t.Fatalf("%d faults: the request did not take the fast path", f)
+	}
+	k.KillTask(app.Task, "test: killed with a blocking request executing")
+	e.RunFor(time.Millisecond)
+	if !running.Aborted || !returnsToPool(t, dev, running) {
+		t.Fatalf("the blocking request aborted while executing (%p, aborted %v) is not among the device's next 64 Stages", running, running.Aborted)
+	}
+}
+
+// TestKilledLoopLaneRequestReturnsToPool: a killed app's blocking
+// request, submitted on the lane through the committed fault path,
+// aborts, and its completion hook returns it to the device's pool: the
+// task's exit stopped the lane that would have retired it.
+func TestKilledLoopLaneRequestReturnsToPool(t *testing.T) {
+	e := sim.NewEngine()
+	k := neon.NewKernel(gpu.New(e, gpu.DefaultConfig()), engagedSched{blocked: map[*neon.Task]bool{}})
+	app := Launch(k, Throttle(500*time.Microsecond, 0))
+	e.RunFor(5 * time.Millisecond)
+	dev := k.Device()
+	running := runUntilExecuting(t, e, dev, func(*gpu.Request) bool { return true })
+	if f := app.Task.Channels()[0].Ch.Reg.Faults; f == 0 {
+		t.Fatal("no fault: the request did not take the lane")
+	}
+	k.KillTask(app.Task, "test: killed with a lane request executing")
+	e.RunFor(time.Millisecond)
+	if !running.Aborted || !returnsToPool(t, dev, running) {
+		t.Fatalf("the lane's request aborted while executing (%p, aborted %v) is not among the device's next 64 Stages", running, running.Aborted)
+	}
+}
+
+// TestKilledInfiniteKernelReturnsToPool: the InfiniteKernel's attack
+// request, aborted by the kill of its task, returns to the device's
+// pool from its completion hook.
+func TestKilledInfiniteKernelReturnsToPool(t *testing.T) {
+	e, k := stack(t)
+	inf := LaunchInfiniteKernel(k, 2)
+	dev := k.Device()
+	attack := runUntilExecuting(t, e, dev, func(r *gpu.Request) bool { return r.Size == gpu.Forever })
+	k.KillTask(inf.Task, "test: killed while its infinite kernel runs")
+	e.RunFor(time.Millisecond)
+	if !attack.Aborted || !returnsToPool(t, dev, attack) {
+		t.Fatalf("the attack request aborted by the kill (%p, aborted %v) is not among the device's next 64 Stages", attack, attack.Aborted)
+	}
+}
